@@ -43,7 +43,7 @@ func (r *replicated) WarpTrace(cta, warp int) []isa.WarpInst {
 }
 
 // runMulti schedules several kernels concurrently across the chip's
-// SMs (chip.NewMulti) and compares each SM against its kernel's
+// SMs (chip.New) and compares each SM against its kernel's
 // single-SM methodology run.
 func runMulti(spec string, sms, l2KB int, stagger int64) {
 	names := strings.Split(spec, "+")
@@ -68,7 +68,7 @@ func runMulti(spec string, sms, l2KB int, stagger int64) {
 	mem.L2Bytes = l2KB << 10
 
 	runner := core.NewRunner()
-	multi := make([]chip.MultiKernel, len(kernels))
+	multi := make([]chip.Kernel, len(kernels))
 	for j, k := range kernels {
 		// Kernel j owns ceil-or-floor(sms/K) SMs; deal it one grid per
 		// owned SM, the same replication the single-kernel path uses.
@@ -79,7 +79,7 @@ func runMulti(spec string, sms, l2KB int, stagger int64) {
 		occ := occupancy.Compute(k.Requirements(), config.Baseline(), 0)
 		src := &workloads.Source{K: k, Seed: 1}
 		_, warps := src.Grid()
-		multi[j] = chip.MultiKernel{
+		multi[j] = chip.Kernel{
 			Name:         k.Name,
 			Source:       &replicated{src, k.GridCTAs, warps, n},
 			ResidentCTAs: occ.CTAs,
@@ -98,8 +98,8 @@ func runMulti(spec string, sms, l2KB int, stagger int64) {
 	}
 	var res *chip.Result
 	work = append(work, func() error {
-		machine, err := chip.NewMulti(chip.Config{NumSMs: sms, Mem: mem, LaunchStagger: stagger},
-			config.Baseline(), runner.Params, multi)
+		machine, err := chip.New(chip.Config{NumSMs: sms, Mem: mem, LaunchStagger: stagger},
+			config.Baseline(), runner.Params, multi...)
 		if err != nil {
 			return err
 		}
@@ -179,7 +179,8 @@ func main() {
 			src := &workloads.Source{K: k, Seed: 1}
 			_, warps := src.Grid()
 			machine, err := chip.New(chip.Config{NumSMs: *sms, Mem: mem, LaunchStagger: *stagger},
-				config.Baseline(), runner.Params, &replicated{src, k.GridCTAs, warps, *sms}, occ.CTAs)
+				config.Baseline(), runner.Params,
+				chip.Kernel{Name: k.Name, Source: &replicated{src, k.GridCTAs, warps, *sms}, ResidentCTAs: occ.CTAs})
 			if err != nil {
 				return err
 			}

@@ -172,7 +172,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		runStreamsAndReport(r, kernels, cfg)
+		runMixAndReport(r, kernels, cfg)
 		return
 	}
 	if *kernelName == "" {
@@ -246,9 +246,9 @@ func parseStreams(spec string) ([]*workloads.Kernel, error) {
 	return kernels, nil
 }
 
-// runStreamsAndReport executes a multi-tenant mix and prints the joint
+// runMixAndReport executes a multi-tenant mix and prints the joint
 // report plus the per-stream attribution table.
-func runStreamsAndReport(r *core.Runner, kernels []*workloads.Kernel, cfg config.MemConfig) {
+func runMixAndReport(r *core.Runner, kernels []*workloads.Kernel, cfg config.MemConfig) {
 	specs := make([]core.StreamSpec, len(kernels))
 	for i, k := range kernels {
 		specs[i] = core.StreamSpec{Kernel: k}

@@ -7,7 +7,8 @@
 // to test that claim: it runs the same kernel across N SMs against a
 // shared memory system and reports per-SM results that can be compared
 // with the single-SM simulation (see the chip validation test and
-// BenchmarkChipValidation).
+// BenchmarkChipValidation). Several kernels can also share the chip, each
+// owning a subset of the SMs; one kernel is the ordinary case.
 //
 // SMs advance in conservative global-time order: the simulator always
 // steps the SM with the smallest local clock, so requests reach the shared
@@ -56,8 +57,7 @@ type Result struct {
 	DRAMReadBytes, DRAMWriteBytes int64
 	// OutOfOrder is the shared system's timestamp-ordering diagnostic.
 	OutOfOrder int64
-	// PerSMKernel names each SM's kernel on concurrent-kernel chips
-	// (NewMulti); nil for single-kernel chips.
+	// PerSMKernel names each SM's kernel.
 	PerSMKernel []string
 }
 
@@ -84,62 +84,30 @@ type Chip struct {
 	cfg Config
 	sms []*sm.SM
 	mem *dram.System
-	// names labels each SM's kernel on concurrent-kernel chips
-	// (NewMulti); nil for single-kernel chips.
+	// names labels each SM's kernel.
 	names []string
 }
 
-// New builds a chip running the grid of src under memCfg on every SM.
-// The grid is dealt round-robin: SM i executes CTAs i, i+N, i+2N, ...
-// residentCTAs is the per-SM CTA residency (from internal/occupancy).
-func New(cfg Config, memCfg config.MemConfig, params sm.Params, src TraceSource, residentCTAs int) (*Chip, error) {
-	if cfg.NumSMs < 1 {
-		return nil, fmt.Errorf("chip: need at least one SM")
-	}
-	if cfg.Mem.Channels == 0 {
-		cfg.Mem = dram.DefaultSystemConfig(cfg.NumSMs)
-	}
-	totalCTAs, warps := src.Grid()
-	if totalCTAs < cfg.NumSMs {
-		return nil, fmt.Errorf("chip: grid of %d CTAs cannot feed %d SMs", totalCTAs, cfg.NumSMs)
-	}
-	c := &Chip{cfg: cfg, mem: dram.NewSystem(cfg.Mem)}
-	for i := 0; i < cfg.NumSMs; i++ {
-		share := totalCTAs / cfg.NumSMs
-		if i < totalCTAs%cfg.NumSMs {
-			share++
-		}
-		shard := &shardSource{src: src, smIndex: i, nSM: cfg.NumSMs, ctas: share, warps: warps}
-		m, err := sm.NewSM(sm.Spec{
-			Config: memCfg, Params: params, Source: shard,
-			ResidentCTAs: residentCTAs, Memory: c.mem,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chip: SM %d: %w", i, err)
-		}
-		c.sms = append(c.sms, m)
-	}
-	return c, nil
-}
-
-// MultiKernel is one kernel of a chip-level concurrent-kernel run.
-type MultiKernel struct {
+// Kernel is one kernel of a chip run.
+type Kernel struct {
 	// Name labels the kernel in results.
 	Name string
 	// Source supplies the kernel's grid.
 	Source TraceSource
-	// ResidentCTAs is the kernel's per-SM CTA residency.
+	// ResidentCTAs is the kernel's per-SM CTA residency (from
+	// internal/occupancy).
 	ResidentCTAs int
 }
 
-// NewMulti builds a chip running several kernels concurrently by
+// New builds a chip running the given kernels under memCfg. With one
+// kernel every SM runs it, and its grid is dealt round-robin: SM i
+// executes CTAs i, i+N, i+2N, .... Several kernels run concurrently by
 // partitioning the SMs among them — the work distributor's
-// concurrent-kernel scheduling on real chips. Kernel j owns SMs j,
-// j+K, j+2K, ...; its grid is dealt round-robin across its own SM
-// subset exactly the way New deals a single grid across the whole
-// chip. All kernels share the channel-interleaved DRAM system, so
-// co-tenants contend in memory even though they never share an SM.
-func NewMulti(cfg Config, memCfg config.MemConfig, params sm.Params, kernels []MultiKernel) (*Chip, error) {
+// concurrent-kernel scheduling on real chips: kernel j owns SMs j, j+K,
+// j+2K, ..., and its grid is dealt round-robin across its own SM subset
+// the same way. All kernels share the channel-interleaved DRAM system,
+// so co-tenants contend in memory even though they never share an SM.
+func New(cfg Config, memCfg config.MemConfig, params sm.Params, kernels ...Kernel) (*Chip, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("chip: need at least one kernel")
 	}

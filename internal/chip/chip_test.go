@@ -35,7 +35,7 @@ func computeKernel(cta, warp int) []isa.WarpInst {
 
 func TestChipRunsAllCTAs(t *testing.T) {
 	src := funcSource{ctas: 16, warps: 2, gen: computeKernel}
-	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), src, 2)
+	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestChipRunsAllCTAs(t *testing.T) {
 
 func TestChipUnevenGrid(t *testing.T) {
 	src := funcSource{ctas: 10, warps: 1, gen: computeKernel}
-	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), src, 2)
+	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestChipUnevenGrid(t *testing.T) {
 
 func TestChipRejectsBadConfigs(t *testing.T) {
 	src := funcSource{ctas: 2, warps: 1, gen: computeKernel}
-	if _, err := New(Config{NumSMs: 0}, config.Baseline(), sm.DefaultParams(), src, 1); err == nil {
+	if _, err := New(Config{NumSMs: 0}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 1}); err == nil {
 		t.Error("zero SMs should be rejected")
 	}
-	if _, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), src, 1); err == nil {
+	if _, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 1}); err == nil {
 		t.Error("grid smaller than the SM count should be rejected")
 	}
 }
@@ -88,7 +88,7 @@ func TestChipRejectsBadConfigs(t *testing.T) {
 // the shared DRAM system nearly in timestamp order.
 func TestConservativeOrdering(t *testing.T) {
 	src := funcSource{ctas: 32, warps: 2, gen: computeKernel}
-	c, err := New(Config{NumSMs: 8}, config.Baseline(), sm.DefaultParams(), src, 2)
+	c, err := New(Config{NumSMs: 8}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSharedBandwidthContention(t *testing.T) {
 	starved, err := New(Config{
 		NumSMs: 4,
 		Mem:    dram.SystemConfig{Channels: 1, BytesPerCyclePerChannel: 8, LatencyCycles: 400},
-	}, config.Baseline(), sm.DefaultParams(), src, 4)
+	}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSharedBandwidthContention(t *testing.T) {
 	fed, err := New(Config{
 		NumSMs: 4,
 		Mem:    dram.SystemConfig{Channels: 4, BytesPerCyclePerChannel: 8, LatencyCycles: 400},
-	}, config.Baseline(), sm.DefaultParams(), src, 4)
+	}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestL2AbsorbsCrossSMSharing(t *testing.T) {
 	}
 	src := funcSource{ctas: 16, warps: 4, gen: shared}
 	base := dram.SystemConfig{Channels: 4, BytesPerCyclePerChannel: 8, LatencyCycles: 400}
-	noL2, err := New(Config{NumSMs: 4, Mem: base}, config.Baseline(), sm.DefaultParams(), src, 2)
+	noL2, err := New(Config{NumSMs: 4, Mem: base}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestL2AbsorbsCrossSMSharing(t *testing.T) {
 	}
 	withCfg := base
 	withCfg.L2Bytes = 512 << 10
-	withL2, err := New(Config{NumSMs: 4, Mem: withCfg}, config.Baseline(), sm.DefaultParams(), src, 2)
+	withL2, err := New(Config{NumSMs: 4, Mem: withCfg}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,41 +190,72 @@ func (k KernelRequirements) SharedBytesPerThread() float64 {
 //  4. all remaining storage becomes primary data cache.
 //
 // threadCap, if non-zero, limits resident threads below the architectural
-// maximum (used for autotuned thread counts).
+// maximum (used for autotuned thread counts). It is AllocateMulti for a
+// single kernel.
 func Allocate(req KernelRequirements, totalBytes, threadCap int) (MemConfig, error) {
-	if req.ThreadsPerCTA <= 0 {
-		return MemConfig{}, errors.New("config: ThreadsPerCTA must be positive")
+	return AllocateMulti([]KernelRequirements{req}, totalBytes, threadCap)
+}
+
+// AllocateMulti is the Section 4.5 partitioning for a set of co-resident
+// kernels sharing one unified memory of totalBytes (one kernel is the
+// ordinary case). CTAs are admitted greedily round-robin — each round
+// offers every kernel, in index order, one more CTA under the joint
+// thread and capacity budgets — so the split reflects the same
+// interleaving the dispatcher uses for CTA slots. Register file and
+// shared memory are sized to the admitted footprints, and all remaining
+// storage becomes primary data cache, rounded down to a whole number of
+// sets so the tag array is well formed (the sub-set remainder is below
+// one bank's granularity and does not affect the model).
+//
+// Every kernel must admit at least one CTA alongside its co-tenants;
+// otherwise AllocateMulti fails with ErrDoesNotFit. threadCap, if
+// non-zero, bounds the joint resident-thread count.
+func AllocateMulti(reqs []KernelRequirements, totalBytes, threadCap int) (MemConfig, error) {
+	if len(reqs) == 0 {
+		return MemConfig{}, errors.New("config: no kernels to allocate for")
 	}
-	if req.ThreadsPerCTA%32 != 0 {
-		return MemConfig{}, fmt.Errorf("config: ThreadsPerCTA %d not a multiple of the warp size", req.ThreadsPerCTA)
+	for i, req := range reqs {
+		if req.ThreadsPerCTA <= 0 {
+			return MemConfig{}, fmt.Errorf("config: kernel %d: ThreadsPerCTA must be positive", i)
+		}
+		if req.ThreadsPerCTA%32 != 0 {
+			return MemConfig{}, fmt.Errorf("config: kernel %d: ThreadsPerCTA %d not a multiple of the warp size", i, req.ThreadsPerCTA)
+		}
 	}
 	limit := MaxThreadsPerSM
 	if threadCap > 0 && threadCap < limit {
 		limit = threadCap
 	}
-	perCTABytes := req.BytesPerThread()*req.ThreadsPerCTA + req.SharedBytesPerCTA
-	if perCTABytes > totalBytes {
-		return MemConfig{}, fmt.Errorf("config: one CTA needs %d bytes, unified memory has %d: %w",
-			perCTABytes, totalBytes, ErrDoesNotFit)
+	ctas := make([]int, len(reqs))
+	blocked := make([]bool, len(reqs))
+	threads, used := 0, 0
+	for progress := true; progress; {
+		progress = false
+		for i, req := range reqs {
+			if blocked[i] {
+				continue
+			}
+			perCTA := req.BytesPerThread()*req.ThreadsPerCTA + req.SharedBytesPerCTA
+			if threads+req.ThreadsPerCTA > limit || used+perCTA > totalBytes {
+				blocked[i] = true
+				continue
+			}
+			ctas[i]++
+			threads += req.ThreadsPerCTA
+			used += perCTA
+			progress = true
+		}
 	}
-	maxCTAs := limit / req.ThreadsPerCTA
-	if maxCTAs < 1 {
-		return MemConfig{}, fmt.Errorf("config: CTA size %d exceeds thread limit %d: %w",
-			req.ThreadsPerCTA, limit, ErrDoesNotFit)
-	}
-	if byCapacity := totalBytes / perCTABytes; byCapacity < maxCTAs {
-		maxCTAs = byCapacity
-	}
-	cfg := MemConfig{
-		Design:      Unified,
-		RFBytes:     maxCTAs * req.ThreadsPerCTA * req.BytesPerThread(),
-		SharedBytes: maxCTAs * req.SharedBytesPerCTA,
-		MaxThreads:  maxCTAs * req.ThreadsPerCTA,
+	cfg := MemConfig{Design: Unified, MaxThreads: threads}
+	for i, req := range reqs {
+		if ctas[i] < 1 {
+			return MemConfig{}, fmt.Errorf("config: kernel %d cannot fit one CTA (%d threads) in %d bytes under a %d-thread limit alongside %d co-tenants: %w",
+				i, req.ThreadsPerCTA, totalBytes, limit, len(reqs)-1, ErrDoesNotFit)
+		}
+		cfg.RFBytes += ctas[i] * req.ThreadsPerCTA * req.BytesPerThread()
+		cfg.SharedBytes += ctas[i] * req.SharedBytesPerCTA
 	}
 	cfg.CacheBytes = totalBytes - cfg.RFBytes - cfg.SharedBytes
-	// Round the cache down to a whole number of sets so the tag array is
-	// well formed; the remainder is left unused (sub-set slack is below
-	// one bank's granularity and does not affect the model).
 	cfg.CacheBytes -= cfg.CacheBytes % (CacheLineBytes * CacheWays)
 	return cfg, nil
 }
@@ -242,40 +273,60 @@ func FermiSplits(nonRFBytes int) [2]MemConfig {
 }
 
 // ChooseFermi picks the better of the two Fermi-like splits for a kernel:
-// the split whose shared memory fits the kernel's footprint at the highest
-// thread count, breaking ties toward the larger cache.
+// it is ChooseFermiMulti for a single kernel.
 func ChooseFermi(req KernelRequirements, nonRFBytes, threadCap int) MemConfig {
+	return ChooseFermiMulti([]KernelRequirements{req}, nonRFBytes, threadCap)
+}
+
+// ChooseFermiMulti picks the Fermi-like shared/cache split that admits
+// the most joint resident threads for a set of co-resident kernels (one
+// kernel is the ordinary case), breaking ties toward the larger cache —
+// a kernel that uses no shared memory always gets it. Residency uses the
+// same round-robin CTA admission as AllocateMulti, under the split's
+// fixed register-file and shared-memory capacities.
+func ChooseFermiMulti(reqs []KernelRequirements, nonRFBytes, threadCap int) MemConfig {
 	splits := FermiSplits(nonRFBytes)
-	best := splits[1] // prefer large cache when shared memory is no constraint
-	if req.SharedBytesPerCTA > 0 {
-		t0 := residentThreads(req, splits[0], threadCap)
-		t1 := residentThreads(req, splits[1], threadCap)
-		if t0 > t1 {
-			best = splits[0]
-		}
+	best := splits[1]
+	if residentThreads(reqs, splits[0], threadCap) > residentThreads(reqs, splits[1], threadCap) {
+		best = splits[0]
 	}
 	best.MaxThreads = threadCap
 	return best
 }
 
-// residentThreads computes CTA-granular thread residency for a kernel under
-// a configuration (shared by ChooseFermi and internal/occupancy; the full
+// residentThreads counts joint resident threads for co-resident kernels
+// under a fixed configuration, using round-robin CTA admission (the full
 // treatment with diagnostics lives in internal/occupancy).
-func residentThreads(req KernelRequirements, cfg MemConfig, threadCap int) int {
+func residentThreads(reqs []KernelRequirements, cfg MemConfig, threadCap int) int {
 	limit := cfg.ThreadLimit()
 	if threadCap > 0 && threadCap < limit {
 		limit = threadCap
 	}
-	ctas := limit / req.ThreadsPerCTA
-	if req.SharedBytesPerCTA > 0 {
-		if byShmem := cfg.SharedBytes / req.SharedBytesPerCTA; byShmem < ctas {
-			ctas = byShmem
+	blocked := make([]bool, len(reqs))
+	threads, rfUsed, shUsed := 0, 0, 0
+	for i, req := range reqs {
+		if req.ThreadsPerCTA <= 0 {
+			blocked[i] = true
 		}
 	}
-	if rfPerCTA := req.BytesPerThread() * req.ThreadsPerCTA; rfPerCTA > 0 {
-		if byRF := cfg.RFBytes / rfPerCTA; byRF < ctas {
-			ctas = byRF
+	for progress := true; progress; {
+		progress = false
+		for i, req := range reqs {
+			if blocked[i] {
+				continue
+			}
+			rfPerCTA := req.BytesPerThread() * req.ThreadsPerCTA
+			if threads+req.ThreadsPerCTA > limit ||
+				rfUsed+rfPerCTA > cfg.RFBytes ||
+				shUsed+req.SharedBytesPerCTA > cfg.SharedBytes {
+				blocked[i] = true
+				continue
+			}
+			threads += req.ThreadsPerCTA
+			rfUsed += rfPerCTA
+			shUsed += req.SharedBytesPerCTA
+			progress = true
 		}
 	}
-	return ctas * req.ThreadsPerCTA
+	return threads
 }

@@ -62,7 +62,8 @@ type RunSpec struct {
 	// Streams runs several kernels co-resident on one SM (multi-tenant
 	// concurrent-kernel execution) with round-robin CTA-slot
 	// interleaving and per-stream counter attribution. Mutually
-	// exclusive with Kernel/RegsPerThread/Seed; see streams.go.
+	// exclusive with Kernel/RegsPerThread/Seed, which spell a one-entry
+	// list; see streams.go.
 	Streams []StreamSpec
 }
 
@@ -76,8 +77,8 @@ type Result struct {
 	Counters *stats.Counters
 	// Energy is the Section 5.2 energy breakdown.
 	Energy energy.Breakdown
-	// Streams holds per-stream results for multi-tenant runs
-	// (RunSpec.Streams), in stream order; nil for single-kernel runs.
+	// Streams holds per-stream results for runs of two or more streams,
+	// in stream order; nil for single-kernel runs, however spelled.
 	Streams []StreamResult
 }
 
@@ -140,7 +141,15 @@ type Runner struct {
 	Seed uint64
 
 	mu        sync.Mutex
-	baselines map[string]*baselineEntry
+	baselines map[baselineKey]*baselineEntry
+}
+
+// baselineKey identifies a kernel's baseline run. Kernel variants share
+// a name (every needle blocking factor is "needle"), so the blocking
+// factor is part of the key.
+type baselineKey struct {
+	name string
+	bf   int
 }
 
 // baselineEntry computes one kernel's baseline run exactly once.
@@ -156,7 +165,7 @@ func NewRunner() *Runner {
 		Params:    sm.DefaultParams(),
 		Energy:    energy.NewModel(),
 		Seed:      1,
-		baselines: make(map[string]*baselineEntry),
+		baselines: make(map[baselineKey]*baselineEntry),
 	}
 }
 
@@ -175,33 +184,32 @@ func (r *Runner) Run(spec RunSpec, opts ...RunOption) (*Result, error) {
 // result is cached process-wide and must never memoize a caller's
 // cancellation; and a completed RunCtx returns counters identical to
 // Run's — the context only decides whether the run finishes.
+//
+// A plain spec is a one-entry stream list, so every run takes one path.
+// Sampling refuses two or more streams (sm.RunSampled): per-stream
+// attribution needs exact runs.
 func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if len(spec.Streams) > 0 {
-		return r.runStreams(ctx, spec, &o)
-	}
-	spec, occ, src, err := r.prepare(spec)
+	p, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
 	}
 	if o.probe != nil {
-		o.probe.Annotate("kernel", spec.Kernel.Name)
-		o.probe.Annotate("config", spec.Config.String())
-		o.probe.Annotate("regs", fmt.Sprint(resolvedRegs(spec)))
-		o.probe.Annotate("threads", fmt.Sprint(occ.Threads))
+		o.probe.Annotate("kernel", p.label())
+		o.probe.Annotate("config", p.spec.Config.String())
+		if len(p.streams) == 1 {
+			o.probe.Annotate("regs", fmt.Sprint(p.streams[0].RegsPerThread))
+			o.probe.Annotate("threads", fmt.Sprint(p.occs[0].Threads))
+		} else {
+			o.probe.Annotate("streams", fmt.Sprint(len(p.streams)))
+		}
 	}
-	machine, err := sm.NewSM(sm.Spec{
-		Config:       spec.Config,
-		Params:       r.Params,
-		Source:       src,
-		ResidentCTAs: occ.CTAs,
-		Probe:        o.probe,
-	})
+	machine, err := sm.NewSM(p.smSpec(r.Params, o.probe))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", spec.Kernel.Name, spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
 	var counters *stats.Counters
 	if o.sample.Enabled() {
@@ -210,68 +218,124 @@ func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*
 		counters, err = machine.RunContext(ctx)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", spec.Kernel.Name, spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
-	return r.finishResult(spec, occ, counters)
+	return r.finishResult(p, counters, machine.StreamCounters())
 }
 
 // finishResult assembles a Result from completed-run counters,
-// attaching the calibrated energy breakdown. The snapshot/fork Resume
-// path shares it with RunCtx.
-func (r *Runner) finishResult(spec RunSpec, occ occupancy.Result, counters *stats.Counters) (*Result, error) {
-	res := &Result{Spec: spec, Occupancy: occ, Counters: counters}
-	other, err := r.calibratedOther(spec.Kernel, spec.Config, counters)
-	if err != nil {
-		return nil, err
+// attaching the energy breakdown. The snapshot/fork Resume path shares
+// it with RunCtx. Energy is calibrated on the kernel's baseline run for
+// one stream (calibratedOther); a kernel mix has no single-kernel
+// baseline run, so it always self-calibrates on its own counters — which
+// is what the baseline-config convention degenerates to anyway.
+func (r *Runner) finishResult(p *prepared, counters *stats.Counters, perStream []stats.Counters) (*Result, error) {
+	res := &Result{Spec: p.spec, Occupancy: jointOccupancy(p.occs), Counters: counters}
+	cfg := p.spec.Config
+	if len(p.streams) == 1 {
+		other, err := r.calibratedOther(p.streams[0].Kernel, cfg, counters)
+		if err != nil {
+			return nil, err
+		}
+		res.Energy = r.Energy.Evaluate(cfg, counters, other)
+		return res, nil
 	}
-	res.Energy = r.Energy.Evaluate(spec.Config, counters, other)
+	res.Streams = make([]StreamResult, len(p.streams))
+	for i, st := range p.streams {
+		res.Streams[i] = StreamResult{Kernel: st.Kernel.Name, Occupancy: p.occs[i], Counters: perStream[i]}
+	}
+	res.Energy = r.Energy.Evaluate(cfg, counters, r.Energy.CalibrateOther(cfg, counters))
 	return res, nil
 }
 
-// prepare resolves a RunSpec to its simulation inputs: defaulted seed,
-// computed occupancy (failing with *FitError when the kernel cannot
-// achieve residency), and the trace source with the resolved register
-// budget. RunCtx and the snapshot/fork Warm path share it so a warmed
-// prefix is built from exactly the state a direct run would use.
-func (r *Runner) prepare(spec RunSpec) (RunSpec, occupancy.Result, *workloads.Source, error) {
-	if spec.Kernel == nil {
-		return spec, occupancy.Result{}, nil, ErrKernelNil
-	}
-	if spec.Seed == 0 {
-		spec.Seed = r.Seed
-	}
-	regs := resolvedRegs(spec)
-	occ := occupancy.Compute(spec.Kernel.Requirements(), spec.Config, regs)
-	if occ.CTAs < 1 {
-		return spec, occ, nil, &FitError{Kernel: spec.Kernel.Name, Config: spec.Config, Limiter: occ.Limiter}
-	}
-	regsAvail := 0
-	if regs < spec.Kernel.RegsNeeded {
-		regsAvail = regs
-	}
-	src := &workloads.Source{K: spec.Kernel, RegsAvail: regsAvail, Seed: spec.Seed}
-	return spec, occ, src, nil
+// prepared is a RunSpec resolved to its simulation inputs. RunCtx and
+// the snapshot/fork Warm path share it, so a warmed prefix is built
+// from exactly the state a direct run would use.
+type prepared struct {
+	// spec echoes the request, its seed defaulted on the plain spelling.
+	spec RunSpec
+	// streams is the spec's kernel list — a plain spec is a one-entry
+	// list — with each register allocation clamped to the kernel's
+	// spill-free demand and each seed defaulted.
+	streams []StreamSpec
+	// occs is each stream's residency under joint round-robin admission
+	// (occupancy.ComputeShared, mirroring the dispatcher's CTA-slot
+	// interleave); every stream admits at least one CTA.
+	occs []occupancy.Result
+	// srcs is each stream's trace source with its resolved register
+	// budget.
+	srcs []*workloads.Source
 }
 
-// resolvedRegs returns the effective per-thread register allocation.
-func resolvedRegs(spec RunSpec) int {
-	regs := spec.RegsPerThread
-	if regs <= 0 || regs > spec.Kernel.RegsNeeded {
-		regs = spec.Kernel.RegsNeeded
+// prepare resolves a RunSpec, failing with ErrKernelNil for a missing
+// kernel and with *FitError when some stream cannot achieve residency.
+func (r *Runner) prepare(spec RunSpec) (*prepared, error) {
+	streams := spec.Streams
+	if len(streams) == 0 {
+		if spec.Kernel == nil {
+			return nil, ErrKernelNil
+		}
+		if spec.Seed == 0 {
+			spec.Seed = r.Seed
+		}
+		streams = []StreamSpec{{Kernel: spec.Kernel, RegsPerThread: spec.RegsPerThread, Seed: spec.Seed}}
+	} else if spec.Kernel != nil {
+		return nil, fmt.Errorf("core: RunSpec.Kernel and RunSpec.Streams are mutually exclusive")
 	}
-	return regs
+	p := &prepared{spec: spec, streams: make([]StreamSpec, len(streams))}
+	reqs := make([]config.KernelRequirements, len(streams))
+	regs := make([]int, len(streams))
+	for i, st := range streams {
+		if st.Kernel == nil {
+			return nil, fmt.Errorf("core: stream %d: %w", i, ErrKernelNil)
+		}
+		if st.RegsPerThread <= 0 || st.RegsPerThread > st.Kernel.RegsNeeded {
+			st.RegsPerThread = st.Kernel.RegsNeeded
+		}
+		if st.Seed == 0 {
+			st.Seed = r.Seed
+		}
+		p.streams[i] = st
+		reqs[i] = st.Kernel.Requirements()
+		regs[i] = st.RegsPerThread
+	}
+	p.occs = occupancy.ComputeShared(reqs, spec.Config, regs)
+	for i, st := range p.streams {
+		if p.occs[i].CTAs < 1 {
+			return nil, &FitError{Kernel: st.Kernel.Name, Config: spec.Config, Limiter: p.occs[i].Limiter}
+		}
+		regsAvail := 0
+		if st.RegsPerThread < st.Kernel.RegsNeeded {
+			regsAvail = st.RegsPerThread
+		}
+		p.srcs = append(p.srcs, &workloads.Source{K: st.Kernel, RegsAvail: regsAvail, Seed: st.Seed})
+	}
+	return p, nil
+}
+
+// label names the run: the kernel name, or the "+"-joined stream names.
+func (p *prepared) label() string { return StreamNames(p.streams) }
+
+// smSpec builds the SM specification of the run.
+func (p *prepared) smSpec(params sm.Params, pr *probe.Probe) sm.Spec {
+	streams := make([]sm.StreamSpec, len(p.streams))
+	for i, st := range p.streams {
+		streams[i] = sm.StreamSpec{Name: st.Kernel.Name, Source: p.srcs[i], ResidentCTAs: p.occs[i].CTAs}
+	}
+	return sm.Spec{Config: p.spec.Config, Params: params, Streams: streams, Probe: pr}
 }
 
 // Baseline returns (and caches) the kernel's run under the baseline
 // partitioned 256/64/64 configuration — the normalization point for every
 // comparative result in the paper. Concurrent callers share a single
-// computation per kernel.
+// computation per kernel (name and blocking factor).
 func (r *Runner) Baseline(k *workloads.Kernel) (*Result, error) {
+	key := baselineKey{k.Name, k.BF}
 	r.mu.Lock()
-	e, ok := r.baselines[k.Name]
+	e, ok := r.baselines[key]
 	if !ok {
 		e = &baselineEntry{}
-		r.baselines[k.Name] = e
+		r.baselines[key] = e
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {

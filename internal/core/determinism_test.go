@@ -46,6 +46,40 @@ func TestRunTwiceIdenticalCounters(t *testing.T) {
 	}
 }
 
+// TestBaselineIndependentOfHistory pins that a run's energy does not
+// depend on which runs its Runner served before. Every needle blocking
+// factor is named "needle", so a baseline cache keyed by name alone
+// would calibrate needle@64 on needle@16's baseline whenever that ran
+// first.
+func TestBaselineIndependentOfHistory(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.CacheBytes *= 2
+	k16, k64 := workloads.NeedleKernel(16), workloads.NeedleKernel(64)
+	fresh, err := NewRunner().Run(RunSpec{Kernel: k64, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner()
+	if _, err := r.Run(RunSpec{Kernel: k16, Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := r.Run(RunSpec{Kernel: k64, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Energy != after.Energy {
+		t.Errorf("needle@64 energy depends on run history:\nfresh runner        %+v\nafter needle@16 ran %+v",
+			fresh.Energy, after.Energy)
+	}
+	base, err := r.Baseline(k64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bf := base.Spec.Kernel.BF; bf != 64 {
+		t.Errorf("Baseline(needle@64) ran needle@%d", bf)
+	}
+}
+
 func mustKernel(t *testing.T, name string) *workloads.Kernel {
 	t.Helper()
 	k, err := workloads.ByName(name)

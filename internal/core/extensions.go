@@ -226,7 +226,8 @@ func (r *Runner) ValidateMethodology(kernels []*workloads.Kernel, nSMs int) ([]M
 		src := &workloads.Source{K: k, Seed: r.Seed}
 		_, warps := src.Grid()
 		rep := &replicatedSource{src: src, ctas: k.GridCTAs, warps: warps, factor: nSMs}
-		machine, err := chip.New(chip.Config{NumSMs: nSMs}, config.Baseline(), r.Params, rep, occ.CTAs)
+		machine, err := chip.New(chip.Config{NumSMs: nSMs}, config.Baseline(), r.Params,
+			chip.Kernel{Name: k.Name, Source: rep, ResidentCTAs: occ.CTAs})
 		if err != nil {
 			return MethodologyRow{}, fmt.Errorf("validate %s: %w", k.Name, err)
 		}

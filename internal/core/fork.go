@@ -28,7 +28,7 @@ type Warm struct {
 	// cycle unless the grid completed first).
 	Cycle int64
 
-	src  *workloads.Source
+	run  *prepared
 	snap *snapshot.State
 	// done records that the grid completed before the warm target: the
 	// prefix consumed the whole run, so there is nothing left for a
@@ -40,37 +40,33 @@ type Warm struct {
 // state. A warmCycles at or past the grid's completion is not an error:
 // the snapshot then holds a finished grid and every Resume returns the
 // completed run. Infeasible configurations fail with *FitError, like
-// Run.
+// Run; specs of two or more streams are refused (the stream list is
+// prefix-defining).
 func (r *Runner) Warm(ctx context.Context, spec RunSpec, warmCycles int64) (*Warm, error) {
-	if len(spec.Streams) > 0 {
+	if len(spec.Streams) > 1 {
 		return nil, fmt.Errorf("core: multi-tenant streams do not support snapshot/fork (streams are prefix-defining)")
 	}
-	spec, occ, src, err := r.prepare(spec)
+	p, err := r.prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	machine, err := sm.NewSM(sm.Spec{
-		Config:       spec.Config,
-		Params:       r.Params,
-		Source:       src,
-		ResidentCTAs: occ.CTAs,
-	})
+	machine, err := sm.NewSM(p.smSpec(r.Params, nil))
 	if err != nil {
-		return nil, fmt.Errorf("core: warm %s under %v: %w", spec.Kernel.Name, spec.Config, err)
+		return nil, fmt.Errorf("core: warm %s under %v: %w", p.label(), p.spec.Config, err)
 	}
 	if err := machine.RunToContext(ctx, warmCycles); err != nil {
-		return nil, fmt.Errorf("core: warm %s under %v: %w", spec.Kernel.Name, spec.Config, err)
+		return nil, fmt.Errorf("core: warm %s under %v: %w", p.label(), p.spec.Config, err)
 	}
 	snap, err := machine.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("core: warm %s: %w", spec.Kernel.Name, err)
+		return nil, fmt.Errorf("core: warm %s: %w", p.label(), err)
 	}
 	return &Warm{
-		Spec:      spec,
-		Occupancy: occ,
+		Spec:      p.spec,
+		Occupancy: p.occs[0],
 		Params:    r.Params,
 		Cycle:     machine.Cycle(),
-		src:       src,
+		run:       p,
 		snap:      snap,
 		done:      machine.Done(),
 	}, nil
@@ -87,20 +83,15 @@ func (r *Runner) Warm(ctx context.Context, spec RunSpec, warmCycles int64) (*War
 // divergent params is bit-identical to ResumeExact with the same
 // params, which internal/simtest pins.
 func (w *Warm) Resume(ctx context.Context, dst *Runner, params sm.Params) (*Result, error) {
-	machine, err := sm.Fork(sm.Spec{
-		Config:       w.Spec.Config,
-		Params:       params,
-		Source:       w.src,
-		ResidentCTAs: w.Occupancy.CTAs,
-	}, w.snap)
+	machine, err := sm.Fork(w.run.smSpec(params, nil), w.snap)
 	if err != nil {
-		return nil, fmt.Errorf("core: resume %s: %w", w.Spec.Kernel.Name, err)
+		return nil, fmt.Errorf("core: resume %s: %w", w.run.label(), err)
 	}
 	counters, err := machine.RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("core: resume %s under %v: %w", w.Spec.Kernel.Name, w.Spec.Config, err)
+		return nil, fmt.Errorf("core: resume %s under %v: %w", w.run.label(), w.Spec.Config, err)
 	}
-	return dst.finishResult(w.Spec, w.Occupancy, counters)
+	return dst.finishResult(w.run, counters, machine.StreamCounters())
 }
 
 // ResumeExact is the fresh-run comparator for Resume: a new SM runs the
@@ -110,31 +101,26 @@ func (w *Warm) Resume(ctx context.Context, dst *Runner, params sm.Params) (*Resu
 // asserts Resume ≡ ResumeExact; benchmarks use the pair to measure the
 // fork speedup on identical work.
 func (w *Warm) ResumeExact(ctx context.Context, dst *Runner, params sm.Params) (*Result, error) {
-	machine, err := sm.NewSM(sm.Spec{
-		Config:       w.Spec.Config,
-		Params:       w.Params,
-		Source:       w.src,
-		ResidentCTAs: w.Occupancy.CTAs,
-	})
+	machine, err := sm.NewSM(w.run.smSpec(w.Params, nil))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", w.Spec.Kernel.Name, w.Spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", w.run.label(), w.Spec.Config, err)
 	}
 	if err := machine.RunToContext(ctx, w.Cycle); err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", w.Spec.Kernel.Name, w.Spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", w.run.label(), w.Spec.Config, err)
 	}
 	// A prefix that consumed the whole run leaves nothing for the param
 	// switch to affect; skipping it avoids a switch point that the
 	// cycle-targeted replay cannot pin to the same step.
 	if !w.done {
 		if err := machine.SetParams(params); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", w.Spec.Kernel.Name, err)
+			return nil, fmt.Errorf("core: %s: %w", w.run.label(), err)
 		}
 	}
 	counters, err := machine.RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s under %v: %w", w.Spec.Kernel.Name, w.Spec.Config, err)
+		return nil, fmt.Errorf("core: %s under %v: %w", w.run.label(), w.Spec.Config, err)
 	}
-	return dst.finishResult(w.Spec, w.Occupancy, counters)
+	return dst.finishResult(w.run, counters, machine.StreamCounters())
 }
 
 // Snapshot exposes the frozen state for callers that fork at the sm
@@ -143,4 +129,4 @@ func (w *Warm) Snapshot() *snapshot.State { return w.snap }
 
 // Source exposes the trace source the prefix ran from, for sm-layer
 // forks.
-func (w *Warm) Source() *workloads.Source { return w.src }
+func (w *Warm) Source() *workloads.Source { return w.run.srcs[0] }

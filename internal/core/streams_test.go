@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/occupancy"
 	"repro/internal/probe"
+	"repro/internal/sm"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // additiveCounters lists every additive stats.Counters field: the
@@ -140,31 +143,57 @@ func TestStreamStallConservation(t *testing.T) {
 	}
 }
 
-// TestSingleStreamMatchesLegacy pins that a one-entry streams list is
-// the legacy single-kernel run: identical counters, occupancy, and
-// energy, cycle for cycle — the property that lets every existing
-// golden stay byte-identical under the multi-tenant machinery.
-func TestSingleStreamMatchesLegacy(t *testing.T) {
-	r := NewRunner()
+// TestSingleStreamSpellingsAgree pins that a one-entry streams list is
+// the plain single-kernel run: reflect.DeepEqual counters, occupancy, and
+// energy — under the baseline configuration, where both self-calibrate
+// energy, and under a non-baseline one, where both calibrate on the
+// kernel's baseline run — with no per-stream results on either. At the
+// SM layer, the single stream's books are the aggregate.
+func TestSingleStreamSpellingsAgree(t *testing.T) {
 	k := mustKernel(t, "sto")
-	legacy, err := r.Run(RunSpec{Config: config.Baseline(), Kernel: k})
+	bigCache := config.Baseline()
+	bigCache.CacheBytes *= 2
+	for _, cfg := range []config.MemConfig{config.Baseline(), bigCache} {
+		r := NewRunner()
+		plain, err := r.Run(RunSpec{Config: cfg, Kernel: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		asStream, err := r.Run(RunSpec{Config: cfg, Streams: []StreamSpec{{Kernel: k}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain.Counters, asStream.Counters) {
+			t.Errorf("%v: counters diverge:\nplain    %+v\nstreamed %+v", cfg, plain.Counters, asStream.Counters)
+		}
+		if !reflect.DeepEqual(plain.Occupancy, asStream.Occupancy) {
+			t.Errorf("%v: occupancy diverges: plain %+v streamed %+v", cfg, plain.Occupancy, asStream.Occupancy)
+		}
+		if !reflect.DeepEqual(plain.Energy, asStream.Energy) {
+			t.Errorf("%v: energy diverges:\nplain    %+v\nstreamed %+v", cfg, plain.Energy, asStream.Energy)
+		}
+		if plain.Streams != nil || asStream.Streams != nil {
+			t.Errorf("%v: single-kernel runs carry %d and %d stream results, want none",
+				cfg, len(plain.Streams), len(asStream.Streams))
+		}
+	}
+
+	occ := occupancy.Compute(k.Requirements(), config.Baseline(), 0)
+	machine, err := sm.NewSM(sm.Spec{
+		Config: config.Baseline(),
+		Params: sm.DefaultParams(),
+		Streams: []sm.StreamSpec{
+			{Name: k.Name, Source: &workloads.Source{K: k, Seed: 1}, ResidentCTAs: occ.CTAs},
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	asStream, err := r.Run(RunSpec{Config: config.Baseline(), Streams: []StreamSpec{{Kernel: k}}})
+	aggregate, err := machine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy.Counters, asStream.Counters) {
-		t.Errorf("counters diverge:\nlegacy   %+v\nstreamed %+v", legacy.Counters, asStream.Counters)
-	}
-	if !reflect.DeepEqual(legacy.Occupancy, asStream.Occupancy) {
-		t.Errorf("occupancy diverges: legacy %+v streamed %+v", legacy.Occupancy, asStream.Occupancy)
-	}
-	if len(asStream.Streams) != 1 || asStream.Streams[0].Kernel != k.Name {
-		t.Fatalf("streamed run carries %d stream results", len(asStream.Streams))
-	}
-	if !reflect.DeepEqual(legacy.Counters, &asStream.Streams[0].Counters) {
-		t.Errorf("the single stream's attributed counters differ from the aggregate")
+	if streams := machine.StreamCounters(); len(streams) != 1 || !reflect.DeepEqual(aggregate, &streams[0]) {
+		t.Errorf("the single stream's counters differ from the aggregate:\naggregate %+v\nstreams   %+v", aggregate, streams)
 	}
 }

@@ -10,9 +10,13 @@
 // Dispatcher methods so the invariants (live-warp counts, barrier
 // arrival counts, early-exit barrier release) live in one place.
 //
-// Dispatcher implements the scheduler's Pool interface (NumWarps /
-// ReadyAt / Activate), which is the only coupling between the two
-// components.
+// A Dispatcher hosts one or more co-resident kernels (streams); a single
+// kernel is a one-stream dispatcher. Each stream files its launch and
+// retirement events into its own counter set.
+//
+// Dispatcher implements the scheduler's Pool interface (NumStreams /
+// Stream / MinReady / Activate), which is the only coupling between the
+// two components.
 package dispatch
 
 import (
@@ -96,14 +100,17 @@ type ctaSlot struct {
 	warps     []int // warp slot indices
 }
 
-// StreamSpec describes one co-resident kernel (stream) of a
-// multi-stream dispatcher: its grid source and the number of CTA slots
-// it holds resident.
+// StreamSpec describes one co-resident kernel (stream) of a dispatcher:
+// its grid source, the number of CTA slots it holds resident, and the
+// counter set its launch and retirement events are filed into.
 type StreamSpec struct {
 	// Source supplies the stream's kernel grid.
 	Source TraceSource
 	// ResidentCTAs is the number of CTA slots reserved for this stream.
 	ResidentCTAs int
+	// Counters receives the stream's ThreadsRun, CTAsRetired, and
+	// MaxResidentThreads.
+	Counters *stats.Counters
 }
 
 // streamState is one stream's launch bookkeeping.
@@ -122,21 +129,16 @@ type streamState struct {
 	doneAt int64
 	// mask selects the warp slots owned by this stream's CTA slots.
 	mask uint64
-	// c, when non-nil, receives this stream's share of the launch and
-	// retirement events (ThreadsRun, CTAsRetired, MaxResidentThreads);
-	// the aggregate counters are always charged as well.
+	// c receives this stream's launch and retirement events.
 	c *stats.Counters
 }
 
 // Dispatcher launches the grid's CTAs into resident slots, rotates new
-// CTAs in as old ones drain, and resolves barriers. A multi-stream
-// dispatcher (NewMulti) hosts several kernels at once: each CTA slot is
+// CTAs in as old ones drain, and resolves barriers. Each CTA slot is
 // pinned to one stream, slots are interleaved round-robin across
 // streams, and a drained slot relaunches the next CTA of its own
 // stream.
 type Dispatcher struct {
-	c *stats.Counters
-
 	design     config.Design
 	aggressive bool
 
@@ -160,42 +162,20 @@ type Dispatcher struct {
 // readyMask must cover every possible warp slot.
 var _ [64 - config.MaxWarpsPerSM]struct{}
 
-// New builds a dispatcher for the grid of src with residentCTAs
-// concurrent CTA slots. Launch and retirement events are filed into c.
-func New(src TraceSource, residentCTAs int, c *stats.Counters) (*Dispatcher, error) {
-	_, warpsPer := src.Grid()
-	if residentCTAs < 1 {
-		return nil, fmt.Errorf("dispatch: need at least one resident CTA")
-	}
-	if warpsPer < 1 {
-		return nil, fmt.Errorf("dispatch: kernel has no warps per CTA")
-	}
-	if residentCTAs*warpsPer > config.MaxWarpsPerSM {
-		return nil, fmt.Errorf("dispatch: %d resident CTAs of %d warps exceed the %d-warp SM limit",
-			residentCTAs, warpsPer, config.MaxWarpsPerSM)
-	}
-	return NewMulti([]StreamSpec{{Source: src, ResidentCTAs: residentCTAs}}, c, nil)
-}
-
-// NewMulti builds a dispatcher hosting the given streams concurrently.
+// New builds a dispatcher hosting the given streams concurrently.
 // CTA slots are interleaved round-robin across streams (stream 0's
 // first slot, stream 1's first slot, ..., stream 0's second slot, ...),
 // so slot — and therefore warp — indices alternate between streams and
-// index-based tie-breaks (MinReady) stay fair. With one stream the
-// layout is identical to New's. streamCounters, when non-nil, supplies
-// one per-stream counter set charged alongside the aggregate c.
-func NewMulti(specs []StreamSpec, c *stats.Counters, streamCounters []*stats.Counters) (*Dispatcher, error) {
+// index-based tie-breaks (MinReady) stay fair.
+func New(specs []StreamSpec) (*Dispatcher, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dispatch: need at least one stream")
 	}
-	if streamCounters != nil && len(streamCounters) != len(specs) {
-		return nil, fmt.Errorf("dispatch: %d stream counter sets for %d streams", len(streamCounters), len(specs))
-	}
-	d := &Dispatcher{c: c, streams: make([]streamState, len(specs))}
+	d := &Dispatcher{streams: make([]streamState, len(specs))}
 	totalWarps, maxResident := 0, 0
 	for i, sp := range specs {
-		if sp.Source == nil {
-			return nil, fmt.Errorf("dispatch: stream %d has no trace source", i)
+		if sp.Source == nil || sp.Counters == nil {
+			return nil, fmt.Errorf("dispatch: stream %d needs a trace source and a counter set", i)
 		}
 		if sp.ResidentCTAs < 1 {
 			return nil, fmt.Errorf("dispatch: stream %d needs at least one resident CTA", i)
@@ -209,17 +189,15 @@ func NewMulti(specs []StreamSpec, c *stats.Counters, streamCounters []*stats.Cou
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
-		if streamCounters != nil {
-			st.c = streamCounters[i]
-		}
+		st.c = sp.Counters
 		totalWarps += sp.ResidentCTAs * warpsPer
 		if sp.ResidentCTAs > maxResident {
 			maxResident = sp.ResidentCTAs
 		}
 	}
 	if totalWarps > config.MaxWarpsPerSM {
-		return nil, fmt.Errorf("dispatch: %d streams need %d warp slots, exceeding the %d-warp SM limit",
-			len(specs), totalWarps, config.MaxWarpsPerSM)
+		return nil, fmt.Errorf("dispatch: %d resident warps exceed the %d-warp SM limit",
+			totalWarps, config.MaxWarpsPerSM)
 	}
 	d.warps = make([]Warp, totalWarps)
 	d.streamOf = make([]int, totalWarps)
@@ -262,7 +240,7 @@ func (d *Dispatcher) EnableOutcomes(design config.Design, aggressive bool) bool 
 }
 
 // Start launches the initial resident CTAs at the given cycle and records
-// the resident-thread high-water mark (aggregate and per stream).
+// each stream's resident-thread high-water mark.
 func (d *Dispatcher) Start(cycle int64) {
 	for slot := range d.ctas {
 		st := &d.streams[d.ctas[slot].stream]
@@ -270,19 +248,11 @@ func (d *Dispatcher) Start(cycle int64) {
 			d.launch(slot, cycle)
 		}
 	}
-	resident := 0
 	for i := range d.ctas {
-		c := &d.ctas[i]
-		if c.id < 0 {
-			continue
-		}
-		threads := len(c.warps) * isa.WarpSize
-		resident += threads
-		if sc := d.streams[c.stream].c; sc != nil {
-			sc.MaxResidentThreads += threads
+		if c := &d.ctas[i]; c.id >= 0 {
+			d.streams[c.stream].c.MaxResidentThreads += len(c.warps) * isa.WarpSize
 		}
 	}
-	d.c.MaxResidentThreads = resident
 	// A stream with an empty grid is complete before it begins.
 	for i := range d.streams {
 		st := &d.streams[i]
@@ -316,11 +286,7 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 		st.liveWarps++
 		d.readyMask |= 1 << uint(wIdx)
 	}
-	launched := int64(st.warpsPer) * isa.WarpSize
-	d.c.ThreadsRun += launched
-	if st.c != nil {
-		st.c.ThreadsRun += launched
-	}
+	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
 }
 
 // Done reports whether every warp of the grid has exited.
@@ -329,34 +295,18 @@ func (d *Dispatcher) Done() bool { return d.liveWarps == 0 }
 // LiveWarps returns the number of warps not yet exited.
 func (d *Dispatcher) LiveWarps() int { return d.liveWarps }
 
-// NumWarps returns the number of warp slots (the sched.Pool view).
+// NumWarps returns the number of warp slots.
 func (d *Dispatcher) NumWarps() int { return len(d.warps) }
 
 // Warp returns the warp at slot i for direct state access.
 func (d *Dispatcher) Warp(i int) *Warp { return &d.warps[i] }
 
-// ReadyAt reports whether warp w awaits promotion and its wake cycle
-// (the sched.Pool view).
+// ReadyAt reports whether warp w awaits promotion and its wake cycle.
 func (d *Dispatcher) ReadyAt(w int) (int64, bool) {
 	if d.warps[w].Status != Ready {
 		return 0, false
 	}
 	return d.warps[w].WakeAt, true
-}
-
-// MinReady returns the Ready warp with the oldest wake cycle at or
-// before now, lowest slot index breaking ties — the promotion rule of
-// the two-level scheduler (the sched.Pool view). It walks only the
-// ready warps via the ready bitmask.
-func (d *Dispatcher) MinReady(now int64) (w int, ok bool) {
-	best, bestWake := -1, int64(0)
-	for m := d.readyMask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if wake := d.warps[i].WakeAt; wake <= now && (best < 0 || wake < bestWake) {
-			best, bestWake = i, wake
-		}
-	}
-	return best, best >= 0
 }
 
 // MinFutureWake returns the earliest wake cycle strictly after now among
@@ -432,10 +382,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	st.liveWarps--
 	c.liveWarps--
 	if c.liveWarps == 0 {
-		d.c.CTAsRetired++
-		if st.c != nil {
-			st.c.CTAsRetired++
-		}
+		st.c.CTAsRetired++
 		slot := w.CTASlot
 		c.id = -1
 		if st.nextCTA < st.totalCTAs {
@@ -450,18 +397,19 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	}
 }
 
-// NumStreams returns the number of co-resident streams (the
-// sched.StreamPool view); it is 1 for dispatchers built with New.
+// NumStreams returns the number of co-resident streams (the sched.Pool
+// view).
 func (d *Dispatcher) NumStreams() int { return len(d.streams) }
 
-// Stream returns the stream index owning warp slot w (the
-// sched.StreamPool view). The mapping is structural and never changes.
+// Stream returns the stream index owning warp slot w (the sched.Pool
+// view). The mapping is structural and never changes.
 func (d *Dispatcher) Stream(w int) int { return d.streamOf[w] }
 
-// MinReadyOf is MinReady restricted to one stream's warp slots (the
-// sched.StreamPool view): the stream's Ready warp with the oldest wake
-// at or before now, lowest slot index breaking ties.
-func (d *Dispatcher) MinReadyOf(now int64, stream int) (w int, ok bool) {
+// MinReady returns the stream's Ready warp with the oldest wake cycle
+// at or before now, lowest slot index breaking ties, and its wake — the
+// promotion rule of the two-level scheduler (the sched.Pool view). It
+// walks only the stream's ready warps via the ready bitmask.
+func (d *Dispatcher) MinReady(now int64, stream int) (w int, wake int64, ok bool) {
 	best, bestWake := -1, int64(0)
 	for m := d.readyMask & d.streams[stream].mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
@@ -469,7 +417,7 @@ func (d *Dispatcher) MinReadyOf(now int64, stream int) (w int, ok bool) {
 			best, bestWake = i, wake
 		}
 	}
-	return best, best >= 0
+	return best, bestWake, best >= 0
 }
 
 // StreamDoneAt returns the cycle a stream's last warp exited (its

@@ -29,7 +29,7 @@ func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSour
 	t.Helper()
 	src := &fakeSource{ctas: ctas, warpsPer: warpsPer}
 	c := &stats.Counters{}
-	d, err := New(src, resident, c)
+	d, err := New([]StreamSpec{{Source: src, ResidentCTAs: resident, Counters: c}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +38,14 @@ func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSour
 
 func TestNewValidation(t *testing.T) {
 	c := &stats.Counters{}
-	if _, err := New(&fakeSource{ctas: 1, warpsPer: 2}, 0, c); err == nil {
+	if _, err := New([]StreamSpec{{Source: &fakeSource{ctas: 1, warpsPer: 2}, ResidentCTAs: 0, Counters: c}}); err == nil {
 		t.Error("resident CTAs < 1 should fail")
 	}
-	if _, err := New(&fakeSource{ctas: 1, warpsPer: 0}, 2, c); err == nil {
+	if _, err := New([]StreamSpec{{Source: &fakeSource{ctas: 1, warpsPer: 0}, ResidentCTAs: 2, Counters: c}}); err == nil {
 		t.Error("zero warps per CTA should fail")
 	}
 	over := config.MaxWarpsPerSM + 1
-	if _, err := New(&fakeSource{ctas: 1, warpsPer: over}, 1, c); err == nil {
+	if _, err := New([]StreamSpec{{Source: &fakeSource{ctas: 1, warpsPer: over}, ResidentCTAs: 1, Counters: c}}); err == nil {
 		t.Error("oversubscribing the SM warp limit should fail")
 	}
 }

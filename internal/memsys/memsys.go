@@ -107,6 +107,11 @@ func New(cfg Config, mem Memory, c *stats.Counters) *MemSys {
 	}
 }
 
+// Charge retargets the pipeline's event counters to c: the SM points it
+// at the issuing stream's counter set before each memory instruction, so
+// every cache and DRAM event lands in exactly one stream's books.
+func (m *MemSys) Charge(c *stats.Counters) { m.c = c }
+
 // CacheEnabled reports whether a data cache is configured.
 func (m *MemSys) CacheEnabled() bool { return m.cfg.CacheBytes > 0 }
 

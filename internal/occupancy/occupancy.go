@@ -60,43 +60,77 @@ type Result struct {
 // Compute returns the residency of a kernel with the given requirements
 // under cfg. regsAllocated is the register count actually allocated per
 // thread, which may be below req.RegsPerThread when the sweep forces
-// spills; pass 0 to use req.RegsPerThread.
+// spills; pass 0 to use req.RegsPerThread. It is ComputeShared for a
+// single kernel.
 func Compute(req config.KernelRequirements, cfg config.MemConfig, regsAllocated int) Result {
-	if regsAllocated <= 0 {
-		regsAllocated = req.RegsPerThread
-	}
-	if req.ThreadsPerCTA <= 0 {
-		return Result{Limiter: LimitNone}
-	}
-	limit := cfg.ThreadLimit()
-	ctasByThreads := limit / req.ThreadsPerCTA
-	ctas := ctasByThreads
-	limiter := LimitThreads
+	return ComputeShared([]config.KernelRequirements{req}, cfg, []int{regsAllocated})[0]
+}
 
-	rfPerCTA := regsAllocated * 4 * req.ThreadsPerCTA
-	if rfPerCTA > 0 {
-		byRF := cfg.RFBytes / rfPerCTA
-		if byRF < ctas {
-			ctas, limiter = byRF, LimitRegisters
+// ComputeShared returns per-stream residency when several kernels are
+// co-resident on one SM; one kernel is the ordinary case. CTA slots are
+// admitted greedily round-robin: each round offers every stream, in
+// index order, one more CTA, which is admitted only if the joint
+// thread, register-file, and shared-memory budgets still hold.
+// Footprints only grow, so a stream that fails admission is blocked for
+// good; the loop ends when every stream is blocked. The round-robin
+// order matches the dispatcher's CTA-slot interleaving, so slot layout
+// follows directly from this result.
+//
+// regsAllocated optionally overrides the register allocation per stream
+// (nil or a zero entry means the stream's RegsPerThread). Each stream's
+// Limiter names the resource that denied its next CTA; a stream that
+// admits no CTA at all reports LimitNone.
+func ComputeShared(reqs []config.KernelRequirements, cfg config.MemConfig, regsAllocated []int) []Result {
+	out := make([]Result, len(reqs))
+	blocked := make([]bool, len(reqs))
+	limit := cfg.ThreadLimit()
+	threads, rfUsed, shUsed := 0, 0, 0
+	for i, req := range reqs {
+		if req.ThreadsPerCTA <= 0 {
+			blocked[i] = true
 		}
 	}
-	if req.SharedBytesPerCTA > 0 {
-		byShmem := cfg.SharedBytes / req.SharedBytesPerCTA
-		if byShmem < ctas {
-			ctas, limiter = byShmem, LimitShared
+	for progress := true; progress; {
+		progress = false
+		for i, req := range reqs {
+			if blocked[i] {
+				continue
+			}
+			regs := req.RegsPerThread
+			if regsAllocated != nil && regsAllocated[i] > 0 {
+				regs = regsAllocated[i]
+			}
+			rfPerCTA := regs * 4 * req.ThreadsPerCTA
+			switch {
+			case threads+req.ThreadsPerCTA > limit:
+				blocked[i] = true
+				out[i].Limiter = LimitThreads
+			case rfUsed+rfPerCTA > cfg.RFBytes:
+				blocked[i] = true
+				out[i].Limiter = LimitRegisters
+			case shUsed+req.SharedBytesPerCTA > cfg.SharedBytes:
+				blocked[i] = true
+				out[i].Limiter = LimitShared
+			default:
+				out[i].CTAs++
+				out[i].RFBytesUsed += rfPerCTA
+				out[i].SharedBytesUsed += req.SharedBytesPerCTA
+				threads += req.ThreadsPerCTA
+				rfUsed += rfPerCTA
+				shUsed += req.SharedBytesPerCTA
+				progress = true
+			}
 		}
 	}
-	if ctas <= 0 {
-		return Result{Limiter: LimitNone}
+	for i, req := range reqs {
+		if out[i].CTAs <= 0 {
+			out[i] = Result{Limiter: LimitNone}
+			continue
+		}
+		out[i].Threads = out[i].CTAs * req.ThreadsPerCTA
+		out[i].Warps = out[i].Threads / 32
 	}
-	return Result{
-		CTAs:            ctas,
-		Threads:         ctas * req.ThreadsPerCTA,
-		Warps:           ctas * req.ThreadsPerCTA / 32,
-		Limiter:         limiter,
-		RFBytesUsed:     ctas * rfPerCTA,
-		SharedBytesUsed: ctas * req.SharedBytesPerCTA,
-	}
+	return out
 }
 
 // FullOccupancyRFBytes returns the register file capacity needed to run the

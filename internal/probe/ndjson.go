@@ -107,10 +107,7 @@ func (p *Probe) writeInterval(iv *Interval) {
 }
 
 func (p *Probe) writeSummary() {
-	var cp, ch, db int64
-	if p.counters != nil {
-		cp, ch, db = p.counters.CacheProbes, p.counters.CacheHits, p.counters.DRAMBytes()
-	}
+	cp, ch, db := p.memTotals()
 	b := p.encBuf[:0]
 	b = append(b, `{"type":"summary","start":`...)
 	b = strconv.AppendInt(b, p.startCycle, 10)
@@ -136,17 +133,20 @@ func (p *Probe) writeSummary() {
 }
 
 // writeStreams emits one stream record per declared stream, after the
-// summary. Single-kernel probes (no SetStreams) emit nothing, keeping
-// their streams byte-identical to the version-1 single-kernel schema:
+// summary. A run of fewer than two streams emits nothing, keeping its
+// NDJSON byte-identical to the version-1 single-kernel schema:
 //
 //	{"type":"stream","index":0,"name":"fft","issued":...,"stalls":{...},
 //	 "cache_probes":...,"cache_hits":...,"cache_misses":...,
 //	 "dram_bytes":...}
 func (p *Probe) writeStreams() {
+	if len(p.streamNames) < 2 {
+		return
+	}
 	for i := range p.streamNames {
 		var cp, ch, cm, db int64
-		if p.streamCounters != nil && p.streamCounters[i] != nil {
-			c := p.streamCounters[i]
+		if i < len(p.counters) {
+			c := p.counters[i]
 			cp, ch, cm, db = c.CacheProbes, c.CacheHits, c.CacheMisses, c.DRAMBytes()
 		}
 		t := &p.streamTallies[i]

@@ -101,8 +101,11 @@ type Probe struct {
 	interval int64
 	out      io.Writer
 
-	meta     []metaKV
-	counters *stats.Counters
+	meta []metaKV
+	// counters are the observed SM's live per-stream counter sets (one
+	// for a single-kernel run); the run totals the interval deltas read
+	// are their sum.
+	counters []*stats.Counters
 
 	startCycle int64 // run start (chip simulators stagger SM starts)
 	next       int64 // next unaccounted cycle
@@ -127,12 +130,11 @@ type Probe struct {
 	// Counter snapshots at the current interval's start.
 	snapProbes, snapHits, snapDRAM int64
 
-	// Per-stream attribution (streams.go); all nil/zero on
-	// single-kernel runs, so those pay nothing for the capability.
-	streamNames    []string
-	streamCounters []*stats.Counters
-	streamTallies  []streamTally
-	lastStream     int
+	// Per-stream attribution (streams.go); the tallies are nil until
+	// SetStreams declares the streams.
+	streamNames   []string
+	streamTallies []streamTally
+	lastStream    int
 
 	encBuf []byte // reused NDJSON encode buffer
 	werr   error  // first NDJSON write error
@@ -172,16 +174,16 @@ func (p *Probe) Meta(key string) string {
 	return ""
 }
 
-// Begin starts observation at the run's first cycle. c is the live
-// counter set of the SM under observation; the probe reads it at
-// interval boundaries to derive cache and DRAM phase deltas. The SM
-// calls Begin from Start.
-func (p *Probe) Begin(c *stats.Counters, cycle int64) {
+// Begin starts observation at the run's first cycle. counters are the
+// live per-stream counter sets of the SM under observation; the probe
+// reads their sum at interval boundaries to derive cache and DRAM phase
+// deltas. The SM calls Begin from Start.
+func (p *Probe) Begin(counters []*stats.Counters, cycle int64) {
 	if p.began {
 		return
 	}
 	p.began = true
-	p.counters = c
+	p.counters = counters
 	p.startCycle = cycle
 	p.next = cycle
 	p.cur = Interval{Start: cycle, End: cycle + p.interval}
@@ -190,18 +192,26 @@ func (p *Probe) Begin(c *stats.Counters, cycle int64) {
 	}
 }
 
-// Issue records one issued instruction occupying the slot at cycle. The
-// SM guarantees cycles arrive nondecreasing and that every slot between
-// Begin and End is covered by exactly one Issue or Stall call.
-func (p *Probe) Issue(cycle int64) {
+// Issue records one instruction of stream occupying the slot at cycle.
+// The SM guarantees cycles arrive nondecreasing and that every slot
+// between Begin and End is covered by exactly one Issue or Stall call.
+func (p *Probe) Issue(cycle int64, stream int) {
 	p.advance(cycle)
 	p.issued++
 	p.cur.Issued++
 	p.next = cycle + 1
+	if p.streamTallies != nil {
+		p.streamTallies[stream].issued++
+	}
+	p.lastStream = stream
 }
 
-// Stall attributes the lost issue slots [from, to) to reason.
-func (p *Probe) Stall(from, to int64, reason StallReason) {
+// Stall attributes the lost issue slots [from, to) to reason, charging
+// them to stream (the stream the SM holds responsible for the stall).
+func (p *Probe) Stall(from, to int64, reason StallReason, stream int) {
+	if p.streamTallies != nil && to > from {
+		p.streamTallies[stream].stalls[reason] += to - from
+	}
 	for from < to {
 		p.advance(from)
 		// Fill the current interval up to its end or the span's end.
@@ -262,7 +272,7 @@ func (p *Probe) End(finalCycle int64) {
 		// The trailing drain is charged to the last-issuing stream: the
 		// run's final issue is the last-finishing stream's EXIT, and the
 		// posted tag-port work draining afterwards is its traffic.
-		p.StallStream(p.next, finalCycle, StallDrain, p.lastStream)
+		p.Stall(p.next, finalCycle, StallDrain, p.lastStream)
 	}
 	if p.cur.Issued != 0 || p.cur.Stalls != ([NumStallReasons]int64{}) {
 		p.cur.End = p.next
@@ -286,19 +296,27 @@ func (p *Probe) advance(cycle int64) {
 // the record, streams it as NDJSON, and opens the next window.
 func (p *Probe) flush() {
 	iv := p.cur
-	if p.counters != nil {
-		iv.CacheProbes = p.counters.CacheProbes - p.snapProbes
-		iv.CacheHits = p.counters.CacheHits - p.snapHits
-		iv.DRAMBytes = p.counters.DRAMBytes() - p.snapDRAM
-		p.snapProbes = p.counters.CacheProbes
-		p.snapHits = p.counters.CacheHits
-		p.snapDRAM = p.counters.DRAMBytes()
-	}
+	probes, hits, dram := p.memTotals()
+	iv.CacheProbes = probes - p.snapProbes
+	iv.CacheHits = hits - p.snapHits
+	iv.DRAMBytes = dram - p.snapDRAM
+	p.snapProbes, p.snapHits, p.snapDRAM = probes, hits, dram
 	p.intervals = append(p.intervals, iv)
 	if p.out != nil {
 		p.writeInterval(&iv)
 	}
 	p.cur = Interval{Start: iv.End, End: iv.End + p.interval}
+}
+
+// memTotals sums the run's cache probes, cache hits, and DRAM bytes
+// over the observed SM's stream counters.
+func (p *Probe) memTotals() (probes, hits, dram int64) {
+	for _, c := range p.counters {
+		probes += c.CacheProbes
+		hits += c.CacheHits
+		dram += c.DRAMBytes()
+	}
+	return probes, hits, dram
 }
 
 // Issued returns the number of instructions issued.

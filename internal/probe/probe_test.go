@@ -15,12 +15,12 @@ func TestStallSplitsAcrossIntervals(t *testing.T) {
 	p := New(10, nil)
 	p.Begin(nil, 0)
 
-	p.Issue(0)                        // interval 0
-	p.Stall(1, 25, StallScoreboard)   // spans intervals 0, 1, 2
-	p.Issue(25)                       // interval 2
-	p.Stall(26, 30, StallNoReadyWarp) // rest of interval 2
-	p.Issue(30)                       // interval 3
-	p.End(34)                         // 3 trailing drain slots
+	p.Issue(0, 0)                        // interval 0
+	p.Stall(1, 25, StallScoreboard, 0)   // spans intervals 0, 1, 2
+	p.Issue(25, 0)                       // interval 2
+	p.Stall(26, 30, StallNoReadyWarp, 0) // rest of interval 2
+	p.Issue(30, 0)                       // interval 3
+	p.End(34)                            // 3 trailing drain slots
 
 	if got := p.Issued(); got != 3 {
 		t.Fatalf("Issued = %d, want 3", got)
@@ -77,8 +77,8 @@ func TestStallSplitsAcrossIntervals(t *testing.T) {
 func TestStaggeredStart(t *testing.T) {
 	p := New(0, nil)
 	p.Begin(nil, 1000)
-	p.Issue(1000)
-	p.Stall(1001, 1500, StallBarrier)
+	p.Issue(1000, 0)
+	p.Stall(1001, 1500, StallBarrier, 0)
 	p.End(1500)
 	if p.StartCycle() != 1000 {
 		t.Errorf("StartCycle = %d, want 1000", p.StartCycle())
@@ -98,8 +98,8 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	p.Annotate("kernel", "synthetic")
 	p.Annotate("config", `quoted "name" \ and ünïcode`)
 	p.Begin(nil, 0)
-	p.Issue(0)
-	p.Stall(1, 40, StallBankConflict)
+	p.Issue(0, 0)
+	p.Stall(1, 40, StallBankConflict, 0)
 	acc, conf := p.Heat()
 	acc[0] = 7
 	acc[31] = 3
@@ -185,8 +185,8 @@ func TestHotHooksDoNotAllocate(t *testing.T) {
 	p.Begin(nil, 0)
 	cycle := int64(0)
 	if n := testing.AllocsPerRun(1000, func() {
-		p.Issue(cycle)
-		p.Stall(cycle+1, cycle+3, StallScoreboard)
+		p.Issue(cycle, 0)
+		p.Stall(cycle+1, cycle+3, StallScoreboard, 0)
 		acc, conf := p.Heat()
 		acc[cycle%config.NumBanks]++
 		conf[cycle%config.NumBanks]++
@@ -201,7 +201,7 @@ func BenchmarkProbeIssue(b *testing.B) {
 	p.Begin(nil, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Issue(int64(i))
+		p.Issue(int64(i), 0)
 	}
 }
 
@@ -211,6 +211,6 @@ func BenchmarkProbeStall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := int64(i) * 2
-		p.Stall(c, c+2, StallNoReadyWarp)
+		p.Stall(c, c+2, StallNoReadyWarp, 0)
 	}
 }

@@ -114,8 +114,8 @@ func Restore(st *State, out io.Writer) *Probe {
 	return p
 }
 
-// Rebind points the probe at the counter set of the SM it now observes.
+// Rebind points the probe at the counter sets of the SM it now observes.
 // It is the snapshot/fork hook: a restored probe's interval deltas must
 // read the forked run's counters, not the parent's. The SM calls it
 // during Fork; it has no other use.
-func (p *Probe) Rebind(c *stats.Counters) { p.counters = c }
+func (p *Probe) Rebind(counters []*stats.Counters) { p.counters = counters }

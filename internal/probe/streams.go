@@ -1,15 +1,11 @@
 package probe
 
-import "repro/internal/stats"
-
-// Per-stream attribution. When several kernels (streams) are co-resident
-// on the observed SM, the SM routes its hot hooks through IssueStream and
-// StallStream instead of Issue and Stall: each wraps the aggregate hook
-// and additionally tallies the slot to one stream, so the per-stream
-// breakdowns sum exactly to the aggregate profile by construction (the
-// conservation invariant DESIGN.md §5j pins). A probe without SetStreams
-// carries no per-stream state and its NDJSON stream is byte-identical to
-// the single-kernel schema.
+// Per-stream attribution. The SM declares its co-resident kernels
+// (streams) with SetStreams and names the responsible stream on every
+// Issue and Stall, so the per-stream breakdowns sum exactly to the
+// aggregate profile by construction (the conservation invariant
+// DESIGN.md §5j pins). A single-kernel run is one stream; its NDJSON
+// carries no stream records (writeStreams).
 
 // streamTally is one stream's share of the issue-slot attribution.
 type streamTally struct {
@@ -18,38 +14,15 @@ type streamTally struct {
 }
 
 // SetStreams declares the co-resident streams before the run begins.
-// names label the streams (kernel names) in stream-index order; counters
-// optionally supplies each stream's live counter set (per-stream cache
-// and DRAM attribution in the NDJSON stream records), and may be nil.
-func (p *Probe) SetStreams(names []string, counters []*stats.Counters) {
-	if len(names) == 0 {
-		return
-	}
+// names label the streams (kernel names) in stream-index order. Each
+// stream's cache and DRAM totals in its NDJSON record come from the
+// counter set Begin binds at the same index.
+func (p *Probe) SetStreams(names []string) {
 	p.streamNames = append([]string(nil), names...)
-	p.streamCounters = counters
 	p.streamTallies = make([]streamTally, len(names))
 }
 
-// IssueStream is Issue with the slot additionally charged to stream.
-func (p *Probe) IssueStream(cycle int64, stream int) {
-	p.Issue(cycle)
-	if p.streamTallies != nil {
-		p.streamTallies[stream].issued++
-		p.lastStream = stream
-	}
-}
-
-// StallStream is Stall with the lost slots additionally charged to
-// stream (the stream the SM holds responsible for the stall).
-func (p *Probe) StallStream(from, to int64, reason StallReason, stream int) {
-	if p.streamTallies != nil && to > from {
-		p.streamTallies[stream].stalls[reason] += to - from
-	}
-	p.Stall(from, to, reason)
-}
-
-// NumStreams returns the number of declared streams (0 when the probe
-// observes a single-kernel run).
+// NumStreams returns the number of declared streams.
 func (p *Probe) NumStreams() int { return len(p.streamNames) }
 
 // StreamName returns the label of stream i.

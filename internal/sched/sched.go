@@ -11,13 +11,17 @@
 // per candidate. This split is what lets a policy be swapped without
 // touching either the warp bookkeeping or the timing model.
 //
-// Two policies are provided:
+// The pool's warps belong to one or more co-resident kernels (streams);
+// a single kernel is a one-stream pool. Both policies share one
+// promotion rule, stream-fair across streams and oldest-wakeup-first
+// within them, so a single kernel sees plain oldest-wakeup-first
+// promotion. Two policies are provided:
 //
 //   - TwoLevel: the paper's two-level scheduler. Ready warps are promoted
-//     into a fixed-size active set oldest-wakeup-first; the active set is
-//     walked round-robin (or greedy, holding the last issuer, when built
-//     with greedy=true); warps that hit a long-latency dependence are
-//     descheduled back to the inactive set.
+//     into a fixed-size active set; the active set is walked round-robin
+//     (or greedy, holding the last issuer, when built with greedy=true);
+//     warps that hit a long-latency dependence are descheduled back to
+//     the inactive set.
 //   - GTO: greedy-then-oldest. The last-issued warp retries first; on
 //     failure the remaining active warps are tried oldest-activation
 //     first. Promotion and descheduling follow the same two-level rules,
@@ -52,38 +56,23 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Pool is the scheduler's view of the warp pool, implemented by the SM's
-// dispatch component. Warps are identified by their pool slot index.
+// dispatch component. Warps are identified by their pool slot index, and
+// each slot belongs to one of the pool's co-resident kernels (streams);
+// a single-kernel pool has one stream.
 type Pool interface {
-	// NumWarps returns the number of warp slots.
-	NumWarps() int
-	// ReadyAt reports whether warp w is awaiting promotion into the
-	// active set and, if so, the cycle it becomes (or became) eligible.
-	ReadyAt(w int) (wake int64, ok bool)
-	// MinReady returns the warp Refill must promote next: the one with
-	// the oldest wake at or before now, lowest slot index breaking
-	// ties. ok is false when no warp is eligible. Pool implementations
-	// answer this from their own ready-set bookkeeping so Refill does
-	// not scan every warp slot per cycle.
-	MinReady(now int64) (w int, ok bool)
-	// Activate marks warp w as a member of the active set.
-	Activate(w int)
-}
-
-// StreamPool is an optional Pool extension implemented by pools that
-// host several co-resident kernels (streams). When a pool reports more
-// than one stream, the shared promotion rule switches to a stream-fair
-// variant: vacant active-set slots go to the stream with the fewest
-// active members first, so one kernel's warp surplus cannot starve a
-// co-tenant of issue opportunities. With one stream the promotion rule
-// is exactly the classic one — single-kernel schedules are unchanged.
-type StreamPool interface {
-	Pool
 	// NumStreams returns the number of co-resident streams.
 	NumStreams() int
 	// Stream returns the stream index owning warp slot w.
 	Stream(w int) int
-	// MinReadyOf is MinReady restricted to one stream's warps.
-	MinReadyOf(now int64, stream int) (w int, ok bool)
+	// MinReady returns the stream's warp Refill must consider next: the
+	// one with the oldest wake at or before now, lowest slot index
+	// breaking ties, and its wake cycle. ok is false when none of the
+	// stream's warps is eligible. Pool implementations answer this from
+	// their own ready-set bookkeeping so Refill does not scan every
+	// warp slot per cycle.
+	MinReady(now int64, stream int) (w int, wake int64, ok bool)
+	// Activate marks warp w as a member of the active set.
+	Activate(w int)
 }
 
 // Action is a Walk visitor's verdict on one candidate warp.
@@ -109,9 +98,9 @@ const (
 type Scheduler interface {
 	// Policy returns the implementation's name.
 	Policy() Policy
-	// Refill promotes eligible warps (Pool.ReadyAt true with wake <= now)
-	// into vacant active-set slots, oldest wake first, lowest slot index
-	// breaking ties.
+	// Refill promotes eligible warps (Pool.MinReady, wake <= now) into
+	// vacant active-set slots: stream-fair first, then oldest wake,
+	// lowest slot index breaking ties.
 	Refill(pool Pool, now int64)
 	// Walk visits active warps in policy priority order, applying each
 	// visitor verdict to the active set, until a visit reports Issued or
@@ -149,55 +138,38 @@ func New(p Policy, capacity int, greedy bool) (Scheduler, error) {
 	}
 }
 
-// refill is the promotion rule both policies share: promote the pool's
-// oldest-wakeup eligible warp (lowest slot index on ties, per
-// Pool.MinReady) until the active set is full or no warp qualifies.
-// Multi-stream pools (StreamPool with more than one stream) promote
-// stream-fair instead; single-stream pools take the classic path
-// verbatim.
-func refill(active []int, capacity int, pool Pool, now int64) []int {
-	if sp, ok := pool.(StreamPool); ok && sp.NumStreams() > 1 {
-		return refillStreams(active, capacity, sp, now)
-	}
-	for len(active) < capacity {
-		best, ok := pool.MinReady(now)
-		if !ok {
-			return active
-		}
-		pool.Activate(best)
-		active = append(active, best)
-	}
-	return active
-}
-
-// refillStreams is the stream-fair promotion rule: each vacant slot
+// refill is the promotion rule both policies share: each vacant slot
 // goes to the eligible warp of the stream with the fewest active-set
 // members, ties broken by oldest wake cycle then lowest stream index
-// (within a stream, MinReadyOf's oldest-wake/lowest-slot rule holds).
-// The rule is deterministic, so multi-stream schedules replay exactly.
-func refillStreams(active []int, capacity int, pool StreamPool, now int64) []int {
+// (within a stream, Pool.MinReady's oldest-wake/lowest-slot rule
+// holds). With one stream this is plain oldest-wakeup-first promotion;
+// with several, one kernel's warp surplus cannot starve a co-tenant of
+// issue opportunities. The rule is deterministic, so schedules replay
+// exactly.
+func refill(active []int, capacity int, pool Pool, now int64) []int {
+	if len(active) >= capacity {
+		return active
+	}
 	n := pool.NumStreams()
 	var countsBuf [8]int
 	counts := countsBuf[:]
 	if n > len(countsBuf) {
 		counts = make([]int, n)
-	} else {
-		counts = counts[:n]
-		for i := range counts {
-			counts[i] = 0
-		}
 	}
-	for _, w := range active {
-		counts[pool.Stream(w)]++
+	// One stream never compares candidates across streams, so it skips
+	// the tally (the cycle loop calls refill on every step).
+	if n > 1 {
+		for _, w := range active {
+			counts[pool.Stream(w)]++
+		}
 	}
 	for len(active) < capacity {
 		best, bestStream, bestWake := -1, -1, int64(0)
 		for s := 0; s < n; s++ {
-			w, ok := pool.MinReadyOf(now, s)
+			w, wake, ok := pool.MinReady(now, s)
 			if !ok {
 				continue
 			}
-			wake, _ := pool.ReadyAt(w)
 			better := best < 0 ||
 				counts[s] < counts[bestStream] ||
 				(counts[s] == counts[bestStream] && wake < bestWake)

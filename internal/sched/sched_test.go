@@ -5,30 +5,26 @@ import (
 	"testing"
 )
 
-// fakePool is a Pool over explicit (wake, ready) warp states.
+// fakePool is a single-stream Pool over explicit (wake, ready) warp
+// states.
 type fakePool struct {
 	wake      []int64
 	ready     []bool
 	activated []int
 }
 
-func (p *fakePool) NumWarps() int { return len(p.wake) }
+func (p *fakePool) NumStreams() int { return 1 }
 
-func (p *fakePool) ReadyAt(w int) (int64, bool) {
-	if !p.ready[w] {
-		return 0, false
-	}
-	return p.wake[w], true
-}
+func (p *fakePool) Stream(int) int { return 0 }
 
-func (p *fakePool) MinReady(now int64) (int, bool) {
+func (p *fakePool) MinReady(now int64, _ int) (int, int64, bool) {
 	best, bestWake := -1, int64(0)
 	for i := range p.ready {
 		if p.ready[i] && p.wake[i] <= now && (best < 0 || p.wake[i] < bestWake) {
 			best, bestWake = i, p.wake[i]
 		}
 	}
-	return best, best >= 0
+	return best, bestWake, best >= 0
 }
 
 func (p *fakePool) Activate(w int) {

@@ -255,7 +255,7 @@ func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext
 			p.probeSink = &lineWriter{emit: ic.Probe}
 		}
 		if p.warm != nil {
-			ic.Note(fmt.Sprintf("warm@%d %s", p.warmCycles, p.kernel.Name))
+			ic.Note(fmt.Sprintf("warm@%d %s", p.warmCycles, p.label()))
 			defer ic.Note("")
 		}
 		return s.compute(ctx, p, false)

@@ -254,26 +254,22 @@ func (s *Server) Close() {
 }
 
 // resolvedRun is an api.RunRequest after canonicalization: the concrete
-// kernel, configuration, and parameters, plus the cache key they hash
+// kernels, configuration, and parameters, plus the cache key they hash
 // to and the runner key the (timing, energy) half hashes to.
 type resolvedRun struct {
-	kernel    *workloads.Kernel
+	// streams holds the resolved co-resident kernels. A plain request
+	// is a one-entry list, so it and a single-entry streams list
+	// resolve identically.
+	streams   []resolvedStream
 	cfg       config.MemConfig
 	params    sm.Params
 	eparams   energy.Params
 	canon     machine.Description
-	regs      int
-	seed      uint64
 	probe     bool
 	probeIvl  int64
 	timeout   time.Duration
 	key       string
 	runnerKey string
-	// streams holds the resolved co-resident kernels of a multi-tenant
-	// request (api.RunRequest.Streams with two or more entries; a
-	// single entry canonically collapses to the plain form, so kernel
-	// is nil exactly when streams is set).
-	streams []resolvedStream
 	// warm, when non-nil, routes the run through the shared warm prefix
 	// (batch warm_cycles): the group's Warm is computed once and the run
 	// copy-on-write forks it under its own divergable timing.
@@ -314,12 +310,7 @@ func (e *warmEntry) warmPrefix(timeout time.Duration) (*core.Warm, error) {
 		r.Params = params
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-		e.warm, e.err = r.Warm(ctx, core.RunSpec{
-			Kernel:        e.seed.kernel,
-			Config:        e.seed.cfg,
-			RegsPerThread: e.seed.regs,
-			Seed:          e.seed.seed,
-		}, e.cycles)
+		e.warm, e.err = r.Warm(ctx, core.RunSpec{Config: e.seed.cfg, Streams: e.seed.coreStreams()}, e.cycles)
 	})
 	return e.warm, e.err
 }
@@ -343,18 +334,20 @@ type canonicalWarmGroup struct {
 	Cycles      int64  `json:"cycles"`
 }
 
-// warmGroupKey derives the prefix-defining group key for warm sharing.
+// warmGroupKey derives the prefix-defining group key for warm sharing
+// of a single-stream run.
 func warmGroupKey(rr *resolvedRun, cycles int64) string {
+	st := rr.streams[0]
 	b, _ := json.Marshal(canonicalWarmGroup{
-		Kernel:      rr.kernel.Name,
-		BF:          rr.kernel.BF,
+		Kernel:      st.kernel.Name,
+		BF:          st.kernel.BF,
 		Design:      rr.canon.Design,
 		RFKB:        rr.canon.RFKB,
 		SharedKB:    rr.canon.SharedKB,
 		CacheKB:     rr.canon.CacheKB,
 		MaxThreads:  rr.canon.MaxThreads,
-		Regs:        rr.regs,
-		Seed:        rr.seed,
+		Regs:        st.regs,
+		Seed:        st.seed,
 		Scheduler:   string(rr.params.Scheduler),
 		ActiveWarps: rr.params.ActiveWarps,
 		Greedy:      rr.params.GreedyScheduler,
@@ -365,9 +358,10 @@ func warmGroupKey(rr *resolvedRun, cycles int64) string {
 }
 
 // canonicalRun is the hashed form of a resolved run. Field order is the
-// serialization order, so changing this struct changes every key.
-// Streams trails with omitempty so every pre-existing single-kernel
-// request keeps its exact key.
+// serialization order, so changing this struct changes every key. A
+// single-stream run fills the plain kernel fields; a run of two or more
+// streams fills Streams instead, which trails with omitempty so every
+// single-kernel request keeps its exact key.
 type canonicalRun struct {
 	Kernel   string              `json:"kernel"`
 	BF       int                 `json:"bf"`
@@ -389,7 +383,7 @@ type canonicalStream struct {
 	Seed   uint64 `json:"seed"`
 }
 
-// resolvedStream is one canonicalized stream of a multi-tenant request.
+// resolvedStream is one canonicalized stream of a request.
 type resolvedStream struct {
 	kernel *workloads.Kernel
 	regs   int
@@ -399,9 +393,6 @@ type resolvedStream struct {
 // label names the run for notes and error messages: the kernel name, or
 // the "+"-joined stream names of a multi-tenant run.
 func (rr *resolvedRun) label() string {
-	if rr.kernel != nil {
-		return rr.kernel.Name
-	}
 	names := make([]string, len(rr.streams))
 	for i, st := range rr.streams {
 		names[i] = st.kernel.Name
@@ -409,120 +400,36 @@ func (rr *resolvedRun) label() string {
 	return strings.Join(names, "+")
 }
 
+// coreStreams returns the run's streams as core stream specs.
+func (rr *resolvedRun) coreStreams() []core.StreamSpec {
+	streams := make([]core.StreamSpec, len(rr.streams))
+	for i, st := range rr.streams {
+		streams[i] = core.StreamSpec{Kernel: st.kernel, RegsPerThread: st.regs, Seed: st.seed}
+	}
+	return streams
+}
+
 // resolve canonicalizes one request. Errors are client errors (400).
+// A plain request is a one-entry stream list: each stream's kernel,
+// register clamp, and seed resolve the same way, and
+// alloc_total_kb/fermi_total_kb partition jointly for the whole list
+// (config.AllocateMulti / config.ChooseFermiMulti).
 func (s *Server) resolve(req api.RunRequest) (*resolvedRun, error) {
-	if len(req.Streams) > 0 {
+	streamReqs := req.Streams
+	where := func(i int) string { return fmt.Sprintf("streams[%d]: ", i) }
+	if len(streamReqs) > 0 {
 		if req.Kernel != "" || req.BF != 0 || req.RegsPerThread != 0 || req.Seed != 0 {
 			return nil, fmt.Errorf("\"streams\" is mutually exclusive with kernel/bf/regs_per_thread/seed")
 		}
-		if len(req.Streams) == 1 {
-			// Canonical collapse: a single-entry streams list IS the
-			// plain request, so both spellings share one cache key.
-			st := req.Streams[0]
-			req.Kernel, req.BF, req.RegsPerThread, req.Seed = st.Kernel, st.BF, st.RegsPerThread, st.Seed
-			req.Streams = nil
-		} else {
-			return s.resolveStreams(req)
-		}
-	}
-	if req.Kernel == "" {
-		return nil, fmt.Errorf("missing \"kernel\" (GET /v1/kernels lists the registry)")
-	}
-	var k *workloads.Kernel
-	var err error
-	if req.Kernel == "needle" && req.BF != 0 {
-		k = workloads.NeedleKernel(req.BF)
 	} else {
-		k, err = workloads.ByName(req.Kernel)
-		if err != nil {
-			return nil, err
-		}
+		streamReqs = []api.StreamRequest{{Kernel: req.Kernel, BF: req.BF, RegsPerThread: req.RegsPerThread, Seed: req.Seed}}
+		where = func(int) string { return "" }
 	}
-	cfg, params, eparams, err := req.Machine.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if req.AllocTotalKB > 0 && req.FermiTotalKB > 0 {
-		return nil, fmt.Errorf("at most one of alloc_total_kb and fermi_total_kb")
-	}
-	if req.AllocTotalKB > 0 {
-		cfg, err = config.Allocate(k.Requirements(), req.AllocTotalKB<<10, req.Machine.MaxThreads)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if req.FermiTotalKB > 0 {
-		if req.FermiTotalKB<<10 <= config.BaselineRFBytes {
-			return nil, fmt.Errorf("fermi_total_kb must exceed the fixed %dKB register file",
-				config.BaselineRFBytes>>10)
-		}
-		cfg = config.ChooseFermi(k.Requirements(), req.FermiTotalKB<<10-config.BaselineRFBytes, req.Machine.MaxThreads)
-	}
-	rr := &resolvedRun{
-		kernel:  k,
-		cfg:     cfg,
-		params:  params,
-		eparams: eparams,
-		canon:   machine.Describe(cfg, params, eparams),
-		regs:    req.RegsPerThread,
-		seed:    req.Seed,
-	}
-	// Canonicalize exactly the clamps the simulator applies, so
-	// requests that spell the same run differently share a key.
-	if rr.regs <= 0 || rr.regs > k.RegsNeeded {
-		rr.regs = k.RegsNeeded
-	}
-	if rr.seed == 0 {
-		rr.seed = 1 // core.Runner's default seed
-	}
-	if req.Probe {
-		rr.probe = true
-		rr.probeIvl = req.ProbeIntervalCycles
-		if rr.probeIvl <= 0 {
-			rr.probeIvl = probe.DefaultInterval
-		}
-	}
-	rr.timeout = s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		rr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ck, err := json.Marshal(canonicalRun{
-		Kernel:   k.Name,
-		BF:       k.BF,
-		Machine:  rr.canon,
-		Regs:     rr.regs,
-		Seed:     rr.seed,
-		Probe:    rr.probe,
-		ProbeIvl: rr.probeIvl,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rr.key = cacheKey(ck)
-	// The runner depends only on the (timing, energy) half of the
-	// machine; zero the configuration half so runs under different
-	// capacities share one Runner and its baseline calibrations.
-	rk := rr.canon
-	rk.Design, rk.RFKB, rk.SharedKB, rk.CacheKB, rk.MaxThreads = "", 0, 0, 0, 0
-	rkb, err := json.Marshal(rk)
-	if err != nil {
-		return nil, err
-	}
-	rr.runnerKey = string(rkb)
-	return rr, nil
-}
-
-// resolveStreams canonicalizes a multi-tenant request (two or more
-// streams): each stream's kernel, register clamp, and seed resolve
-// exactly as the plain form's do, and alloc_total_kb/fermi_total_kb
-// partition jointly for the whole mix (config.AllocateMulti /
-// config.ChooseFermiMulti).
-func (s *Server) resolveStreams(req api.RunRequest) (*resolvedRun, error) {
-	streams := make([]resolvedStream, len(req.Streams))
-	reqs := make([]config.KernelRequirements, len(req.Streams))
-	for i, sr := range req.Streams {
+	streams := make([]resolvedStream, len(streamReqs))
+	reqs := make([]config.KernelRequirements, len(streamReqs))
+	for i, sr := range streamReqs {
 		if sr.Kernel == "" {
-			return nil, fmt.Errorf("streams[%d]: missing \"kernel\" (GET /v1/kernels lists the registry)", i)
+			return nil, fmt.Errorf("%smissing \"kernel\" (GET /v1/kernels lists the registry)", where(i))
 		}
 		var k *workloads.Kernel
 		var err error
@@ -531,11 +438,12 @@ func (s *Server) resolveStreams(req api.RunRequest) (*resolvedRun, error) {
 		} else {
 			k, err = workloads.ByName(sr.Kernel)
 			if err != nil {
-				return nil, fmt.Errorf("streams[%d]: %w", i, err)
+				return nil, fmt.Errorf("%s%w", where(i), err)
 			}
 		}
+		// Canonicalize exactly the clamps the simulator applies, so
+		// requests that spell the same run differently share a key.
 		st := resolvedStream{kernel: k, regs: sr.RegsPerThread, seed: sr.Seed}
-		// The same clamps the plain form canonicalizes with.
 		if st.regs <= 0 || st.regs > k.RegsNeeded {
 			st.regs = k.RegsNeeded
 		}
@@ -583,20 +491,23 @@ func (s *Server) resolveStreams(req api.RunRequest) (*resolvedRun, error) {
 	if req.TimeoutMS > 0 {
 		rr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
-	canonStreams := make([]canonicalStream, len(streams))
-	for i, st := range streams {
-		canonStreams[i] = canonicalStream{Kernel: st.kernel.Name, BF: st.kernel.BF, Regs: st.regs, Seed: st.seed}
+	canon := canonicalRun{Machine: rr.canon, Probe: rr.probe, ProbeIvl: rr.probeIvl}
+	if len(streams) == 1 {
+		st := streams[0]
+		canon.Kernel, canon.BF, canon.Regs, canon.Seed = st.kernel.Name, st.kernel.BF, st.regs, st.seed
+	} else {
+		for _, st := range streams {
+			canon.Streams = append(canon.Streams, canonicalStream{Kernel: st.kernel.Name, BF: st.kernel.BF, Regs: st.regs, Seed: st.seed})
+		}
 	}
-	ck, err := json.Marshal(canonicalRun{
-		Machine:  rr.canon,
-		Probe:    rr.probe,
-		ProbeIvl: rr.probeIvl,
-		Streams:  canonStreams,
-	})
+	ck, err := json.Marshal(canon)
 	if err != nil {
 		return nil, err
 	}
 	rr.key = cacheKey(ck)
+	// The runner depends only on the (timing, energy) half of the
+	// machine; zero the configuration half so runs under different
+	// capacities share one Runner and its baseline calibrations.
 	rk := rr.canon
 	rk.Design, rk.RFKB, rk.SharedKB, rk.CacheKB, rk.MaxThreads = "", 0, 0, 0, 0
 	rkb, err := json.Marshal(rk)
@@ -651,22 +562,8 @@ func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
 		if warm, err = rr.warm.warmPrefix(s.opts.DefaultTimeout); err == nil {
 			res, err = warm.Resume(ctx, s.runner(rr), rr.params)
 		}
-	} else if rr.streams != nil {
-		streams := make([]core.StreamSpec, len(rr.streams))
-		for i, st := range rr.streams {
-			streams[i] = core.StreamSpec{Kernel: st.kernel, RegsPerThread: st.regs, Seed: st.seed}
-		}
-		res, err = s.runner(rr).RunCtx(ctx, core.RunSpec{
-			Config:  rr.cfg,
-			Streams: streams,
-		}, opts...)
 	} else {
-		res, err = s.runner(rr).RunCtx(ctx, core.RunSpec{
-			Kernel:        rr.kernel,
-			Config:        rr.cfg,
-			RegsPerThread: rr.regs,
-			Seed:          rr.seed,
-		}, opts...)
+		res, err = s.runner(rr).RunCtx(ctx, core.RunSpec{Config: rr.cfg, Streams: rr.coreStreams()}, opts...)
 	}
 	s.metrics.simRuns.Add(1)
 	s.metrics.simSeconds.observe(time.Since(started).Seconds())
@@ -714,8 +611,8 @@ func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
 		ProbeNDJSON: ndjson.String(),
 		WarmCycles:  rr.warmCycles,
 	}
-	if rr.kernel != nil && rr.kernel.Name == "needle" {
-		resp.BF = rr.kernel.BF
+	if k := rr.streams[0].kernel; len(rr.streams) == 1 && k.Name == "needle" {
+		resp.BF = k.BF
 	}
 	for i, sr := range res.Streams {
 		st := rr.streams[i]
@@ -856,7 +753,7 @@ func (s *Server) resolveBatch(req api.BatchRequest) ([]*resolvedRun, *api.Error)
 		// Fork-at-K results differ from cycle-0 results, so the cache
 		// key grows a warm suffix; probed items keep the exact path and
 		// their plain key.
-		if req.WarmCycles > 0 && !rr.probe && rr.streams == nil {
+		if req.WarmCycles > 0 && !rr.probe && len(rr.streams) == 1 {
 			gk := warmGroupKey(rr, req.WarmCycles)
 			e := groups[gk]
 			if e == nil {

@@ -88,7 +88,7 @@ func (s *SM) RunSampled(ctx context.Context, sp SampleSpec) (*stats.Counters, er
 	if s.prof != nil {
 		return nil, fmt.Errorf("sm: sampled mode cannot attach a probe (stall attribution needs exact runs)")
 	}
-	if s.streamCounters != nil {
+	if len(s.streams) > 1 {
 		return nil, fmt.Errorf("sm: sampled mode does not support multi-tenant streams")
 	}
 	poll := ctx != nil && ctx.Done() != nil
@@ -144,7 +144,10 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 	start := s.cycle
 	issued := int64(0)
 	maxLocal := start
-	dramBytes0 := s.counters.DRAMReadBytes + s.counters.DRAMWriteBytes
+	// Sampled runs are single-stream, so stream 0's books take every
+	// event.
+	c := &s.streams[0]
+	dramBytes0 := c.DRAMBytes()
 	n := s.disp.NumWarps()
 	for {
 		progressed := false
@@ -184,7 +187,7 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 		adv = t
 	}
 	if bpc := int64(s.params.DRAM.Normalized().BytesPerCycle); bpc > 0 {
-		moved := s.counters.DRAMReadBytes + s.counters.DRAMWriteBytes - dramBytes0
+		moved := c.DRAMBytes() - dramBytes0
 		if t := start + (moved+bpc-1)/bpc; t > adv {
 			adv = t
 		}
@@ -206,6 +209,7 @@ func (s *SM) fastForward(ctx context.Context, until int64, budget *int) error {
 // returns the instructions executed and the warp's final local cycle.
 func (s *SM) runWarpFast(ctx context.Context, poll bool, wIdx int, now, until int64, budget *int) (int64, int64, error) {
 	w := s.disp.Warp(wIdx)
+	c := &s.streams[0]
 	issued := int64(0)
 	for {
 		if now >= until {
@@ -235,16 +239,16 @@ func (s *SM) runWarpFast(ctx context.Context, poll bool, wIdx int, now, until in
 		} else {
 			out = s.bankModel.Evaluate(wi)
 		}
-		s.counters.WarpInsts++
-		s.counters.ThreadInsts += int64(wi.ActiveThreads())
+		c.WarpInsts++
+		c.ThreadInsts += int64(wi.ActiveThreads())
 		if wi.Spill {
-			s.counters.SpillInsts++
+			c.SpillInsts++
 		}
-		s.counters.RecordConflict(out.MaxPerBank)
+		c.RecordConflict(out.MaxPerBank)
 		if out.Arbitration {
-			s.counters.ArbitrationConflicts++
+			c.ArbitrationConflicts++
 		}
-		s.counters.RecordRegAccesses(wi)
+		c.RecordRegAccesses(wi)
 		extra := int64(out.ExtraCycles)
 		issued++
 
@@ -256,9 +260,9 @@ func (s *SM) runWarpFast(ctx context.Context, poll bool, wIdx int, now, until in
 			complete = now + s.params.SFULatency + extra
 		case isa.OpLDS:
 			complete = now + s.params.SharedLatency + extra
-			s.counters.SharedReads += int64(out.MemAccesses)
+			c.SharedReads += int64(out.MemAccesses)
 		case isa.OpSTS:
-			s.counters.SharedWrites += int64(out.MemAccesses)
+			c.SharedWrites += int64(out.MemAccesses)
 		case isa.OpLDG:
 			complete = s.mem.FastLoad(wi, now)
 		case isa.OpSTG:

@@ -108,14 +108,14 @@ type SM struct {
 	// injected a shared system. Snapshot needs it: a shared memory
 	// system's state belongs to the chip, not to one SM.
 	dramModel *dram.DRAM
-	counters  stats.Counters
-	// streamCounters holds per-stream attribution for multi-tenant runs
-	// (Spec.Streams); nil for single-kernel specs, which therefore pay
-	// one nil check per issue for the capability. Additive categories
-	// sum exactly to counters across streams (DESIGN.md §5j).
-	streamCounters []stats.Counters
+	// streams holds one counter set per co-resident kernel (stream), in
+	// Spec.Streams order; a single-kernel run has one. They are the SM's
+	// only books: every event is charged to exactly one stream, and
+	// Finish derives the run's aggregate from them (DESIGN.md §5j).
+	streams []stats.Counters
 	// lastStream is the stream of the most recent issue, the default
-	// attribution target for stalls no single warp owns.
+	// attribution target for stalls no single warp owns (probed runs
+	// only).
 	lastStream int
 	// prof is the attached observability probe, nil when disabled.
 	// Every hook call site is guarded, so a run without a probe does no
@@ -135,8 +135,7 @@ type SM struct {
 	nextEvent int64
 }
 
-// StreamSpec describes one co-resident kernel (stream) of a
-// multi-tenant run.
+// StreamSpec describes one co-resident kernel (stream) of an SM run.
 type StreamSpec struct {
 	// Name labels the stream in probe output (typically the kernel name).
 	Name string
@@ -155,13 +154,14 @@ type Spec struct {
 	Config config.MemConfig
 	// Params are the timing parameters (Table 2).
 	Params Params
-	// Source supplies the kernel grid to execute.
-	Source TraceSource
-	// ResidentCTAs is the number of concurrent CTA slots.
+	// Source supplies the kernel grid to execute and ResidentCTAs its
+	// number of concurrent CTA slots: the spelling of a one-entry
+	// Streams list, which NewSM builds from them.
+	Source       TraceSource
 	ResidentCTAs int
-	// Streams runs several kernels co-resident on the SM with CTA slots
-	// interleaved round-robin and per-stream counter attribution.
-	// Mutually exclusive with Source/ResidentCTAs.
+	// Streams lists the kernels co-resident on the SM, with CTA slots
+	// interleaved round-robin and per-stream counter books. Mutually
+	// exclusive with Source/ResidentCTAs.
 	Streams []StreamSpec
 	// Memory optionally injects a shared memory system.
 	Memory Memory
@@ -171,11 +171,15 @@ type Spec struct {
 
 // NewSM builds an SM from spec.
 func NewSM(spec Spec) (*SM, error) {
-	if spec.Source == nil && len(spec.Streams) == 0 {
-		return nil, fmt.Errorf("sm: Spec.Source is nil")
+	streams := spec.Streams
+	if spec.Source != nil {
+		if len(streams) > 0 {
+			return nil, fmt.Errorf("sm: Spec.Source and Spec.Streams are mutually exclusive")
+		}
+		streams = []StreamSpec{{Source: spec.Source, ResidentCTAs: spec.ResidentCTAs}}
 	}
-	if spec.Source != nil && len(spec.Streams) > 0 {
-		return nil, fmt.Errorf("sm: Spec.Source and Spec.Streams are mutually exclusive")
+	if len(streams) == 0 {
+		return nil, fmt.Errorf("sm: Spec.Source is nil")
 	}
 	cfg, params := spec.Config, spec.Params
 	if params.ActiveWarps < 1 {
@@ -202,26 +206,18 @@ func NewSM(spec Spec) (*SM, error) {
 	if s.sched, err = sched.New(params.Scheduler, params.ActiveWarps, params.GreedyScheduler); err != nil {
 		return nil, fmt.Errorf("sm: %w", err)
 	}
-	if len(spec.Streams) > 0 {
-		s.streamCounters = make([]stats.Counters, len(spec.Streams))
-		specs := make([]dispatch.StreamSpec, len(spec.Streams))
-		refs := make([]*stats.Counters, len(spec.Streams))
-		for i, st := range spec.Streams {
-			specs[i] = dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs}
-			refs[i] = &s.streamCounters[i]
-		}
-		if s.disp, err = dispatch.NewMulti(specs, &s.counters, refs); err != nil {
-			return nil, fmt.Errorf("sm: %w", err)
-		}
-		if spec.Probe != nil {
-			names := make([]string, len(spec.Streams))
-			for i, st := range spec.Streams {
-				names[i] = st.Name
-			}
-			spec.Probe.SetStreams(names, refs)
-		}
-	} else if s.disp, err = dispatch.New(spec.Source, spec.ResidentCTAs, &s.counters); err != nil {
+	s.streams = make([]stats.Counters, len(streams))
+	specs := make([]dispatch.StreamSpec, len(streams))
+	names := make([]string, len(streams))
+	for i, st := range streams {
+		specs[i] = dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs, Counters: &s.streams[i]}
+		names[i] = st.Name
+	}
+	if s.disp, err = dispatch.New(specs); err != nil {
 		return nil, fmt.Errorf("sm: %w", err)
+	}
+	if spec.Probe != nil {
+		spec.Probe.SetStreams(names)
 	}
 	if spec.Probe == nil {
 		// Unprobed runs replay memoized bank outcomes (an Outcome is a
@@ -230,8 +226,18 @@ func NewSM(spec Spec) (*SM, error) {
 		s.disp.EnableOutcomes(cfg.Design, params.AggressiveScatter)
 	}
 	s.visit = s.visitWarp
-	s.mem = memsys.New(memConfig(cfg, params), mem, &s.counters)
+	s.mem = memsys.New(memConfig(cfg, params), mem, &s.streams[0])
 	return s, nil
+}
+
+// counterRefs returns pointers to the per-stream counter sets: the
+// probe's live view of the SM's books.
+func (s *SM) counterRefs() []*stats.Counters {
+	refs := make([]*stats.Counters, len(s.streams))
+	for i := range s.streams {
+		refs[i] = &s.streams[i]
+	}
+	return refs
 }
 
 // memConfig derives the memory-pipeline configuration from the SM
@@ -266,7 +272,7 @@ func (s *SM) StartAt(cycle int64) {
 	s.started = true
 	s.cycle = cycle
 	if s.prof != nil {
-		s.prof.Begin(&s.counters, cycle)
+		s.prof.Begin(s.counterRefs(), cycle)
 	}
 	s.disp.Start(cycle)
 }
@@ -295,12 +301,8 @@ func (s *SM) Step() error {
 		nextEvent = s.cycle + 1
 	}
 	if s.prof != nil {
-		if s.streamCounters != nil {
-			reason, stream := s.stallReasonStream()
-			s.prof.StallStream(s.cycle, nextEvent, reason, stream)
-		} else {
-			s.prof.Stall(s.cycle, nextEvent, s.stallReason())
-		}
+		reason, stream := s.stallReason()
+		s.prof.Stall(s.cycle, nextEvent, reason, stream)
 	}
 	s.cycle = nextEvent
 	if s.cycle > cycleBound {
@@ -309,89 +311,58 @@ func (s *SM) Step() error {
 	return nil
 }
 
-// Finish finalizes and returns the counters: execution ends when the last
-// warp exits AND posted tag-port work has drained.
+// Finish finalizes and returns the run's aggregate counters, derived
+// from the per-stream books: the additive categories are their sum,
+// while Cycles (execution ends when the last warp exits AND posted
+// tag-port work has drained), MaxResidentThreads (the streams' resident
+// threads together), and DirtyLinesEnd are SM-wide. A stream's own
+// Cycles is the cycle its last warp exited.
 func (s *SM) Finish() *stats.Counters {
-	s.counters.Cycles = s.cycle
-	if t := s.mem.TagFreeAt(); t > s.counters.Cycles {
-		s.counters.Cycles = t
+	cycles := s.cycle
+	if t := s.mem.TagFreeAt(); t > cycles {
+		cycles = t
 	}
-	s.counters.DirtyLinesEnd = s.mem.DirtyLines()
-	// A stream's cycle count is the cycle its last warp exited; the
-	// aggregate keeps the SM-wide completion (including tag drain).
-	for i := range s.streamCounters {
-		s.streamCounters[i].Cycles = s.disp.StreamDoneAt(i)
+	total := &stats.Counters{}
+	resident := 0
+	for i := range s.streams {
+		s.streams[i].Cycles = s.disp.StreamDoneAt(i)
+		total.Add(&s.streams[i])
+		resident += s.streams[i].MaxResidentThreads
 	}
+	total.Cycles = cycles
+	total.MaxResidentThreads = resident
+	total.DirtyLinesEnd = s.mem.DirtyLines()
 	if s.prof != nil {
-		s.prof.End(s.counters.Cycles)
+		s.prof.End(cycles)
 	}
-	return &s.counters
+	return total
 }
 
-// StreamCounters returns the per-stream counters of a multi-tenant run
-// (nil for single-kernel specs), indexed by Spec.Streams order. The
-// additive event categories sum exactly to the aggregate counters;
-// Cycles holds each stream's own completion cycle. Call after Finish.
-func (s *SM) StreamCounters() []stats.Counters { return s.streamCounters }
+// StreamCounters returns the per-stream counters, indexed by
+// Spec.Streams order (one entry for a single-kernel spec). The additive
+// event categories sum exactly to the aggregate counters; Cycles holds
+// each stream's own completion cycle. Call after Finish.
+func (s *SM) StreamCounters() []stats.Counters { return s.streams }
 
 // stallReason classifies a failed issue attempt for the observability
 // probe, reading each component at its boundary: active-set occupancy
 // from the scheduler, warp lifecycle counts from the dispatcher, and the
 // MSHR-saturation window from the memory pipeline. Each lost slot is
 // charged to exactly one cause, by fixed priority: barrier > MSHR-full >
-// scoreboard > arbitration > bank-conflict > no-ready-warp. Only probed
-// runs call this, on the (cold) no-issue path.
-func (s *SM) stallReason() probe.StallReason {
+// scoreboard > arbitration > bank-conflict > no-ready-warp. It also
+// names the stream the slots are charged to: the stream of the first
+// warp exhibiting the winning cause, or the last-issuing stream for
+// causes no single warp owns (MSHR saturation, an empty ready set).
+// Only probed runs call this, on the (cold) no-issue path.
+func (s *SM) stallReason() (probe.StallReason, int) {
 	if s.sched.Len() == 0 {
 		barrier, readyLater := s.disp.Counts()
 		if barrier > 0 && readyLater == 0 {
-			return probe.StallBarrier
-		}
-		if s.cycle < s.mem.MSHRBlockedUntil() {
-			return probe.StallMSHRFull
-		}
-		return probe.StallNoReadyWarp
-	}
-	sawDep, sawSerial, sawArb := false, false, false
-	for _, wIdx := range s.sched.Active() {
-		w := s.disp.Warp(wIdx)
-		if w.NextIssue > s.cycle {
-			// The warp holds its own issue stream while bank-conflict
-			// extra cycles of its previous instruction elapse.
-			sawSerial = true
-			if w.ArbStall {
-				sawArb = true
+			for i := 0; ; i++ {
+				if s.disp.Warp(i).Status == dispatch.Barrier {
+					return probe.StallBarrier, s.disp.Stream(i)
+				}
 			}
-			continue
-		}
-		// An active warp that is not serialized failed on an operand
-		// dependence (long waits were descheduled out of the set).
-		sawDep = true
-	}
-	switch {
-	case s.cycle < s.mem.MSHRBlockedUntil():
-		return probe.StallMSHRFull
-	case sawDep:
-		return probe.StallScoreboard
-	case sawArb:
-		return probe.StallArbitration
-	case sawSerial:
-		return probe.StallBankConflict
-	}
-	return probe.StallNoReadyWarp
-}
-
-// stallReasonStream is stallReason for multi-tenant runs: the same
-// fixed-priority classification, additionally naming the stream the lost
-// slots are charged to — the stream of the first warp exhibiting the
-// winning cause, or the last-issuing stream for causes no single warp
-// owns (MSHR saturation, an empty ready set). It is a separate function
-// so the single-stream classifier stays untouched on the common path.
-func (s *SM) stallReasonStream() (probe.StallReason, int) {
-	if s.sched.Len() == 0 {
-		barrier, readyLater := s.disp.Counts()
-		if barrier > 0 && readyLater == 0 {
-			return probe.StallBarrier, s.barrierStream()
 		}
 		if s.cycle < s.mem.MSHRBlockedUntil() {
 			return probe.StallMSHRFull, s.lastStream
@@ -403,6 +374,8 @@ func (s *SM) stallReasonStream() (probe.StallReason, int) {
 	for _, wIdx := range s.sched.Active() {
 		w := s.disp.Warp(wIdx)
 		if w.NextIssue > s.cycle {
+			// The warp holds its own issue stream while bank-conflict
+			// extra cycles of its previous instruction elapse.
 			if !sawSerial {
 				serialStream = s.disp.Stream(wIdx)
 			}
@@ -413,6 +386,8 @@ func (s *SM) stallReasonStream() (probe.StallReason, int) {
 			}
 			continue
 		}
+		// An active warp that is not serialized failed on an operand
+		// dependence (long waits were descheduled out of the set).
 		if !sawDep {
 			depStream = s.disp.Stream(wIdx)
 		}
@@ -429,17 +404,6 @@ func (s *SM) stallReasonStream() (probe.StallReason, int) {
 		return probe.StallBankConflict, serialStream
 	}
 	return probe.StallNoReadyWarp, s.lastStream
-}
-
-// barrierStream returns the stream of the first warp blocked at a CTA
-// barrier, the attribution target for barrier stalls.
-func (s *SM) barrierStream() int {
-	for i, n := 0, s.disp.NumWarps(); i < n; i++ {
-		if s.disp.Warp(i).Status == dispatch.Barrier {
-			return s.disp.Stream(i)
-		}
-	}
-	return s.lastStream
 }
 
 // Run executes the grid to completion and returns the event counters.
@@ -558,48 +522,28 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	} else {
 		out = s.bankModel.Evaluate(wi)
 	}
-	// sc is the issuing warp's per-stream counter set, nil on
-	// single-kernel runs: direct charges below are duplicated into it,
-	// and the memory-system counters it cannot observe directly are
-	// attributed by delta around the op dispatch.
-	var sc *stats.Counters
-	if s.streamCounters != nil {
-		stream := s.disp.Stream(wIdx)
-		sc = &s.streamCounters[stream]
-		s.lastStream = stream
-		if s.prof != nil {
-			s.prof.IssueStream(s.cycle, stream)
-		}
-	} else if s.prof != nil {
-		s.prof.Issue(s.cycle)
-	}
+	// The issuing warp's stream owns every event of this instruction;
+	// the memory pipeline files into the same books.
+	stream := s.disp.Stream(wIdx)
+	c := &s.streams[stream]
+	s.mem.Charge(c)
 	if s.prof != nil {
+		s.lastStream = stream
+		s.prof.Issue(s.cycle, stream)
 		acc, conf := s.prof.Heat()
 		s.bankModel.HeatInto(acc, conf)
 	}
 	w.ArbStall = out.Arbitration && out.ExtraCycles > 0
-	s.counters.WarpInsts++
-	s.counters.ThreadInsts += int64(wi.ActiveThreads())
+	c.WarpInsts++
+	c.ThreadInsts += int64(wi.ActiveThreads())
 	if wi.Spill {
-		s.counters.SpillInsts++
+		c.SpillInsts++
 	}
-	s.counters.RecordConflict(out.MaxPerBank)
+	c.RecordConflict(out.MaxPerBank)
 	if out.Arbitration {
-		s.counters.ArbitrationConflicts++
+		c.ArbitrationConflicts++
 	}
-	s.counters.RecordRegAccesses(wi)
-	if sc != nil {
-		sc.WarpInsts++
-		sc.ThreadInsts += int64(wi.ActiveThreads())
-		if wi.Spill {
-			sc.SpillInsts++
-		}
-		sc.RecordConflict(out.MaxPerBank)
-		if out.Arbitration {
-			sc.ArbitrationConflicts++
-		}
-		sc.RecordRegAccesses(wi)
-	}
+	c.RecordRegAccesses(wi)
 
 	// Bank-conflict serialization follows the paper's §6.1 model: each
 	// access beyond the first to the most-contended bank delays *this*
@@ -611,16 +555,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	s.slotFreeAt = s.cycle + 1
 	w.NextIssue = s.cycle + 1 + extra
 
-	// Memory-system events (shared memory, cache, DRAM) land in the
-	// aggregate counters inside the op dispatch; per-stream attribution
-	// captures them as a before/after delta. BAR and EXIT return early
-	// without touching any of these fields, so skipping their delta is
-	// exact.
-	var memSnap memCounterSnap
-	if sc != nil {
-		memSnap = snapMemCounters(&s.counters)
-	}
-
 	complete := s.cycle + 1
 	switch wi.Op {
 	case isa.OpALU, isa.OpNop:
@@ -629,9 +563,9 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		complete = s.cycle + s.params.SFULatency + extra
 	case isa.OpLDS:
 		complete = s.cycle + s.params.SharedLatency + extra
-		s.counters.SharedReads += int64(out.MemAccesses)
+		c.SharedReads += int64(out.MemAccesses)
 	case isa.OpSTS:
-		s.counters.SharedWrites += int64(out.MemAccesses)
+		c.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
 		var accs []memsys.Access
 		complete, accs = s.mem.Load(wi, s.cycle, extra)
@@ -652,10 +586,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		return sched.IssuedGone
 	}
 
-	if sc != nil {
-		memSnap.deltaInto(sc, &s.counters)
-	}
-
 	if wi.Dst.Reg != isa.NoReg {
 		if complete > w.RegReady[wi.Dst.Reg] {
 			w.RegReady[wi.Dst.Reg] = complete
@@ -663,39 +593,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	}
 	w.PC++
 	return sched.Issued
-}
-
-// memCounterSnap freezes the memory-system counter fields one warp
-// instruction can mutate, so issue can attribute their growth to the
-// issuing warp's stream.
-type memCounterSnap struct {
-	sharedReads, sharedWrites           int64
-	cacheProbes, cacheHits, cacheMisses int64
-	cacheDataReads, cacheDataWrites     int64
-	dramReadBytes, dramWriteBytes       int64
-}
-
-func snapMemCounters(c *stats.Counters) memCounterSnap {
-	return memCounterSnap{
-		sharedReads: c.SharedReads, sharedWrites: c.SharedWrites,
-		cacheProbes: c.CacheProbes, cacheHits: c.CacheHits, cacheMisses: c.CacheMisses,
-		cacheDataReads: c.CacheDataReads, cacheDataWrites: c.CacheDataWrites,
-		dramReadBytes: c.DRAMReadBytes, dramWriteBytes: c.DRAMWriteBytes,
-	}
-}
-
-// deltaInto adds the growth of the aggregate counters since the snapshot
-// to the stream counters sc.
-func (m *memCounterSnap) deltaInto(sc, c *stats.Counters) {
-	sc.SharedReads += c.SharedReads - m.sharedReads
-	sc.SharedWrites += c.SharedWrites - m.sharedWrites
-	sc.CacheProbes += c.CacheProbes - m.cacheProbes
-	sc.CacheHits += c.CacheHits - m.cacheHits
-	sc.CacheMisses += c.CacheMisses - m.cacheMisses
-	sc.CacheDataReads += c.CacheDataReads - m.cacheDataReads
-	sc.CacheDataWrites += c.CacheDataWrites - m.cacheDataWrites
-	sc.DRAMReadBytes += c.DRAMReadBytes - m.dramReadBytes
-	sc.DRAMWriteBytes += c.DRAMWriteBytes - m.dramWriteBytes
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

@@ -25,7 +25,7 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 	if s.dramModel == nil {
 		return nil, fmt.Errorf("sm: cannot snapshot an SM with injected shared memory")
 	}
-	if s.streamCounters != nil {
+	if len(s.streams) > 1 {
 		return nil, fmt.Errorf("sm: multi-tenant runs do not snapshot (streams are prefix-defining)")
 	}
 	return &snapshot.State{
@@ -35,7 +35,7 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 		Cycle:      s.cycle,
 		SlotFreeAt: s.slotFreeAt,
 		Started:    s.started,
-		Counters:   s.counters,
+		Counters:   s.streams[0],
 		Sched:      s.sched.Snapshot(),
 		Disp:       s.disp.Snapshot(),
 		Mem:        s.mem.Snapshot(),
@@ -78,7 +78,7 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.counters = st.Counters
+	s.streams[0] = st.Counters
 	s.cycle = st.Cycle
 	s.slotFreeAt = st.SlotFreeAt
 	s.started = st.Started
@@ -93,7 +93,7 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 	}
 	s.dramModel.Restore(st.DRAM)
 	if s.prof != nil {
-		s.prof.Rebind(&s.counters)
+		s.prof.Rebind(s.counterRefs())
 	}
 	return s, nil
 }

@@ -137,7 +137,8 @@ const (
 	maxInstsPerWarp = 1 << 24
 )
 
-// Read deserializes a trace written by Write.
+// Read deserializes a trace written by Write. It validates every warp
+// (checkWarp), so a trace it returns is safe to replay.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var m [8]byte
@@ -172,9 +173,33 @@ func Read(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: warp %d inst %d: %w", i, j, err)
 			}
 		}
+		if err := checkWarp(warp); err != nil {
+			return nil, fmt.Errorf("trace: warp %d: %w", i, err)
+		}
 		t.Warps[i] = warp
 	}
 	return t, nil
+}
+
+// checkWarp rejects a warp the SM cannot execute: an empty one, one
+// that does not end in EXIT (the SM would issue past its end), or one
+// naming a register outside the architectural register file.
+func checkWarp(warp []isa.WarpInst) error {
+	if len(warp) == 0 {
+		return errors.New("empty instruction stream")
+	}
+	if op := warp[len(warp)-1].Op; op != isa.OpEXIT {
+		return fmt.Errorf("ends in %v, not EXIT", op)
+	}
+	for j := range warp {
+		wi := &warp[j]
+		for _, reg := range [...]uint8{wi.Dst.Reg, wi.Srcs[0].Reg, wi.Srcs[1].Reg, wi.Srcs[2].Reg} {
+			if reg >= isa.MaxRegs && reg != isa.NoReg {
+				return fmt.Errorf("inst %d: register %d outside the %d-register file", j, reg, isa.MaxRegs)
+			}
+		}
+	}
+	return nil
 }
 
 func readInst(r io.Reader, wi *isa.WarpInst) error {

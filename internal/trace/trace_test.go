@@ -83,6 +83,8 @@ func TestRoundTripRandomInstructions(t *testing.T) {
 				wi.Addrs = &av
 			}
 		}
+		// Read only accepts warps that end in EXIT.
+		warp[len(warp)-1].Op = isa.OpEXIT
 		orig := &Trace{CTAs: 1, WarpsPerCTA: 1, Warps: [][]isa.WarpInst{warp}}
 		var buf bytes.Buffer
 		if err := Write(&buf, orig); err != nil {
@@ -112,6 +114,48 @@ func TestReadRejectsGarbage(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := Read(&buf); err == nil {
 		t.Error("implausible grid accepted")
+	}
+}
+
+// TestReadRejectsUnexecutableWarps pins Read's warp validation: a warp
+// the SM cannot execute — one without a trailing EXIT, or one naming a
+// register outside the architectural file — is a descriptive error, not
+// a trace that panics the simulator on replay.
+func TestReadRejectsUnexecutableWarps(t *testing.T) {
+	exit := isa.WarpInst{Op: isa.OpEXIT, Mask: isa.FullMask,
+		Dst: isa.Operand{Reg: isa.NoReg}, Srcs: [3]isa.Operand{{Reg: isa.NoReg}, {Reg: isa.NoReg}, {Reg: isa.NoReg}}}
+	alu := func(dst, src uint8) isa.WarpInst {
+		wi := exit
+		wi.Op = isa.OpALU
+		wi.Dst = isa.Operand{Reg: dst, Space: isa.SpaceMRF}
+		wi.Srcs[0] = isa.Operand{Reg: src, Space: isa.SpaceMRF}
+		return wi
+	}
+	for _, tc := range []struct {
+		name    string
+		warp    []isa.WarpInst
+		wantErr string
+	}{
+		{"no trailing EXIT", []isa.WarpInst{alu(1, 0)}, "not EXIT"},
+		{"empty warp", nil, "empty"},
+		{"destination register out of range", []isa.WarpInst{alu(200, 0), exit}, "register 200"},
+		{"source register out of range", []isa.WarpInst{alu(1, isa.MaxRegs), exit}, "register 64"},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, &Trace{CTAs: 1, WarpsPerCTA: 1, Warps: [][]isa.WarpInst{tc.warp}}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(&buf)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Read error = %v, want one mentioning %q", tc.name, err, tc.wantErr)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Trace{CTAs: 1, WarpsPerCTA: 1, Warps: [][]isa.WarpInst{{alu(isa.MaxRegs-1, 0), exit}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); err != nil {
+		t.Errorf("valid warp rejected: %v", err)
 	}
 }
 
