@@ -68,11 +68,6 @@ func main() {
 		fmt.Printf("fork sweep (%s, %d points, warm@%d/%d): fork %.3fs vs exact %.3fs = %.2fx\n",
 			fs.Kernel, fs.Points, fs.WarmCycle, fs.TotalCycles, fs.ForkSeconds, fs.ExactSeconds, fs.Speedup)
 	}
-	if sp := res.Sampled; sp != nil {
-		fmt.Printf("sampled (%s, %d workloads): %.3fs vs exact %.3fs = %.2fx, IPC error mean %.1f%% max %.1f%%\n",
-			sp.Spec, sp.Workloads, sp.SampledSeconds, sp.ExactSeconds, sp.Speedup,
-			sp.MeanIPCError*100, sp.MaxIPCError*100)
-	}
 	if res.SuiteSpeedup > 0 {
 		fmt.Printf("speedup over %.3fs baseline: %.2fx\n", res.BaselineSuiteSeconds, res.SuiteSpeedup)
 	}

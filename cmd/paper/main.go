@@ -25,15 +25,12 @@ import (
 	"repro/internal/harness"
 	"repro/internal/parallel"
 	"repro/internal/profiling"
-	"repro/internal/sm"
-	"repro/internal/workloads"
 )
 
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	md := flag.Bool("md", false, "emit markdown tables with headings (regenerates EXPERIMENTS.measured.md)")
 	chart := flag.Bool("chart", false, "render capacity sweeps as ASCII charts (figure2/3/4/11)")
-	sample := flag.String("sample", "", "print the sampled-simulation accuracy table for detailed=W,skip=S instead of experiments")
 	jobs := flag.Int("j", runtime.NumCPU(), "parallel simulation workers (1 = serial)")
 	prof := profiling.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -55,29 +52,6 @@ func main() {
 	}
 	r := core.NewRunner()
 	total := time.Now()
-	if *sample != "" {
-		sp, err := sm.ParseSampleSpec(*sample)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(2)
-		}
-		t, err := harness.Sampling(r, sp, workloads.All())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		switch {
-		case *csv:
-			fmt.Print(t.CSV())
-		case *md:
-			fmt.Printf("## %s\n\n%s\n", t.Title(), t.Markdown())
-		default:
-			fmt.Println(t)
-		}
-		fmt.Fprintf(os.Stderr, "paper: sampling accuracy in %v with %d worker(s)\n",
-			time.Since(total).Round(time.Millisecond), parallel.Workers())
-		return
-	}
 	if *md {
 		// The preamble makes the generated file self-describing when
 		// committed as EXPERIMENTS.measured.md.

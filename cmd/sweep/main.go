@@ -11,12 +11,6 @@
 // internal/snapshot). Sweep points run in parallel across -j workers;
 // rows print in order regardless of worker count.
 //
-// -sample detailed=W,skip=S switches capacity sweeps to sampled
-// simulation (detailed windows alternating with functional
-// fast-forwards): much faster on long grids, with approximate cycle
-// counts — the paper driver's sampling table reports the measured error
-// per workload.
-//
 // -submit URL runs the sweep remotely instead: it submits the sweep as
 // a durable async job to an smserve instance (POST /v1/jobs), reports
 // progress while polling, and renders the same table from the job's
@@ -31,7 +25,6 @@
 //	sweep -kernel needle -resource shared -from 16 -to 384 -step 2x -csv
 //	sweep -kernel mummer -resource mshr -from 2 -to 32 -step 2x -warm 50000
 //	sweep -kernel bfs -resource dramlat -from 200 -to 800 -step 100 -warm 20000
-//	sweep -kernel dgemm -resource cache -from 32 -to 512 -step 2x -sample detailed=4096,skip=32768
 //	sweep -kernel bfs -resource cache -from 32 -to 512 -step 2x -submit http://127.0.0.1:8344
 package main
 
@@ -77,7 +70,6 @@ func main() {
 		jobs       = flag.Int("j", runtime.NumCPU(), "parallel simulation workers (1 = serial)")
 		schedName  = flag.String("sched", "", "warp scheduler: twolevel (default) | gto")
 		warmCycles = flag.Int64("warm", 0, "warm-prefix cycle for parameter sweeps: fork every point from one run warmed to this cycle")
-		sampleSpec = flag.String("sample", "", "sampled simulation for capacity sweeps: detailed=W,skip=S cycles")
 		submitURL  = flag.String("submit", "", "submit the sweep as an async job to this smserve base URL instead of simulating locally")
 		csv        = flag.Bool("csv", false, "emit CSV")
 	)
@@ -109,18 +101,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	sample, err := sm.ParseSampleSpec(*sampleSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
 	mutate, isParam := paramMutators[*resource]
 	switch {
 	case isParam:
-		if sample.Enabled() {
-			fmt.Fprintln(os.Stderr, "sweep: -sample applies to capacity sweeps (parameter sweeps fork a warm exact prefix instead)")
-			os.Exit(2)
-		}
+		// Parameter sweeps fork from the -warm prefix.
 	case *resource == "rf" || *resource == "shared" || *resource == "cache":
 		if *warmCycles != 0 {
 			fmt.Fprintln(os.Stderr, "sweep: -warm needs a parameter resource (mshr | dramlat | drambw); capacities define the warm-up history and cannot be forked")
@@ -132,10 +116,6 @@ func main() {
 	}
 
 	if *submitURL != "" {
-		if sample.Enabled() {
-			fmt.Fprintln(os.Stderr, "sweep: -sample is local-only (the job API runs exact simulations)")
-			os.Exit(2)
-		}
 		req := api.SweepRequest{
 			Kernel:     *kernelName,
 			Resource:   *resource,
@@ -173,7 +153,7 @@ func main() {
 	if isParam {
 		rows, err = paramSweep(r, k, cfg, values, mutate, *warmCycles)
 	} else {
-		rows, err = capacitySweep(r, k, cfg, values, *resource, sample)
+		rows, err = capacitySweep(r, k, cfg, values, *resource)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
@@ -185,9 +165,6 @@ func main() {
 	if !isParam {
 		title += " capacity"
 		firstCol = "capacity"
-		if sample.Enabled() {
-			title += fmt.Sprintf(" (sampled %s)", sample)
-		}
 	} else {
 		title += fmt.Sprintf(" (forked at cycle %d)", *warmCycles)
 	}
@@ -211,13 +188,8 @@ func resultRow(label string, res *core.Result) []string {
 		res.Counters.IPC(), res.Counters.DRAMBytes(), res.Energy.Total())
 }
 
-// capacitySweep runs one independent simulation per capacity point,
-// optionally in sampled mode.
-func capacitySweep(r *core.Runner, k *workloads.Kernel, base config.MemConfig, capacities []int, resource string, sample sm.SampleSpec) ([][]string, error) {
-	var opts []core.RunOption
-	if sample.Enabled() {
-		opts = append(opts, core.WithSample(sample))
-	}
+// capacitySweep runs one independent simulation per capacity point.
+func capacitySweep(r *core.Runner, k *workloads.Kernel, base config.MemConfig, capacities []int, resource string) ([][]string, error) {
 	return parallel.Map(len(capacities), func(i int) ([]string, error) {
 		kb := capacities[i]
 		cfg := base
@@ -230,7 +202,7 @@ func capacitySweep(r *core.Runner, k *workloads.Kernel, base config.MemConfig, c
 			cfg.CacheBytes = kb << 10
 		}
 		label := fmt.Sprintf("%dK", kb)
-		res, err := r.Run(core.RunSpec{Kernel: k, Config: cfg}, opts...)
+		res, err := r.Run(core.RunSpec{Kernel: k, Config: cfg})
 		if core.IsInfeasible(err) {
 			return report.InfeasibleRunRow(label), nil
 		}

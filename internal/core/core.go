@@ -102,8 +102,7 @@ func (r *Result) IPC() float64 {
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	probe  *probe.Probe
-	sample sm.SampleSpec
+	probe *probe.Probe
 }
 
 // WithProbe attaches a cycle-level observability probe to the run. The
@@ -112,16 +111,6 @@ type runOptions struct {
 // Counters are identical to an unprobed one's.
 func WithProbe(p *probe.Probe) RunOption {
 	return func(o *runOptions) { o.probe = p }
-}
-
-// WithSample runs the simulation in sampled mode (sm.SampleSpec):
-// detailed windows alternating with functional fast-forwards. Counters
-// stay exactly attributed but cycle counts are approximate; the
-// harness's sampling experiment reports the measured IPC error per
-// workload. A zero spec keeps the exact path. Sampling and probes are
-// mutually exclusive (the probe's stall attribution needs exact runs).
-func WithSample(sp sm.SampleSpec) RunOption {
-	return func(o *runOptions) { o.sample = sp }
 }
 
 // Runner executes runs and caches the per-benchmark baseline needed for
@@ -186,8 +175,6 @@ func (r *Runner) Run(spec RunSpec, opts ...RunOption) (*Result, error) {
 // Run's — the context only decides whether the run finishes.
 //
 // A plain spec is a one-entry stream list, so every run takes one path.
-// Sampling refuses two or more streams (sm.RunSampled): per-stream
-// attribution needs exact runs.
 func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*Result, error) {
 	var o runOptions
 	for _, opt := range opts {
@@ -211,12 +198,7 @@ func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
-	var counters *stats.Counters
-	if o.sample.Enabled() {
-		counters, err = machine.RunSampled(ctx, o.sample)
-	} else {
-		counters, err = machine.RunContext(ctx)
-	}
+	counters, err := machine.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}

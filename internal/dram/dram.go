@@ -51,8 +51,7 @@ type DRAM struct {
 
 // Normalized returns the configuration with zero fields replaced by the
 // Table 2 defaults, exactly as New applies them — so callers that need
-// the effective values (the sampled-mode bus bound, SetConfig) agree
-// with the channel itself.
+// the effective values (SetConfig) agree with the channel itself.
 func (cfg Config) Normalized() Config {
 	if cfg.BytesPerCycle <= 0 {
 		cfg.BytesPerCycle = 8

@@ -159,3 +159,46 @@ func TestCalibrateOtherNeverNegative(t *testing.T) {
 		t.Errorf("CalibrateOther() = %v, want >= 0", got)
 	}
 }
+
+// TestDerivedOverheadNearPaperAssumption checks the UnifiedWiringOverhead
+// constant against a first-principles estimate. The paper models the
+// unified design's extra wiring (the 4:1 cluster mux and a crossbar
+// stretched by clusters that now hold all data storage) as a flat +10%
+// without a physical design. Laying the 8 clusters out in a row as square
+// tiles sized by their SRAM, and charging the Table 3 signalling energy
+// (1.9 pJ/mm per 16-byte transfer) for an average traversal, derives an
+// overhead within a few points of the constant the model uses.
+func TestDerivedOverheadNearPaperAssumption(t *testing.T) {
+	const (
+		wirePJPerMM  = 1.9    // Table 3 signalling energy at 0.9 V, 32 nm
+		sramMM2PerKB = 0.0055 // CACTI-class 32 nm SRAM density with periphery
+		logicMM2     = 0.055  // non-SRAM area of one 4-lane cluster
+		muxPJ        = 0.35   // the unified design's 4:1 bank mux
+	)
+	// accessWirePJ is the wire (and mux) energy of one shared-memory or
+	// cache access when each cluster holds clusterBytes of SRAM: half the
+	// crossbar span, plus, in the unified design, half a cluster pitch to
+	// leave the bank array and the mux.
+	accessWirePJ := func(clusterBytes int, unified bool) float64 {
+		pitch := math.Sqrt(logicMM2 + float64(clusterBytes)/1024*sramMM2PerKB)
+		wire := pitch * config.NumClusters / 2
+		mux := 0.0
+		if unified {
+			wire += pitch / 2
+			mux = muxPJ
+		}
+		return wire*wirePJPerMM + mux
+	}
+	// Partitioned clusters hold only their MRF share (two thirds of the
+	// capacity); unified clusters hold all of it.
+	total := config.BaselineTotalBytes
+	part := accessWirePJ(total*2/3/config.NumClusters, false)
+	uni := accessWirePJ(total/config.NumClusters, true)
+	bankPJ, _ := BankEnergy(12 << 10)
+	got := (uni - part) / (bankPJ + part)
+	want := DefaultParams().UnifiedWiringOverhead - 1
+	t.Logf("derived unified wiring overhead: %.1f%% (model uses %.0f%%)", 100*got, 100*want)
+	if !almost(got, want, 0.03) {
+		t.Errorf("derived overhead %.3f is not within 0.03 of the model's %.3f", got, want)
+	}
+}

@@ -66,11 +66,9 @@ type Results struct {
 	Experiments  []Experiment `json:"experiments"`
 	SuiteSeconds float64      `json:"suite_seconds"`
 
-	// ForkSweep is the measured snapshot/fork sweep speedup; Sampled the
-	// sampled-simulation speedup and IPC error bounds. Both are omitted
-	// by the microbenchmark-only path (-skip-suite).
+	// ForkSweep is the measured snapshot/fork sweep speedup, omitted by
+	// the microbenchmark-only path (-skip-suite).
 	ForkSweep *ForkSweep `json:"fork_sweep,omitempty"`
-	Sampled   *Sampled   `json:"sampled,omitempty"`
 
 	// BaselineSuiteSeconds, when non-zero, is the committed
 	// pre-optimization suite time measured on the same machine, and
@@ -187,9 +185,6 @@ func Collect(names []string, baselineSuiteSeconds float64) (*Results, error) {
 		res.SuiteSeconds += e.Seconds
 	}
 	if res.ForkSweep, err = MeasureForkSweep(); err != nil {
-		return nil, err
-	}
-	if res.Sampled, err = MeasureSampled(DefaultSampleSpec); err != nil {
 		return nil, err
 	}
 	if baselineSuiteSeconds > 0 {

@@ -27,12 +27,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// maxJobBody bounds a job submission body (a 10k-point sweep is ~2MB).
-const maxJobBody = 8 << 20
+// maxBody bounds every request body (a 10k-point sweep job is ~2MB).
+const maxBody = 8 << 20
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobRequests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
 		s.metrics.clientErrors.Add(1)
 		writeError(w, errBadRequest("reading request body: %v", err))

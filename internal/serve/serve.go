@@ -1011,11 +1011,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// decodeStrict decodes a JSON request body, rejecting unknown fields so
-// misspelled parameters fail loudly instead of silently simulating the
-// wrong thing.
+// decodeStrict decodes a JSON request body of at most maxBody bytes,
+// rejecting unknown fields so misspelled parameters fail loudly instead
+// of silently simulating the wrong thing.
 func decodeStrict(w http.ResponseWriter, r *http.Request, v any, m *metrics) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		m.clientErrors.Add(1)

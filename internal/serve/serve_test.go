@@ -354,6 +354,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodies posts a body one field value larger than maxBody to
+// each JSON endpoint: the server must stop reading at the cap and answer
+// with a short bad_request envelope, not decode (and echo back) the
+// oversized value.
+func TestOversizedBodies(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	huge := strings.Repeat("a", maxBody)
+	for _, c := range []struct{ path, body string }{
+		{"/v1/run", `{"kernel":"` + huge + `"}`},
+		{"/v1/batch", `{"runs":[{"kernel":"` + huge + `"}]}`},
+		{"/v1/experiment", `{"name":"` + huge + `"}`},
+	} {
+		resp, body := do(t, ts, http.MethodPost, c.path, c.body)
+		var eb api.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == nil {
+			t.Errorf("%s: status %d, %d-byte body is not an error envelope", c.path, resp.StatusCode, len(body))
+			continue
+		}
+		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != api.CodeBadRequest ||
+			!strings.Contains(eb.Error.Message, "request body too large") || len(body) > 1<<10 {
+			t.Errorf("%s: status %d, code %q, %d-byte body; want a short 400 bad_request saying the body is too large",
+				c.path, resp.StatusCode, eb.Error.Code, len(body))
+		}
+	}
+}
+
 // TestInfeasibleRun asserts a configuration the kernel cannot fit is a
 // structured 422, not a 500.
 func TestInfeasibleRun(t *testing.T) {

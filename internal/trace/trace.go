@@ -135,6 +135,11 @@ func writeInst(w io.Writer, wi *isa.WarpInst) error {
 const (
 	maxWarps        = 1 << 20
 	maxInstsPerWarp = 1 << 24
+	// readPrealloc caps the capacity Read reserves from a count in the
+	// file before reading the data it promises; slices grow past it only
+	// as records actually arrive, so a short file cannot force a large
+	// allocation.
+	readPrealloc = 1 << 10
 )
 
 // Read deserializes a trace written by Write. It validates every warp
@@ -158,8 +163,8 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: implausible grid %dx%d", t.CTAs, t.WarpsPerCTA)
 	}
 	n := t.CTAs * t.WarpsPerCTA
-	t.Warps = make([][]isa.WarpInst, n)
-	for i := range t.Warps {
+	t.Warps = make([][]isa.WarpInst, 0, min(n, readPrealloc))
+	for i := 0; i < n; i++ {
 		var count uint32
 		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 			return nil, fmt.Errorf("trace: warp %d length: %w", i, err)
@@ -167,16 +172,18 @@ func Read(r io.Reader) (*Trace, error) {
 		if count > maxInstsPerWarp {
 			return nil, fmt.Errorf("trace: warp %d implausibly long (%d)", i, count)
 		}
-		warp := make([]isa.WarpInst, count)
-		for j := range warp {
-			if err := readInst(br, &warp[j]); err != nil {
+		warp := make([]isa.WarpInst, 0, min(count, readPrealloc))
+		for j := uint32(0); j < count; j++ {
+			var wi isa.WarpInst
+			if err := readInst(br, &wi); err != nil {
 				return nil, fmt.Errorf("trace: warp %d inst %d: %w", i, j, err)
 			}
+			warp = append(warp, wi)
 		}
 		if err := checkWarp(warp); err != nil {
 			return nil, fmt.Errorf("trace: warp %d: %w", i, err)
 		}
-		t.Warps[i] = warp
+		t.Warps = append(t.Warps, warp)
 	}
 	return t, nil
 }

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,11 +119,14 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestReadRejectsUnexecutableWarps pins Read's warp validation: a warp
-// the SM cannot execute — one without a trailing EXIT, or one naming a
-// register outside the architectural file — is a descriptive error, not
-// a trace that panics the simulator on replay.
-func TestReadRejectsUnexecutableWarps(t *testing.T) {
+// unexecutableWarps are one-warp grids the SM cannot execute, each with
+// the phrase Read's error must mention, plus one valid warp (wantErr "")
+// built from the same instructions.
+func unexecutableWarps() []struct {
+	name    string
+	warp    []isa.WarpInst
+	wantErr string
+} {
 	exit := isa.WarpInst{Op: isa.OpEXIT, Mask: isa.FullMask,
 		Dst: isa.Operand{Reg: isa.NoReg}, Srcs: [3]isa.Operand{{Reg: isa.NoReg}, {Reg: isa.NoReg}, {Reg: isa.NoReg}}}
 	alu := func(dst, src uint8) isa.WarpInst {
@@ -131,7 +136,7 @@ func TestReadRejectsUnexecutableWarps(t *testing.T) {
 		wi.Srcs[0] = isa.Operand{Reg: src, Space: isa.SpaceMRF}
 		return wi
 	}
-	for _, tc := range []struct {
+	return []struct {
 		name    string
 		warp    []isa.WarpInst
 		wantErr string
@@ -140,22 +145,59 @@ func TestReadRejectsUnexecutableWarps(t *testing.T) {
 		{"empty warp", nil, "empty"},
 		{"destination register out of range", []isa.WarpInst{alu(200, 0), exit}, "register 200"},
 		{"source register out of range", []isa.WarpInst{alu(1, isa.MaxRegs), exit}, "register 64"},
-	} {
-		var buf bytes.Buffer
-		if err := Write(&buf, &Trace{CTAs: 1, WarpsPerCTA: 1, Warps: [][]isa.WarpInst{tc.warp}}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Read(&buf)
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+		{"valid", []isa.WarpInst{alu(isa.MaxRegs-1, 0), exit}, ""},
+	}
+}
+
+// writeOneWarp serializes a 1x1 grid holding warp.
+func writeOneWarp(t testing.TB, warp []isa.WarpInst) []byte {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Trace{CTAs: 1, WarpsPerCTA: 1, Warps: [][]isa.WarpInst{warp}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRejectsUnexecutableWarps pins Read's warp validation: a warp
+// the SM cannot execute — one without a trailing EXIT, or one naming a
+// register outside the architectural file — is a descriptive error, not
+// a trace that panics the simulator on replay.
+func TestReadRejectsUnexecutableWarps(t *testing.T) {
+	for _, tc := range unexecutableWarps() {
+		_, err := Read(bytes.NewReader(writeOneWarp(t, tc.warp)))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: warp rejected: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("%s: Read error = %v, want one mentioning %q", tc.name, err, tc.wantErr)
 		}
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, &Trace{CTAs: 1, WarpsPerCTA: 1, Warps: [][]isa.WarpInst{{alu(isa.MaxRegs-1, 0), exit}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err != nil {
-		t.Errorf("valid warp rejected: %v", err)
+}
+
+// TestReadAllocationBoundedByInput feeds Read headers whose counts
+// promise far more data than follows. Read must fail on the missing
+// data without first reserving memory for what the counts claim.
+func TestReadAllocationBoundedByInput(t *testing.T) {
+	le := binary.LittleEndian
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{
+		// A 1x1 grid whose one warp claims maxInstsPerWarp instructions.
+		{"warp length", le.AppendUint32(le.AppendUint32(le.AppendUint32(magic[:], 1), 1), maxInstsPerWarp)},
+		// A grid of maxWarps warps with no warp data at all.
+		{"grid size", le.AppendUint32(le.AppendUint32(magic[:], 1<<10), 1<<10)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(tc.file))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte file accepted", tc.name, len(tc.file))
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: reading a %d-byte file allocated %d bytes, want < 1 MB", tc.name, len(tc.file), got)
+		}
 	}
 }
 
@@ -330,4 +372,31 @@ func TestCorruptionSafety(t *testing.T) {
 			t.Fatalf("trial %d: inconsistent parsed trace", trial)
 		}
 	}
+}
+
+// FuzzRead checks that Read never panics on arbitrary input, and that
+// any trace it accepts survives a Write→Read round trip unchanged.
+func FuzzRead(f *testing.F) {
+	// One real warp keeps the seed small enough to mutate quickly.
+	f.Add(writeOneWarp(f, buildTrace().Warps[0]))
+	for _, tc := range unexecutableWarps() {
+		f.Add(writeOneWarp(f, tc.warp))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, tr); err != nil {
+			t.Fatalf("Write of an accepted trace: %v", err)
+		}
+		again, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatal("trace changed across a Write/Read round trip")
+		}
+	})
 }
