@@ -16,23 +16,27 @@ import (
 	"repro/internal/isa"
 )
 
-// Outcome summarizes the bank behaviour of one warp instruction.
+// Outcome summarizes the bank behaviour of one warp instruction. The
+// trace cache memoizes one per instruction and variant, so it is packed
+// into three bytes: a bank sees at most 3 MRF reads plus one access per
+// lane (35), and an instruction touches at most one granule per lane.
 type Outcome struct {
 	// MaxPerBank is the maximum number of accesses any single bank (or,
 	// in the unified design, any single cluster port) received. Table 5
 	// buckets this value.
-	MaxPerBank int
-	// ExtraCycles is the issue serialization penalty: MaxPerBank - 1
-	// (zero for conflict-free instructions).
-	ExtraCycles int
+	MaxPerBank uint8
 	// Arbitration reports that, in the unified design, a register operand
 	// read and a shared/cache data access contended for the same bank.
 	Arbitration bool
 	// MemAccesses is the number of distinct memory bank granules touched
 	// (shared-memory words/granules or cache lines); used for access-energy
 	// and throughput accounting.
-	MemAccesses int
+	MemAccesses uint8
 }
+
+// ExtraCycles is the issue serialization penalty: MaxPerBank - 1 (zero
+// for conflict-free instructions).
+func (o Outcome) ExtraCycles() int { return int(o.MaxPerBank) - 1 }
 
 // Model evaluates bank conflicts for one design. A Model holds scratch
 // buffers and is not safe for concurrent use; each simulated SM owns one.
@@ -130,13 +134,12 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 		}
 	}
 
-	out := Outcome{MemAccesses: memAccesses}
+	out := Outcome{MemAccesses: uint8(memAccesses)}
 	if m.unified() {
 		// Shared banks: register and memory accesses sum per bank, and
 		// shared/cache traffic also contends for the per-cluster port.
 		for b := 0; b < config.NumBanks; b++ {
-			total := int(m.bankReg[b]) + int(m.bankMem[b])
-			if total > out.MaxPerBank {
+			if total := m.bankReg[b] + m.bankMem[b]; total > out.MaxPerBank {
 				out.MaxPerBank = total
 			}
 			if m.bankReg[b] > 0 && m.bankMem[b] > 0 {
@@ -150,26 +153,25 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 			// any bank onto the port, leaving only true per-bank
 			// conflicts (counted above).
 			for c := 0; c < config.NumClusters; c++ {
-				if int(m.port[c]) > out.MaxPerBank {
-					out.MaxPerBank = int(m.port[c])
+				if m.port[c] > out.MaxPerBank {
+					out.MaxPerBank = m.port[c]
 				}
 			}
 		}
 	} else {
 		// Disjoint structures: the worst bank of either space decides.
 		for b := 0; b < config.NumBanks; b++ {
-			if int(m.bankReg[b]) > out.MaxPerBank {
-				out.MaxPerBank = int(m.bankReg[b])
+			if m.bankReg[b] > out.MaxPerBank {
+				out.MaxPerBank = m.bankReg[b]
 			}
-			if int(m.bankMem[b]) > out.MaxPerBank {
-				out.MaxPerBank = int(m.bankMem[b])
+			if m.bankMem[b] > out.MaxPerBank {
+				out.MaxPerBank = m.bankMem[b]
 			}
 		}
 	}
 	if out.MaxPerBank < 1 {
 		out.MaxPerBank = 1
 	}
-	out.ExtraCycles = out.MaxPerBank - 1
 	return out
 }
 

@@ -157,7 +157,18 @@ type Dispatcher struct {
 	// slot. MaxWarpsPerSM <= 64 keeps every slot in one word (checked
 	// at compile time below).
 	readyMask uint64
+	// readyLow is at most every Ready warp's WakeAt (noWake when none
+	// is Ready), so MinReady and MinFutureWake can answer without a scan
+	// while every parked warp sleeps past now. Lowering it as warps
+	// become Ready keeps it a bound; lowExact records that it is also
+	// the minimum. Activating the warp at the bound clears lowExact, and
+	// the next full scan restores it.
+	readyLow int64
+	lowExact bool
 }
+
+// noWake is the wake cycle that means "no Ready warp".
+const noWake = int64(1) << 62
 
 // readyMask must cover every possible warp slot.
 var _ [64 - config.MaxWarpsPerSM]struct{}
@@ -171,7 +182,7 @@ func New(specs []StreamSpec) (*Dispatcher, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dispatch: need at least one stream")
 	}
-	d := &Dispatcher{streams: make([]streamState, len(specs))}
+	d := &Dispatcher{streams: make([]streamState, len(specs)), readyLow: noWake, lowExact: true}
 	totalWarps, maxResident := 0, 0
 	for i, sp := range specs {
 		if sp.Source == nil || sp.Counters == nil {
@@ -286,6 +297,7 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 		st.liveWarps++
 		d.readyMask |= 1 << uint(wIdx)
 	}
+	d.lowerWake(cycle)
 	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
 }
 
@@ -309,16 +321,33 @@ func (d *Dispatcher) ReadyAt(w int) (int64, bool) {
 	return d.warps[w].WakeAt, true
 }
 
+// lowerWake keeps readyLow a bound after a warp becomes Ready at wake.
+// The minimum of an exact minimum and a new wake is exact, so lowExact
+// is unchanged.
+func (d *Dispatcher) lowerWake(wake int64) {
+	if wake < d.readyLow {
+		d.readyLow = wake
+	}
+}
+
 // MinFutureWake returns the earliest wake cycle strictly after now among
-// Ready warps, or int64(1)<<62 when there is none — the timing core's
+// Ready warps, or noWake (1<<62) when there is none — the timing core's
 // next-event candidate for warp wake-ups.
 func (d *Dispatcher) MinFutureWake(now int64) int64 {
-	min := int64(1) << 62
+	if d.lowExact && d.readyLow > now {
+		return d.readyLow
+	}
+	min, low := noWake, noWake
 	for m := d.readyMask; m != 0; m &= m - 1 {
-		if wake := d.warps[bits.TrailingZeros64(m)].WakeAt; wake > now && wake < min {
+		wake := d.warps[bits.TrailingZeros64(m)].WakeAt
+		if wake > now && wake < min {
 			min = wake
 		}
+		if wake < low {
+			low = wake
+		}
 	}
+	d.readyLow, d.lowExact = low, true
 	return min
 }
 
@@ -327,6 +356,9 @@ func (d *Dispatcher) MinFutureWake(now int64) int64 {
 func (d *Dispatcher) Activate(w int) {
 	d.warps[w].Status = Active
 	d.readyMask &^= 1 << uint(w)
+	if d.warps[w].WakeAt == d.readyLow {
+		d.lowExact = false
+	}
 }
 
 // Park returns an active warp to the Ready state to wait out a
@@ -337,6 +369,7 @@ func (d *Dispatcher) Park(w int, wake int64) {
 	d.warps[w].Status = Ready
 	d.warps[w].WakeAt = wake
 	d.readyMask |= 1 << uint(w)
+	d.lowerWake(wake)
 }
 
 // Barrier blocks warp wIdx at its CTA barrier (advancing its PC past the
@@ -365,6 +398,7 @@ func (d *Dispatcher) release(c *ctaSlot, now int64) {
 			d.readyMask |= 1 << uint(idx)
 		}
 	}
+	d.lowerWake(now + 1)
 }
 
 // Exit retires warp wIdx and, when its CTA drains, launches its
@@ -408,14 +442,27 @@ func (d *Dispatcher) Stream(w int) int { return d.streamOf[w] }
 // MinReady returns the stream's Ready warp with the oldest wake cycle
 // at or before now, lowest slot index breaking ties, and its wake — the
 // promotion rule of the two-level scheduler (the sched.Pool view). It
+// returns at once while every Ready warp sleeps past now, and otherwise
 // walks only the stream's ready warps via the ready bitmask.
 func (d *Dispatcher) MinReady(now int64, stream int) (w int, wake int64, ok bool) {
-	best, bestWake := -1, int64(0)
-	for m := d.readyMask & d.streams[stream].mask; m != 0; m &= m - 1 {
+	if d.readyLow > now {
+		return -1, 0, false
+	}
+	mask := d.streams[stream].mask
+	best, bestWake, low := -1, int64(0), noWake
+	for m := d.readyMask & mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if wake := d.warps[i].WakeAt; wake <= now && (best < 0 || wake < bestWake) {
+		wake := d.warps[i].WakeAt
+		if wake <= now && (best < 0 || wake < bestWake) {
 			best, bestWake = i, wake
 		}
+		if wake < low {
+			low = wake
+		}
+	}
+	if d.readyMask&^mask == 0 {
+		// The stream holds every Ready warp: the scan saw them all.
+		d.readyLow, d.lowExact = low, true
 	}
 	return best, bestWake, best >= 0
 }

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/config"
@@ -178,5 +179,116 @@ func TestEarlyExitReleasesBarrier(t *testing.T) {
 	}
 	if d.LiveWarps() != 2 {
 		t.Errorf("LiveWarps = %d, want 2", d.LiveWarps())
+	}
+}
+
+// bruteMinReady is MinReady by a scan of every warp slot.
+func bruteMinReady(d *Dispatcher, now int64, stream int) (int, int64, bool) {
+	best, bestWake := -1, int64(0)
+	for i := 0; i < d.NumWarps(); i++ {
+		w := d.Warp(i)
+		if d.Stream(i) != stream || w.Status != Ready || w.WakeAt > now {
+			continue
+		}
+		if best < 0 || w.WakeAt < bestWake {
+			best, bestWake = i, w.WakeAt
+		}
+	}
+	return best, bestWake, best >= 0
+}
+
+// bruteMinFutureWake is MinFutureWake by a scan of every warp slot.
+func bruteMinFutureWake(d *Dispatcher, now int64) int64 {
+	min := int64(1) << 62
+	for i := 0; i < d.NumWarps(); i++ {
+		if w := d.Warp(i); w.Status == Ready && w.WakeAt > now && w.WakeAt < min {
+			min = w.WakeAt
+		}
+	}
+	return min
+}
+
+// TestWakeBoundMatchesBruteForce drives random launch, Park, Activate,
+// Barrier, Exit and Restore sequences, on one stream and on a two-stream
+// mix, and after every step requires MinReady and MinFutureWake to agree
+// with a scan over all warps — the wake bound may only skip scans that
+// could not have found anything.
+func TestWakeBoundMatchesBruteForce(t *testing.T) {
+	for _, streams := range []int{1, 2} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			specs := func() []StreamSpec {
+				var sp []StreamSpec
+				for s := 0; s < streams; s++ {
+					src := &fakeSource{ctas: 12, warpsPer: 2 + s}
+					sp = append(sp, StreamSpec{Source: src, ResidentCTAs: 2, Counters: &stats.Counters{}})
+				}
+				return sp
+			}
+			d, err := New(specs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := int64(0)
+			d.Start(now)
+			check := func(step int, what string) {
+				t.Helper()
+				for s := 0; s < streams; s++ {
+					gw, gk, gok := d.MinReady(now, s)
+					ww, wk, wok := bruteMinReady(d, now, s)
+					if gw != ww || gk != wk || gok != wok {
+						t.Fatalf("streams %d seed %d step %d (%s): MinReady(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
+							streams, seed, step, what, now, s, gw, gk, gok, ww, wk, wok)
+					}
+				}
+				if got, want := d.MinFutureWake(now), bruteMinFutureWake(d, now); got != want {
+					t.Fatalf("streams %d seed %d step %d (%s): MinFutureWake(%d) = %d, want %d",
+						streams, seed, step, what, now, got, want)
+				}
+			}
+			for step := 0; step < 2000 && !d.Done(); step++ {
+				now += int64(rng.Intn(4))
+				var active, ready []int
+				for i := 0; i < d.NumWarps(); i++ {
+					switch d.Warp(i).Status {
+					case Active:
+						active = append(active, i)
+					case Ready:
+						ready = append(ready, i)
+					}
+				}
+				what := "idle"
+				switch op := rng.Intn(10); {
+				case op < 3: // promote the stream's oldest eligible warp
+					if w, _, ok := d.MinReady(now, rng.Intn(streams)); ok {
+						d.Activate(w)
+						what = "promote"
+					}
+				case op < 4 && len(ready) > 0: // activate any Ready warp
+					d.Activate(ready[rng.Intn(len(ready))])
+					what = "activate"
+				case op < 6 && len(active) > 0:
+					d.Park(active[rng.Intn(len(active))], now+int64(rng.Intn(40)))
+					what = "park"
+				case op < 8 && len(active) > 0:
+					d.Barrier(active[rng.Intn(len(active))], now)
+					what = "barrier"
+				case op < 9 && len(active) > 0:
+					d.Exit(active[rng.Intn(len(active))], now) // may launch a CTA
+					what = "exit"
+				case streams == 1:
+					fork, err := New(specs())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := fork.Restore(d.Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+					d = fork
+					what = "restore"
+				}
+				check(step, what)
+			}
+		}
 	}
 }

@@ -92,6 +92,7 @@ func (d *Dispatcher) Restore(st *State) error {
 	d.liveWarps = st.LiveWarps
 	stream.liveWarps = st.LiveWarps
 	d.readyMask = st.ReadyMask
+	d.readyLow, d.lowExact = -noWake, false // a bound; the next scan makes it exact
 	if stream.liveWarps == 0 && stream.nextCTA >= stream.totalCTAs {
 		if stream.doneAt < 0 {
 			stream.doneAt = 0

@@ -13,8 +13,9 @@ import "repro/internal/isa"
 // Registers that are dead (no further use) are evicted for free; dirty
 // registers with remaining uses are spilled with a store and reloaded with
 // a fill at their next use. Registers read before any definition are
-// kernel inputs and need no fill.
-func allocate(insts []isa.WarpInst, budget int, spillBase uint32) []isa.WarpInst {
+// kernel inputs and need no fill. The rewritten trace is appended to
+// out, which must not overlap insts.
+func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.WarpInst) []isa.WarpInst {
 	if budget < minPhysRegs {
 		budget = minPhysRegs
 	}
@@ -48,7 +49,6 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32) []isa.WarpInst
 
 	var resident, dirty, defined, inCurrent [isa.MaxRegs]bool
 	nResident := 0
-	out := make([]isa.WarpInst, 0, len(insts)+len(insts)/4)
 
 	spillOp := func(op isa.Op, r uint8) isa.WarpInst {
 		var addrs isa.AddrVec

@@ -26,6 +26,7 @@ package kgen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -56,16 +57,33 @@ type Config struct {
 // operand placement pass, then returns the trace.
 type Builder struct {
 	cfg      Config
+	buf      *[]isa.WarpInst // pooled emit buffer, returned by Finish
 	insts    []isa.WarpInst
 	finished bool
 }
+
+// scratchTraces recycles the growable emit and spill buffers across
+// builders. Finish returns an exact-size copy of the trace, so neither
+// buffer's slack capacity outlives the build (traces are held for the
+// life of the trace cache); builders on concurrent goroutines share the
+// pool safely.
+var scratchTraces = sync.Pool{New: func() any { return new([]isa.WarpInst) }}
 
 // NewBuilder returns a builder for one warp's trace.
 func NewBuilder(cfg Config) *Builder {
 	if cfg.Mask == 0 {
 		cfg.Mask = isa.FullMask
 	}
-	return &Builder{cfg: cfg}
+	buf := scratchTraces.Get().(*[]isa.WarpInst)
+	return &Builder{cfg: cfg, buf: buf, insts: (*buf)[:0]}
+}
+
+// release clears a scratch buffer (so it pins no address vectors) and
+// returns it to the pool.
+func release(buf *[]isa.WarpInst, insts []isa.WarpInst) {
+	clear(insts)
+	*buf = insts[:0]
+	scratchTraces.Put(buf)
 }
 
 // Len returns the number of instructions emitted so far (including
@@ -169,7 +187,8 @@ func (b *Builder) emit(op isa.Op, dst uint8, srcs []uint8, addrs *isa.AddrVec) {
 }
 
 // Finish runs register allocation and the operand placement pass, then
-// returns the trace. The builder must not be reused afterwards.
+// returns the trace, sized exactly to its length. The builder must not
+// be reused afterwards.
 func (b *Builder) Finish() []isa.WarpInst {
 	if b.finished {
 		panic("kgen: Finish called twice")
@@ -178,9 +197,19 @@ func (b *Builder) Finish() []isa.WarpInst {
 		b.Exit()
 	}
 	b.finished = true
+	trace := b.insts
+	var spill *[]isa.WarpInst
 	if b.cfg.RegsAvail > 0 && b.cfg.RegsAvail < isa.MaxRegs {
-		b.insts = allocate(b.insts, b.cfg.RegsAvail, b.cfg.SpillBase)
+		spill = scratchTraces.Get().(*[]isa.WarpInst)
+		trace = allocate(b.insts, b.cfg.RegsAvail, b.cfg.SpillBase, (*spill)[:0])
 	}
-	place(b.insts)
-	return b.insts
+	place(trace)
+	out := make([]isa.WarpInst, len(trace))
+	copy(out, trace)
+	release(b.buf, b.insts)
+	if spill != nil {
+		release(spill, trace)
+	}
+	b.buf, b.insts = nil, out
+	return out
 }

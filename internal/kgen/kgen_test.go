@@ -1,6 +1,8 @@
 package kgen
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -358,5 +360,42 @@ func TestAddrHelpers(t *testing.T) {
 	ga := Gather(1000, 4, idx)
 	if ga[3] != 1000+6*4 {
 		t.Errorf("Gather lane 3 = %d", ga[3])
+	}
+}
+
+// TestFinishReturnsExactPrivateTraces: Finish hands out exact-size
+// traces that later builds — which reuse the pooled emit and spill
+// buffers, here from several goroutines at once — never overwrite.
+func TestFinishReturnsExactPrivateTraces(t *testing.T) {
+	build := func(regsAvail int) []isa.WarpInst {
+		b := NewBuilder(Config{RegsAvail: regsAvail, SpillBase: 1 << 20})
+		for i := 0; i < 300; i++ {
+			b.ALU(uint8(i%12), uint8((i+5)%12), uint8((i+7)%12))
+		}
+		return b.Finish()
+	}
+	for _, regs := range []int{0, 6} {
+		first := build(regs)
+		if cap(first) != len(first) {
+			t.Errorf("regs %d: trace len %d cap %d, want an exact-size slice", regs, len(first), cap(first))
+		}
+		want := append([]isa.WarpInst(nil), first...)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if got := build(regs); !reflect.DeepEqual(got, want) {
+						t.Errorf("regs %d: rebuild differs from the first build", regs)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(first, want) {
+			t.Errorf("regs %d: a later build overwrote an earlier trace", regs)
+		}
 	}
 }

@@ -125,8 +125,17 @@ func (m *MemSys) TagFreeAt() int64 { return m.tagFreeAt }
 // classifier.
 func (m *MemSys) MSHRBlockedUntil() int64 { return m.mshrBlockedUntil }
 
-// InFlight returns the number of outstanding line fills.
-func (m *MemSys) InFlight() int { return m.pending.len() }
+// InFlight returns the number of line fills still outstanding at now
+// (data-ready cycle after now).
+func (m *MemSys) InFlight(now int64) int {
+	n := 0
+	for i, u := range m.pending.used {
+		if u && m.pending.vals[i] > now {
+			n++
+		}
+	}
+	return n
+}
 
 // DirtyLines returns the number of modified lines resident in the cache
 // (always zero for the write-through design).
@@ -191,9 +200,11 @@ func (m *MemSys) lines(wi *isa.WarpInst, buf []uint32, sectors []uint8) ([]uint3
 		}
 		line := wi.Addrs[t] / config.CacheLineBytes
 		sector := uint8(1) << (wi.Addrs[t] % config.CacheLineBytes / SectorBytes)
+		// Newest-first: adjacent lanes usually hit the line recorded
+		// last (coalesced accesses), so the common duplicate is O(1).
 		dup := false
-		for i, l := range buf {
-			if l == line {
+		for i := len(buf) - 1; i >= 0; i-- {
+			if buf[i] == line {
 				dup = true
 				if sectors != nil {
 					sectors[i] |= sector
@@ -262,6 +273,12 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 				m.pending.del(line)
 			}
 			if m.cfg.MaxMSHRs > 0 && m.pending.len() >= m.cfg.MaxMSHRs {
+				// Fills that arrived by start are dead (this and every
+				// later lookup is at or after start) and free their
+				// entries first.
+				m.pending.retire(start)
+			}
+			if m.cfg.MaxMSHRs > 0 && m.pending.len() >= m.cfg.MaxMSHRs {
 				// All miss entries in flight: the lookup stalls until the
 				// earliest outstanding fill returns. Ties on the ready
 				// cycle break by line number so the choice never depends
@@ -302,6 +319,9 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 				m.c.CacheMisses++
 				// The line is already installed; remember when its data
 				// actually arrives.
+				if m.cfg.MaxMSHRs == 0 {
+					m.pending.reserve(start)
+				}
 				m.pending.put(line, ready)
 				m.c.CacheDataWrites++ // fill
 			}

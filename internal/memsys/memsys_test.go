@@ -108,8 +108,8 @@ func TestMSHRBoundEvictsAndStalls(t *testing.T) {
 
 	// Fill the single MSHR with line 0 (in flight until 100).
 	m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 0, 0)
-	if m.InFlight() != 1 {
-		t.Fatalf("InFlight = %d, want 1", m.InFlight())
+	if got := m.InFlight(0); got != 1 {
+		t.Fatalf("InFlight = %d, want 1", got)
 	}
 
 	// A miss to a new line finds every MSHR busy: its lookup stalls until
@@ -125,8 +125,44 @@ func TestMSHRBoundEvictsAndStalls(t *testing.T) {
 	if m.MSHRBlockedUntil() != 100 {
 		t.Errorf("MSHRBlockedUntil = %d, want 100", m.MSHRBlockedUntil())
 	}
-	if m.InFlight() != 1 {
-		t.Errorf("InFlight after eviction = %d, want 1 (old entry evicted)", m.InFlight())
+	if got := m.InFlight(1); got != 1 {
+		t.Errorf("InFlight after eviction = %d, want 1 (old entry evicted)", got)
+	}
+}
+
+// TestInFlightCountsOnlyOutstanding: fills whose data has arrived are
+// no longer in flight, whether or not the pending table still holds
+// them.
+func TestInFlightCountsOnlyOutstanding(t *testing.T) {
+	mem := &fixedMem{latency: 100}
+	m, _ := newTestMemSys(mem, 0, false, 64<<10)
+	const misses = 200
+	for i := 0; i < misses; i++ {
+		base := uint32(i) * config.CacheLineBytes
+		m.Load(ldg(func(l int) uint32 { return base + uint32(l)*4 }), int64(i), 0)
+	}
+	if got := m.InFlight(misses - 1); got == 0 {
+		t.Fatalf("InFlight right after %d misses = 0, want some outstanding", misses)
+	}
+	if got := m.InFlight(1 << 20); got != 0 {
+		t.Errorf("InFlight long after every fill landed = %d, want 0", got)
+	}
+}
+
+// TestUnboundedPendingTableTracksInFlightNotFootprint: an unbounded
+// table retires arrived fills instead of growing, so streaming over a
+// large footprint with few fills in flight keeps it small.
+func TestUnboundedPendingTableTracksInFlightNotFootprint(t *testing.T) {
+	mem := &fixedMem{latency: 100}
+	m, _ := newTestMemSys(mem, 0, false, 64<<10)
+	for i := 0; i < 100000; i++ {
+		base := uint32(i) * config.CacheLineBytes
+		m.Load(ldg(func(l int) uint32 { return base + uint32(l)*4 }), int64(10*i), 0)
+	}
+	// About ten fills are in flight at any time (100-cycle latency, one
+	// miss every 10 cycles).
+	if slots := len(m.pending.keys); slots > 4*minPendingSlots {
+		t.Errorf("pending table grew to %d slots for ~10 fills in flight", slots)
 	}
 }
 

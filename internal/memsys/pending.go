@@ -8,6 +8,11 @@ package memsys
 // double — and never, once pre-sized, in the MSHR-bounded configuration
 // (capacity is fixed by the MSHR bound, entries never exceed it).
 //
+// Fills that have arrived are dead weight: every later lookup treats
+// them as absent. retire drops them in bulk, so the table holds the
+// fills still in flight rather than every line ever missed, and an
+// unbounded table is sized by peak in-flight fills, not by footprint.
+//
 // Semantics match the map exactly; the eviction scan reproduces the
 // map loop's deterministic minimum-(ready, line) selection. A
 // randomized differential test (pending_test.go) pins the equivalence.
@@ -16,6 +21,15 @@ type pendingTable struct {
 	vals []int64
 	used []bool
 	n    int
+	// live is retire's survivor buffer, with room for every entry the
+	// table can hold at its current size, so retire never allocates.
+	live []pendingEntry
+}
+
+// pendingEntry is one (line, ready cycle) pair in retire's buffer.
+type pendingEntry struct {
+	key uint32
+	val int64
 }
 
 // minPendingSlots is the smallest table; must be a power of two.
@@ -34,6 +48,7 @@ func newPendingTable(bound int) *pendingTable {
 		keys: make([]uint32, slots),
 		vals: make([]int64, slots),
 		used: make([]bool, slots),
+		live: make([]pendingEntry, 0, slots/2),
 	}
 }
 
@@ -130,6 +145,39 @@ func (p *pendingTable) evictEarliest() (key uint32, val int64) {
 	return key, val
 }
 
+// retire drops every entry whose value is at or before horizon, in
+// place, and rehashes the survivors so their probe chains stay intact.
+func (p *pendingTable) retire(horizon int64) {
+	p.live = p.live[:0]
+	for i, u := range p.used {
+		if u && p.vals[i] > horizon {
+			p.live = append(p.live, pendingEntry{p.keys[i], p.vals[i]})
+		}
+	}
+	if len(p.live) == p.n {
+		return // nothing settled
+	}
+	clear(p.used)
+	p.n = 0
+	for _, e := range p.live {
+		p.put(e.key, e.val)
+	}
+}
+
+// reserve makes room for one more entry without growing the table when
+// settled entries can be dropped instead: before the table would grow
+// it retires every entry at or before horizon, and it grows only if
+// the survivors still fill more than a quarter of the slots.
+func (p *pendingTable) reserve(horizon int64) {
+	if 2*(p.n+1) <= len(p.keys) {
+		return
+	}
+	p.retire(horizon)
+	if 4*p.n > len(p.keys) {
+		p.grow()
+	}
+}
+
 // grow doubles the table and rehashes every entry.
 func (p *pendingTable) grow() {
 	old := *p
@@ -137,6 +185,7 @@ func (p *pendingTable) grow() {
 	p.keys = make([]uint32, slots)
 	p.vals = make([]int64, slots)
 	p.used = make([]bool, slots)
+	p.live = make([]pendingEntry, 0, slots/2)
 	p.n = 0
 	for i, u := range old.used {
 		if u {

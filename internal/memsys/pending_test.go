@@ -32,10 +32,11 @@ func TestPendingTableDifferential(t *testing.T) {
 		ref := refPending{}
 		// Keys drawn from a small universe so inserts, overwrites,
 		// deletes of present and absent keys, and probe-chain collisions
-		// all occur; values collide often to exercise the tie-break.
+		// all occur; values collide often to exercise the tie-break and
+		// leave retire horizons both above and below most entries.
 		for op := 0; op < 50000; op++ {
 			key := uint32(rng.Intn(300))
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0, 1: // put (insert or overwrite)
 				val := int64(rng.Intn(50))
 				tab.put(key, val)
@@ -51,6 +52,14 @@ func TestPendingTableDifferential(t *testing.T) {
 				wk, wv := ref.evictEarliest()
 				if gk != wk || gv != wv {
 					t.Fatalf("op %d: evictEarliest = (%d, %d), want (%d, %d)", op, gk, gv, wk, wv)
+				}
+			case 4: // retire every entry settled by a horizon
+				h := int64(rng.Intn(50))
+				tab.retire(h)
+				for k, v := range ref {
+					if v <= h {
+						delete(ref, k)
+					}
 				}
 			}
 			if tab.len() != len(ref) {

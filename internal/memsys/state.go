@@ -57,9 +57,10 @@ func (m *MemSys) Snapshot() *State {
 // any number of forks, concurrently. The cache geometry must match; the
 // pipeline's own Config (latencies, MSHR bound, write policy) is
 // untouched, which is what lets a fork diverge on those parameters. A
-// fork whose MaxMSHRs bound is below the restored in-flight count simply
-// drains: the bounded-eviction path in Load retires entries until the
-// table is back under the new bound.
+// fork whose MaxMSHRs bound is below the restored entry count first
+// drops the fills that have already arrived, so only fills still in
+// flight count against the new bound; if those still exceed it, the
+// bounded-eviction path in Load drains them one miss at a time.
 func (m *MemSys) Restore(st *State) error {
 	if (st.Cache != nil) != m.CacheEnabled() {
 		return fmt.Errorf("memsys: cache presence changed across a snapshot")

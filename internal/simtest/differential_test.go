@@ -194,3 +194,32 @@ func TestForkRejectsPrefixDefiningDivergence(t *testing.T) {
 		}
 	}
 }
+
+// TestForkIntoSmallerMSHRBound pins what a fork into a tighter MSHR
+// bound inherits: only the fills still in flight at the capture. needle
+// runs unbounded to half its length and then forks with 32 MSHRs; fills
+// that had already arrived must not count against the new bound, and
+// the tighter bound must then cost cycles. The fork still has to equal
+// the in-place SetParams comparator.
+func TestForkIntoSmallerMSHRBound(t *testing.T) {
+	t.Parallel()
+	unbounded, err := Case{Kernel: "needle"}.Fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Case{
+		Kernel:    "needle",
+		SnapCycle: unbounded.Cycles / 2,
+		Mutate:    func(p *sm.Params) { p.MaxMSHRs = 32 },
+	}
+	fresh, forked, err := c.Differential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := DiffCounters(fresh, forked); d != "" {
+		t.Errorf("MSHR fork != in-place param switch: %s", d)
+	}
+	if forked.Cycles == unbounded.Cycles {
+		t.Errorf("fork into 32 MSHRs took the unbounded run's %d cycles: the tighter bound never bound", forked.Cycles)
+	}
+}

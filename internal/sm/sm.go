@@ -533,13 +533,13 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		acc, conf := s.prof.Heat()
 		s.bankModel.HeatInto(acc, conf)
 	}
-	w.ArbStall = out.Arbitration && out.ExtraCycles > 0
+	w.ArbStall = out.Arbitration && out.ExtraCycles() > 0
 	c.WarpInsts++
 	c.ThreadInsts += int64(wi.ActiveThreads())
 	if wi.Spill {
 		c.SpillInsts++
 	}
-	c.RecordConflict(out.MaxPerBank)
+	c.RecordConflict(int(out.MaxPerBank))
 	if out.Arbitration {
 		c.ArbitrationConflicts++
 	}
@@ -551,7 +551,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	// stream and its result arrives late, but other warps keep issuing.
 	// (The model tracks only within-instruction conflicts, as the paper's
 	// does; there is no cross-instruction bank port contention.)
-	extra := int64(out.ExtraCycles)
+	extra := int64(out.ExtraCycles())
 	s.slotFreeAt = s.cycle + 1
 	w.NextIssue = s.cycle + 1 + extra
 

@@ -176,10 +176,10 @@ func (s *SM) BarrierWarps() int {
 	return barrier
 }
 
-// InFlightFills returns the number of outstanding cache line fills —
-// the differential harness uses it to place snapshots at MSHR-full
-// points.
-func (s *SM) InFlightFills() int { return s.mem.InFlight() }
+// InFlightFills returns the number of cache line fills outstanding at
+// the current cycle — the differential harness uses it to place
+// snapshots at MSHR-full points.
+func (s *SM) InFlightFills() int { return s.mem.InFlight(s.cycle) }
 
 // sanitizePolicy resolves the Params' scheduler policy name.
 func sanitizePolicy(p Params) (sched.Policy, error) {

@@ -24,6 +24,11 @@
 // banks.Evaluate (the heatmap needs the model's scratch state); a
 // differential test asserts lookup and evaluation never disagree.
 //
+// Both memoized tables hold only what they need: kgen returns each trace
+// as an exact-size copy (its growable build buffers are pooled, not
+// kept), and a banks.Outcome packs into three bytes, so the resident set
+// is the instructions and outcomes themselves, with no append slack.
+//
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
 // rebuilt on demand; in-flight simulations keep their slices). Flushing
