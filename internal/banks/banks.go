@@ -47,12 +47,30 @@ type Model struct {
 	bankReg [config.NumBanks]uint8 // register read accesses per bank
 	bankMem [config.NumBanks]uint8 // memory data accesses per bank
 	port    [config.NumClusters]uint8
-	granule [isa.WarpSize]uint32 // dedupe scratch
-	// trivial marks that the last Evaluate took the no-bank-traffic fast
-	// path and left the scratch tallies stale; HeatInto must contribute
-	// nothing for such an instruction.
-	trivial bool
+	// granule records the distinct granules of the current instruction
+	// in lane order; head[b] is the newest recorded granule with
+	// g % NumBanks == b and next links each to the previous one in its
+	// bucket (-1 ends a chain), so a dedupe walks only its own bucket.
+	granule [isa.WarpSize]uint32
+	head    [config.NumBanks]int8
+	next    [isa.WarpSize]int8
+	// regSlots holds the last Evaluate's MRF source count per bank slot
+	// when it took the register-only path (regOnly), which leaves the
+	// per-bank tallies stale; HeatInto then expands the slot counts
+	// across the clusters instead.
+	regSlots [config.BanksPerCluster]uint8
+	regOnly  bool
 }
+
+// noGranule ends a granule bucket chain; emptyBuckets resets head.
+const noGranule = -1
+
+var emptyBuckets = func() (h [config.NumBanks]int8) {
+	for i := range h {
+		h[i] = noGranule
+	}
+	return h
+}()
 
 // New returns a conflict model for the given design. The FermiLike design
 // uses partitioned banking (its flexibility is capacity-only).
@@ -94,17 +112,10 @@ func (m *Model) unified() bool { return m.design == config.Unified }
 
 // Evaluate computes the bank outcome of one warp instruction.
 func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
-	// Fast path: an instruction with no MRF operand reads and no memory
-	// addresses touches no bank at all — its outcome is fixed, and the
-	// scratch tallies can stay stale (HeatInto checks m.trivial).
-	if !(wi.Op.IsMemory() && wi.Addrs != nil) &&
-		!(wi.Srcs[0].Space == isa.SpaceMRF && wi.Srcs[0].Valid()) &&
-		!(wi.Srcs[1].Space == isa.SpaceMRF && wi.Srcs[1].Valid()) &&
-		!(wi.Srcs[2].Space == isa.SpaceMRF && wi.Srcs[2].Valid()) {
-		m.trivial = true
-		return Outcome{MaxPerBank: 1}
+	if !(wi.Op.IsMemory() && wi.Addrs != nil) {
+		return m.evaluateRegs(wi)
 	}
-	m.trivial = false
+	m.regOnly = false
 	for i := range m.bankReg {
 		m.bankReg[i] = 0
 		m.bankMem[i] = 0
@@ -125,13 +136,11 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 		}
 	}
 
-	memAccesses := 0
-	if wi.Op.IsMemory() && wi.Addrs != nil {
-		if wi.Op.IsShared() {
-			memAccesses = m.addShared(wi)
-		} else {
-			memAccesses = m.addGlobal(wi)
-		}
+	var memAccesses int
+	if wi.Op.IsShared() {
+		memAccesses = m.addShared(wi)
+	} else {
+		memAccesses = m.addGlobal(wi)
 	}
 
 	out := Outcome{MemAccesses: uint8(memAccesses)}
@@ -175,6 +184,28 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 	return out
 }
 
+// evaluateRegs is Evaluate's closed form for an instruction without
+// memory addresses. Its only bank traffic is its MRF source reads, one
+// access to the same bank slot (register mod 4) of every cluster per
+// source, so in either design the most-contended bank holds the largest
+// number of sources sharing a slot; no memory access means no
+// arbitration. Only the four slot counts are recorded.
+func (m *Model) evaluateRegs(wi *isa.WarpInst) Outcome {
+	m.regOnly = true
+	m.regSlots = [config.BanksPerCluster]uint8{}
+	out := Outcome{MaxPerBank: 1}
+	for _, src := range wi.Srcs {
+		if src.Valid() && src.Space == isa.SpaceMRF {
+			slot := src.Reg % config.BanksPerCluster
+			m.regSlots[slot]++
+			if m.regSlots[slot] > out.MaxPerBank {
+				out.MaxPerBank = m.regSlots[slot]
+			}
+		}
+	}
+	return out
+}
+
 // HeatInto adds the bank footprint of the most recently Evaluated
 // instruction to the per-bank access and conflict accumulators (the
 // observability layer's heatmap). A bank's conflict count is the
@@ -182,8 +213,17 @@ func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
 // called after Evaluate and before the next one; it performs no
 // allocation.
 func (m *Model) HeatInto(access, conflict *[config.NumBanks]int64) {
-	if m.trivial {
-		// The last instruction touched no bank; the tallies are stale.
+	if m.regOnly {
+		for c := 0; c < config.NumClusters; c++ {
+			for slot, n := range m.regSlots {
+				if n == 0 {
+					continue
+				}
+				b := c*config.BanksPerCluster + slot
+				access[b] += int64(n)
+				conflict[b] += int64(n) - 1
+			}
+		}
 		return
 	}
 	for b := range m.bankReg {
@@ -211,6 +251,7 @@ func (m *Model) HeatInto(access, conflict *[config.NumBanks]int64) {
 // crossbar per cycle, so distinct granules in the same cluster serialize
 // even when they live in different banks.
 func (m *Model) addShared(wi *isa.WarpInst) int {
+	m.head = emptyBuckets
 	n := 0
 	for t := 0; t < isa.WarpSize; t++ {
 		if wi.Mask&(1<<uint(t)) == 0 {
@@ -226,7 +267,7 @@ func (m *Model) addShared(wi *isa.WarpInst) int {
 		if m.seen(g, n) {
 			continue
 		}
-		m.granule[n] = g
+		m.record(g, n)
 		n++
 		if m.unified() {
 			cluster := int(g) % config.NumClusters
@@ -253,6 +294,7 @@ func (m *Model) addShared(wi *isa.WarpInst) int {
 // at most one extra cycle). Each line access is therefore filed as one
 // access to its bank slot, capped at one per slot.
 func (m *Model) addGlobal(wi *isa.WarpInst) int {
+	m.head = emptyBuckets
 	n := 0
 	var slotUsed [config.BanksPerCluster]bool
 	for t := 0; t < isa.WarpSize; t++ {
@@ -263,7 +305,7 @@ func (m *Model) addGlobal(wi *isa.WarpInst) int {
 		if m.seen(line, n) {
 			continue
 		}
-		m.granule[n] = line
+		m.record(line, n)
 		n++
 		if m.unified() {
 			slot := int(line) % config.BanksPerCluster
@@ -280,14 +322,30 @@ func (m *Model) addGlobal(wi *isa.WarpInst) int {
 }
 
 // seen reports whether g is among the first n recorded granules. The
-// scan runs newest-first: adjacent threads usually land in the granule
-// recorded last (coalesced accesses), making the common duplicate an
-// O(1) hit instead of a full scan.
+// newest granule is checked first: adjacent threads usually land in the
+// granule recorded last (coalesced accesses), so the common duplicate is
+// an O(1) hit. Past that, only the granules in g's bucket are walked;
+// equal granules always share a bucket, so the answer is exact, and the
+// walk's length grows with same-bank collisions rather than with lanes.
 func (m *Model) seen(g uint32, n int) bool {
-	for i := n - 1; i >= 0; i-- {
+	if n == 0 {
+		return false
+	}
+	if m.granule[n-1] == g {
+		return true
+	}
+	for i := m.head[g%config.NumBanks]; i != noGranule; i = m.next[i] {
 		if m.granule[i] == g {
 			return true
 		}
 	}
 	return false
+}
+
+// record files g as the n-th distinct granule, newest in its bucket.
+func (m *Model) record(g uint32, n int) {
+	b := g % config.NumBanks
+	m.granule[n] = g
+	m.next[n] = m.head[b]
+	m.head[b] = int8(n)
 }

@@ -18,9 +18,12 @@ package chip
 import (
 	"fmt"
 
+	"repro/internal/banks"
 	"repro/internal/config"
+	"repro/internal/dispatch"
 	"repro/internal/dram"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 	"repro/internal/sm"
 	"repro/internal/stats"
 )
@@ -65,7 +68,10 @@ type Result struct {
 type TraceSource = sm.TraceSource
 
 // shardSource deals a grid's CTAs round-robin across SMs, the way the
-// hardware work distributor does.
+// hardware work distributor does: the shard's CTA i is the grid's CTA
+// i*nSM+smIndex. It forwards the wrapped source's memoized bank outcomes
+// and footprints through the same mapping, and returns nil for a table
+// the wrapped source does not memoize (the SM then computes it).
 type shardSource struct {
 	src          TraceSource
 	smIndex, nSM int
@@ -77,6 +83,20 @@ func (s *shardSource) Grid() (int, int) { return s.ctas, s.warps }
 
 func (s *shardSource) WarpTrace(cta, warp int) []isa.WarpInst {
 	return s.src.WarpTrace(cta*s.nSM+s.smIndex, warp)
+}
+
+func (s *shardSource) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
+	if src, ok := s.src.(dispatch.OutcomeSource); ok {
+		return src.WarpOutcomes(cta*s.nSM+s.smIndex, warp, design, aggressive)
+	}
+	return nil
+}
+
+func (s *shardSource) WarpFootprints(cta, warp int) *memsys.Footprints {
+	if src, ok := s.src.(dispatch.FootprintSource); ok {
+		return src.WarpFootprints(cta*s.nSM+s.smIndex, warp)
+	}
+	return nil
 }
 
 // Chip is a configured multi-SM machine.

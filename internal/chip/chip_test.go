@@ -1,13 +1,17 @@
 package chip
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/isa"
 	"repro/internal/kgen"
+	"repro/internal/memsys"
 	"repro/internal/sm"
+	"repro/internal/workloads"
 )
 
 // funcSource adapts a closure into a TraceSource.
@@ -213,5 +217,73 @@ func TestL2AbsorbsCrossSMSharing(t *testing.T) {
 	}
 	if bRes.Cycles >= a.Cycles {
 		t.Error("L2 should speed up the shared-table sweep")
+	}
+}
+
+// memoSource wraps a registry kernel's Source and records, per grid
+// (cta, warp), how often the chip asked for its trace, bank outcomes and
+// footprints.
+type memoSource struct {
+	*workloads.Source
+	traces, outcomes, footprints map[[2]int]int
+}
+
+func (m *memoSource) WarpTrace(cta, warp int) []isa.WarpInst {
+	m.traces[[2]int{cta, warp}]++
+	return m.Source.WarpTrace(cta, warp)
+}
+
+func (m *memoSource) WarpOutcomes(cta, warp int, d config.Design, aggressive bool) []banks.Outcome {
+	m.outcomes[[2]int{cta, warp}]++
+	return m.Source.WarpOutcomes(cta, warp, d, aggressive)
+}
+
+func (m *memoSource) WarpFootprints(cta, warp int) *memsys.Footprints {
+	m.footprints[[2]int{cta, warp}]++
+	return m.Source.WarpFootprints(cta, warp)
+}
+
+// plainSource hides a Source's memo tables, so every SM evaluates bank
+// outcomes and computes footprints per issue.
+type plainSource struct{ src *workloads.Source }
+
+func (p plainSource) Grid() (int, int)                       { return p.src.Grid() }
+func (p plainSource) WarpTrace(cta, warp int) []isa.WarpInst { return p.src.WarpTrace(cta, warp) }
+
+// TestChipReplaysMemo: a chip's SMs must replay the wrapped source's
+// memoized outcomes and footprints, asking for each grid warp's tables
+// exactly once and under the same grid index as its trace, and the run
+// must equal one whose SMs recompute everything.
+func TestChipReplaysMemo(t *testing.T) {
+	k, err := workloads.ByName("vectoradd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &workloads.Source{K: k}
+	memo := &memoSource{Source: src, traces: map[[2]int]int{}, outcomes: map[[2]int]int{}, footprints: map[[2]int]int{}}
+	run := func(s TraceSource) *Result {
+		c, err := New(Config{NumSMs: 3, LaunchStagger: 5}, config.Baseline(), sm.DefaultParams(), Kernel{Name: k.Name, Source: s, ResidentCTAs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := run(memo), run(plainSource{src})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("memo replay changed the chip run: %+v vs %+v", got.Total, want.Total)
+	}
+	ctas, warps := src.Grid()
+	if len(memo.traces) != ctas*warps {
+		t.Fatalf("chip launched %d grid warps, want %d", len(memo.traces), ctas*warps)
+	}
+	for key, n := range memo.traces {
+		if n != 1 || memo.outcomes[key] != 1 || memo.footprints[key] != 1 {
+			t.Errorf("grid warp %v: %d trace, %d outcome, %d footprint requests; want 1 each",
+				key, n, memo.outcomes[key], memo.footprints[key])
+		}
 	}
 }

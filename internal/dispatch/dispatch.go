@@ -26,6 +26,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 	"repro/internal/stats"
 )
 
@@ -43,10 +44,21 @@ type TraceSource interface {
 // additionally supply the precomputed bank-conflict outcome of every
 // instruction under a given bank-model variant (the trace cache in
 // internal/workloads memoizes these). The slice must be index-aligned
-// with the warp's trace and immutable.
+// with the warp's trace and immutable; nil means the warp has none and
+// the SM evaluates each instruction.
 type OutcomeSource interface {
 	TraceSource
 	WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome
+}
+
+// FootprintSource is an optional TraceSource extension: a source that
+// can additionally supply every instruction's global-memory footprint
+// (the trace cache in internal/workloads memoizes these). The table must
+// be index-aligned with the warp's trace and immutable; nil means the
+// warp has none and the SM computes each footprint.
+type FootprintSource interface {
+	TraceSource
+	WarpFootprints(cta, warp int) *memsys.Footprints
 }
 
 // Status is a warp's lifecycle state.
@@ -68,15 +80,24 @@ const (
 // Warp is one warp slot. The scheduler and timing core identify warps by
 // their slot index in the Dispatcher.
 type Warp struct {
-	Status  Status
-	CTASlot int
-	Trace   []isa.WarpInst
+	Status Status
+	// ArbStall records that the warp's pending issue serialization came
+	// from an arbitration conflict, for the observability layer's stall
+	// attribution. Timing never reads it. (It shares Status's word.)
+	ArbStall bool
+	CTASlot  int
+	Trace    []isa.WarpInst
 	// Outcomes, when non-nil, holds the precomputed bank-conflict
 	// outcome of each Trace instruction for the SM's bank-model variant
 	// (see OutcomeSource); the timing core then skips the per-issue
 	// conflict evaluation. Probed runs leave it unused.
 	Outcomes []banks.Outcome
-	PC       int
+	// Footprints, when non-nil, holds the memoized global-memory
+	// footprint of each Trace instruction (see FootprintSource); the
+	// timing core then never rescans an address vector. Attached
+	// whenever the source memoizes them, probed runs included.
+	Footprints *memsys.Footprints
+	PC         int
 	// NextIssue serializes the warp's own issue stream while the
 	// bank-conflict extra cycles of its previous instruction elapse.
 	NextIssue int64
@@ -85,10 +106,6 @@ type Warp struct {
 	// RegReady is the per-register scoreboard: the cycle each
 	// architectural register's pending value arrives.
 	RegReady [isa.MaxRegs]int64
-	// ArbStall records that the warp's pending issue serialization came
-	// from an arbitration conflict, for the observability layer's stall
-	// attribution. Timing never reads it.
-	ArbStall bool
 }
 
 // ctaSlot tracks one resident CTA.
@@ -118,7 +135,9 @@ type streamState struct {
 	src TraceSource
 	// outSrc mirrors Dispatcher.outSrc per stream (each stream has its
 	// own trace source and therefore its own outcome memoization).
-	outSrc    OutcomeSource
+	outSrc OutcomeSource
+	// fpSrc is the stream's source when it memoizes footprints, else nil.
+	fpSrc     FootprintSource
 	nextCTA   int // next grid CTA of this stream to launch
 	totalCTAs int
 	warpsPer  int
@@ -197,6 +216,7 @@ func New(specs []StreamSpec) (*Dispatcher, error) {
 		}
 		st := &d.streams[i]
 		st.src = sp.Source
+		st.fpSrc, _ = sp.Source.(FootprintSource)
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
@@ -293,6 +313,9 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 		if st.outSrc != nil {
 			w.Outcomes = st.outSrc.WarpOutcomes(c.id, i, d.design, d.aggressive)
 		}
+		if st.fpSrc != nil {
+			w.Footprints = st.fpSrc.WarpFootprints(c.id, i)
+		}
 		d.liveWarps++
 		st.liveWarps++
 		d.readyMask |= 1 << uint(wIdx)
@@ -312,14 +335,6 @@ func (d *Dispatcher) NumWarps() int { return len(d.warps) }
 
 // Warp returns the warp at slot i for direct state access.
 func (d *Dispatcher) Warp(i int) *Warp { return &d.warps[i] }
-
-// ReadyAt reports whether warp w awaits promotion and its wake cycle.
-func (d *Dispatcher) ReadyAt(w int) (int64, bool) {
-	if d.warps[w].Status != Ready {
-		return 0, false
-	}
-	return d.warps[w].WakeAt, true
-}
 
 // lowerWake keeps readyLow a bound after a warp becomes Ready at wake.
 // The minimum of an exact minimum and a new wake is exact, so lowExact
@@ -412,6 +427,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	w.Status = Done
 	w.Trace = nil
 	w.Outcomes = nil
+	w.Footprints = nil
 	d.liveWarps--
 	st.liveWarps--
 	c.liveWarps--

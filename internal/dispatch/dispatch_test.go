@@ -26,6 +26,11 @@ func (s *fakeSource) WarpTrace(cta, warp int) []isa.WarpInst {
 	}
 }
 
+// readyAt reports whether warp w awaits promotion and its wake cycle.
+func readyAt(d *Dispatcher, w int) (int64, bool) {
+	return d.Warp(w).WakeAt, d.Warp(w).Status == Ready
+}
+
 func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSource, *stats.Counters) {
 	t.Helper()
 	src := &fakeSource{ctas: ctas, warpsPer: warpsPer}
@@ -71,14 +76,14 @@ func TestStartLaunchesResidentCTAs(t *testing.T) {
 		t.Errorf("ThreadsRun = %d, want %d", c.ThreadsRun, 2*2*isa.WarpSize)
 	}
 	for i := 0; i < d.NumWarps(); i++ {
-		wake, ok := d.ReadyAt(i)
+		wake, ok := readyAt(d, i)
 		if !ok || wake != 7 {
-			t.Errorf("warp %d ReadyAt = %d, %v; want 7, true", i, wake, ok)
+			t.Errorf("warp %d readyAt = %d, %v; want 7, true", i, wake, ok)
 		}
 	}
 	// Activation removes a warp from the ready pool.
 	d.Activate(0)
-	if _, ok := d.ReadyAt(0); ok {
+	if _, ok := readyAt(d, 0); ok {
 		t.Error("activated warp still reports ready")
 	}
 }
@@ -100,8 +105,8 @@ func TestExitRotatesNextCTA(t *testing.T) {
 	if got := src.traced[len(src.traced)-1]; got != [2]int{2, 1} {
 		t.Errorf("last traced warp = %v, want CTA 2 warp 1", got)
 	}
-	if wake, ok := d.ReadyAt(0); !ok || wake != 60 {
-		t.Errorf("rotated warp 0 ReadyAt = %d, %v; want 60, true", wake, ok)
+	if wake, ok := readyAt(d, 0); !ok || wake != 60 {
+		t.Errorf("rotated warp 0 readyAt = %d, %v; want 60, true", wake, ok)
 	}
 	if d.LiveWarps() != 4 {
 		t.Errorf("LiveWarps = %d after rotation, want 4", d.LiveWarps())
@@ -134,7 +139,7 @@ func TestBarrierReleasesOnLastArrival(t *testing.T) {
 	if bar, _ := d.Counts(); bar != 2 {
 		t.Fatalf("barrier count = %d after two arrivals, want 2", bar)
 	}
-	if _, ok := d.ReadyAt(0); ok {
+	if _, ok := readyAt(d, 0); ok {
 		t.Fatal("barrier-blocked warp reports ready before release")
 	}
 
@@ -146,8 +151,8 @@ func TestBarrierReleasesOnLastArrival(t *testing.T) {
 		t.Fatalf("Counts = (%d barrier, %d ready) after release, want (0, 3)", bar, ready)
 	}
 	for i := 0; i < 3; i++ {
-		if wake, ok := d.ReadyAt(i); !ok || wake != 13 {
-			t.Errorf("warp %d ReadyAt = %d, %v; want 13, true", i, wake, ok)
+		if wake, ok := readyAt(d, i); !ok || wake != 13 {
+			t.Errorf("warp %d readyAt = %d, %v; want 13, true", i, wake, ok)
 		}
 		if d.Warp(i).PC != 1 {
 			t.Errorf("warp %d PC = %d, want 1 (advanced past BAR)", i, d.Warp(i).PC)
@@ -173,8 +178,8 @@ func TestEarlyExitReleasesBarrier(t *testing.T) {
 		t.Fatalf("Counts = (%d barrier, %d ready) after early exit, want (0, 2)", bar, ready)
 	}
 	for i := 0; i < 2; i++ {
-		if wake, ok := d.ReadyAt(i); !ok || wake != 21 {
-			t.Errorf("warp %d ReadyAt = %d, %v; want 21, true", i, wake, ok)
+		if wake, ok := readyAt(d, i); !ok || wake != 21 {
+			t.Errorf("warp %d readyAt = %d, %v; want 21, true", i, wake, ok)
 		}
 	}
 	if d.LiveWarps() != 2 {

@@ -18,11 +18,12 @@ type CTAState struct {
 // slot, the grid launch cursor, and the ready bitmask.
 //
 // Warp entries are value copies, which deep-copies the per-register
-// scoreboard (an array) but shares the Trace and Outcomes slices — those
-// are immutable by the TraceSource contract (the workloads trace cache
-// memoizes them process-wide), so sharing them across any number of
-// forks is the copy-on-write half of the snapshot design: a 64-warp
-// snapshot costs a few KB of mutable state, never the traces.
+// scoreboard (an array) but shares the Trace, Outcomes and Footprints
+// tables — those are immutable by the TraceSource contract (the
+// workloads trace cache memoizes them process-wide), so sharing them
+// across any number of forks is the copy-on-write half of the snapshot
+// design: a 64-warp snapshot costs a few KB of mutable state, never the
+// traces.
 type State struct {
 	Warps []Warp
 	CTAs  []CTAState
@@ -68,7 +69,8 @@ func (d *Dispatcher) Snapshot() *State {
 // outcome configuration (EnableOutcomes, or its absence on probed runs)
 // decides whether each live warp replays memoized bank outcomes, so a
 // snapshot taken by an unprobed parent restores correctly into a probed
-// fork and vice versa.
+// fork and vice versa. Footprint tables are re-resolved the same way
+// from the fork's source; they do not depend on the probe.
 func (d *Dispatcher) Restore(st *State) error {
 	if len(d.streams) != 1 {
 		return fmt.Errorf("dispatch: multi-stream dispatchers do not restore snapshots (streams are prefix-defining)")
@@ -105,12 +107,14 @@ func (d *Dispatcher) Restore(st *State) error {
 		if w.Status == Done || w.Status == Idle {
 			continue
 		}
-		if stream.outSrc == nil {
-			w.Outcomes = nil
-			continue
+		cta, warp := st.CTAs[w.CTASlot].ID, i%stream.warpsPer
+		w.Outcomes, w.Footprints = nil, nil
+		if stream.outSrc != nil {
+			w.Outcomes = stream.outSrc.WarpOutcomes(cta, warp, d.design, d.aggressive)
 		}
-		cta := st.CTAs[w.CTASlot]
-		w.Outcomes = stream.outSrc.WarpOutcomes(cta.ID, i%stream.warpsPer, d.design, d.aggressive)
+		if stream.fpSrc != nil {
+			w.Footprints = stream.fpSrc.WarpFootprints(cta, warp)
+		}
 	}
 	return nil
 }

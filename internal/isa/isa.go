@@ -182,15 +182,17 @@ type WarpInst struct {
 	DstMRFWrite bool
 	// Srcs are the source operands; unused entries have Space == SpaceNone.
 	Srcs [3]Operand
+	// Spill marks instructions inserted by the register allocator
+	// (spill stores and fill loads) rather than the original program.
+	// It sits in the padding before Mask, which keeps a WarpInst at 24
+	// bytes (traces are the trace cache's largest resident table).
+	Spill bool
 	// Mask is the active-thread mask; bit i set means thread i executes.
 	Mask uint32
 	// Addrs holds per-thread byte addresses for memory operations and is
 	// nil otherwise. Shared-memory addresses are offsets into the CTA's
 	// shared segment; global addresses are absolute.
 	Addrs *AddrVec
-	// Spill marks instructions inserted by the register allocator
-	// (spill stores and fill loads) rather than the original program.
-	Spill bool
 }
 
 // FullMask is the mask with all 32 threads active.

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpString(t *testing.T) {
@@ -127,5 +128,14 @@ func TestWarpInstString(t *testing.T) {
 func TestRegSpaceString(t *testing.T) {
 	if SpaceMRF.String() != "MRF" || SpaceORF.String() != "ORF" || SpaceLRF.String() != "LRF" {
 		t.Error("space names wrong")
+	}
+}
+
+// TestWarpInstSize pins the instruction record at 24 bytes: the trace
+// cache holds one per dynamic warp instruction, so a field order that
+// reintroduces padding grows every memoized trace by a third.
+func TestWarpInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(WarpInst{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(WarpInst{}) = %d, want 24", got)
 	}
 }

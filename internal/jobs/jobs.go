@@ -388,7 +388,7 @@ func (e *Engine) run(j *job) {
 	n := len(j.plan.Items)
 	statuses := make([]int, n)
 	bodies := make([][]byte, n)
-	_, _ = parallel.Map(n, func(i int) (struct{}, error) {
+	_, perr := parallel.Map(n, func(i int) (struct{}, error) {
 		it := j.plan.Items[i]
 		ic := &ItemContext{job: j, item: it}
 		status, body, cache := e.opts.Exec(j.ctx, it, ic)
@@ -401,6 +401,14 @@ func (e *Engine) run(j *job) {
 		return // abandoned mid-run; record stays running, resume re-enters
 	}
 
+	var pe *parallel.PanicError
+	if errors.As(perr, &pe) && !j.isCancelled() {
+		// Items report their own failures in their bodies; only a
+		// recovered panic fails the job without one.
+		e.finish(j, api.JobFailed, &api.Error{Code: api.CodeInternal,
+			Message: fmt.Sprintf("%v (key %s)", pe, j.plan.Items[pe.Index].Key)}, nil, 0)
+		return
+	}
 	finalStatus, final := 0, []byte(nil)
 	if j.plan.Assemble != nil {
 		finalStatus, final = j.plan.Assemble(statuses, bodies)

@@ -125,6 +125,33 @@ func TestItemErrorsCountButDontFailBatch(t *testing.T) {
 	}
 }
 
+// TestPanickingItemFailsJob: an item whose execution panics fails its
+// job with an internal error naming the item and its key, and the
+// engine keeps serving other jobs.
+func TestPanickingItemFailsJob(t *testing.T) {
+	exec := func(ctx context.Context, it Item, ic *ItemContext) (int, []byte, string) {
+		if it.Index == 1 {
+			panic("simulator bug")
+		}
+		return plainExec(nil)(ctx, it, ic)
+	}
+	e, err := New(Options{Resolve: testResolve, Exec: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	done := waitTerminal(t, e, submitSpec(t, e, testSpec{N: 3}).ID)
+	if done.State != api.JobFailed || done.Error == nil || done.Error.Code != api.CodeInternal {
+		t.Fatalf("terminal view = %+v, want failed with an internal error", done)
+	}
+	if want := "parallel: item 1 panicked: simulator bug (key key-1)"; done.Error.Message != want {
+		t.Errorf("error message = %q, want %q", done.Error.Message, want)
+	}
+	if again := waitTerminal(t, e, submitSpec(t, e, testSpec{N: 1}).ID); again.State != api.JobDone {
+		t.Errorf("next job after a panic = %+v, want done", again)
+	}
+}
+
 func TestSubmitRejectsBadSpec(t *testing.T) {
 	e, err := New(Options{Resolve: testResolve, Exec: plainExec(nil)})
 	if err != nil {

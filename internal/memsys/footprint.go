@@ -1,0 +1,138 @@
+package memsys
+
+import (
+	"math/bits"
+	"sync"
+
+	"repro/internal/config"
+	"repro/internal/isa"
+)
+
+// Footprint is what the pipeline reads of one global-memory instruction
+// (LDG, STG, or TEX): its distinct 128-byte lines in first-lane order,
+// each with the mask of 32-byte sectors the warp touches in it, the
+// number of distinct per-thread addresses (the uncached path's
+// transaction count), the active thread count (the write-through byte
+// count), and lane 0's address, where whole-warp DRAM transactions are
+// booked. It is a pure function of the instruction's mask and address
+// vector — the line size is fixed — so the trace cache memoizes one per
+// instruction (see Footprints) and the timing core never rescans the
+// address vector.
+//
+// The words are [distinct | active<<8, lane-0 address, line<<4 | sectors,
+// ...]: a line number is an address over 128, so it fits in 25 bits, and
+// a line has four sectors.
+type Footprint []uint32
+
+const (
+	// footprintHeader is the number of words before the line words.
+	footprintHeader = 2
+	// sectorBits is the width of a line word's sector mask.
+	sectorBits = config.CacheLineBytes / SectorBytes
+	sectorMask = 1<<sectorBits - 1
+	// maxFootprintWords bounds one footprint: the header plus one line
+	// per lane.
+	maxFootprintWords = footprintHeader + isa.WarpSize
+)
+
+// Lines returns the number of distinct lines the instruction touches.
+func (f Footprint) Lines() int { return len(f) - footprintHeader }
+
+// Line returns the i-th distinct line (in first-lane order) and the mask
+// of its 32-byte sectors the warp touches.
+func (f Footprint) Line(i int) (line uint32, sectors uint8) {
+	w := f[footprintHeader+i]
+	return w >> sectorBits, uint8(w & sectorMask)
+}
+
+// Distinct returns the number of distinct per-thread addresses: even
+// without a cache, the load/store unit merges threads that access the
+// same address (broadcast reads cost one transaction).
+func (f Footprint) Distinct() int { return int(f[0] & 0xFF) }
+
+// Active returns the number of active threads.
+func (f Footprint) Active() int { return int(f[0] >> 8) }
+
+// Addr0 returns lane 0's address, the address whole-warp transactions
+// (uncached accesses, write-through stores) are booked at.
+func (f Footprint) Addr0() uint32 { return f[1] }
+
+// appendFootprint appends the footprint of the global-memory instruction
+// wi to dst and returns the extended slice; the footprint is the part
+// past the input's length. It scans the address vector once: each lane
+// finds its line newest-first (adjacent lanes usually share the line
+// recorded last, so the common duplicate is O(1)), and a per-line bitmap
+// of byte offsets counts distinct addresses, which are exactly the
+// distinct (line, offset) pairs.
+func appendFootprint(dst []uint32, wi *isa.WarpInst) []uint32 {
+	start := len(dst)
+	first := start + footprintHeader
+	dst = append(dst, 0, wi.Addrs[0])
+	var offsets [isa.WarpSize][2]uint64
+	for m := wi.Mask; m != 0; m &= m - 1 {
+		a := wi.Addrs[bits.TrailingZeros32(m)]
+		line := a / config.CacheLineBytes
+		off := a % config.CacheLineBytes
+		i := len(dst) - 1
+		for ; i >= first; i-- {
+			if dst[i]>>sectorBits == line {
+				break
+			}
+		}
+		if i < first {
+			dst = append(dst, line<<sectorBits)
+			i = len(dst) - 1
+		}
+		dst[i] |= 1 << (off / SectorBytes)
+		offsets[i-first][off/64] |= 1 << (off % 64)
+	}
+	distinct := 0
+	for i := range dst[first:] {
+		distinct += bits.OnesCount64(offsets[i][0]) + bits.OnesCount64(offsets[i][1])
+	}
+	dst[start] = uint32(distinct) | uint32(bits.OnesCount32(wi.Mask))<<8
+	return dst
+}
+
+// Footprints is one warp's memoized footprint table, index-aligned with
+// its trace: a single allocation holding each instruction's offset into
+// an arena of footprint words, then the arena. Instructions that are not
+// global-memory accesses have empty footprints. The table is immutable
+// once built and safe to share across concurrently simulated SMs.
+type Footprints struct {
+	// off[i]..off[i+1] spans instruction i's words in arena.
+	off   []uint32
+	arena []uint32
+}
+
+// footprintScratch pools the growable buffers NewFootprints builds into,
+// so a table costs one exact-size allocation.
+var footprintScratch = sync.Pool{New: func() any { return new([]uint32) }}
+
+// NewFootprints builds the footprint table of a warp trace.
+func NewFootprints(insts []isa.WarpInst) *Footprints {
+	bp := footprintScratch.Get().(*[]uint32)
+	n := len(insts) + 1
+	// The offsets come first and the arena follows, as in the table's
+	// single allocation; offsets count from the arena's start.
+	buf := append((*bp)[:0], make([]uint32, n)...)
+	for i := range insts {
+		buf[i] = uint32(len(buf) - n)
+		if insts[i].Op.IsGlobal() && insts[i].Addrs != nil {
+			buf = appendFootprint(buf, &insts[i])
+		}
+	}
+	buf[len(insts)] = uint32(len(buf) - n)
+	words := make([]uint32, len(buf))
+	copy(words, buf)
+	*bp = buf
+	footprintScratch.Put(bp)
+	return &Footprints{off: words[:n], arena: words[n:]}
+}
+
+// At returns instruction i's footprint (empty for instructions that do
+// not access global memory).
+func (t *Footprints) At(i int) Footprint { return t.arena[t.off[i]:t.off[i+1]] }
+
+// Bytes returns the table's resident size, for the trace cache's budget.
+func (t *Footprints) Bytes() int64 { return int64(len(t.off)+len(t.arena)) * 4 }

@@ -90,9 +90,8 @@ type MemSys struct {
 	// classifier attributes memory waits inside it to MSHR pressure.
 	mshrBlockedUntil int64
 
-	lineBuf   [isa.WarpSize]uint32
-	sectorBuf [isa.WarpSize]uint8
-	accBuf    []Access // reused Load result storage
+	fpBuf  [maxFootprintWords]uint32 // Footprint result storage
+	accBuf []Access                  // reused LoadFootprint result storage
 }
 
 // New builds a memory pipeline issuing to mem, filing events into c.
@@ -153,77 +152,11 @@ func (m *MemSys) write(now int64, addr uint32, bytes int) {
 	m.mem.Write(now, addr, bytes)
 }
 
-// distinctAddrs counts the distinct per-thread addresses of a memory
-// instruction: even without a cache, the load/store unit merges threads
-// that access the same address (broadcast reads cost one transaction).
-func (m *MemSys) distinctAddrs(wi *isa.WarpInst) int {
-	var buf [isa.WarpSize]uint32
-	n := 0
-	for t := 0; t < isa.WarpSize; t++ {
-		if wi.Mask&(1<<uint(t)) == 0 {
-			continue
-		}
-		a := wi.Addrs[t]
-		dup := false
-		for i := 0; i < n; i++ {
-			if buf[i] == a {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf[n] = a
-			n++
-		}
-	}
-	return n
-}
-
 // SectorBytes is the DRAM fetch granularity within a cache line: misses
 // fetch only the 32-byte sectors the warp actually touches (sectored
 // fill, as in Fermi-class memory systems), so sparse gathers do not pay
 // for full 128-byte lines.
 const SectorBytes = 32
-
-// lines collects the distinct cache lines touched by a memory instruction
-// (in lane order) and, in sectors, a parallel bitmask of the 32-byte
-// sectors touched within each line. sectors may be nil when masks are not
-// needed.
-func (m *MemSys) lines(wi *isa.WarpInst, buf []uint32, sectors []uint8) ([]uint32, []uint8) {
-	buf = buf[:0]
-	if sectors != nil {
-		sectors = sectors[:0]
-	}
-	for t := 0; t < isa.WarpSize; t++ {
-		if wi.Mask&(1<<uint(t)) == 0 {
-			continue
-		}
-		line := wi.Addrs[t] / config.CacheLineBytes
-		sector := uint8(1) << (wi.Addrs[t] % config.CacheLineBytes / SectorBytes)
-		// Newest-first: adjacent lanes usually hit the line recorded
-		// last (coalesced accesses), so the common duplicate is O(1).
-		dup := false
-		for i := len(buf) - 1; i >= 0; i-- {
-			if buf[i] == line {
-				dup = true
-				if sectors != nil {
-					sectors[i] |= sector
-				}
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, line)
-			if sectors != nil {
-				sectors = append(sectors, sector)
-			}
-		}
-	}
-	return buf, sectors
-}
-
-// popcount8 counts set bits in a sector mask.
-func popcount8(x uint8) int { return bits.OnesCount8(x) }
 
 // uncachedGranule is the per-thread DRAM transaction size when no data
 // cache is configured. The cache doubles as the SM's coalescing buffer
@@ -234,19 +167,32 @@ func popcount8(x uint8) int { return bits.OnesCount8(x) }
 // accesses use only a fraction of each 128-byte line a cache would fetch.
 const uncachedGranule = 16
 
-// Load performs an LDG issued at now: per distinct line, one tag lookup
-// (single tag port, serialized alongside extra bank-conflict cycles),
-// then a hit (cache latency), an in-flight merge, or a miss (sectored
+// Footprint computes wi's footprint into the pipeline's scratch storage,
+// valid until the next call: the path for instructions whose trace
+// source memoizes none.
+func (m *MemSys) Footprint(wi *isa.WarpInst) Footprint {
+	return appendFootprint(m.fpBuf[:0], wi)
+}
+
+// Load performs the LDG wi issued at now; see LoadFootprint.
+func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
+	return m.LoadFootprint(m.Footprint(wi), now, extra)
+}
+
+// LoadFootprint performs an LDG with footprint fp issued at now: per
+// distinct line, one tag lookup (single tag port, serialized alongside
+// extra bank-conflict cycles; lookup i happens at the port's start plus
+// i), then a hit (cache latency), an in-flight merge, or a miss (sectored
 // DRAM fetch). It returns the cycle the register result is ready and the
 // per-line outcomes; the Access slice is the pipeline's own scratch
-// storage, valid until the next Load call.
-func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
+// storage, valid until the next call.
+func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) (int64, []Access) {
 	m.accBuf = m.accBuf[:0]
 	if !m.CacheEnabled() {
 		// No coalescing buffer: per-thread minimum-size transactions.
-		return m.read(now, wi.Addrs[0], uncachedGranule*m.distinctAddrs(wi)), m.accBuf
+		return m.read(now, fp.Addr0(), uncachedGranule*fp.Distinct()), m.accBuf
 	}
-	lines, sectors := m.lines(wi, m.lineBuf[:], m.sectorBuf[:])
+	n := fp.Lines()
 
 	start := now
 	if m.tagFreeAt > start {
@@ -254,10 +200,11 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 	}
 	// Unified-design bank conflicts on the line accesses serialize on the
 	// cache port alongside the tag lookups.
-	m.tagFreeAt = start + int64(len(lines)) + extra
+	m.tagFreeAt = start + int64(n) + extra
 
 	worst := now + m.cfg.CacheLatency
-	for i, line := range lines {
+	for i := 0; i < n; i++ {
+		line, sectors := fp.Line(i)
 		lookup := start + int64(i)
 		m.c.CacheProbes++
 		var ready int64
@@ -315,7 +262,7 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 				m.c.CacheDataReads++
 			} else {
 				// Sectored fill: fetch only the touched 32-byte sectors.
-				ready = m.read(lookup, line*config.CacheLineBytes, popcount8(sectors[i])*SectorBytes)
+				ready = m.read(lookup, line*config.CacheLineBytes, bits.OnesCount8(sectors)*SectorBytes)
 				m.c.CacheMisses++
 				// The line is already installed; remember when its data
 				// actually arrives.
@@ -326,7 +273,7 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 				m.c.CacheDataWrites++ // fill
 			}
 		}
-		m.accBuf = append(m.accBuf, Access{Line: line, Sectors: sectors[i], Status: status, Ready: ready})
+		m.accBuf = append(m.accBuf, Access{Line: line, Sectors: sectors, Status: status, Ready: ready})
 		if ready > worst {
 			worst = ready
 		}
@@ -334,25 +281,32 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 	return worst, m.accBuf
 }
 
-// Store performs an STG issued at now: write-through (bytes to DRAM) and
-// no-write-allocate (present lines refreshed, absent lines ignored), or
-// write-allocate with dirty-victim writebacks in write-back mode.
+// Store performs the STG wi issued at now; see StoreFootprint.
 func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
+	m.StoreFootprint(m.Footprint(wi), now, extra)
+}
+
+// StoreFootprint performs an STG with footprint fp issued at now:
+// write-through (bytes to DRAM) and no-write-allocate (present lines
+// refreshed, absent lines ignored), or write-allocate with dirty-victim
+// writebacks in write-back mode.
+func (m *MemSys) StoreFootprint(fp Footprint, now, extra int64) {
 	if !m.CacheEnabled() {
 		// No coalescing buffer: per-thread minimum-size transactions.
-		m.write(now, wi.Addrs[0], uncachedGranule*m.distinctAddrs(wi))
+		m.write(now, fp.Addr0(), uncachedGranule*fp.Distinct())
 		return
 	}
-	lines, _ := m.lines(wi, m.lineBuf[:], nil)
+	n := fp.Lines()
 	start := now
 	if m.tagFreeAt > start {
 		start = m.tagFreeAt
 	}
-	m.tagFreeAt = start + int64(len(lines)) + extra
+	m.tagFreeAt = start + int64(n) + extra
 	if m.cfg.WriteBack {
 		// Write-allocate: install each line dirty; misses fetch the line
 		// and dirty victims write back. No write-through traffic.
-		for _, line := range lines {
+		for i := 0; i < n; i++ {
+			line, _ := fp.Line(i)
 			m.c.CacheProbes++
 			hit, victimDirty, victim := m.l1.AccessAllocate(line, true)
 			m.c.CacheDataWrites++
@@ -369,24 +323,30 @@ func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
 		}
 		return
 	}
-	for _, line := range lines {
+	for i := 0; i < n; i++ {
+		line, _ := fp.Line(i)
 		m.c.CacheProbes++
 		if m.l1.Write(line) {
 			m.c.CacheDataWrites++
 		}
 	}
-	m.write(start, wi.Addrs[0], 4*wi.ActiveThreads())
+	m.write(start, fp.Addr0(), 4*fp.Active())
 }
 
-// Tex performs a TEX issued at now: the texture path bypasses the primary
-// data cache (it has its own sampler pipeline), so it is modeled as a
-// fixed long-latency DRAM read per distinct line. It returns the cycle
-// the register result is ready.
+// Tex performs the TEX wi issued at now; see TexFootprint.
 func (m *MemSys) Tex(wi *isa.WarpInst, now int64) int64 {
-	lines, sectors := m.lines(wi, m.lineBuf[:], m.sectorBuf[:])
+	return m.TexFootprint(m.Footprint(wi), now)
+}
+
+// TexFootprint performs a TEX with footprint fp issued at now: the
+// texture path bypasses the primary data cache (it has its own sampler
+// pipeline), so it is modeled as a fixed long-latency DRAM read per
+// distinct line. It returns the cycle the register result is ready.
+func (m *MemSys) TexFootprint(fp Footprint, now int64) int64 {
 	worst := now + m.cfg.TexLatency
-	for i := range lines {
-		done := m.read(now, lines[i]*config.CacheLineBytes, popcount8(sectors[i])*SectorBytes) -
+	for i := 0; i < fp.Lines(); i++ {
+		line, sectors := fp.Line(i)
+		done := m.read(now, line*config.CacheLineBytes, bits.OnesCount8(sectors)*SectorBytes) -
 			m.cfg.DRAMLatency + m.cfg.TexLatency
 		if done > worst {
 			worst = done

@@ -15,7 +15,9 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -41,6 +43,32 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// PanicError is a panic recovered from one Map item: it becomes that
+// item's error, so a bug in one simulation fails the item (and the call,
+// by the lowest-index rule) instead of killing the process.
+type PanicError struct {
+	// Index is the item that panicked.
+	Index int
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: item %d panicked: %v", e.Index, e.Value)
+}
+
+// call runs f(i), turning a panic into a *PanicError.
+func call[T any](i int, f func(i int) (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return f(i)
+}
+
 // Map runs f(i) for every i in [0, n) across Workers() goroutines and
 // returns the results in index order.
 //
@@ -53,7 +81,8 @@ func Workers() int {
 // scheduling.
 //
 // With one worker (or n <= 1) Map runs inline on the calling goroutine
-// and stops at the first error — the exact serial path.
+// and stops at the first error — the exact serial path. On either path a
+// panic in f(i) is recovered and becomes item i's error, a *PanicError.
 func Map[T any](n int, f func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -65,7 +94,7 @@ func Map[T any](n int, f func(i int) (T, error)) ([]T, error) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			v, err := f(i)
+			v, err := call(i, f)
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +119,7 @@ func Map[T any](n int, f func(i int) (T, error)) ([]T, error) {
 				if i >= n {
 					return
 				}
-				v, err := f(i)
+				v, err := call(i, f)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -49,6 +50,54 @@ func TestMapReportsLowestError(t *testing.T) {
 				if err == nil || err.Error() != "item 3" {
 					t.Fatalf("j=%d: got error %v, want item 3", w, err)
 				}
+			}
+		})
+	}
+}
+
+// TestMapRecoversPanics: on the serial and the worker paths, a panic in
+// an item becomes that item's *PanicError (index, value, stack), and the
+// lowest failing index wins whether it panicked or returned an error.
+func TestMapRecoversPanics(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		withWorkers(t, w, func() {
+			for trial := 0; trial < 10; trial++ {
+				_, err := Map(50, func(i int) (int, error) {
+					switch i {
+					case 7:
+						panic(fmt.Sprintf("boom %d", i))
+					case 30:
+						return 0, errors.New("later error")
+					case 40:
+						var m map[int]int
+						m[i] = i // a runtime panic, also recovered
+					}
+					return i, nil
+				})
+				var pe *PanicError
+				if !errors.As(err, &pe) {
+					t.Fatalf("j=%d: error %v, want a *PanicError", w, err)
+				}
+				if pe.Index != 7 || pe.Value != "boom 7" || !strings.Contains(string(pe.Stack), "parallel") {
+					t.Fatalf("j=%d: PanicError{Index: %d, Value: %v}, stack %d bytes; want item 7's",
+						w, pe.Index, pe.Value, len(pe.Stack))
+				}
+				if want := "parallel: item 7 panicked: boom 7"; err.Error() != want {
+					t.Fatalf("j=%d: message %q, want %q", w, err, want)
+				}
+			}
+			// An error below the panicking index still wins.
+			_, err := Map(20, func(i int) (int, error) {
+				if i == 2 {
+					return 0, errors.New("item 2")
+				}
+				if i == 9 {
+					panic("late")
+				}
+				return i, nil
+			})
+			if err == nil || err.Error() != "item 2" {
+				t.Fatalf("j=%d: got %v, want item 2", w, err)
 			}
 		})
 	}

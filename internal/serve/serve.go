@@ -813,7 +813,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var mu sync.Mutex
 	// Items fan out across the process worker budget; Map keeps results
 	// in request order, so the assembled body is worker-count invariant.
-	items, _ := parallel.Map(len(resolved), func(i int) (json.RawMessage, error) {
+	items, err := parallel.Map(len(resolved), func(i int) (json.RawMessage, error) {
 		status, body, state := s.compute(r.Context(), resolved[i], false)
 		mu.Lock()
 		if state == "miss" {
@@ -824,6 +824,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		mu.Unlock()
 		return batchItemBody(status, body), nil
 	})
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		// Items report their own failures in the body; only a recovered
+		// panic fails the batch.
+		s.metrics.serverErrors.Add(1)
+		writeError(w, errInternal("%v (key %s)", pe, resolved[pe.Index].key))
+		return
+	}
 	body := marshalBody(api.BatchResponse{Results: items})
 	writeBody(w, http.StatusOK, body, fmt.Sprintf("hits=%d misses=%d", hits, misses))
 }

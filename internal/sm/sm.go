@@ -23,6 +23,7 @@ package sm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/banks"
@@ -254,9 +255,16 @@ func memConfig(cfg config.MemConfig, params Params) memsys.Config {
 	}
 }
 
-// cycleBound guards against scheduler deadlock in case of a malformed
-// trace (e.g. a barrier reached by only part of a CTA).
+// cycleBound stops the cycle loop on a run that cannot finish in any
+// meaningful time, such as a dependence on a result due past the bound.
+// (A barrier reached by only part of a CTA does not hang: the warps that
+// exit instead release it.)
 const cycleBound = int64(1) << 40
+
+// ErrNoProgress is the error Step returns, wrapped with the cycle, when
+// the local clock passes cycleBound without the grid finishing: the
+// trace cannot complete.
+var ErrNoProgress = errors.New("sm: no forward progress")
 
 // Start launches the initial resident CTAs. It is called implicitly by
 // Run; the chip simulator calls it directly before stepping.
@@ -306,7 +314,7 @@ func (s *SM) Step() error {
 	}
 	s.cycle = nextEvent
 	if s.cycle > cycleBound {
-		return fmt.Errorf("sm: no forward progress by cycle %d (deadlocked trace?)", s.cycle)
+		return fmt.Errorf("%w by cycle %d (deadlocked trace?)", ErrNoProgress, s.cycle)
 	}
 	return nil
 }
@@ -568,16 +576,16 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		c.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
 		var accs []memsys.Access
-		complete, accs = s.mem.Load(wi, s.cycle, extra)
+		complete, accs = s.mem.LoadFootprint(s.footprint(w, wi), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
 			}
 		}
 	case isa.OpSTG:
-		s.mem.Store(wi, s.cycle, extra)
+		s.mem.StoreFootprint(s.footprint(w, wi), s.cycle, extra)
 	case isa.OpTEX:
-		complete = s.mem.Tex(wi, s.cycle)
+		complete = s.mem.TexFootprint(s.footprint(w, wi), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone
@@ -593,6 +601,16 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 	}
 	w.PC++
 	return sched.Issued
+}
+
+// footprint returns the global-memory footprint of the warp's current
+// instruction wi: the memoized one when the trace source supplies a
+// table, else one computed into the memory pipeline's scratch.
+func (s *SM) footprint(w *dispatch.Warp, wi *isa.WarpInst) memsys.Footprint {
+	if w.Footprints != nil {
+		return w.Footprints.At(w.PC)
+	}
+	return s.mem.Footprint(wi)
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -189,6 +191,33 @@ func TestBarrierReleasedByExitingWarp(t *testing.T) {
 	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 2, gen}, 1)
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("CTA with early-exiting warp deadlocked: %v", err)
+	}
+}
+
+// TestNoProgressIsTyped: a run whose clock passes the cycle bound fails
+// with an error that matches ErrNoProgress under errors.Is and names the
+// cycle. A partial barrier cannot get there (see
+// TestBarrierReleasedByExitingWarp), so the trace waits on an ALU result
+// due past the bound.
+func TestNoProgressIsTyped(t *testing.T) {
+	params := DefaultParams()
+	params.ALULatency = 2 * cycleBound
+	gen := func(_, _ int) []isa.WarpInst {
+		return build(func(b *kgen.Builder) {
+			b.ALU(0)
+			b.ALU(1, 0)
+		})
+	}
+	s, err := newSM(config.Baseline(), params, funcSource{1, 1, gen}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Run()
+	if !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("Run error = %v, want ErrNoProgress", err)
+	}
+	if !strings.Contains(err.Error(), "by cycle ") {
+		t.Errorf("error %q does not name the cycle", err)
 	}
 }
 

@@ -24,10 +24,18 @@
 // banks.Evaluate (the heatmap needs the model's scratch state); a
 // differential test asserts lookup and evaluation never disagree.
 //
-// Both memoized tables hold only what they need: kgen returns each trace
+// It also memoizes each warp's global-memory footprints (memsys.Footprints:
+// per LDG/STG/TEX, its distinct lines in first-lane order, their sector
+// masks and its distinct-address count). They depend only on the address
+// vector and the fixed line size, so one table per warp serves every
+// design and variant, probed runs included, and no issue rescans an
+// address vector.
+//
+// The memoized tables hold only what they need: kgen returns each trace
 // as an exact-size copy (its growable build buffers are pooled, not
-// kept), and a banks.Outcome packs into three bytes, so the resident set
-// is the instructions and outcomes themselves, with no append slack.
+// kept), an isa.WarpInst is 24 bytes, a banks.Outcome packs into three
+// bytes, and a footprint table is one exact-size allocation, so the
+// resident set is the tables themselves, with no append slack.
 //
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
@@ -43,6 +51,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 )
 
 // traceKey identifies one distinct trace family. Kernel identity is
@@ -72,9 +81,9 @@ func outcomeIndex(design config.Design, aggressive bool) int {
 	return i
 }
 
-// warpEntry memoizes one warp's instruction stream and its per-variant
-// bank outcomes. Each field is built at most once; the built slices are
-// never written again.
+// warpEntry memoizes one warp's instruction stream, its per-variant
+// bank outcomes, and its global-memory footprints. Each field is built
+// at most once; the built tables are never written again.
 type warpEntry struct {
 	traceOnce sync.Once
 	insts     []isa.WarpInst
@@ -83,6 +92,9 @@ type warpEntry struct {
 		once sync.Once
 		out  []banks.Outcome
 	}
+
+	footprintOnce sync.Once
+	footprints    *memsys.Footprints
 }
 
 // gridEntry holds one trace family's warps, keyed by (cta, warp). Warps
@@ -235,9 +247,15 @@ func (s *Source) key() traceKey {
 }
 
 // cachedWarp returns the memoized entry for one warp, building the
-// instruction stream on first use.
+// instruction stream on first use, and counts the request as a lookup.
 func (s *Source) cachedWarp(cta, warp int) *warpEntry {
 	traceCache.lookups.Add(1)
+	return s.entry(cta, warp)
+}
+
+// entry is cachedWarp without the lookup count, for side tables a
+// launch requests after the trace itself.
+func (s *Source) entry(cta, warp int) *warpEntry {
 	e := grid(s.key()).warp(cta, warp)
 	e.traceOnce.Do(func() {
 		traceCache.builds.Add(1)
@@ -263,4 +281,19 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 		charge(int64(len(slot.out)) * int64(unsafe.Sizeof(banks.Outcome{})))
 	})
 	return slot.out
+}
+
+// WarpFootprints returns the memoized global-memory footprints of one
+// warp: per instruction, its distinct lines and sector masks and its
+// distinct-address count. A footprint depends only on the instruction's
+// mask and address vector (the line size is fixed), so one table serves
+// every design, variant and probe setting. The table is shared and
+// immutable; it is index-aligned with WarpTrace(cta, warp).
+func (s *Source) WarpFootprints(cta, warp int) *memsys.Footprints {
+	e := s.entry(cta, warp)
+	e.footprintOnce.Do(func() {
+		e.footprints = memsys.NewFootprints(e.insts)
+		charge(e.footprints.Bytes())
+	})
+	return e.footprints
 }

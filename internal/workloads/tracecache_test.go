@@ -8,6 +8,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 )
 
 // freshSource returns a Source for the named registry kernel.
@@ -78,9 +79,10 @@ func TestTraceCacheKeyDistinguishesVariants(t *testing.T) {
 	}
 }
 
-// TestTraceCacheConcurrent hammers one kernel's traces and outcome
-// tables from 8 goroutines; under -race this proves the cache is safe,
-// and the pointer comparison proves each entry was built exactly once.
+// TestTraceCacheConcurrent hammers one kernel's traces, outcome tables
+// and footprint tables from 8 goroutines; under -race this proves the
+// cache is safe, and the pointer comparison proves each entry was built
+// exactly once.
 func TestTraceCacheConcurrent(t *testing.T) {
 	ResetTraceCache()
 	src := freshSource(t, "needle")
@@ -91,6 +93,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	const goroutines = 8
 	traces := make([][]*isa.WarpInst, goroutines) // per-goroutine first-element pointers
 	outs := make([][]*banks.Outcome, goroutines)
+	fps := make([][]*memsys.Footprints, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -107,6 +110,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 						return
 					}
 					outs[g] = append(outs[g], &out[0])
+					fps[g] = append(fps[g], s.WarpFootprints(c, w))
 				}
 			}
 		}(g)
@@ -119,30 +123,64 @@ func TestTraceCacheConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(outs[0], outs[g]) {
 			t.Errorf("goroutine %d saw different outcome backing arrays than goroutine 0", g)
 		}
+		for i := range fps[0] {
+			if fps[g][i] != fps[0][i] {
+				t.Errorf("goroutine %d warp %d: footprint table built twice", g, i)
+				break
+			}
+		}
 	}
 }
 
 // TestWarpOutcomesMatchEvaluate is the differential check behind the
-// timing core's fast path: for every bank-model variant, the memoized
-// outcome table must equal a fresh Model's per-instruction evaluation.
+// timing core's fast paths, over every registry kernel: for every
+// bank-model variant, the memoized outcome table must equal a fresh
+// Model's per-instruction evaluation, and every instruction's memoized
+// footprint must equal the lines, sectors and distinct-address count
+// the memory pipeline computes from the instruction itself.
 func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 	ResetTraceCache()
-	for _, name := range []string{"needle", "dgemm", "bfs"} {
-		src := freshSource(t, name)
+	m := memsys.New(memsys.Config{}, nil, nil)
+	for _, k := range All() {
+		src := &Source{K: k}
 		insts := src.WarpTrace(0, 0)
 		for _, design := range []config.Design{config.Partitioned, config.Unified, config.FermiLike} {
 			for _, aggressive := range []bool{false, true} {
 				got := src.WarpOutcomes(0, 0, design, aggressive)
-				m := banks.New(design)
+				bm := banks.New(design)
 				if aggressive {
-					m = banks.NewAggressive(design)
+					bm = banks.NewAggressive(design)
 				}
 				for i := range insts {
-					want := m.Evaluate(&insts[i])
+					want := bm.Evaluate(&insts[i])
 					if got[i] != want {
 						t.Fatalf("%s design=%v aggressive=%v inst %d: memoized %+v, evaluated %+v",
-							name, design, aggressive, i, got[i], want)
+							k.Name, design, aggressive, i, got[i], want)
 					}
+				}
+			}
+		}
+		fps := src.WarpFootprints(0, 0)
+		for i := range insts {
+			got := fps.At(i)
+			if !insts[i].Op.IsGlobal() {
+				if len(got) != 0 {
+					t.Fatalf("%s inst %d (%v): non-global instruction has footprint %v", k.Name, i, insts[i].Op, got)
+				}
+				continue
+			}
+			want := m.Footprint(&insts[i])
+			if got.Lines() != want.Lines() || got.Distinct() != want.Distinct() ||
+				got.Active() != want.Active() || got.Addr0() != want.Addr0() {
+				t.Fatalf("%s inst %d: memoized %d lines/%d distinct/%d active/addr0 %#x, computed %d/%d/%d/%#x",
+					k.Name, i, got.Lines(), got.Distinct(), got.Active(), got.Addr0(),
+					want.Lines(), want.Distinct(), want.Active(), want.Addr0())
+			}
+			for j := 0; j < want.Lines(); j++ {
+				gl, gs := got.Line(j)
+				wl, ws := want.Line(j)
+				if gl != wl || gs != ws {
+					t.Fatalf("%s inst %d line %d: memoized (%#x, %#x), computed (%#x, %#x)", k.Name, i, j, gl, gs, wl, ws)
 				}
 			}
 		}
