@@ -26,7 +26,7 @@ func steadySpec(t *testing.T, name string) sm.Spec {
 		t.Fatal(err)
 	}
 	cfg := config.Baseline()
-	occ := occupancy.Compute(k.Requirements(), cfg, 0)
+	occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, cfg, nil)[0]
 	if occ.CTAs < 1 {
 		t.Fatalf("%s does not fit the baseline configuration", name)
 	}

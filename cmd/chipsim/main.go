@@ -76,7 +76,7 @@ func runMulti(spec string, sms, l2KB int, stagger int64) {
 		if j < sms%len(kernels) {
 			n++
 		}
-		occ := occupancy.Compute(k.Requirements(), config.Baseline(), 0)
+		occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
 		src := &workloads.Source{K: k, Seed: 1}
 		_, warps := src.Grid()
 		multi[j] = chip.Kernel{
@@ -175,7 +175,7 @@ func main() {
 			return err
 		},
 		func() error {
-			occ := occupancy.Compute(k.Requirements(), config.Baseline(), 0)
+			occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
 			src := &workloads.Source{K: k, Seed: 1}
 			_, warps := src.Grid()
 			machine, err := chip.New(chip.Config{NumSMs: *sms, Mem: mem, LaunchStagger: *stagger},

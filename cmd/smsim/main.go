@@ -15,15 +15,18 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"repro/api"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/plan"
 	"repro/internal/profiling"
 	"repro/internal/report"
 	"repro/internal/sched"
@@ -70,7 +73,7 @@ func main() {
 		totalKB     = flag.Int("total", 384, "total unified capacity in KB (unified/fermi designs)")
 		threads     = flag.Int("threads", 0, "resident thread cap (0 = architectural limit)")
 		regs        = flag.Int("regs", 0, "registers allocated per thread (0 = spill-free demand)")
-		machineFile = flag.String("machine", "", "load a JSON machine description (overrides -rf/-shm/-cache and timing)")
+		machineFile = flag.String("machine", "", "load a JSON machine description (overrides -rf/-shm/-cache/-threads and timing; excludes -design unified|fermi)")
 		emitMachine = flag.String("emit-machine", "", "write the default machine description to a JSON file and exit")
 		traceFile   = flag.String("trace", "", "replay a recorded trace file instead of a registry kernel")
 		resident    = flag.Int("resident", 4, "resident CTAs when replaying a trace (-trace)")
@@ -124,152 +127,111 @@ func main() {
 		}, params, *resident)
 		return
 	}
+	// Every other flag combination is one api.RunRequest, resolved and
+	// simulated through internal/plan exactly as smserve would.
+	var req api.RunRequest
 	if *streams != "" {
-		kernels, err := parseStreams(*streams)
+		names, err := parseStreams(*streams)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smsim:", err)
 			os.Exit(2)
 		}
-		reqs := make([]config.KernelRequirements, len(kernels))
-		for i, k := range kernels {
-			reqs[i] = k.Requirements()
+		for _, name := range names {
+			req.Streams = append(req.Streams, api.StreamRequest{Kernel: name})
 		}
-		r := core.NewRunner()
-		r.Params.Scheduler = policy
-		var cfg config.MemConfig
-		if *machineFile != "" {
-			mcfg, params, eparams, err := machine.Load(*machineFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "smsim:", err)
-				os.Exit(1)
-			}
-			cfg = mcfg
-			r.Params = params
-			if *schedName != "" {
-				r.Params.Scheduler = policy
-			}
-			r.Energy.P = eparams
-		} else {
-			switch *design {
-			case "partitioned":
-				cfg = config.MemConfig{
-					Design:      config.Partitioned,
-					RFBytes:     *rfKB << 10,
-					SharedBytes: *shmKB << 10,
-					CacheBytes:  *cacheKB << 10,
-					MaxThreads:  *threads,
-				}
-			case "unified":
-				cfg, err = config.AllocateMulti(reqs, *totalKB<<10, *threads)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "smsim:", err)
-					os.Exit(1)
-				}
-			case "fermi":
-				cfg = config.ChooseFermiMulti(reqs, *totalKB<<10-config.BaselineRFBytes, *threads)
-			default:
-				fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
-				os.Exit(2)
-			}
+	} else {
+		if *kernelName == "" {
+			fmt.Fprintln(os.Stderr, "smsim: -kernel is required (try -list)")
+			os.Exit(2)
 		}
-		runMixAndReport(r, kernels, cfg)
-		return
+		if _, err := workloads.ByName(*kernelName); err != nil {
+			fmt.Fprintln(os.Stderr, "smsim:", err)
+			os.Exit(2)
+		}
+		req.Kernel, req.RegsPerThread = *kernelName, *regs
 	}
-	if *kernelName == "" {
-		fmt.Fprintln(os.Stderr, "smsim: -kernel is required (try -list)")
-		os.Exit(2)
+	if *machineFile != "" {
+		if *design == "unified" || *design == "fermi" {
+			fmt.Fprintf(os.Stderr, "smsim: -design %s cannot be combined with -machine (the machine file sets the design)\n", *design)
+			os.Exit(2)
+		}
+		d, err := machine.Read(*machineFile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smsim:", err)
+			os.Exit(1)
+		}
+		if *schedName != "" {
+			d.Timing.Scheduler = string(policy) // the flag overrides the machine file
+		}
+		req.Machine = d
+	} else {
+		req.Machine.MaxThreads = *threads
+		req.Machine.Timing.Scheduler = string(policy)
+		switch *design {
+		case "partitioned":
+			req.Machine.RFKB, req.Machine.SharedKB, req.Machine.CacheKB = *rfKB, *shmKB, *cacheKB
+		case "unified":
+			req.AllocTotalKB = *totalKB
+		case "fermi":
+			req.FermiTotalKB = *totalKB
+		default:
+			fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
+			os.Exit(2)
+		}
 	}
-	k, err := workloads.ByName(*kernelName)
+	run, err := plan.Resolve(req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smsim:", err)
-		os.Exit(2)
+		os.Exit(1)
 	}
-
-	var cfg config.MemConfig
-	if *machineFile != "" {
-		mcfg, params, eparams, err := machine.Load(*machineFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(1)
+	var runners plan.Runners
+	res, err := runners.Simulate(context.Background(), run)
+	var fit *core.FitError
+	if errors.As(err, &fit) {
+		what, hint := "residency", " or lower -regs/-threads"
+		if len(run.Streams) > 1 {
+			what, hint = "co-residency", ", raise -threads, or drop a stream"
 		}
-		r := core.NewRunner()
-		r.Params = params
-		if *schedName != "" {
-			r.Params.Scheduler = policy // the flag overrides the machine file
-		}
-		r.Energy.P = eparams
-		runAndReport(r, k, mcfg, *regs)
-		return
+		fmt.Fprintf(os.Stderr, "smsim: %s cannot achieve %s of one CTA under %v: the binding resource is %v\n",
+			fit.Kernel, what, fit.Config, fit.Limiter)
+		fmt.Fprintf(os.Stderr, "smsim: raise that capacity (-rf/-shm/-cache/-total)%s\n", hint)
+		os.Exit(1)
 	}
-	switch *design {
-	case "partitioned":
-		cfg = config.MemConfig{
-			Design:      config.Partitioned,
-			RFBytes:     *rfKB << 10,
-			SharedBytes: *shmKB << 10,
-			CacheBytes:  *cacheKB << 10,
-			MaxThreads:  *threads,
-		}
-	case "unified":
-		cfg, err = config.Allocate(k.Requirements(), *totalKB<<10, *threads)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(1)
-		}
-	case "fermi":
-		cfg = config.ChooseFermi(k.Requirements(), *totalKB<<10-config.BaselineRFBytes, *threads)
-	default:
-		fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
-		os.Exit(2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smsim:", err)
+		os.Exit(1)
 	}
-
-	r := core.NewRunner()
-	r.Params.Scheduler = policy
-	runAndReport(r, k, cfg, *regs)
+	if len(run.Streams) > 1 {
+		reportMix(res)
+	} else {
+		reportRun(run.Streams[0].Kernel, res)
+	}
 }
 
-// parseStreams resolves a "+"-joined kernel list ("needle+matrixmul")
-// against the registry. At least two names make a multi-tenant mix.
-func parseStreams(spec string) ([]*workloads.Kernel, error) {
+// parseStreams splits a "+"-joined kernel list ("needle+matrixmul")
+// and checks each name against the registry. At least two names make a
+// multi-tenant mix.
+func parseStreams(spec string) ([]string, error) {
 	names := strings.Split(spec, "+")
 	if len(names) < 2 {
 		return nil, fmt.Errorf("-streams wants at least two \"+\"-joined kernels, got %q", spec)
 	}
-	kernels := make([]*workloads.Kernel, len(names))
 	for i, name := range names {
-		k, err := workloads.ByName(strings.TrimSpace(name))
-		if err != nil {
+		names[i] = strings.TrimSpace(name)
+		if _, err := workloads.ByName(names[i]); err != nil {
 			return nil, err
 		}
-		kernels[i] = k
 	}
-	return kernels, nil
+	return names, nil
 }
 
-// runMixAndReport executes a multi-tenant mix and prints the joint
-// report plus the per-stream attribution table.
-func runMixAndReport(r *core.Runner, kernels []*workloads.Kernel, cfg config.MemConfig) {
-	specs := make([]core.StreamSpec, len(kernels))
-	for i, k := range kernels {
-		specs[i] = core.StreamSpec{Kernel: k}
-	}
-	res, err := r.Run(core.RunSpec{Config: cfg, Streams: specs})
-	var fit *core.FitError
-	if errors.As(err, &fit) {
-		fmt.Fprintf(os.Stderr, "smsim: %s cannot achieve co-residency of one CTA under %v: the binding resource is %v\n",
-			fit.Kernel, fit.Config, fit.Limiter)
-		fmt.Fprintln(os.Stderr, "smsim: raise that capacity (-rf/-shm/-cache/-total), raise -threads, or drop a stream")
-		os.Exit(1)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smsim:", err)
-		os.Exit(1)
-	}
-
+// reportMix prints a multi-tenant mix's joint report plus the
+// per-stream attribution table.
+func reportMix(res *core.Result) {
 	c := res.Counters
-	fmt.Printf("%s (%d streams co-resident)\n", core.StreamNames(res.Spec.Streams), len(kernels))
+	fmt.Printf("%s (%d streams co-resident)\n", core.StreamNames(res.Spec.Streams), len(res.Spec.Streams))
 	fmt.Printf("configuration: %v  threads=%d (%d CTAs jointly resident)\n",
-		cfg, res.Occupancy.Threads, res.Occupancy.CTAs)
+		res.Spec.Config, res.Occupancy.Threads, res.Occupancy.CTAs)
 	fmt.Println()
 
 	joint := report.NewTable("Joint execution",
@@ -302,25 +264,12 @@ func runMixAndReport(r *core.Runner, kernels []*workloads.Kernel, cfg config.Mem
 	fmt.Print(en)
 }
 
-// runAndReport executes the kernel and prints the full report.
-func runAndReport(r *core.Runner, k *workloads.Kernel, cfg config.MemConfig, regs int) {
-	res, err := r.Run(core.RunSpec{Kernel: k, Config: cfg, RegsPerThread: regs})
-	var fit *core.FitError
-	if errors.As(err, &fit) {
-		fmt.Fprintf(os.Stderr, "smsim: %s cannot achieve residency of one CTA under %v: the binding resource is %v\n",
-			fit.Kernel, fit.Config, fit.Limiter)
-		fmt.Fprintln(os.Stderr, "smsim: raise that capacity (-rf/-shm/-cache/-total) or lower -regs/-threads")
-		os.Exit(1)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smsim:", err)
-		os.Exit(1)
-	}
-
+// reportRun prints a single-kernel run's full report.
+func reportRun(k *workloads.Kernel, res *core.Result) {
 	c := res.Counters
 	fmt.Printf("%s (%s, %s)\n", k.Name, k.Suite, k.Description)
 	fmt.Printf("configuration: %v  threads=%d (limited by %v, %d CTAs)\n",
-		cfg, res.Occupancy.Threads, res.Occupancy.Limiter, res.Occupancy.CTAs)
+		res.Spec.Config, res.Occupancy.Threads, res.Occupancy.Limiter, res.Occupancy.CTAs)
 	fmt.Println()
 
 	perf := report.NewTable("Execution",

@@ -11,12 +11,15 @@
 // internal/snapshot). Sweep points run in parallel across -j workers;
 // rows print in order regardless of worker count.
 //
-// -submit URL runs the sweep remotely instead: it submits the sweep as
-// a durable async job to an smserve instance (POST /v1/jobs), reports
-// progress while polling, and renders the same table from the job's
-// result. A server started with -data-dir persists every completed
-// point, so an interrupted sweep resumes where it left off — even
-// across server restarts.
+// The flags build one api.SweepRequest. Locally it expands, resolves,
+// and simulates through internal/plan — the path smserve takes — so
+// -submit URL prints a byte-identical table, energy included. -submit
+// runs the sweep remotely: it submits the request as a durable async
+// job to an smserve instance (POST /v1/jobs), reports progress while
+// polling, and renders the table from the job's result. A server
+// started with -data-dir persists every completed point, so an
+// interrupted sweep resumes where it left off — even across server
+// restarts.
 //
 // Examples:
 //
@@ -38,26 +41,14 @@ import (
 	"time"
 
 	"repro/api"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/occupancy"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/profiling"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/sm"
-	"repro/internal/workloads"
+	"repro/internal/stats"
 )
-
-// paramMutators maps the fork-compatible -resource names to their
-// parameter mutation. Every axis here is divergable across a snapshot
-// (sm.Fork); capacity resources are prefix-defining and sweep the slow
-// way.
-var paramMutators = map[string]func(*sm.Params, int){
-	"mshr":    func(p *sm.Params, v int) { p.MaxMSHRs = v },
-	"dramlat": func(p *sm.Params, v int) { p.DRAM.LatencyCycles = int64(v) },
-	"drambw":  func(p *sm.Params, v int) { p.DRAM.BytesPerCycle = v },
-}
 
 func main() {
 	var (
@@ -87,86 +78,41 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
-	if *kernelName == "" {
-		fmt.Fprintln(os.Stderr, "sweep: -kernel is required")
-		os.Exit(2)
+	req := api.SweepRequest{
+		Kernel:     *kernelName,
+		Resource:   *resource,
+		From:       *from,
+		To:         *to,
+		Step:       *step,
+		WarmCycles: *warmCycles,
 	}
-	k, err := workloads.ByName(*kernelName)
+	req.Machine.MaxThreads = *threads
+	req.Machine.Timing.Scheduler = string(policy)
+	// Expanding validates the request (its errors carry a "sweep:"
+	// prefix) and fixes the points, whichever side simulates them.
+	breq, _, err := plan.ExpandSweep(req)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	next, err := api.ParseStep(*step)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	mutate, isParam := paramMutators[*resource]
-	switch {
-	case isParam:
-		// Parameter sweeps fork from the -warm prefix.
-	case *resource == "rf" || *resource == "shared" || *resource == "cache":
-		if *warmCycles != 0 {
-			fmt.Fprintln(os.Stderr, "sweep: -warm needs a parameter resource (mshr | dramlat | drambw); capacities define the warm-up history and cannot be forked")
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown resource %q\n", *resource)
-		os.Exit(2)
-	}
-
-	if *submitURL != "" {
-		req := api.SweepRequest{
-			Kernel:     *kernelName,
-			Resource:   *resource,
-			From:       *from,
-			To:         *to,
-			Step:       *step,
-			WarmCycles: *warmCycles,
-		}
-		req.Machine.MaxThreads = *threads
-		req.Machine.Timing.Scheduler = string(policy)
-		if err := submitSweep(*submitURL, req, isParam, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var values []int
-	for v := *from; v <= *to; v = next(v) {
-		values = append(values, v)
-	}
-
-	r := core.NewRunner()
-	r.Params.Scheduler = policy
-	cfg := config.MemConfig{
-		Design:      config.Partitioned,
-		RFBytes:     occupancy.FullOccupancyRFBytes(k.RegsNeeded),
-		SharedBytes: core.UnboundedShared(k),
-		CacheBytes:  config.BaselineCacheBytes,
-		MaxThreads:  *threads,
 	}
 	start := time.Now()
-
-	var rows [][]string
-	if isParam {
-		rows, err = paramSweep(r, k, cfg, values, mutate, *warmCycles)
-	} else {
-		rows, err = capacitySweep(r, k, cfg, values, *resource)
+	where := fmt.Sprintf("with %d worker(s)", parallel.Workers())
+	if *submitURL != "" {
+		where = "via " + *submitURL
 	}
+	rows, err := sweepRows(req, breq, *submitURL)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 
-	title := fmt.Sprintf("%s: performance vs %s", k.Name, *resource)
+	title := fmt.Sprintf("%s: performance vs %s", req.Kernel, req.Resource)
 	firstCol := "value"
-	if !isParam {
+	if plan.IsParamAxis(req.Resource) {
+		title += fmt.Sprintf(" (forked at cycle %d)", req.WarmCycles)
+	} else {
 		title += " capacity"
 		firstCol = "capacity"
-	} else {
-		title += fmt.Sprintf(" (forked at cycle %d)", *warmCycles)
 	}
 	t := report.NewRunTable(title, firstCol)
 	for _, row := range rows {
@@ -177,82 +123,64 @@ func main() {
 	} else {
 		fmt.Print(t)
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d point(s) in %v with %d worker(s)\n",
-		len(values), time.Since(start).Round(time.Millisecond), parallel.Workers())
+	fmt.Fprintf(os.Stderr, "sweep: %d point(s) in %v %s\n",
+		len(rows), time.Since(start).Round(time.Millisecond), where)
 }
 
-// resultRow formats one sweep point's table row (warp IPC, as
-// everywhere in the sweep tables).
-func resultRow(label string, res *core.Result) []string {
-	return report.RunRow(label, res.Occupancy.Threads, res.Counters.Cycles,
-		res.Counters.IPC(), res.Counters.DRAMBytes(), res.Energy.Total())
-}
-
-// capacitySweep runs one independent simulation per capacity point.
-func capacitySweep(r *core.Runner, k *workloads.Kernel, base config.MemConfig, capacities []int, resource string) ([][]string, error) {
-	return parallel.Map(len(capacities), func(i int) ([]string, error) {
-		kb := capacities[i]
-		cfg := base
-		switch resource {
-		case "rf":
-			cfg.RFBytes = kb << 10
-		case "shared":
-			cfg.SharedBytes = kb << 10
-		case "cache":
-			cfg.CacheBytes = kb << 10
+// sweepRows simulates an expanded sweep locally, or as a job on the
+// smserve at submitURL when it is set, and returns one table row per
+// point.
+func sweepRows(req api.SweepRequest, breq api.BatchRequest, submitURL string) ([][]string, error) {
+	labels := make([]string, len(breq.Runs))
+	values, _ := req.Values()
+	for i, v := range values {
+		labels[i] = fmt.Sprint(v)
+		if !plan.IsParamAxis(req.Resource) {
+			labels[i] += "K"
 		}
-		label := fmt.Sprintf("%dK", kb)
-		res, err := r.Run(core.RunSpec{Kernel: k, Config: cfg})
-		if core.IsInfeasible(err) {
-			return report.InfeasibleRunRow(label), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		return resultRow(label, res), nil
-	})
-}
-
-// paramSweep warms one prefix to warmCycles and forks it into every
-// parameter point. A warm cycle of 0 forks at launch — still one shared
-// prefix, just a trivial one.
-func paramSweep(r *core.Runner, k *workloads.Kernel, cfg config.MemConfig, values []int, mutate func(*sm.Params, int), warmCycles int64) ([][]string, error) {
-	warm, err := r.Warm(context.Background(), core.RunSpec{Kernel: k, Config: cfg}, warmCycles)
-	if core.IsInfeasible(err) {
-		rows := make([][]string, len(values))
-		for i, v := range values {
-			rows[i] = report.InfeasibleRunRow(fmt.Sprint(v))
-		}
-		return rows, nil
 	}
+	if submitURL != "" {
+		return submitSweep(submitURL, req, labels)
+	}
+	return localSweep(breq, labels)
+}
+
+// row formats one sweep point's table row (warp IPC, as everywhere in
+// the sweep tables). Local results and service responses both reduce
+// to these fields, so the two paths print identical rows.
+func row(label string, threads int, c *stats.Counters, energyJ float64) []string {
+	return report.RunRow(label, threads, c.Cycles, c.IPC(), c.DRAMBytes(), energyJ)
+}
+
+// localSweep resolves the expanded sweep through internal/plan and
+// simulates its points across the parallel engine.
+func localSweep(breq api.BatchRequest, labels []string) ([][]string, error) {
+	runs, err := plan.ResolveBatch(breq)
 	if err != nil {
 		return nil, err
 	}
-	return parallel.Map(len(values), func(i int) ([]string, error) {
-		params := warm.Params
-		mutate(&params, values[i])
-		res, err := warm.Resume(context.Background(), r, params)
+	var runners plan.Runners
+	return parallel.Map(len(runs), func(i int) ([]string, error) {
+		res, err := runners.Simulate(context.Background(), runs[i])
+		if core.IsInfeasible(err) {
+			return report.InfeasibleRunRow(labels[i]), nil
+		}
 		if err != nil {
 			return nil, err
 		}
-		return resultRow(fmt.Sprint(values[i]), res), nil
+		return row(labels[i], res.Occupancy.Threads, res.Counters, res.Energy.Total()), nil
 	})
 }
 
 // submitSweep runs the sweep remotely as a durable async job on an
-// smserve instance: submit, poll with progress lines on stderr, fetch
-// the final result, and render the same table the local path prints.
-func submitSweep(baseURL string, req api.SweepRequest, isParam, csv bool) error {
-	values, err := req.Values()
-	if err != nil {
-		return err
-	}
+// smserve instance: submit, poll with progress lines on stderr, and
+// decode the final result into table rows.
+func submitSweep(baseURL string, req api.SweepRequest, labels []string) ([][]string, error) {
 	ctx := context.Background()
 	c := api.NewClient(baseURL)
-	start := time.Now()
 	job, err := c.SubmitJob(ctx, api.JobRequest{Sweep: &req})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "sweep: submitted job %s (%s) to %s\n", job.ID, job.Note, baseURL)
 	lastDone := -1
@@ -264,63 +192,37 @@ func submitSweep(baseURL string, req api.SweepRequest, isParam, csv bool) error 
 		}
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if job.State != api.JobDone {
-		return fmt.Errorf("job %s finished %s: %v", job.ID, job.State, job.Error)
+		return nil, fmt.Errorf("job %s finished %s: %v", job.ID, job.State, job.Error)
 	}
 	raw, err := c.JobResult(ctx, job.ID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var br api.BatchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
-		return fmt.Errorf("decoding job result: %w", err)
+		return nil, fmt.Errorf("decoding job result: %w", err)
 	}
 	items, err := br.Items()
 	if err != nil {
-		return fmt.Errorf("decoding job result items: %w", err)
+		return nil, fmt.Errorf("decoding job result items: %w", err)
 	}
-	if len(items) != len(values) {
-		return fmt.Errorf("job returned %d point(s), want %d", len(items), len(values))
+	if len(items) != len(labels) {
+		return nil, fmt.Errorf("job returned %d point(s), want %d", len(items), len(labels))
 	}
-
-	title := fmt.Sprintf("%s: performance vs %s", req.Kernel, req.Resource)
-	firstCol := "value"
-	if !isParam {
-		title += " capacity"
-		firstCol = "capacity"
-	} else {
-		title += fmt.Sprintf(" (forked at cycle %d)", req.WarmCycles)
-	}
-	t := report.NewRunTable(title, firstCol)
+	rows := make([][]string, len(items))
 	for i, it := range items {
-		label := fmt.Sprint(values[i])
-		if !isParam {
-			label = fmt.Sprintf("%dK", values[i])
-		}
 		switch {
 		case it.Error != nil && it.Error.Code == api.CodeInfeasible:
-			t.AddRow(report.InfeasibleRunRow(label)...)
+			rows[i] = report.InfeasibleRunRow(labels[i])
 		case it.Error != nil:
-			return fmt.Errorf("point %s failed: %v", label, it.Error)
+			return nil, fmt.Errorf("point %s failed: %v", labels[i], it.Error)
 		default:
-			t.AddRow(responseRow(label, it.Result)...)
+			r := it.Result
+			rows[i] = row(labels[i], r.Occupancy.Threads, r.Counters, r.Energy.Total)
 		}
 	}
-	if csv {
-		fmt.Print(t.CSV())
-	} else {
-		fmt.Print(t)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: %d point(s) in %v via %s\n",
-		len(values), time.Since(start).Round(time.Millisecond), baseURL)
-	return nil
-}
-
-// responseRow is resultRow for a service response: same columns, same
-// formatting, so remote and local tables agree.
-func responseRow(label string, r *api.RunResponse) []string {
-	return report.RunRow(label, r.Occupancy.Threads, r.Counters.Cycles,
-		r.Counters.IPC(), r.Counters.DRAMBytes(), r.Energy.Total)
+	return rows, nil
 }

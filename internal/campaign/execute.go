@@ -1,22 +1,15 @@
 package campaign
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"sync"
 
 	"repro/api"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/energy"
-	"repro/internal/machine"
 	"repro/internal/parallel"
-	"repro/internal/sm"
+	"repro/internal/plan"
 	"repro/internal/stats"
 )
-
-// fermiRFBytes is the Fermi-like design's fixed register file.
-const fermiRFBytes = config.BaselineRFBytes
 
 // Outcome is one campaign cell's result, reduced to scalars that
 // round-trip the JSON API losslessly: identical whether produced by a
@@ -66,126 +59,29 @@ type Result struct {
 	Outcomes [][]Outcome
 }
 
-// runnerCache memoizes core.Runners by their (timing, energy)
-// parameters, exactly like the service does: the runner depends only on
-// that half of the machine, so cells under different capacities share
-// one Runner and its per-kernel baseline calibrations.
-type runnerCache struct {
-	mu      sync.Mutex
-	runners map[string]*core.Runner
-}
-
-func (rc *runnerCache) get(p sm.Params, e energy.Params) (*core.Runner, error) {
-	canon := machine.Describe(config.Baseline(), p, e)
-	canon.Design, canon.RFKB, canon.SharedKB, canon.CacheKB, canon.MaxThreads = "", 0, 0, 0, 0
-	kb, err := json.Marshal(canon)
-	if err != nil {
-		return nil, err
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if r, ok := rc.runners[string(kb)]; ok {
-		return r, nil
-	}
-	r := core.NewRunner()
-	r.Params = p
-	r.Energy.P = e
-	if rc.runners == nil {
-		rc.runners = make(map[string]*core.Runner)
-	}
-	rc.runners[string(kb)] = r
-	return r, nil
-}
-
-// resolveConfig derives a cell's memory configuration from its request,
-// mirroring the service's resolve step: the machine description first,
-// then the §4.5 allocation or Fermi-like preset override. reqs carries
-// one entry per kernel of the cell — a multi-tenant mix allocates
-// jointly, exactly as the service's streams path does.
-func resolveConfig(reqs []config.KernelRequirements, rr api.RunRequest) (config.MemConfig, sm.Params, energy.Params, error) {
-	cfg, params, eparams, err := rr.Machine.Resolve()
-	if err != nil {
-		return cfg, params, eparams, err
-	}
-	if rr.AllocTotalKB > 0 && rr.FermiTotalKB > 0 {
-		return cfg, params, eparams, fmt.Errorf("at most one of alloc_total_kb and fermi_total_kb")
-	}
-	if rr.AllocTotalKB > 0 {
-		cfg, err = config.AllocateMulti(reqs, rr.AllocTotalKB<<10, rr.Machine.MaxThreads)
-		if err != nil {
-			return cfg, params, eparams, err
-		}
-	}
-	if rr.FermiTotalKB > 0 {
-		if rr.FermiTotalKB<<10 <= fermiRFBytes {
-			return cfg, params, eparams, fmt.Errorf(
-				"fermi_total_kb must exceed the fixed %dKB register file", fermiRFBytes>>10)
-		}
-		cfg = config.ChooseFermiMulti(reqs, rr.FermiTotalKB<<10-fermiRFBytes, rr.Machine.MaxThreads)
-	}
-	return cfg, params, eparams, nil
-}
-
-// configInfo is the API view of a resolved configuration (the service's
-// RunResponse.Config construction).
-func configInfo(cfg config.MemConfig) api.ConfigInfo {
-	return api.ConfigInfo{
-		Design:      cfg.Design.String(),
-		RFBytes:     cfg.RFBytes,
-		SharedBytes: cfg.SharedBytes,
-		CacheBytes:  cfg.CacheBytes,
-		MaxThreads:  cfg.MaxThreads,
-	}
-}
-
 // Execute runs every cell locally, fanned out across the parallel
-// engine. Results are deterministic and independent of the worker
-// count. A cell whose configuration cannot fit the kernel settles as an
-// infeasible Outcome; any other failure aborts the campaign.
+// engine. Each cell resolves and simulates through internal/plan, the
+// path the service takes for the same RunRequest. Results are
+// deterministic and independent of the worker count. A cell whose
+// configuration cannot fit the kernel settles as an infeasible Outcome;
+// any other failure aborts the campaign.
 func (c *Campaign) Execute() (*Result, error) {
-	rc := &runnerCache{}
+	var runners plan.Runners
 	flat, err := parallel.Map(len(c.Runs), func(i int) (Outcome, error) {
-		rr := c.Runs[i]
 		label := c.Workloads[i%len(c.Workloads)].Label
 		machineName := c.Spec.Machines[i/len(c.Workloads)].Name
-		spec := core.RunSpec{RegsPerThread: rr.RegsPerThread, Seed: rr.Seed}
-		var reqs []config.KernelRequirements
-		if len(rr.Streams) > 0 {
-			for _, sr := range rr.Streams {
-				k, err := kernelFor(sr.Kernel, sr.BF)
-				if err != nil {
-					return Outcome{}, err
-				}
-				spec.Streams = append(spec.Streams, core.StreamSpec{
-					Kernel: k, RegsPerThread: sr.RegsPerThread, Seed: sr.Seed,
-				})
-				reqs = append(reqs, k.Requirements())
-			}
-		} else {
-			k, err := kernelFor(rr.Kernel, rr.BF)
-			if err != nil {
-				return Outcome{}, err
-			}
-			spec.Kernel = k
-			reqs = []config.KernelRequirements{k.Requirements()}
-		}
-		cfg, params, eparams, err := resolveConfig(reqs, rr)
+		run, err := plan.Resolve(c.Runs[i])
 		if err != nil {
 			return Outcome{}, fmt.Errorf("%s under %s: %w", label, machineName, err)
 		}
-		spec.Config = cfg
-		r, err := rc.get(params, eparams)
-		if err != nil {
-			return Outcome{}, err
-		}
-		res, err := r.Run(spec)
+		res, err := runners.Simulate(context.Background(), run)
 		if core.IsInfeasible(err) {
 			return Outcome{Infeasible: true}, nil
 		}
 		if err != nil {
 			return Outcome{}, fmt.Errorf("%s under %s: %w", label, machineName, err)
 		}
-		return outcomeOf(configInfo(cfg), res.Occupancy.Threads, res.Counters, res.Energy.Total()), nil
+		return outcomeOf(run.ConfigInfo(), res.Occupancy.Threads, res.Counters, res.Energy.Total()), nil
 	})
 	if err != nil {
 		return nil, err

@@ -180,8 +180,9 @@ func (k KernelRequirements) SharedBytesPerThread() float64 {
 	return float64(k.SharedBytesPerCTA) / float64(k.ThreadsPerCTA)
 }
 
-// Allocate implements the Section 4.5 automatic partitioning for a unified
-// memory of totalBytes:
+// AllocateMulti implements the Section 4.5 automatic partitioning of a
+// unified memory of totalBytes shared by a set of co-resident kernels
+// (one kernel is the ordinary case):
 //
 //  1. the compiler supplies registers per thread to avoid spills,
 //  2. the programmer supplies shared memory per CTA,
@@ -189,16 +190,7 @@ func (k KernelRequirements) SharedBytesPerThread() float64 {
 //     capacity, and
 //  4. all remaining storage becomes primary data cache.
 //
-// threadCap, if non-zero, limits resident threads below the architectural
-// maximum (used for autotuned thread counts). It is AllocateMulti for a
-// single kernel.
-func Allocate(req KernelRequirements, totalBytes, threadCap int) (MemConfig, error) {
-	return AllocateMulti([]KernelRequirements{req}, totalBytes, threadCap)
-}
-
-// AllocateMulti is the Section 4.5 partitioning for a set of co-resident
-// kernels sharing one unified memory of totalBytes (one kernel is the
-// ordinary case). CTAs are admitted greedily round-robin — each round
+// CTAs are admitted greedily round-robin — each round
 // offers every kernel, in index order, one more CTA under the joint
 // thread and capacity budgets — so the split reflects the same
 // interleaving the dispatcher uses for CTA slots. Register file and
@@ -270,12 +262,6 @@ func FermiSplits(nonRFBytes int) [2]MemConfig {
 		{Design: FermiLike, RFBytes: BaselineRFBytes, SharedBytes: large, CacheBytes: small},
 		{Design: FermiLike, RFBytes: BaselineRFBytes, SharedBytes: small, CacheBytes: large},
 	}
-}
-
-// ChooseFermi picks the better of the two Fermi-like splits for a kernel:
-// it is ChooseFermiMulti for a single kernel.
-func ChooseFermi(req KernelRequirements, nonRFBytes, threadCap int) MemConfig {
-	return ChooseFermiMulti([]KernelRequirements{req}, nonRFBytes, threadCap)
 }
 
 // ChooseFermiMulti picks the Fermi-like shared/cache split that admits

@@ -6,16 +6,16 @@ import (
 	"repro/internal/config"
 )
 
-// ExampleAllocate shows the Section 4.5 algorithm dividing a 384 KB
+// ExampleAllocateMulti shows the Section 4.5 algorithm dividing a 384 KB
 // unified memory for a dgemm-like kernel: registers and shared memory are
 // sized for the maximum resident threads, and the remainder becomes cache.
-func ExampleAllocate() {
+func ExampleAllocateMulti() {
 	req := config.KernelRequirements{
 		RegsPerThread:     57,    // compiler: registers to avoid spills
 		SharedBytesPerCTA: 17024, // programmer: scratchpad per CTA
 		ThreadsPerCTA:     256,
 	}
-	cfg, err := config.Allocate(req, config.BaselineTotalBytes, 0)
+	cfg, err := config.AllocateMulti([]config.KernelRequirements{req}, config.BaselineTotalBytes, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -26,13 +26,13 @@ func ExampleAllocate() {
 	// threads: 1024
 }
 
-// ExampleChooseFermi shows the limited-flexibility design picking between
+// ExampleChooseFermiMulti shows the limited-flexibility design picking between
 // its two preset shared/cache splits.
-func ExampleChooseFermi() {
+func ExampleChooseFermiMulti() {
 	needsShared := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256, SharedBytesPerCTA: 24 << 10}
 	needsCache := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256}
-	fmt.Println(config.ChooseFermi(needsShared, 128<<10, 0))
-	fmt.Println(config.ChooseFermi(needsCache, 128<<10, 0))
+	fmt.Println(config.ChooseFermiMulti([]config.KernelRequirements{needsShared}, 128<<10, 0))
+	fmt.Println(config.ChooseFermiMulti([]config.KernelRequirements{needsCache}, 128<<10, 0))
 	// Output:
 	// fermi-like rf=256K shm=96K $=32K
 	// fermi-like rf=256K shm=32K $=96K

@@ -64,7 +64,7 @@ func TestRunCtxBaselineSurvivesCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner()
-	cfg, err := config.Allocate(k.Requirements(), 384<<10, 0)
+	cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, 384<<10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,7 +340,7 @@ func BaselineMachine() NamedMachine {
 // totalBytes per kernel.
 func UnifiedMachine(name string, totalBytes int) NamedMachine {
 	return NamedMachine{Name: name, Configure: func(k *workloads.Kernel) (config.MemConfig, error) {
-		cfg, err := config.Allocate(k.Requirements(), totalBytes, 0)
+		cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, totalBytes, 0)
 		if err != nil {
 			return config.MemConfig{}, fmt.Errorf("allocate %s: %w", k.Name, err)
 		}
@@ -353,7 +353,7 @@ func UnifiedMachine(name string, totalBytes int) NamedMachine {
 // preset shared/cache splits.
 func FermiMachine(name string, totalBytes int) NamedMachine {
 	return NamedMachine{Name: name, Configure: func(k *workloads.Kernel) (config.MemConfig, error) {
-		return config.ChooseFermi(k.Requirements(), totalBytes-config.BaselineRFBytes, 0), nil
+		return config.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, totalBytes-config.BaselineRFBytes, 0), nil
 	}}
 }
 
@@ -445,7 +445,7 @@ type Figure8Row struct {
 func (r *Runner) Figure8() ([]Figure8Row, error) {
 	var out []Figure8Row
 	for _, k := range workloads.BenefitSet() {
-		cfg, err := config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes, 0)
 		if err != nil {
 			return nil, err
 		}

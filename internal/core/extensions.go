@@ -50,7 +50,7 @@ type SequenceResult struct {
 func (r *Runner) RunSequence(kernels []*workloads.Kernel, totalBytes int) (*SequenceResult, error) {
 	out := &SequenceResult{}
 	for _, k := range kernels {
-		cfg, err := config.Allocate(k.Requirements(), totalBytes, 0)
+		cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, totalBytes, 0)
 		if err != nil {
 			return nil, fmt.Errorf("sequence: %s: %w", k.Name, err)
 		}
@@ -99,7 +99,7 @@ type ScatterAblation struct {
 func (r *Runner) AblateScatter(kernels []*workloads.Kernel) ([]ScatterAblation, error) {
 	return parallel.Map(len(kernels), func(i int) (ScatterAblation, error) {
 		k := kernels[i]
-		cfg, err := config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes, 0)
 		if err != nil {
 			return ScatterAblation{}, err
 		}
@@ -150,7 +150,7 @@ func (r *Runner) PowerGating(kernels []*workloads.Kernel) ([]PowerGatingRow, err
 		if err != nil {
 			return PowerGatingRow{}, err
 		}
-		cfg, err := config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes, 0)
 		if err != nil {
 			return PowerGatingRow{}, err
 		}
@@ -222,7 +222,7 @@ func (r *Runner) ValidateMethodology(kernels []*workloads.Kernel, nSMs int) ([]M
 		if err != nil {
 			return MethodologyRow{}, err
 		}
-		occ := occupancy.Compute(k.Requirements(), config.Baseline(), 0)
+		occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
 		src := &workloads.Source{K: k, Seed: r.Seed}
 		_, warps := src.Grid()
 		rep := &replicatedSource{src: src, ctas: k.GridCTAs, warps: warps, factor: nSMs}

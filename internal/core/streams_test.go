@@ -178,7 +178,7 @@ func TestSingleStreamSpellingsAgree(t *testing.T) {
 		}
 	}
 
-	occ := occupancy.Compute(k.Requirements(), config.Baseline(), 0)
+	occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
 	machine, err := sm.NewSM(sm.Spec{
 		Config: config.Baseline(),
 		Params: sm.DefaultParams(),

@@ -192,13 +192,19 @@ func FormatProfile(pr *ProfileResult) string {
 	res, p := pr.Result, pr.Probe
 	c := res.Counters
 	var sb strings.Builder
-	if len(res.Spec.Streams) > 0 {
+	// The header follows the stream count, not the spelling: a one-entry
+	// Streams run is a single-kernel run.
+	streams := res.Spec.Streams
+	if len(streams) == 0 {
+		streams = []core.StreamSpec{{Kernel: res.Spec.Kernel}}
+	}
+	if len(streams) > 1 {
 		fmt.Fprintf(&sb, "%s under %v: threads=%d (%d CTAs jointly resident)\n",
-			core.StreamNames(res.Spec.Streams), res.Spec.Config,
+			core.StreamNames(streams), res.Spec.Config,
 			res.Occupancy.Threads, res.Occupancy.CTAs)
 	} else {
 		fmt.Fprintf(&sb, "%s under %v: threads=%d (%d CTAs, limited by %v)\n",
-			res.Spec.Kernel.Name, res.Spec.Config, res.Occupancy.Threads,
+			streams[0].Kernel.Name, res.Spec.Config, res.Occupancy.Threads,
 			res.Occupancy.CTAs, res.Occupancy.Limiter)
 	}
 	fmt.Fprintf(&sb, "cycles=%d  warp IPC=%.3f  thread IPC=%.2f  cache hit=%s  dram=%dB\n\n",

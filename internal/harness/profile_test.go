@@ -184,3 +184,24 @@ func TestFormatProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatProfileOneStream checks that the report's header follows the
+// stream count: a one-entry Streams profile prints exactly the
+// single-kernel report.
+func TestFormatProfileOneStream(t *testing.T) {
+	plain, err := Profile(core.NewRunner(), ProfileSpec{Kernel: "needle", Config: profileConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Profile(core.NewRunner(), ProfileSpec{Streams: []string{"needle"}, Config: profileConfig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := FormatProfile(plain), FormatProfile(one)
+	if !strings.Contains(want, "limited by") {
+		t.Fatalf("single-kernel header missing its limiter:\n%s", want)
+	}
+	if got != want {
+		t.Errorf("one-entry Streams report differs from the single-kernel report:\n got: %s\nwant: %s", got, want)
+	}
+}

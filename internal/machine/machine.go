@@ -163,15 +163,24 @@ func (d Description) Resolve() (config.MemConfig, sm.Params, energy.Params, erro
 	return cfg, p, e, nil
 }
 
-// Load reads and resolves a machine file.
-func Load(path string) (config.MemConfig, sm.Params, energy.Params, error) {
+// Read parses a machine file without resolving it.
+func Read(path string) (Description, error) {
+	var d Description
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return config.MemConfig{}, sm.Params{}, energy.Params{}, err
+		return d, err
 	}
-	var d Description
 	if err := json.Unmarshal(data, &d); err != nil {
-		return config.MemConfig{}, sm.Params{}, energy.Params{}, fmt.Errorf("machine: %s: %w", path, err)
+		return d, fmt.Errorf("machine: %s: %w", path, err)
+	}
+	return d, nil
+}
+
+// Load reads and resolves a machine file.
+func Load(path string) (config.MemConfig, sm.Params, energy.Params, error) {
+	d, err := Read(path)
+	if err != nil {
+		return config.MemConfig{}, sm.Params{}, energy.Params{}, err
 	}
 	return d.Resolve()
 }

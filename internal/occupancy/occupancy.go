@@ -57,15 +57,6 @@ type Result struct {
 	RFBytesUsed, SharedBytesUsed int
 }
 
-// Compute returns the residency of a kernel with the given requirements
-// under cfg. regsAllocated is the register count actually allocated per
-// thread, which may be below req.RegsPerThread when the sweep forces
-// spills; pass 0 to use req.RegsPerThread. It is ComputeShared for a
-// single kernel.
-func Compute(req config.KernelRequirements, cfg config.MemConfig, regsAllocated int) Result {
-	return ComputeShared([]config.KernelRequirements{req}, cfg, []int{regsAllocated})[0]
-}
-
 // ComputeShared returns per-stream residency when several kernels are
 // co-resident on one SM; one kernel is the ordinary case. CTA slots are
 // admitted greedily round-robin: each round offers every stream, in
@@ -137,19 +128,4 @@ func ComputeShared(reqs []config.KernelRequirements, cfg config.MemConfig, regsA
 // architectural thread limit without spills (Table 1, column 8).
 func FullOccupancyRFBytes(regsPerThread int) int {
 	return regsPerThread * 4 * config.MaxThreadsPerSM
-}
-
-// MinRegsForResidency returns the largest register allocation (capped at
-// need) that still admits at least `threads` resident threads under an RF
-// of rfBytes, or 0 if even one register per thread does not fit. It lets
-// sweeps trade spills against thread count the way Figure 2 does.
-func MinRegsForResidency(rfBytes, threads, need int) int {
-	if threads <= 0 {
-		return 0
-	}
-	regs := rfBytes / (4 * threads)
-	if regs > need {
-		regs = need
-	}
-	return regs
 }

@@ -16,7 +16,7 @@ func req(regs, ctaThreads, shmPerCTA int) config.KernelRequirements {
 }
 
 func TestThreadLimited(t *testing.T) {
-	r := Compute(req(16, 256, 1024), config.Baseline(), 0)
+	r := ComputeShared([]config.KernelRequirements{req(16, 256, 1024)}, config.Baseline(), nil)[0]
 	if r.Limiter != LimitThreads {
 		t.Errorf("Limiter = %v, want threads", r.Limiter)
 	}
@@ -31,7 +31,7 @@ func TestRegisterLimited(t *testing.T) {
 	// it becomes register limited with 2 CTAs.
 	cfg := config.Baseline()
 	cfg.RFBytes = 128 << 10
-	r := Compute(req(57, 256, 0), cfg, 0)
+	r := ComputeShared([]config.KernelRequirements{req(57, 256, 0)}, cfg, nil)[0]
 	if r.Limiter != LimitRegisters {
 		t.Errorf("Limiter = %v, want registers", r.Limiter)
 	}
@@ -42,7 +42,7 @@ func TestRegisterLimited(t *testing.T) {
 
 func TestSharedLimited(t *testing.T) {
 	// Needle-like: 16 KB/CTA of shared memory in a 64 KB scratchpad.
-	r := Compute(req(18, 64, 16<<10), config.Baseline(), 0)
+	r := ComputeShared([]config.KernelRequirements{req(18, 64, 16<<10)}, config.Baseline(), nil)[0]
 	if r.Limiter != LimitShared {
 		t.Errorf("Limiter = %v, want shared", r.Limiter)
 	}
@@ -53,11 +53,11 @@ func TestSharedLimited(t *testing.T) {
 
 func TestNoneFit(t *testing.T) {
 	cfg := config.MemConfig{Design: config.Partitioned, RFBytes: 1024, SharedBytes: 0, CacheBytes: 0}
-	r := Compute(req(64, 256, 0), cfg, 0)
+	r := ComputeShared([]config.KernelRequirements{req(64, 256, 0)}, cfg, nil)[0]
 	if r.Limiter != LimitNone || r.CTAs != 0 {
 		t.Errorf("got %+v, want none-fit", r)
 	}
-	r = Compute(req(8, 0, 0), config.Baseline(), 0)
+	r = ComputeShared([]config.KernelRequirements{req(8, 0, 0)}, config.Baseline(), nil)[0]
 	if r.Limiter != LimitNone {
 		t.Errorf("zero CTA size: got %+v", r)
 	}
@@ -67,8 +67,8 @@ func TestRegsAllocatedOverride(t *testing.T) {
 	// Allocating only 18 of the needed 57 registers raises occupancy.
 	cfg := config.Baseline()
 	cfg.RFBytes = 128 << 10
-	full := Compute(req(57, 256, 0), cfg, 0)
-	squeezed := Compute(req(57, 256, 0), cfg, 18)
+	full := ComputeShared([]config.KernelRequirements{req(57, 256, 0)}, cfg, nil)[0]
+	squeezed := ComputeShared([]config.KernelRequirements{req(57, 256, 0)}, cfg, []int{18})[0]
 	if squeezed.Threads <= full.Threads {
 		t.Errorf("smaller allocation should admit more threads: %d vs %d",
 			squeezed.Threads, full.Threads)
@@ -78,7 +78,7 @@ func TestRegsAllocatedOverride(t *testing.T) {
 func TestMaxThreadsCapInConfig(t *testing.T) {
 	cfg := config.Baseline()
 	cfg.MaxThreads = 512
-	r := Compute(req(8, 256, 0), cfg, 0)
+	r := ComputeShared([]config.KernelRequirements{req(8, 256, 0)}, cfg, nil)[0]
 	if r.Threads != 512 || r.Limiter != LimitThreads {
 		t.Errorf("got %+v", r)
 	}
@@ -94,20 +94,6 @@ func TestFullOccupancyRFBytes(t *testing.T) {
 	}
 }
 
-func TestMinRegsForResidency(t *testing.T) {
-	// 256 KB RF, 1024 threads -> 64 regs available; demand 57 caps at 57.
-	if got := MinRegsForResidency(256<<10, 1024, 57); got != 57 {
-		t.Errorf("got %d, want 57", got)
-	}
-	// 128 KB RF, 1024 threads -> 32 regs.
-	if got := MinRegsForResidency(128<<10, 1024, 57); got != 32 {
-		t.Errorf("got %d, want 32", got)
-	}
-	if got := MinRegsForResidency(128<<10, 0, 57); got != 0 {
-		t.Errorf("zero threads: got %d", got)
-	}
-}
-
 // TestOccupancyInvariants property-checks that the residency never exceeds
 // any capacity and is always a whole number of CTAs.
 func TestOccupancyInvariants(t *testing.T) {
@@ -119,7 +105,7 @@ func TestOccupancyInvariants(t *testing.T) {
 			SharedBytes: (int(shKB) % 65) << 10,
 			CacheBytes:  64 << 10,
 		}
-		res := Compute(r, cfg, 0)
+		res := ComputeShared([]config.KernelRequirements{r}, cfg, nil)[0]
 		if res.CTAs == 0 {
 			return res.Threads == 0
 		}

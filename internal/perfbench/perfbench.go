@@ -85,7 +85,7 @@ func newCycleLoopSM() (*sm.SM, error) {
 		return nil, err
 	}
 	cfg := config.Baseline()
-	occ := occupancy.Compute(k.Requirements(), cfg, 0)
+	occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, cfg, nil)[0]
 	if occ.CTAs < 1 {
 		return nil, fmt.Errorf("perfbench: %s does not fit the baseline configuration", k.Name)
 	}

@@ -23,7 +23,8 @@
 //
 // Four properties define the service:
 //
-//   - Canonical result caching. Every run request is canonicalized —
+//   - Canonical result caching. Every run request is canonicalized by
+//     internal/plan, the resolver cmd/sweep, cmd/smsim and campaigns share —
 //     machine JSON resolved and re-rendered with defaults filled and
 //     aliases collapsed (machine.Describe), kernel and register budget
 //     clamped the way the simulator clamps them — and hashed into a
@@ -72,29 +73,24 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/api"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/energy"
 	"repro/internal/harness"
 	"repro/internal/jobs"
 	"repro/internal/machine"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/probe"
 	"repro/internal/sched"
-	"repro/internal/sm"
 	"repro/internal/store"
 	"repro/internal/workloads"
 )
@@ -162,13 +158,9 @@ type Server struct {
 	engine  *jobs.Engine
 	metrics metrics
 
-	// runners memoizes one core.Runner per distinct (timing, energy)
-	// parameter set so baseline calibrations are shared across requests
-	// to the same machine. Bounded like the trace cache: flushed
-	// entirely when it grows past runnerCacheCap (results never depend
-	// on Runner reuse, only on the spec).
-	runnersMu sync.Mutex
-	runners   map[string]*core.Runner
+	// runners shares baseline calibrations across requests to the same
+	// (timing, energy) parameters.
+	runners plan.Runners
 
 	// flight coalesces concurrent identical requests onto one
 	// computation.
@@ -177,9 +169,6 @@ type Server struct {
 
 	mux *http.ServeMux
 }
-
-// runnerCacheCap bounds the memoized Runner map.
-const runnerCacheCap = 64
 
 type flightCall struct {
 	done   chan struct{}
@@ -192,10 +181,10 @@ type flightCall struct {
 // directory, and resumes any persisted unfinished jobs.
 func New(opts Options) (*Server, error) {
 	s := &Server{
-		opts:    opts.withDefaults(),
-		runners: make(map[string]*core.Runner),
-		flight:  make(map[string]*flightCall),
+		opts:   opts.withDefaults(),
+		flight: make(map[string]*flightCall),
 	}
+	s.runners.WarmTimeout = s.opts.DefaultTimeout
 	s.gate = parallel.NewGate(s.opts.InFlight, s.opts.Queue)
 	s.cache = newResultCache(s.opts.CacheEntries)
 	s.metrics.start = time.Now()
@@ -253,325 +242,37 @@ func (s *Server) Close() {
 	s.engine.Close()
 }
 
-// resolvedRun is an api.RunRequest after canonicalization: the concrete
-// kernels, configuration, and parameters, plus the cache key they hash
-// to and the runner key the (timing, energy) half hashes to.
-type resolvedRun struct {
-	// streams holds the resolved co-resident kernels. A plain request
-	// is a one-entry list, so it and a single-entry streams list
-	// resolve identically.
-	streams   []resolvedStream
-	cfg       config.MemConfig
-	params    sm.Params
-	eparams   energy.Params
-	canon     machine.Description
-	probe     bool
-	probeIvl  int64
-	timeout   time.Duration
-	key       string
-	runnerKey string
-	// warm, when non-nil, routes the run through the shared warm prefix
-	// (batch warm_cycles): the group's Warm is computed once and the run
-	// copy-on-write forks it under its own divergable timing.
-	warm       *warmEntry
-	warmCycles int64
-	// probeSink, when non-nil, receives probe NDJSON bytes live while
-	// the simulation runs (the job engine's probe event stream), in
-	// addition to the response body.
-	probeSink io.Writer
-}
-
-// warmEntry computes one prefix-defining group's warm prefix exactly
-// once per batch. The prefix simulates under the group's prefix-defining
-// parameters with default divergable timing, so a group's Warm — and
-// therefore every forked result — is independent of which batch items
-// formed the group.
-type warmEntry struct {
-	once   sync.Once
-	seed   *resolvedRun // first group member; prefix-defining fields only
-	cycles int64
-	warm   *core.Warm
-	err    error
-}
-
-// warmPrefix returns (computing once) the group's warm prefix. It runs
-// without the item's context: the result is shared by every group
-// member — and by later batches via the per-item cache — so it must
-// never memoize one caller's cancellation. The server default timeout
-// bounds the work instead.
-func (e *warmEntry) warmPrefix(timeout time.Duration) (*core.Warm, error) {
-	e.once.Do(func() {
-		params := sm.DefaultParams()
-		params.Scheduler = e.seed.params.Scheduler
-		params.ActiveWarps = e.seed.params.ActiveWarps
-		params.GreedyScheduler = e.seed.params.GreedyScheduler
-		params.AggressiveScatter = e.seed.params.AggressiveScatter
-		r := core.NewRunner()
-		r.Params = params
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		e.warm, e.err = r.Warm(ctx, core.RunSpec{Config: e.seed.cfg, Streams: e.seed.coreStreams()}, e.cycles)
-	})
-	return e.warm, e.err
-}
-
-// canonicalWarmGroup hashes the prefix-defining half of a resolved run:
-// requests that agree on these fields share one warm prefix.
-type canonicalWarmGroup struct {
-	Kernel      string `json:"kernel"`
-	BF          int    `json:"bf"`
-	Design      string `json:"design"`
-	RFKB        int    `json:"rf_kb"`
-	SharedKB    int    `json:"shared_kb"`
-	CacheKB     int    `json:"cache_kb"`
-	MaxThreads  int    `json:"max_threads"`
-	Regs        int    `json:"regs"`
-	Seed        uint64 `json:"seed"`
-	Scheduler   string `json:"scheduler"`
-	ActiveWarps int    `json:"active_warps"`
-	Greedy      bool   `json:"greedy"`
-	Scatter     bool   `json:"scatter"`
-	Cycles      int64  `json:"cycles"`
-}
-
-// warmGroupKey derives the prefix-defining group key for warm sharing
-// of a single-stream run.
-func warmGroupKey(rr *resolvedRun, cycles int64) string {
-	st := rr.streams[0]
-	b, _ := json.Marshal(canonicalWarmGroup{
-		Kernel:      st.kernel.Name,
-		BF:          st.kernel.BF,
-		Design:      rr.canon.Design,
-		RFKB:        rr.canon.RFKB,
-		SharedKB:    rr.canon.SharedKB,
-		CacheKB:     rr.canon.CacheKB,
-		MaxThreads:  rr.canon.MaxThreads,
-		Regs:        st.regs,
-		Seed:        st.seed,
-		Scheduler:   string(rr.params.Scheduler),
-		ActiveWarps: rr.params.ActiveWarps,
-		Greedy:      rr.params.GreedyScheduler,
-		Scatter:     rr.params.AggressiveScatter,
-		Cycles:      cycles,
-	})
-	return string(b)
-}
-
-// canonicalRun is the hashed form of a resolved run. Field order is the
-// serialization order, so changing this struct changes every key. A
-// single-stream run fills the plain kernel fields; a run of two or more
-// streams fills Streams instead, which trails with omitempty so every
-// single-kernel request keeps its exact key.
-type canonicalRun struct {
-	Kernel   string              `json:"kernel"`
-	BF       int                 `json:"bf"`
-	Machine  machine.Description `json:"machine"`
-	Regs     int                 `json:"regs"`
-	Seed     uint64              `json:"seed"`
-	Probe    bool                `json:"probe"`
-	ProbeIvl int64               `json:"probe_interval,omitempty"`
-	Streams  []canonicalStream   `json:"streams,omitempty"`
-}
-
-// canonicalStream is the hashed form of one resolved stream: the
-// concrete kernel and the clamps the simulator applies, so stream
-// spellings of the same run share a key.
-type canonicalStream struct {
-	Kernel string `json:"kernel"`
-	BF     int    `json:"bf"`
-	Regs   int    `json:"regs"`
-	Seed   uint64 `json:"seed"`
-}
-
-// resolvedStream is one canonicalized stream of a request.
-type resolvedStream struct {
-	kernel *workloads.Kernel
-	regs   int
-	seed   uint64
-}
-
-// label names the run for notes and error messages: the kernel name, or
-// the "+"-joined stream names of a multi-tenant run.
-func (rr *resolvedRun) label() string {
-	names := make([]string, len(rr.streams))
-	for i, st := range rr.streams {
-		names[i] = st.kernel.Name
-	}
-	return strings.Join(names, "+")
-}
-
-// coreStreams returns the run's streams as core stream specs.
-func (rr *resolvedRun) coreStreams() []core.StreamSpec {
-	streams := make([]core.StreamSpec, len(rr.streams))
-	for i, st := range rr.streams {
-		streams[i] = core.StreamSpec{Kernel: st.kernel, RegsPerThread: st.regs, Seed: st.seed}
-	}
-	return streams
-}
-
-// resolve canonicalizes one request. Errors are client errors (400).
-// A plain request is a one-entry stream list: each stream's kernel,
-// register clamp, and seed resolve the same way, and
-// alloc_total_kb/fermi_total_kb partition jointly for the whole list
-// (config.AllocateMulti / config.ChooseFermiMulti).
-func (s *Server) resolve(req api.RunRequest) (*resolvedRun, error) {
-	streamReqs := req.Streams
-	where := func(i int) string { return fmt.Sprintf("streams[%d]: ", i) }
-	if len(streamReqs) > 0 {
-		if req.Kernel != "" || req.BF != 0 || req.RegsPerThread != 0 || req.Seed != 0 {
-			return nil, fmt.Errorf("\"streams\" is mutually exclusive with kernel/bf/regs_per_thread/seed")
-		}
-	} else {
-		streamReqs = []api.StreamRequest{{Kernel: req.Kernel, BF: req.BF, RegsPerThread: req.RegsPerThread, Seed: req.Seed}}
-		where = func(int) string { return "" }
-	}
-	streams := make([]resolvedStream, len(streamReqs))
-	reqs := make([]config.KernelRequirements, len(streamReqs))
-	for i, sr := range streamReqs {
-		if sr.Kernel == "" {
-			return nil, fmt.Errorf("%smissing \"kernel\" (GET /v1/kernels lists the registry)", where(i))
-		}
-		var k *workloads.Kernel
-		var err error
-		if sr.Kernel == "needle" && sr.BF != 0 {
-			k = workloads.NeedleKernel(sr.BF)
-		} else {
-			k, err = workloads.ByName(sr.Kernel)
-			if err != nil {
-				return nil, fmt.Errorf("%s%w", where(i), err)
-			}
-		}
-		// Canonicalize exactly the clamps the simulator applies, so
-		// requests that spell the same run differently share a key.
-		st := resolvedStream{kernel: k, regs: sr.RegsPerThread, seed: sr.Seed}
-		if st.regs <= 0 || st.regs > k.RegsNeeded {
-			st.regs = k.RegsNeeded
-		}
-		if st.seed == 0 {
-			st.seed = 1 // core.Runner's default seed
-		}
-		streams[i] = st
-		reqs[i] = k.Requirements()
-	}
-	cfg, params, eparams, err := req.Machine.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	if req.AllocTotalKB > 0 && req.FermiTotalKB > 0 {
-		return nil, fmt.Errorf("at most one of alloc_total_kb and fermi_total_kb")
-	}
-	if req.AllocTotalKB > 0 {
-		cfg, err = config.AllocateMulti(reqs, req.AllocTotalKB<<10, req.Machine.MaxThreads)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if req.FermiTotalKB > 0 {
-		if req.FermiTotalKB<<10 <= config.BaselineRFBytes {
-			return nil, fmt.Errorf("fermi_total_kb must exceed the fixed %dKB register file",
-				config.BaselineRFBytes>>10)
-		}
-		cfg = config.ChooseFermiMulti(reqs, req.FermiTotalKB<<10-config.BaselineRFBytes, req.Machine.MaxThreads)
-	}
-	rr := &resolvedRun{
-		streams: streams,
-		cfg:     cfg,
-		params:  params,
-		eparams: eparams,
-		canon:   machine.Describe(cfg, params, eparams),
-	}
-	if req.Probe {
-		rr.probe = true
-		rr.probeIvl = req.ProbeIntervalCycles
-		if rr.probeIvl <= 0 {
-			rr.probeIvl = probe.DefaultInterval
-		}
-	}
-	rr.timeout = s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		rr.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	canon := canonicalRun{Machine: rr.canon, Probe: rr.probe, ProbeIvl: rr.probeIvl}
-	if len(streams) == 1 {
-		st := streams[0]
-		canon.Kernel, canon.BF, canon.Regs, canon.Seed = st.kernel.Name, st.kernel.BF, st.regs, st.seed
-	} else {
-		for _, st := range streams {
-			canon.Streams = append(canon.Streams, canonicalStream{Kernel: st.kernel.Name, BF: st.kernel.BF, Regs: st.regs, Seed: st.seed})
-		}
-	}
-	ck, err := json.Marshal(canon)
-	if err != nil {
-		return nil, err
-	}
-	rr.key = cacheKey(ck)
-	// The runner depends only on the (timing, energy) half of the
-	// machine; zero the configuration half so runs under different
-	// capacities share one Runner and its baseline calibrations.
-	rk := rr.canon
-	rk.Design, rk.RFKB, rk.SharedKB, rk.CacheKB, rk.MaxThreads = "", 0, 0, 0, 0
-	rkb, err := json.Marshal(rk)
-	if err != nil {
-		return nil, err
-	}
-	rr.runnerKey = string(rkb)
-	return rr, nil
-}
-
-// runner returns (memoizing) the Runner for a resolved run's timing and
-// energy parameters.
-func (s *Server) runner(rr *resolvedRun) *core.Runner {
-	s.runnersMu.Lock()
-	defer s.runnersMu.Unlock()
-	if r, ok := s.runners[rr.runnerKey]; ok {
-		return r
-	}
-	if len(s.runners) >= runnerCacheCap {
-		s.runners = make(map[string]*core.Runner, runnerCacheCap)
-	}
-	r := core.NewRunner()
-	r.Params = rr.params
-	r.Energy.P = rr.eparams
-	s.runners[rr.runnerKey] = r
-	return r
-}
-
 // simulate executes one resolved run and marshals its response body.
-func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
-	ctx, cancel := context.WithTimeout(ctx, rr.timeout)
+// sink, when non-nil, receives probe NDJSON bytes live while the
+// simulation runs (the job engine's probe event stream), in addition to
+// the response body.
+func (s *Server) simulate(ctx context.Context, rr *plan.Run, sink io.Writer) (int, []byte) {
+	timeout := rr.Timeout
+	if timeout == 0 {
+		timeout = s.opts.DefaultTimeout
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var (
 		opts    []core.RunOption
 		ndjson  bytes.Buffer
 		started = time.Now()
 	)
-	if rr.probe {
-		sink := io.Writer(&ndjson)
-		if rr.probeSink != nil {
-			sink = io.MultiWriter(&ndjson, rr.probeSink)
+	if rr.Probe {
+		w := io.Writer(&ndjson)
+		if sink != nil {
+			w = io.MultiWriter(&ndjson, sink)
 		}
-		opts = append(opts, core.WithProbe(probe.New(rr.probeIvl, sink)))
+		opts = append(opts, core.WithProbe(probe.New(rr.ProbeInterval, w)))
 	}
-	var res *core.Result
-	var err error
-	if rr.warm != nil {
-		// Warm-prefix path: fork the group's shared prefix under this
-		// item's divergable timing. Energy calibration comes from the
-		// item's own runner, exactly as the direct path.
-		var warm *core.Warm
-		if warm, err = rr.warm.warmPrefix(s.opts.DefaultTimeout); err == nil {
-			res, err = warm.Resume(ctx, s.runner(rr), rr.params)
-		}
-	} else {
-		res, err = s.runner(rr).RunCtx(ctx, core.RunSpec{Config: rr.cfg, Streams: rr.coreStreams()}, opts...)
-	}
+	res, err := s.runners.Simulate(ctx, rr, opts...)
 	s.metrics.simRuns.Add(1)
 	s.metrics.simSeconds.observe(time.Since(started).Seconds())
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.timeouts.Add(1)
 		return http.StatusGatewayTimeout, errorBytes(errDeadline(fmt.Sprintf(
-			"simulation exceeded its %v deadline (raise timeout_ms or the server -timeout)", rr.timeout)))
+			"simulation exceeded its %v deadline (raise timeout_ms or the server -timeout)", timeout)))
 	case errors.Is(err, context.Canceled):
 		// The client went away; 499 in nginx's vocabulary, nothing
 		// useful to send. StatusRequestTimeout keeps it a client error.
@@ -584,15 +285,9 @@ func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
 		return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
 	}
 	resp := api.RunResponse{
-		Key:    rr.key,
-		Kernel: rr.label(),
-		Config: api.ConfigInfo{
-			Design:      rr.cfg.Design.String(),
-			RFBytes:     rr.cfg.RFBytes,
-			SharedBytes: rr.cfg.SharedBytes,
-			CacheBytes:  rr.cfg.CacheBytes,
-			MaxThreads:  rr.cfg.MaxThreads,
-		},
+		Key:    rr.Key,
+		Kernel: rr.Label(),
+		Config: rr.ConfigInfo(),
 		Occupancy: api.OccupancyInfo{
 			CTAs:    res.Occupancy.CTAs,
 			Threads: res.Occupancy.Threads,
@@ -609,13 +304,13 @@ func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
 			Total: res.Energy.Total(),
 		},
 		ProbeNDJSON: ndjson.String(),
-		WarmCycles:  rr.warmCycles,
+		WarmCycles:  rr.WarmCycles,
 	}
-	if k := rr.streams[0].kernel; len(rr.streams) == 1 && k.Name == "needle" {
+	if k := rr.Streams[0].Kernel; len(rr.Streams) == 1 && k.Name == "needle" {
 		resp.BF = k.BF
 	}
 	for i, sr := range res.Streams {
-		st := rr.streams[i]
+		st := rr.Streams[i]
 		counters := sr.Counters // copy: the response keeps a stable pointer
 		out := api.StreamResult{
 			Kernel: sr.Kernel,
@@ -629,8 +324,8 @@ func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
 			IPC:      counters.ThreadIPC(),
 			WarpIPC:  counters.IPC(),
 		}
-		if st.kernel.Name == "needle" {
-			out.BF = st.kernel.BF
+		if st.Kernel.Name == "needle" {
+			out.BF = st.Kernel.BF
 		}
 		resp.Streams = append(resp.Streams, out)
 	}
@@ -640,27 +335,28 @@ func (s *Server) simulate(ctx context.Context, rr *resolvedRun) (int, []byte) {
 // compute runs the cache -> store -> coalesce -> simulate pipeline for
 // one resolved run. It assumes admission is already settled. counted
 // says the caller already recorded this lookup in the cache stats
-// (handleRun's pre-admission check), so the recheck stays quiet. The
-// cacheState return is "hit", "stored", "coalesced", or "miss".
-func (s *Server) compute(ctx context.Context, rr *resolvedRun, counted bool) (status int, body []byte, cacheState string) {
+// (handleRun's pre-admission check), so the recheck stays quiet. sink
+// is simulate's live probe sink. The cacheState return is "hit",
+// "stored", "coalesced", or "miss".
+func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool, sink io.Writer) (status int, body []byte, cacheState string) {
 	lookup := s.cache.get
 	if counted {
 		lookup = s.cache.peek
 	}
-	if body, ok := lookup(rr.key); ok {
+	if body, ok := lookup(rr.Key); ok {
 		return http.StatusOK, body, "hit"
 	}
 	// The persistent store sits under the LRU: a body completed by a
 	// previous process (or evicted from the LRU) replays byte-identically
 	// and re-enters the LRU. This is the job resume path.
 	if s.store != nil {
-		if body, ok := s.store.Get(rr.key); ok {
-			s.cache.put(rr.key, body)
+		if body, ok := s.store.Get(rr.Key); ok {
+			s.cache.put(rr.Key, body)
 			return http.StatusOK, body, "stored"
 		}
 	}
 	s.flightMu.Lock()
-	if c, ok := s.flight[rr.key]; ok {
+	if c, ok := s.flight[rr.Key]; ok {
 		s.flightMu.Unlock()
 		select {
 		case <-c.done:
@@ -671,18 +367,18 @@ func (s *Server) compute(ctx context.Context, rr *resolvedRun, counted bool) (st
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
-	s.flight[rr.key] = c
+	s.flight[rr.Key] = c
 	s.flightMu.Unlock()
 
-	c.status, c.body = s.simulate(ctx, rr)
+	c.status, c.body = s.simulate(ctx, rr, sink)
 	if c.status == http.StatusOK {
-		s.cache.put(rr.key, c.body)
+		s.cache.put(rr.Key, c.body)
 		if s.store != nil {
-			_ = s.store.Put(rr.key, c.body)
+			_ = s.store.Put(rr.Key, c.body)
 		}
 	}
 	s.flightMu.Lock()
-	delete(s.flight, rr.key)
+	delete(s.flight, rr.Key)
 	s.flightMu.Unlock()
 	close(c.done)
 	return c.status, c.body, "miss"
@@ -713,14 +409,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeStrict(w, r, &req, &s.metrics) {
 		return
 	}
-	rr, err := s.resolve(req)
+	rr, err := plan.Resolve(req)
 	if err != nil {
 		s.metrics.clientErrors.Add(1)
 		writeError(w, errBadRequest("%s", err.Error()))
 		return
 	}
 	// A cache hit skips admission entirely: replaying bytes is free.
-	if body, ok := s.cache.get(rr.key); ok {
+	if body, ok := s.cache.get(rr.Key); ok {
 		writeBody(w, http.StatusOK, body, "hit")
 		return
 	}
@@ -729,44 +425,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	status, body, state := s.compute(r.Context(), rr, true)
+	status, body, state := s.compute(r.Context(), rr, true, nil)
 	writeBody(w, status, body, state)
-}
-
-// resolveBatch canonicalizes a batch request's runs, wiring warm-prefix
-// groups. The returned envelope (nil on success) is the request's 400.
-func (s *Server) resolveBatch(req api.BatchRequest) ([]*resolvedRun, *api.Error) {
-	if len(req.Runs) == 0 {
-		return nil, errBadRequest("empty batch: \"runs\" must list at least one run")
-	}
-	if req.WarmCycles < 0 {
-		return nil, errBadRequest("warm_cycles must be non-negative")
-	}
-	resolved := make([]*resolvedRun, len(req.Runs))
-	groups := make(map[string]*warmEntry)
-	for i, run := range req.Runs {
-		rr, err := s.resolve(run)
-		if err != nil {
-			return nil, errBadRequest("runs[%d]: %v", i, err)
-		}
-		// Warm-prefix sharing: group prefix-compatible unprobed items.
-		// Fork-at-K results differ from cycle-0 results, so the cache
-		// key grows a warm suffix; probed items keep the exact path and
-		// their plain key.
-		if req.WarmCycles > 0 && !rr.probe && len(rr.streams) == 1 {
-			gk := warmGroupKey(rr, req.WarmCycles)
-			e := groups[gk]
-			if e == nil {
-				e = &warmEntry{seed: rr, cycles: req.WarmCycles}
-				groups[gk] = e
-			}
-			rr.warm = e
-			rr.warmCycles = req.WarmCycles
-			rr.key = cacheKey(fmt.Appendf(nil, "%s\x00warm\x00%d", rr.key, req.WarmCycles))
-		}
-		resolved[i] = rr
-	}
-	return resolved, nil
 }
 
 // batchItemBody marshals one batch entry from its settled (status,
@@ -798,10 +458,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decodeStrict(w, r, &req, &s.metrics) {
 		return
 	}
-	resolved, aerr := s.resolveBatch(req)
-	if aerr != nil {
+	resolved, err := plan.ResolveBatch(req)
+	if err != nil {
 		s.metrics.clientErrors.Add(1)
-		writeError(w, aerr)
+		writeError(w, errBadRequest("%s", err.Error()))
 		return
 	}
 	release := s.admit(w, r)
@@ -814,7 +474,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Items fan out across the process worker budget; Map keeps results
 	// in request order, so the assembled body is worker-count invariant.
 	items, err := parallel.Map(len(resolved), func(i int) (json.RawMessage, error) {
-		status, body, state := s.compute(r.Context(), resolved[i], false)
+		status, body, state := s.compute(r.Context(), resolved[i], false, nil)
 		mu.Lock()
 		if state == "miss" {
 			misses++
@@ -829,7 +489,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Items report their own failures in the body; only a recovered
 		// panic fails the batch.
 		s.metrics.serverErrors.Add(1)
-		writeError(w, errInternal("%v (key %s)", pe, resolved[pe.Index].key))
+		writeError(w, errInternal("%v (key %s)", pe, resolved[pe.Index].Key))
 		return
 	}
 	body := marshalBody(api.BatchResponse{Results: items})
@@ -874,7 +534,7 @@ func (s *Server) resolveExperiment(req api.ExperimentRequest) (*resolvedExperime
 	return &resolvedExperiment{
 		name: req.Name,
 		pol:  pol,
-		key:  cacheKey(fmt.Appendf(nil, "experiment\x00%s\x00%s", req.Name, pol)),
+		key:  plan.Key(fmt.Appendf(nil, "experiment\x00%s\x00%s", req.Name, pol)),
 	}, nil
 }
 
@@ -905,12 +565,12 @@ func (s *Server) computeExperiment(er *resolvedExperiment) (status int, body []b
 	// default machine with the chosen scheduler.
 	d := machine.Default()
 	d.Timing.Scheduler = string(er.pol)
-	rr, rerr := s.resolve(api.RunRequest{Kernel: "needle", Machine: d})
+	rr, rerr := plan.Resolve(api.RunRequest{Kernel: "needle", Machine: d})
 	if rerr != nil {
 		c.status, c.body = http.StatusInternalServerError, errorBytes(errInternal("%s", rerr.Error()))
 	} else {
 		started := time.Now()
-		t, err := harness.Run(s.runner(rr), er.name)
+		t, err := harness.Run(s.runners.Runner(rr), er.name)
 		s.metrics.simSeconds.observe(time.Since(started).Seconds())
 		if err != nil {
 			s.metrics.serverErrors.Add(1)
@@ -1060,11 +720,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(marshalBody(v))
-}
-
-// cacheKey hashes canonical request bytes into the result key shared by
-// the LRU and the persistent store.
-func cacheKey(canonical []byte) string {
-	sum := sha256.Sum256(canonical)
-	return hex.EncodeToString(sum[:])
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/api"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -274,12 +275,12 @@ func TestSimulateDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rr, err := s.resolve(api.RunRequest{Kernel: "needle"})
+	rr, err := plan.Resolve(api.RunRequest{Kernel: "needle"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr.timeout = time.Nanosecond
-	status, body := s.simulate(context.Background(), rr)
+	rr.Timeout = time.Nanosecond
+	status, body := s.simulate(context.Background(), rr, nil)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", status, body)
 	}

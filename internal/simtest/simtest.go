@@ -72,7 +72,7 @@ func (c Case) Spec() (sm.Spec, error) {
 	params.WriteBackCache = c.WriteBack
 	params.MaxMSHRs = c.MaxMSHRs
 	params.Scheduler = c.Scheduler
-	occ := occupancy.Compute(k.Requirements(), cfg, k.RegsNeeded)
+	occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, cfg, []int{k.RegsNeeded})[0]
 	if occ.CTAs < 1 {
 		return sm.Spec{}, fmt.Errorf("simtest: %s does not fit %v", c.Kernel, cfg)
 	}
@@ -92,9 +92,9 @@ func (c Case) Spec() (sm.Spec, error) {
 func (c Case) memConfig(k *workloads.Kernel) (config.MemConfig, error) {
 	switch c.Design {
 	case config.Unified:
-		return config.Allocate(k.Requirements(), config.BaselineTotalBytes, 0)
+		return config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes, 0)
 	case config.FermiLike:
-		return config.ChooseFermi(k.Requirements(), config.BaselineTotalBytes-config.BaselineRFBytes, 0), nil
+		return config.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes-config.BaselineRFBytes, 0), nil
 	default:
 		return config.Baseline(), nil
 	}
