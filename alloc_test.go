@@ -3,7 +3,7 @@
 // heap allocation at all. CI gates on this test, so a regression that
 // puts an allocation back on the hot path (a closure that escapes, a map
 // on the issue path, a buffer rebuilt per access) fails loudly instead
-// of showing up as a slow drift in BENCH_results.json.
+// of showing up as a slow drift in BenchmarkCycleLoop's ns/op.
 package repro_test
 
 import (
@@ -16,22 +16,26 @@ import (
 	"repro/internal/workloads"
 )
 
-// steadySpec builds a baseline-configuration spec with the MSHR table
-// bounded, so every memsys structure is pre-sized (the unbounded model
-// may legitimately double its pending-fill table mid-run).
-func steadySpec(t *testing.T, name string) sm.Spec {
-	t.Helper()
+// allocMSHRs bounds the MSHR table of the alloc-free runs, so every
+// memsys structure is pre-sized (the unbounded model may legitimately
+// double its pending-fill table mid-run).
+const allocMSHRs = 64
+
+// steadySpec builds a baseline-configuration spec running the named
+// kernel with at most maxMSHRs outstanding misses (0 = unbounded).
+func steadySpec(tb testing.TB, name string, maxMSHRs int) sm.Spec {
+	tb.Helper()
 	k, err := workloads.ByName(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := config.Baseline()
 	occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, cfg, nil)[0]
 	if occ.CTAs < 1 {
-		t.Fatalf("%s does not fit the baseline configuration", name)
+		tb.Fatalf("%s does not fit the baseline configuration", name)
 	}
 	params := sm.DefaultParams()
-	params.MaxMSHRs = 64
+	params.MaxMSHRs = maxMSHRs
 	return sm.Spec{
 		Config:       cfg,
 		Params:       params,
@@ -41,11 +45,11 @@ func steadySpec(t *testing.T, name string) sm.Spec {
 }
 
 // newSteadySM builds a fresh SM from steadySpec.
-func newSteadySM(t *testing.T, name string) *sm.SM {
-	t.Helper()
-	machine, err := sm.NewSM(steadySpec(t, name))
+func newSteadySM(tb testing.TB, name string, maxMSHRs int) *sm.SM {
+	tb.Helper()
+	machine, err := sm.NewSM(steadySpec(tb, name, maxMSHRs))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return machine
 }
@@ -57,12 +61,12 @@ func newSteadySM(t *testing.T, name string) *sm.SM {
 // loop must heap-allocate exactly zero times.
 func TestForkedCycleLoopAllocFree(t *testing.T) {
 	for _, name := range []string{"needle", "bfs"} {
-		warm := newSteadySM(t, name)
+		warm := newSteadySM(t, name, allocMSHRs)
 		if _, err := warm.Run(); err != nil {
 			t.Fatal(err)
 		}
 
-		spec := steadySpec(t, name)
+		spec := steadySpec(t, name, allocMSHRs)
 		parent, err := sm.NewSM(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -98,12 +102,12 @@ func TestForkedCycleLoopAllocFree(t *testing.T) {
 // run's cycle loop.
 func TestCycleLoopSteadyStateAllocFree(t *testing.T) {
 	for _, name := range []string{"needle", "bfs"} {
-		warm := newSteadySM(t, name)
+		warm := newSteadySM(t, name, allocMSHRs)
 		if _, err := warm.Run(); err != nil {
 			t.Fatal(err)
 		}
 
-		machine := newSteadySM(t, name)
+		machine := newSteadySM(t, name, allocMSHRs)
 		machine.Start()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -21,26 +21,11 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/isa"
 	"repro/internal/occupancy"
 	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/sm"
 	"repro/internal/workloads"
 )
-
-// replicated deals one grid per SM.
-type replicated struct {
-	src    sm.TraceSource
-	ctas   int
-	warps  int
-	factor int
-}
-
-func (r *replicated) Grid() (int, int) { return r.ctas * r.factor, r.warps }
-func (r *replicated) WarpTrace(cta, warp int) []isa.WarpInst {
-	return r.src.WarpTrace(cta, warp)
-}
 
 // runMulti schedules several kernels concurrently across the chip's
 // SMs (chip.New) and compares each SM against its kernel's
@@ -77,11 +62,9 @@ func runMulti(spec string, sms, l2KB int, stagger int64) {
 			n++
 		}
 		occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
-		src := &workloads.Source{K: k, Seed: 1}
-		_, warps := src.Grid()
 		multi[j] = chip.Kernel{
 			Name:         k.Name,
-			Source:       &replicated{src, k.GridCTAs, warps, n},
+			Source:       &chip.Replicated{Source: &workloads.Source{K: k, Seed: 1}, Copies: n},
 			ResidentCTAs: occ.CTAs,
 		}
 	}
@@ -176,11 +159,10 @@ func main() {
 		},
 		func() error {
 			occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
-			src := &workloads.Source{K: k, Seed: 1}
-			_, warps := src.Grid()
+			src := &chip.Replicated{Source: &workloads.Source{K: k, Seed: 1}, Copies: *sms}
 			machine, err := chip.New(chip.Config{NumSMs: *sms, Mem: mem, LaunchStagger: *stagger},
 				config.Baseline(), runner.Params,
-				chip.Kernel{Name: k.Name, Source: &replicated{src, k.GridCTAs, warps, *sms}, ResidentCTAs: occ.CTAs})
+				chip.Kernel{Name: k.Name, Source: src, ResidentCTAs: occ.CTAs})
 			if err != nil {
 				return err
 			}

@@ -20,9 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/api"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -64,21 +62,12 @@ func replayTrace(path string, cfg config.MemConfig, params sm.Params, residentCT
 }
 
 func main() {
+	rf := plan.AddFlags(flag.CommandLine)
+	rf.AddMachineFlag(flag.CommandLine)
 	var (
-		kernelName  = flag.String("kernel", "", "benchmark name (see -list)")
-		design      = flag.String("design", "partitioned", "partitioned | unified | fermi")
-		rfKB        = flag.Int("rf", 256, "register file capacity in KB (partitioned design)")
-		shmKB       = flag.Int("shm", 64, "shared memory capacity in KB (partitioned design)")
-		cacheKB     = flag.Int("cache", 64, "cache capacity in KB (partitioned design)")
-		totalKB     = flag.Int("total", 384, "total unified capacity in KB (unified/fermi designs)")
-		threads     = flag.Int("threads", 0, "resident thread cap (0 = architectural limit)")
-		regs        = flag.Int("regs", 0, "registers allocated per thread (0 = spill-free demand)")
-		machineFile = flag.String("machine", "", "load a JSON machine description (overrides -rf/-shm/-cache/-threads and timing; excludes -design unified|fermi)")
 		emitMachine = flag.String("emit-machine", "", "write the default machine description to a JSON file and exit")
 		traceFile   = flag.String("trace", "", "replay a recorded trace file instead of a registry kernel")
 		resident    = flag.Int("resident", 4, "resident CTAs when replaying a trace (-trace)")
-		schedName   = flag.String("sched", "", "warp scheduler: twolevel (default) | gto")
-		streams     = flag.String("streams", "", "run several kernels co-resident on one SM, \"+\"-joined (e.g. needle+matrixmul)")
 		list        = flag.Bool("list", false, "list benchmarks and exit")
 	)
 	prof := profiling.AddFlags(flag.CommandLine)
@@ -90,12 +79,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	policy, err := sched.ParsePolicy(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smsim:", err)
-		os.Exit(2)
-	}
 
 	if *emitMachine != "" {
 		if err := machine.Save(*emitMachine, machine.Default()); err != nil {
@@ -116,68 +99,28 @@ func main() {
 		return
 	}
 	if *traceFile != "" {
+		policy, err := sched.ParsePolicy(rf.Sched)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "smsim:", err)
+			os.Exit(2)
+		}
 		params := sm.DefaultParams()
 		params.Scheduler = policy
 		replayTrace(*traceFile, config.MemConfig{
 			Design:      config.Partitioned,
-			RFBytes:     *rfKB << 10,
-			SharedBytes: *shmKB << 10,
-			CacheBytes:  *cacheKB << 10,
-			MaxThreads:  *threads,
+			RFBytes:     rf.RFKB << 10,
+			SharedBytes: rf.SharedKB << 10,
+			CacheBytes:  rf.CacheKB << 10,
+			MaxThreads:  rf.Threads,
 		}, params, *resident)
 		return
 	}
 	// Every other flag combination is one api.RunRequest, resolved and
 	// simulated through internal/plan exactly as smserve would.
-	var req api.RunRequest
-	if *streams != "" {
-		names, err := parseStreams(*streams)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(2)
-		}
-		for _, name := range names {
-			req.Streams = append(req.Streams, api.StreamRequest{Kernel: name})
-		}
-	} else {
-		if *kernelName == "" {
-			fmt.Fprintln(os.Stderr, "smsim: -kernel is required (try -list)")
-			os.Exit(2)
-		}
-		if _, err := workloads.ByName(*kernelName); err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(2)
-		}
-		req.Kernel, req.RegsPerThread = *kernelName, *regs
-	}
-	if *machineFile != "" {
-		if *design == "unified" || *design == "fermi" {
-			fmt.Fprintf(os.Stderr, "smsim: -design %s cannot be combined with -machine (the machine file sets the design)\n", *design)
-			os.Exit(2)
-		}
-		d, err := machine.Read(*machineFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smsim:", err)
-			os.Exit(1)
-		}
-		if *schedName != "" {
-			d.Timing.Scheduler = string(policy) // the flag overrides the machine file
-		}
-		req.Machine = d
-	} else {
-		req.Machine.MaxThreads = *threads
-		req.Machine.Timing.Scheduler = string(policy)
-		switch *design {
-		case "partitioned":
-			req.Machine.RFKB, req.Machine.SharedKB, req.Machine.CacheKB = *rfKB, *shmKB, *cacheKB
-		case "unified":
-			req.AllocTotalKB = *totalKB
-		case "fermi":
-			req.FermiTotalKB = *totalKB
-		default:
-			fmt.Fprintf(os.Stderr, "smsim: unknown design %q\n", *design)
-			os.Exit(2)
-		}
+	req, err := rf.Request()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smsim:", err)
+		os.Exit(2)
 	}
 	run, err := plan.Resolve(req)
 	if err != nil {
@@ -206,23 +149,6 @@ func main() {
 	} else {
 		reportRun(run.Streams[0].Kernel, res)
 	}
-}
-
-// parseStreams splits a "+"-joined kernel list ("needle+matrixmul")
-// and checks each name against the registry. At least two names make a
-// multi-tenant mix.
-func parseStreams(spec string) ([]string, error) {
-	names := strings.Split(spec, "+")
-	if len(names) < 2 {
-		return nil, fmt.Errorf("-streams wants at least two \"+\"-joined kernels, got %q", spec)
-	}
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-		if _, err := workloads.ByName(names[i]); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
 }
 
 // reportMix prints a multi-tenant mix's joint report plus the

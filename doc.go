@@ -16,6 +16,6 @@
 //	go run ./cmd/paper
 //
 // and see DESIGN.md / EXPERIMENTS.md for the module map and the
-// paper-vs-measured record. The benchmarks in bench_test.go regenerate
-// one table or figure each.
+// paper-vs-measured record. The repository benchmark (repobench/) times
+// every experiment; its reports make up BENCH_results.json.
 package repro

@@ -6,8 +6,8 @@
 // CTAs the full chip behaves like 32 copies of one SM. This package exists
 // to test that claim: it runs the same kernel across N SMs against a
 // shared memory system and reports per-SM results that can be compared
-// with the single-SM simulation (see the chip validation test and
-// BenchmarkChipValidation). Several kernels can also share the chip, each
+// with the single-SM simulation (see the chip validation test and the
+// validation experiment, core's ValidateMethodology). Several kernels can also share the chip, each
 // owning a subset of the SMs; one kernel is the ordinary case.
 //
 // SMs advance in conservative global-time order: the simulator always
@@ -95,6 +95,47 @@ func (s *shardSource) WarpOutcomes(cta, warp int, design config.Design, aggressi
 func (s *shardSource) WarpFootprints(cta, warp int) *memsys.Footprints {
 	if src, ok := s.src.(dispatch.FootprintSource); ok {
 		return src.WarpFootprints(cta*s.nSM+s.smIndex, warp)
+	}
+	return nil
+}
+
+// Replicated is a grid of Copies back-to-back copies of a source's grid,
+// so every SM of a chip gets a full grid's worth of CTAs, the way the
+// single-SM methodology is compared against a chip (Section 5.1). CTA i
+// of the replicated grid is the wrapped source's CTA i: a kernel's traces
+// are deterministic in the CTA index, so the copies past the first
+// continue its CTA numbering. Memoized bank outcomes and footprints are
+// forwarded under the same index, or nil when the wrapped source does not
+// memoize them.
+type Replicated struct {
+	Source TraceSource
+	Copies int
+}
+
+var (
+	_ dispatch.OutcomeSource   = (*Replicated)(nil)
+	_ dispatch.FootprintSource = (*Replicated)(nil)
+)
+
+func (r *Replicated) Grid() (int, int) {
+	ctas, warps := r.Source.Grid()
+	return ctas * r.Copies, warps
+}
+
+func (r *Replicated) WarpTrace(cta, warp int) []isa.WarpInst {
+	return r.Source.WarpTrace(cta, warp)
+}
+
+func (r *Replicated) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
+	if src, ok := r.Source.(dispatch.OutcomeSource); ok {
+		return src.WarpOutcomes(cta, warp, design, aggressive)
+	}
+	return nil
+}
+
+func (r *Replicated) WarpFootprints(cta, warp int) *memsys.Footprints {
+	if src, ok := r.Source.(dispatch.FootprintSource); ok {
+		return src.WarpFootprints(cta, warp)
 	}
 	return nil
 }

@@ -287,3 +287,42 @@ func TestChipReplaysMemo(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedForwardsMemo: a Replicated grid must forward the wrapped
+// source's memoized outcomes and footprints for every warp it launches,
+// and the chip run must equal one over a wrapper that forwards nothing.
+func TestReplicatedForwardsMemo(t *testing.T) {
+	k, err := workloads.ByName("vectoradd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &workloads.Source{K: k}
+	memo := &memoSource{Source: src, traces: map[[2]int]int{}, outcomes: map[[2]int]int{}, footprints: map[[2]int]int{}}
+	const sms = 3
+	run := func(s TraceSource) *Result {
+		c, err := New(Config{NumSMs: sms}, config.Baseline(), sm.DefaultParams(),
+			Kernel{Name: k.Name, Source: &Replicated{Source: s, Copies: sms}, ResidentCTAs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := run(memo), run(plainSource{src})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("forwarded memo tables changed the replicated run: %+v vs %+v", got.Total, want.Total)
+	}
+	ctas, warps := src.Grid()
+	if len(memo.traces) != sms*ctas*warps {
+		t.Fatalf("chip launched %d warps, want %d", len(memo.traces), sms*ctas*warps)
+	}
+	for key := range memo.traces {
+		if memo.outcomes[key] != 1 || memo.footprints[key] != 1 {
+			t.Errorf("warp %v: %d outcome, %d footprint requests; want 1 each",
+				key, memo.outcomes[key], memo.footprints[key])
+		}
+	}
+}

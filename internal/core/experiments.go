@@ -309,70 +309,28 @@ type Comparison struct {
 	DRAMRatio float64
 }
 
-// NamedMachine pairs a display name with the rule deriving a kernel's
-// memory configuration under that machine. The rule is per-kernel
-// because the paper's flexible designs are: the §4.5 allocator and the
-// Fermi-like preset chooser size RF/shared/cache from each kernel's
-// requirements, while fixed machines ignore the kernel entirely.
-type NamedMachine struct {
-	Name      string
-	Configure func(k *workloads.Kernel) (config.MemConfig, error)
+// unifiedConfig is k's §4.5 allocation of a unified memory of
+// totalBytes.
+func unifiedConfig(k *workloads.Kernel, totalBytes int) (config.MemConfig, error) {
+	cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, totalBytes, 0)
+	if err != nil {
+		return config.MemConfig{}, fmt.Errorf("allocate %s: %w", k.Name, err)
+	}
+	return cfg, nil
 }
 
-// MachineSet is an ordered list of named machines — the generalization
-// of the hardcoded partitioned/unified/fermi-like tuple that the
-// experiment drivers and the campaign layer iterate over.
-type MachineSet []NamedMachine
-
-// FixedMachine is a machine with one configuration for every kernel.
-func FixedMachine(name string, cfg config.MemConfig) NamedMachine {
-	return NamedMachine{Name: name, Configure: func(*workloads.Kernel) (config.MemConfig, error) {
-		return cfg, nil
-	}}
-}
-
-// BaselineMachine is the paper's partitioned baseline (Table 2).
-func BaselineMachine() NamedMachine {
-	return FixedMachine(config.Partitioned.String(), config.Baseline())
-}
-
-// UnifiedMachine applies the §4.5 allocation of a unified memory of
-// totalBytes per kernel.
-func UnifiedMachine(name string, totalBytes int) NamedMachine {
-	return NamedMachine{Name: name, Configure: func(k *workloads.Kernel) (config.MemConfig, error) {
-		cfg, err := config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, totalBytes, 0)
-		if err != nil {
-			return config.MemConfig{}, fmt.Errorf("allocate %s: %w", k.Name, err)
-		}
-		return cfg, nil
-	}}
-}
-
-// FermiMachine applies the Fermi-like limited design of totalBytes per
-// kernel: a fixed 256 KB register file plus the better of the two
-// preset shared/cache splits.
-func FermiMachine(name string, totalBytes int) NamedMachine {
-	return NamedMachine{Name: name, Configure: func(k *workloads.Kernel) (config.MemConfig, error) {
-		return config.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, totalBytes-config.BaselineRFBytes, 0), nil
-	}}
+// fermiConfig is k's Fermi-like limited design of totalBytes: a fixed
+// 256 KB register file plus the better of the two preset shared/cache
+// splits.
+func fermiConfig(k *workloads.Kernel, totalBytes int) (config.MemConfig, error) {
+	return config.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, totalBytes-config.BaselineRFBytes, 0), nil
 }
 
 // CompareUnified runs a kernel under the Section 4.5 allocation of a
 // unified memory of totalBytes and compares it with the kernel's baseline
 // partitioned run.
 func (r *Runner) CompareUnified(k *workloads.Kernel, totalBytes int) (Comparison, error) {
-	cfg, err := UnifiedMachine(config.Unified.String(), totalBytes).Configure(k)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return r.compare(k, cfg)
-}
-
-// CompareFermi runs a kernel under the Fermi-like limited design (fixed
-// 256 KB register file, shared/cache split chosen per kernel from two
-// presets) and compares with baseline.
-func (r *Runner) CompareFermi(k *workloads.Kernel, totalBytes int) (Comparison, error) {
-	cfg, err := FermiMachine(config.FermiLike.String(), totalBytes).Configure(k)
+	cfg, err := unifiedConfig(k, totalBytes)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -402,29 +360,27 @@ func (r *Runner) compare(k *workloads.Kernel, cfg config.MemConfig) (Comparison,
 // partitioned baseline for the no-benefit set; the paper's result is that
 // every change stays within about 1%.
 func (r *Runner) Figure7() ([]Comparison, error) {
-	return r.CompareMachine(workloads.NoBenefitSet(),
-		UnifiedMachine(config.Unified.String(), config.BaselineTotalBytes))
+	return r.compareAll(workloads.NoBenefitSet(), unifiedConfig)
 }
 
 // Figure9 is the same comparison for the benefit set (gains of 4-71%).
 func (r *Runner) Figure9() ([]Comparison, error) {
-	return r.CompareMachine(workloads.BenefitSet(),
-		UnifiedMachine(config.Unified.String(), config.BaselineTotalBytes))
+	return r.compareAll(workloads.BenefitSet(), unifiedConfig)
 }
 
 // Figure10 compares the Fermi-like limited-flexibility design for the
 // benefit set.
 func (r *Runner) Figure10() ([]Comparison, error) {
-	return r.CompareMachine(workloads.BenefitSet(),
-		FermiMachine(config.FermiLike.String(), config.BaselineTotalBytes))
+	return r.compareAll(workloads.BenefitSet(), fermiConfig)
 }
 
-// CompareMachine compares every kernel against its partitioned baseline
-// run under one named machine, fanned out across the parallel engine in
-// kernel order.
-func (r *Runner) CompareMachine(ks []*workloads.Kernel, m NamedMachine) ([]Comparison, error) {
+// compareAll compares every kernel against its partitioned baseline run
+// under the configuration design derives for it from the 384 KB
+// baseline capacity, fanned out across the parallel engine in kernel
+// order.
+func (r *Runner) compareAll(ks []*workloads.Kernel, design func(*workloads.Kernel, int) (config.MemConfig, error)) ([]Comparison, error) {
 	return parallel.Map(len(ks), func(i int) (Comparison, error) {
-		cfg, err := m.Configure(ks[i])
+		cfg, err := design(ks[i], config.BaselineTotalBytes)
 		if err != nil {
 			return Comparison{}, err
 		}
@@ -460,8 +416,7 @@ func (r *Runner) Figure8() ([]Figure8Row, error) {
 	return out, nil
 }
 
-// ConflictRow is the bank-conflict breakdown of one named machine
-// (Table 5).
+// ConflictRow is the bank-conflict breakdown of one design (Table 5).
 type ConflictRow struct {
 	Machine   string
 	Fractions [stats.ConflictBuckets]float64
@@ -469,35 +424,25 @@ type ConflictRow struct {
 
 // Table5 aggregates the per-instruction maximum-bank-accesses histogram
 // across the Figure 7 benchmarks for the partitioned and unified
-// designs.
+// designs, weighting benchmarks equally as the paper averages. The
+// (design, kernel) runs form one flat parallel batch, partitioned runs
+// first; aggregation stays in kernel order.
 func (r *Runner) Table5() ([]ConflictRow, error) {
-	set := MachineSet{
-		BaselineMachine(),
-		UnifiedMachine(config.Unified.String(), config.BaselineTotalBytes),
-	}
-	return r.ConflictBreakdown(set, workloads.NoBenefitSet())
-}
-
-// ConflictBreakdown aggregates the per-instruction maximum-bank-accesses
-// histogram across the kernels for every machine of the set, weighting
-// benchmarks equally as the paper averages. The (machine, kernel) runs
-// form one flat parallel batch; aggregation stays in kernel order.
-func (r *Runner) ConflictBreakdown(set MachineSet, kernels []*workloads.Kernel) ([]ConflictRow, error) {
-	fracs, err := parallel.Map(len(set)*len(kernels),
+	kernels := workloads.NoBenefitSet()
+	fracs, err := parallel.Map(2*len(kernels),
 		func(i int) ([stats.ConflictBuckets]float64, error) {
-			m := set[i/len(kernels)]
 			k := kernels[i%len(kernels)]
-			cfg, err := m.Configure(k)
-			if err != nil {
-				return [stats.ConflictBuckets]float64{}, err
-			}
 			var res *Result
-			if cfg == config.Baseline() {
+			var err error
+			if i < len(kernels) {
 				// The baseline run doubles as the energy calibration and
 				// is cached on the Runner.
 				res, err = r.Baseline(k)
 			} else {
-				res, err = r.Run(RunSpec{Kernel: k, Config: cfg})
+				var cfg config.MemConfig
+				if cfg, err = unifiedConfig(k, config.BaselineTotalBytes); err == nil {
+					res, err = r.Run(RunSpec{Kernel: k, Config: cfg})
+				}
 			}
 			if err != nil {
 				return [stats.ConflictBuckets]float64{}, err
@@ -507,8 +452,9 @@ func (r *Runner) ConflictBreakdown(set MachineSet, kernels []*workloads.Kernel) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ConflictRow, len(set))
-	for i, m := range set {
+	names := []string{config.Partitioned.String(), config.Unified.String()}
+	out := make([]ConflictRow, len(names))
+	for i, name := range names {
 		var agg stats.Counters
 		for _, frac := range fracs[i*len(kernels) : (i+1)*len(kernels)] {
 			for b := range frac {
@@ -516,7 +462,7 @@ func (r *Runner) ConflictBreakdown(set MachineSet, kernels []*workloads.Kernel) 
 				agg.ConflictHist[b] += int64(frac[b] * 1e6)
 			}
 		}
-		row := ConflictRow{Machine: m.Name}
+		row := ConflictRow{Machine: name}
 		total := int64(0)
 		for _, v := range agg.ConflictHist {
 			total += v

@@ -3,14 +3,10 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/banks"
 	"repro/internal/chip"
 	"repro/internal/config"
-	"repro/internal/dispatch"
-	"repro/internal/isa"
 	"repro/internal/occupancy"
 	"repro/internal/parallel"
-	"repro/internal/sm"
 	"repro/internal/workloads"
 )
 
@@ -189,29 +185,6 @@ type MethodologyRow struct {
 	Deviation float64
 }
 
-// replicatedSource runs factor copies of a kernel grid (one per SM).
-type replicatedSource struct {
-	src    sm.TraceSource
-	ctas   int
-	warps  int
-	factor int
-}
-
-func (r *replicatedSource) Grid() (int, int) { return r.ctas * r.factor, r.warps }
-func (r *replicatedSource) WarpTrace(cta, warp int) []isa.WarpInst {
-	return r.src.WarpTrace(cta, warp)
-}
-
-// WarpOutcomes forwards to the wrapped source when it memoizes bank
-// outcomes (see dispatch.OutcomeSource), so replicated chip runs replay
-// them too.
-func (r *replicatedSource) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
-	if src, ok := r.src.(dispatch.OutcomeSource); ok {
-		return src.WarpOutcomes(cta, warp, design, aggressive)
-	}
-	return nil
-}
-
 // ValidateMethodology runs each kernel both ways and reports the per-SM
 // runtime deviation of the full-chip simulation from the single-SM one.
 // Each kernel's chip simulation is an independent parallel work item.
@@ -223,9 +196,7 @@ func (r *Runner) ValidateMethodology(kernels []*workloads.Kernel, nSMs int) ([]M
 			return MethodologyRow{}, err
 		}
 		occ := occupancy.ComputeShared([]config.KernelRequirements{k.Requirements()}, config.Baseline(), nil)[0]
-		src := &workloads.Source{K: k, Seed: r.Seed}
-		_, warps := src.Grid()
-		rep := &replicatedSource{src: src, ctas: k.GridCTAs, warps: warps, factor: nSMs}
+		rep := &chip.Replicated{Source: &workloads.Source{K: k, Seed: r.Seed}, Copies: nSMs}
 		machine, err := chip.New(chip.Config{NumSMs: nSMs}, config.Baseline(), r.Params,
 			chip.Kernel{Name: k.Name, Source: rep, ResidentCTAs: occ.CTAs})
 		if err != nil {

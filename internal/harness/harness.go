@@ -1,6 +1,6 @@
 // Package harness regenerates every table and figure of the paper as a
-// rendered text table. It is the shared engine behind cmd/paper and the
-// root-level benchmarks (bench_test.go): each ExperimentFunc runs the
+// rendered text table. It is the shared engine behind cmd/paper, smserve's
+// /v1/experiment and the repository benchmark: each ExperimentFunc runs the
 // corresponding internal/core driver and formats its output with the same
 // rows and series the paper reports.
 package harness

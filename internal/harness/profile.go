@@ -2,75 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/probe"
 	"repro/internal/report"
-	"repro/internal/workloads"
 )
-
-// ProfileSpec describes one observed run for Profile.
-type ProfileSpec struct {
-	// Kernel is the benchmark name (workloads registry).
-	Kernel string
-	// Streams, when non-empty, profiles a multi-tenant mix instead: the
-	// named kernels run co-resident on one SM and the probe attributes
-	// issue and stall slots per stream. Mutually exclusive with Kernel;
-	// RegsPerThread then applies to no stream (each uses its spill-free
-	// demand).
-	Streams []string
-	// Config is the local-memory configuration to run under.
-	Config config.MemConfig
-	// RegsPerThread overrides the register allocation (0 = spill-free).
-	RegsPerThread int
-	// IntervalCycles is the probe sampling interval (0 = default).
-	IntervalCycles int64
-	// NDJSON, when non-nil, receives the streamed NDJSON profile.
-	NDJSON io.Writer
-}
-
-// ProfileResult pairs a run's outcome with its probe.
-type ProfileResult struct {
-	Result *core.Result
-	Probe  *probe.Probe
-}
-
-// Profile runs one kernel with a cycle-level probe attached. It is the
-// engine behind cmd/smprof and usable directly from tests.
-func Profile(r *core.Runner, ps ProfileSpec) (*ProfileResult, error) {
-	p := probe.New(ps.IntervalCycles, ps.NDJSON)
-	var spec core.RunSpec
-	if len(ps.Streams) > 0 {
-		if ps.Kernel != "" {
-			return nil, fmt.Errorf("harness: ProfileSpec.Kernel and ProfileSpec.Streams are mutually exclusive")
-		}
-		spec = core.RunSpec{Config: ps.Config}
-		for _, name := range ps.Streams {
-			k, err := workloads.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			spec.Streams = append(spec.Streams, core.StreamSpec{Kernel: k})
-		}
-	} else {
-		k, err := workloads.ByName(ps.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		spec = core.RunSpec{Kernel: k, Config: ps.Config, RegsPerThread: ps.RegsPerThread}
-	}
-	res, err := r.Run(spec, core.WithProbe(p))
-	if err != nil {
-		return nil, err
-	}
-	if werr := p.WriteErr(); werr != nil {
-		return nil, fmt.Errorf("harness: writing NDJSON profile: %w", werr)
-	}
-	return &ProfileResult{Result: res, Probe: p}, nil
-}
 
 // stallLabels are the human-readable stall category names, in
 // probe.StallReason order.
@@ -187,9 +124,9 @@ func FormatIntervals(p *probe.Probe) string {
 	return sb.String()
 }
 
-// FormatProfile renders the full cmd/smprof report for one profiled run.
-func FormatProfile(pr *ProfileResult) string {
-	res, p := pr.Result, pr.Probe
+// FormatProfile renders the full cmd/smprof report for one run and the
+// probe that observed it.
+func FormatProfile(res *core.Result, p *probe.Probe) string {
 	c := res.Counters
 	var sb strings.Builder
 	// The header follows the stream count, not the spelling: a one-entry

@@ -2,14 +2,18 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/api"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/probe"
 	"repro/internal/workloads"
 )
@@ -20,6 +24,34 @@ var profileConfig = config.MemConfig{
 	RFBytes:     config.BaselineRFBytes,
 	SharedBytes: config.BaselineSharedBytes,
 	CacheBytes:  config.BaselineCacheBytes,
+}
+
+// profiled is one run and the probe that observed it.
+type profiled struct {
+	res *core.Result
+	p   *probe.Probe
+}
+
+// profile simulates kernel on the baseline machine with a probe of the
+// given interval attached, the way cmd/smprof does: a probed
+// api.RunRequest resolved and simulated through internal/plan.
+func profile(rs *plan.Runners, kernel string, interval int64, ndjson io.Writer) (profiled, error) {
+	run, err := plan.Resolve(api.RunRequest{Kernel: kernel, Probe: true, ProbeIntervalCycles: interval})
+	if err != nil {
+		return profiled{}, err
+	}
+	if run.Config != profileConfig {
+		return profiled{}, fmt.Errorf("%s resolved to %v, want the baseline %v", kernel, run.Config, profileConfig)
+	}
+	p := probe.New(run.ProbeInterval, ndjson)
+	res, err := rs.Simulate(context.Background(), run, core.WithProbe(p))
+	if err != nil {
+		return profiled{}, fmt.Errorf("%s: %w", kernel, err)
+	}
+	if werr := p.WriteErr(); werr != nil {
+		return profiled{}, fmt.Errorf("%s: writing NDJSON profile: %w", kernel, werr)
+	}
+	return profiled{res, p}, nil
 }
 
 // TestProbeDoesNotPerturbRun pins the observability contract: attaching
@@ -57,11 +89,11 @@ func TestProbeDoesNotPerturbRun(t *testing.T) {
 // slots, and the interval series re-sums to the same totals.
 func TestProbeSlotsAccountForEveryCycle(t *testing.T) {
 	for _, name := range []string{"needle", "dgemm", "bfs"} {
-		pr, err := Profile(core.NewRunner(), ProfileSpec{Kernel: name, Config: profileConfig})
+		pr, err := profile(&plan.Runners{}, name, 0, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		p, c := pr.Probe, pr.Result.Counters
+		p, c := pr.p, pr.res.Counters
 		covered := c.Cycles - p.StartCycle()
 		// The final slot is inclusive when the run's last event is an
 		// issue at the reported cycle, so allow covered or covered+1.
@@ -92,13 +124,11 @@ func TestProbeSlotsAccountForEveryCycle(t *testing.T) {
 // live probe.
 func TestProfileNDJSONRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	pr, err := Profile(core.NewRunner(), ProfileSpec{
-		Kernel: "needle", Config: profileConfig, IntervalCycles: 2048, NDJSON: &buf,
-	})
+	pr, err := profile(&plan.Runners{}, "needle", 2048, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pr.Probe
+	p := pr.p
 	prof, err := probe.Decode(&buf)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -128,9 +158,9 @@ func TestProfileNDJSONRoundTrip(t *testing.T) {
 	if prof.Summary.BankAccess != acc || prof.Summary.BankConflict != conf {
 		t.Errorf("decoded bank heat does not match the live probe")
 	}
-	if prof.Summary.CacheProbes != pr.Result.Counters.CacheProbes {
+	if prof.Summary.CacheProbes != pr.res.Counters.CacheProbes {
 		t.Errorf("summary cache probes = %d, want %d",
-			prof.Summary.CacheProbes, pr.Result.Counters.CacheProbes)
+			prof.Summary.CacheProbes, pr.res.Counters.CacheProbes)
 	}
 }
 
@@ -143,41 +173,41 @@ func TestProbeParallelFanOut(t *testing.T) {
 	parallel.SetWorkers(8)
 	defer parallel.SetWorkers(old)
 
-	r := core.NewRunner()
+	var rs plan.Runners
 	kernels := []string{"needle", "bfs", "dgemm", "needle", "bfs", "dgemm", "needle", "bfs"}
-	profs, err := parallel.Map(len(kernels), func(i int) (*ProfileResult, error) {
-		return Profile(r, ProfileSpec{Kernel: kernels[i], Config: profileConfig, NDJSON: &bytes.Buffer{}})
+	profs, err := parallel.Map(len(kernels), func(i int) (profiled, error) {
+		return profile(&rs, kernels[i], 0, &bytes.Buffer{})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pr := range profs {
-		if pr.Probe.TotalSlots() == 0 || pr.Probe.Issued() == 0 {
+		if pr.p.TotalSlots() == 0 || pr.p.Issued() == 0 {
 			t.Errorf("run %d (%s): empty profile", i, kernels[i])
 		}
-		if pr.Probe.Issued() != pr.Result.Counters.WarpInsts {
+		if pr.p.Issued() != pr.res.Counters.WarpInsts {
 			t.Errorf("run %d (%s): issued %d != warp insts %d",
-				i, kernels[i], pr.Probe.Issued(), pr.Result.Counters.WarpInsts)
+				i, kernels[i], pr.p.Issued(), pr.res.Counters.WarpInsts)
 		}
 	}
 	// Identical kernels must produce identical profiles regardless of
 	// which worker ran them.
-	if profs[0].Probe.StallSlots() != profs[3].Probe.StallSlots() {
+	if profs[0].p.StallSlots() != profs[3].p.StallSlots() {
 		t.Error("identical runs produced different stall breakdowns across workers")
 	}
 }
 
 // TestFormatProfile sanity-checks the rendered report.
 func TestFormatProfile(t *testing.T) {
-	pr, err := Profile(core.NewRunner(), ProfileSpec{Kernel: "needle", Config: profileConfig})
+	pr, err := profile(&plan.Runners{}, "needle", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatProfile(pr)
+	out := FormatProfile(pr.res, pr.p)
 	for _, want := range []string{
 		"Stall attribution", "issued", "no ready warp", "total",
 		"Bank heatmap", "Phases",
-		fmt.Sprint(pr.Probe.TotalSlots()),
+		fmt.Sprint(pr.p.TotalSlots()),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -186,18 +216,28 @@ func TestFormatProfile(t *testing.T) {
 }
 
 // TestFormatProfileOneStream checks that the report's header follows the
-// stream count: a one-entry Streams profile prints exactly the
-// single-kernel report.
+// stream count, not the spec's spelling: the one-entry stream list plan
+// resolves a plain request to prints exactly the report of a run spelled
+// with RunSpec.Kernel.
 func TestFormatProfileOneStream(t *testing.T) {
-	plain, err := Profile(core.NewRunner(), ProfileSpec{Kernel: "needle", Config: profileConfig})
+	k, err := workloads.ByName("needle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Profile(core.NewRunner(), ProfileSpec{Streams: []string{"needle"}, Config: profileConfig})
+	p := probe.New(0, nil)
+	plain, err := core.NewRunner().Run(core.RunSpec{Kernel: k, Config: profileConfig}, core.WithProbe(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := FormatProfile(plain), FormatProfile(one)
+	one, err := profile(&plan.Runners{}, "needle", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.res.Spec.Streams) != 1 || one.res.Spec.Kernel != nil {
+		t.Fatalf("plan resolved a plain request to %d streams (kernel %v), want a one-entry stream list",
+			len(one.res.Spec.Streams), one.res.Spec.Kernel)
+	}
+	want, got := FormatProfile(plain, p), FormatProfile(one.res, one.p)
 	if !strings.Contains(want, "limited by") {
 		t.Fatalf("single-kernel header missing its limiter:\n%s", want)
 	}

@@ -6,7 +6,7 @@
 // calibrating core.Runner, the same cache key — whichever way it
 // arrives. That is what makes local and job-API output byte-identical.
 //
-// The package has four parts:
+// The package has five parts:
 //
 //   - Resolve canonicalizes one request: kernel lookup, the clamps the
 //     simulator applies, the machine description, the §4.5 allocation or
@@ -16,6 +16,8 @@
 //   - ExpandSweep turns a sweep into the equivalent batch.
 //   - Runners memoizes one core.Runner per (timing, energy) parameter
 //     set and simulates resolved runs on them.
+//   - Flags maps the command-line flags smsim and smprof share to a
+//     request.
 package plan
 
 import (
