@@ -66,7 +66,7 @@ func TestSharedCoalescedConflictFree(t *testing.T) {
 	// or 8 granules in 8 distinct clusters (unified).
 	addrs := kgen.Coalesced(0, 4)
 	for _, d := range []config.Design{config.Partitioned, config.Unified} {
-		out := New(d).Evaluate(sharedInst(isa.OpLDS, addrs))
+		out := New(d).Evaluate(sharedInst(isa.OpLDS, &addrs))
 		if out.ExtraCycles() != 0 {
 			t.Errorf("%v: coalesced shared access conflicted: %+v", d, out)
 		}
@@ -76,7 +76,7 @@ func TestSharedCoalescedConflictFree(t *testing.T) {
 func TestSharedBroadcastSingleAccess(t *testing.T) {
 	addrs := kgen.Broadcast(64)
 	for _, d := range []config.Design{config.Partitioned, config.Unified} {
-		out := New(d).Evaluate(sharedInst(isa.OpLDS, addrs))
+		out := New(d).Evaluate(sharedInst(isa.OpLDS, &addrs))
 		if out.MaxPerBank != 1 || out.MemAccesses != 1 {
 			t.Errorf("%v: broadcast should be one access: %+v", d, out)
 		}
@@ -86,7 +86,7 @@ func TestSharedBroadcastSingleAccess(t *testing.T) {
 func TestSharedStride128Partitioned(t *testing.T) {
 	// All 32 lanes hit bank 0 in the partitioned design: 32-way conflict.
 	addrs := kgen.Conflicting(0, 32)
-	out := New(config.Partitioned).Evaluate(sharedInst(isa.OpLDS, addrs))
+	out := New(config.Partitioned).Evaluate(sharedInst(isa.OpLDS, &addrs))
 	if out.MaxPerBank != 32 || out.ExtraCycles() != 31 {
 		t.Errorf("want 32-way conflict, got %+v", out)
 	}
@@ -99,7 +99,7 @@ func TestSharedScatterWorseInUnified(t *testing.T) {
 	worseSomewhere := false
 	for trial := 0; trial < 50; trial++ {
 		addrs := kgen.Random(rng, 0, 16<<10, 4)
-		wi := sharedInst(isa.OpLDS, addrs)
+		wi := sharedInst(isa.OpLDS, &addrs)
 		p := New(config.Partitioned).Evaluate(wi)
 		u := New(config.Unified).Evaluate(wi)
 		if u.MaxPerBank < (p.MaxPerBank+3)/4 {
@@ -122,8 +122,8 @@ func TestStride16UnifiedPortConflict(t *testing.T) {
 	// Unified: lane i granule = i, cluster = i%8 -> 4 distinct granules per
 	// cluster -> 4-way port conflict.
 	addrs := kgen.Coalesced(0, 16)
-	p := New(config.Partitioned).Evaluate(sharedInst(isa.OpLDS, addrs))
-	u := New(config.Unified).Evaluate(sharedInst(isa.OpLDS, addrs))
+	p := New(config.Partitioned).Evaluate(sharedInst(isa.OpLDS, &addrs))
+	u := New(config.Unified).Evaluate(sharedInst(isa.OpLDS, &addrs))
 	if p.MaxPerBank != 4 {
 		t.Errorf("partitioned stride-16: MaxPerBank = %d, want 4", p.MaxPerBank)
 	}
@@ -136,7 +136,7 @@ func TestGlobalLoadPartitionedNoBankConflict(t *testing.T) {
 	// Cache lines span all 32 partitioned banks: by construction no bank
 	// conflicts (serialization happens on the tag port instead).
 	addrs := kgen.Coalesced(0, 128) // 32 distinct lines
-	out := New(config.Partitioned).Evaluate(sharedInst(isa.OpLDG, addrs))
+	out := New(config.Partitioned).Evaluate(sharedInst(isa.OpLDG, &addrs))
 	if out.ExtraCycles() != 0 {
 		t.Errorf("partitioned global load should not bank-conflict: %+v", out)
 	}
@@ -172,7 +172,8 @@ func TestGlobalLoadUnifiedMultipleLinesNoSelfConflict(t *testing.T) {
 func TestArbitrationConflictUnifiedOnly(t *testing.T) {
 	// A global load whose line lands in bank slot 0 while reading r0/r4
 	// (also slot 0) must arbitrate in the unified design.
-	wi := sharedInst(isa.OpLDG, kgen.Broadcast(0)) // line 0 -> slot 0
+	addrs := kgen.Broadcast(0) // line 0 -> slot 0
+	wi := sharedInst(isa.OpLDG, &addrs)
 	withMRFSrcs(wi, 0)
 	u := New(config.Unified).Evaluate(wi)
 	if !u.Arbitration {
@@ -188,8 +189,9 @@ func TestArbitrationConflictUnifiedOnly(t *testing.T) {
 }
 
 func TestNoArbitrationWhenSlotsDiffer(t *testing.T) {
-	wi := sharedInst(isa.OpLDG, kgen.Broadcast(0)) // line 0 -> slot 0
-	withMRFSrcs(wi, 1)                             // slot 1
+	addrs := kgen.Broadcast(0) // line 0 -> slot 0
+	wi := sharedInst(isa.OpLDG, &addrs)
+	withMRFSrcs(wi, 1) // slot 1
 	u := New(config.Unified).Evaluate(wi)
 	if u.Arbitration || u.ExtraCycles() != 0 {
 		t.Errorf("disjoint slots should not arbitrate: %+v", u)
@@ -198,7 +200,7 @@ func TestNoArbitrationWhenSlotsDiffer(t *testing.T) {
 
 func TestMaskedLanesIgnored(t *testing.T) {
 	addrs := kgen.Conflicting(0, 32)
-	wi := sharedInst(isa.OpLDS, addrs)
+	wi := sharedInst(isa.OpLDS, &addrs)
 	wi.Mask = 0x1 // one active lane
 	out := New(config.Partitioned).Evaluate(wi)
 	if out.MaxPerBank != 1 || out.MemAccesses != 1 {
@@ -210,7 +212,8 @@ func TestEvaluateNeverReturnsZeroMax(t *testing.T) {
 	f := func(op uint8, seed uint64, mask uint32) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))
 		ops := []isa.Op{isa.OpALU, isa.OpLDS, isa.OpSTS, isa.OpLDG, isa.OpSTG}
-		wi := sharedInst(ops[int(op)%len(ops)], kgen.Random(rng, 0, 1<<20, 4))
+		addrs := kgen.Random(rng, 0, 1<<20, 4)
+		wi := sharedInst(ops[int(op)%len(ops)], &addrs)
 		wi.Mask = mask
 		for _, d := range []config.Design{config.Partitioned, config.Unified} {
 			out := New(d).Evaluate(wi)

@@ -54,7 +54,7 @@ func goldenPath(name string) string {
 }
 
 // TestGoldenTables pins the paper's entire result surface: the rendered
-// output of all 14 experiments must match the committed golden files
+// output of all 15 experiments must match the committed golden files
 // byte for byte. Run with -update after an intentional model change and
 // review the diff like any other code change.
 func TestGoldenTables(t *testing.T) {

@@ -191,7 +191,8 @@ type WarpInst struct {
 	Mask uint32
 	// Addrs holds per-thread byte addresses for memory operations and is
 	// nil otherwise. Shared-memory addresses are offsets into the CTA's
-	// shared segment; global addresses are absolute.
+	// shared segment; global addresses are absolute. Instructions of one
+	// trace may share a vector (see Packer), so it is immutable.
 	Addrs *AddrVec
 }
 

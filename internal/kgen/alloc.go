@@ -13,16 +13,18 @@ import "repro/internal/isa"
 // Registers that are dead (no further use) are evicted for free; dirty
 // registers with remaining uses are spilled with a store and reloaded with
 // a fill at their next use. Registers read before any definition are
-// kernel inputs and need no fill. The rewritten trace is appended to
-// out, which must not overlap insts.
-func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.WarpInst) []isa.WarpInst {
+// kernel inputs and need no fill. It rewrites s.insts and its vector
+// slots s.slots into s.spilled and s.spills, adding spill code's
+// address vectors to s.pack.
+func allocate(budget int, spillBase uint32, s *scratch) {
+	insts := s.insts
 	if budget < minPhysRegs {
 		budget = minPhysRegs
 	}
 
 	// Collect, per register, the ordered list of instruction indices that
 	// use it (source or destination).
-	var uses [isa.MaxRegs][]int32
+	uses := &s.uses
 	regsOf := func(wi *isa.WarpInst) [4]uint8 {
 		return [4]uint8{wi.Srcs[0].Reg, wi.Srcs[1].Reg, wi.Srcs[2].Reg, wi.Dst.Reg}
 	}
@@ -47,16 +49,24 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.Warp
 		return u[cursor[r]]
 	}
 
+	out, outSlots := s.spilled[:0], s.spills[:0]
+	push := func(wi isa.WarpInst, slot int32) {
+		out = append(out, wi)
+		outSlots = append(outSlots, slot)
+	}
+	var spillSlot [isa.MaxRegs]int32 // register r's spill vector, once added
+	for r := range spillSlot {
+		spillSlot[r] = -1
+	}
 	var resident, dirty, defined, inCurrent [isa.MaxRegs]bool
 	nResident := 0
 
-	spillOp := func(op isa.Op, r uint8) isa.WarpInst {
-		var addrs isa.AddrVec
-		base := spillBase + uint32(r)*128
-		for l := 0; l < isa.WarpSize; l++ {
-			addrs[l] = base + uint32(l)*4
+	spillOp := func(op isa.Op, r uint8) {
+		if spillSlot[r] < 0 {
+			addrs := Coalesced(spillBase+uint32(r)*128, 4)
+			spillSlot[r] = s.pack.Add(&addrs)
 		}
-		wi := isa.WarpInst{Op: op, Mask: insts[0].Mask, Addrs: &addrs, Spill: true}
+		wi := isa.WarpInst{Op: op, Mask: insts[0].Mask, Spill: true}
 		wi.Dst.Reg = isa.NoReg
 		for i := range wi.Srcs {
 			wi.Srcs[i].Reg = isa.NoReg
@@ -66,7 +76,7 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.Warp
 		} else {
 			wi.Srcs[0].Reg = r
 		}
-		return wi
+		push(wi, spillSlot[r])
 	}
 
 	evict := func(i int32) {
@@ -89,7 +99,7 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.Warp
 			panic("kgen: no evictable register (budget below operand count?)")
 		}
 		if dirty[victim] && worst != never && defined[victim] {
-			out = append(out, spillOp(isa.OpSTG, uint8(victim)))
+			spillOp(isa.OpSTG, uint8(victim))
 		}
 		resident[victim] = false
 		dirty[victim] = false
@@ -106,7 +116,7 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.Warp
 		resident[r] = true
 		nResident++
 		if !isWrite && defined[r] {
-			out = append(out, spillOp(isa.OpLDG, r))
+			spillOp(isa.OpLDG, r)
 		}
 	}
 
@@ -118,9 +128,9 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.Warp
 				inCurrent[r] = true
 			}
 		}
-		for _, s := range wi.Srcs {
-			if s.Reg != isa.NoReg {
-				ensure(s.Reg, int32(i), false)
+		for _, src := range wi.Srcs {
+			if src.Reg != isa.NoReg {
+				ensure(src.Reg, int32(i), false)
 			}
 		}
 		if wi.Dst.Reg != isa.NoReg {
@@ -133,7 +143,7 @@ func allocate(insts []isa.WarpInst, budget int, spillBase uint32, out []isa.Warp
 				inCurrent[r] = false
 			}
 		}
-		out = append(out, wi)
+		push(wi, s.slots[i])
 	}
-	return out
+	s.spilled, s.spills = out, outSlots
 }

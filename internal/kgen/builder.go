@@ -57,33 +57,36 @@ type Config struct {
 // operand placement pass, then returns the trace.
 type Builder struct {
 	cfg      Config
-	buf      *[]isa.WarpInst // pooled emit buffer, returned by Finish
+	s        *scratch // pooled build state, returned by Finish
 	insts    []isa.WarpInst
+	vecs     []isa.AddrVec // the finished trace's vector arena
 	finished bool
 }
 
-// scratchTraces recycles the growable emit and spill buffers across
-// builders. Finish returns an exact-size copy of the trace, so neither
-// buffer's slack capacity outlives the build (traces are held for the
-// life of the trace cache); builders on concurrent goroutines share the
-// pool safely.
-var scratchTraces = sync.Pool{New: func() any { return new([]isa.WarpInst) }}
+// scratch is one build's growable working state: the emit and spill
+// buffers with, index-aligned, each instruction's address-vector slot
+// in the packer (-1 if it has none), the packer holding the vectors,
+// and the allocation and placement passes' tables. Builders recycle it
+// through scratches, so a warmed build allocates only what its trace
+// keeps; builders on concurrent goroutines share the pool safely.
+type scratch struct {
+	insts, spilled []isa.WarpInst
+	slots, spills  []int32
+	pack           isa.Packer
+	uses           [isa.MaxRegs][]int32
+	aggs           []placeAgg
+	producer       [][3]int32
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // NewBuilder returns a builder for one warp's trace.
 func NewBuilder(cfg Config) *Builder {
 	if cfg.Mask == 0 {
 		cfg.Mask = isa.FullMask
 	}
-	buf := scratchTraces.Get().(*[]isa.WarpInst)
-	return &Builder{cfg: cfg, buf: buf, insts: (*buf)[:0]}
-}
-
-// release clears a scratch buffer (so it pins no address vectors) and
-// returns it to the pool.
-func release(buf *[]isa.WarpInst, insts []isa.WarpInst) {
-	clear(insts)
-	*buf = insts[:0]
-	scratchTraces.Put(buf)
+	s := scratches.Get().(*scratch)
+	return &Builder{cfg: cfg, s: s, insts: s.insts}
 }
 
 // Len returns the number of instructions emitted so far (including
@@ -117,28 +120,28 @@ func (b *Builder) SFU(dst uint8, srcs ...uint8) {
 
 // LDG emits a global load into dst using the per-thread addresses. addrReg,
 // if not isa.NoReg, is the register holding the base address.
-func (b *Builder) LDG(dst, addrReg uint8, addrs *isa.AddrVec) {
-	b.emit(isa.OpLDG, dst, srcList(addrReg), addrs)
+func (b *Builder) LDG(dst, addrReg uint8, addrs isa.AddrVec) {
+	b.emit(isa.OpLDG, dst, srcList(addrReg), &addrs)
 }
 
 // STG emits a global store of data to the per-thread addresses.
-func (b *Builder) STG(data, addrReg uint8, addrs *isa.AddrVec) {
-	b.emit(isa.OpSTG, isa.NoReg, srcList(data, addrReg), addrs)
+func (b *Builder) STG(data, addrReg uint8, addrs isa.AddrVec) {
+	b.emit(isa.OpSTG, isa.NoReg, srcList(data, addrReg), &addrs)
 }
 
 // LDS emits a shared-memory load.
-func (b *Builder) LDS(dst, addrReg uint8, addrs *isa.AddrVec) {
-	b.emit(isa.OpLDS, dst, srcList(addrReg), addrs)
+func (b *Builder) LDS(dst, addrReg uint8, addrs isa.AddrVec) {
+	b.emit(isa.OpLDS, dst, srcList(addrReg), &addrs)
 }
 
 // STS emits a shared-memory store.
-func (b *Builder) STS(data, addrReg uint8, addrs *isa.AddrVec) {
-	b.emit(isa.OpSTS, isa.NoReg, srcList(data, addrReg), addrs)
+func (b *Builder) STS(data, addrReg uint8, addrs isa.AddrVec) {
+	b.emit(isa.OpSTS, isa.NoReg, srcList(data, addrReg), &addrs)
 }
 
 // TEX emits a texture fetch.
-func (b *Builder) TEX(dst, addrReg uint8, addrs *isa.AddrVec) {
-	b.emit(isa.OpTEX, dst, srcList(addrReg), addrs)
+func (b *Builder) TEX(dst, addrReg uint8, addrs isa.AddrVec) {
+	b.emit(isa.OpTEX, dst, srcList(addrReg), &addrs)
 }
 
 // Bar emits a CTA-wide barrier.
@@ -158,8 +161,8 @@ func srcList(regs ...uint8) []uint8 {
 	return out
 }
 
-// emit runs the register allocator over the operands and appends the
-// instruction.
+// emit appends the instruction, adding addrs (nil for non-memory ops)
+// to the build's packer.
 func (b *Builder) emit(op isa.Op, dst uint8, srcs []uint8, addrs *isa.AddrVec) {
 	if b.finished {
 		panic("kgen: emit after Finish")
@@ -175,7 +178,11 @@ func (b *Builder) emit(op isa.Op, dst uint8, srcs []uint8, addrs *isa.AddrVec) {
 	if dst != isa.NoReg && int(dst) >= isa.MaxRegs {
 		panic(fmt.Sprintf("kgen: register r%d out of range", dst))
 	}
-	wi := isa.WarpInst{Op: op, Mask: b.cfg.Mask, Addrs: addrs}
+	slot := int32(-1)
+	if addrs != nil {
+		slot = b.s.pack.Add(addrs)
+	}
+	wi := isa.WarpInst{Op: op, Mask: b.cfg.Mask}
 	wi.Dst = isa.Operand{Reg: dst}
 	for i := range wi.Srcs {
 		wi.Srcs[i].Reg = isa.NoReg
@@ -184,11 +191,13 @@ func (b *Builder) emit(op isa.Op, dst uint8, srcs []uint8, addrs *isa.AddrVec) {
 		wi.Srcs[i] = isa.Operand{Reg: r}
 	}
 	b.insts = append(b.insts, wi)
+	b.s.slots = append(b.s.slots, slot)
 }
 
 // Finish runs register allocation and the operand placement pass, then
-// returns the trace, sized exactly to its length. The builder must not
-// be reused afterwards.
+// returns the trace, sized exactly to its length, with its distinct
+// address vectors packed into one arena (isa.Packer). The builder must
+// not be reused afterwards.
 func (b *Builder) Finish() []isa.WarpInst {
 	if b.finished {
 		panic("kgen: Finish called twice")
@@ -197,19 +206,33 @@ func (b *Builder) Finish() []isa.WarpInst {
 		b.Exit()
 	}
 	b.finished = true
-	trace := b.insts
-	var spill *[]isa.WarpInst
+	s := b.s
+	s.insts = b.insts
+	trace, slots := s.insts, s.slots
 	if b.cfg.RegsAvail > 0 && b.cfg.RegsAvail < isa.MaxRegs {
-		spill = scratchTraces.Get().(*[]isa.WarpInst)
-		trace = allocate(b.insts, b.cfg.RegsAvail, b.cfg.SpillBase, (*spill)[:0])
+		allocate(b.cfg.RegsAvail, b.cfg.SpillBase, s)
+		trace, slots = s.spilled, s.spills
 	}
-	place(trace)
+	place(trace, s)
 	out := make([]isa.WarpInst, len(trace))
 	copy(out, trace)
-	release(b.buf, b.insts)
-	if spill != nil {
-		release(spill, trace)
-	}
-	b.buf, b.insts = nil, out
+	b.vecs = s.pack.Pack(out, slots)
+	s.release()
+	b.s, b.insts = nil, out
 	return out
+}
+
+// Vectors returns the arena holding the finished trace's distinct
+// address vectors, one per content (isa.Packer). It is nil before Finish
+// and for a trace without memory instructions.
+func (b *Builder) Vectors() []isa.AddrVec { return b.vecs }
+
+// release empties the scratch and returns it to the pool.
+func (s *scratch) release() {
+	s.insts, s.spilled = s.insts[:0], s.spilled[:0]
+	s.slots, s.spills = s.slots[:0], s.spills[:0]
+	for r := range s.uses {
+		s.uses[r] = s.uses[r][:0]
+	}
+	scratches.Put(s)
 }

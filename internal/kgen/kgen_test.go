@@ -363,30 +363,57 @@ func TestAddrHelpers(t *testing.T) {
 	}
 }
 
-// TestFinishReturnsExactPrivateTraces: Finish hands out exact-size
-// traces that later builds — which reuse the pooled emit and spill
-// buffers, here from several goroutines at once — never overwrite.
-func TestFinishReturnsExactPrivateTraces(t *testing.T) {
-	build := func(regsAvail int) []isa.WarpInst {
-		b := NewBuilder(Config{RegsAvail: regsAvail, SpillBase: 1 << 20})
-		for i := 0; i < 300; i++ {
-			b.ALU(uint8(i%12), uint8((i+5)%12), uint8((i+7)%12))
+// snapshot copies a trace and every address vector it points at, so a
+// later write to the original vectors cannot reach the copy.
+func snapshot(trace []isa.WarpInst) []isa.WarpInst {
+	out := append([]isa.WarpInst(nil), trace...)
+	for i := range out {
+		if v := out[i].Addrs; v != nil {
+			c := *v
+			out[i].Addrs = &c
 		}
-		return b.Finish()
+	}
+	return out
+}
+
+// buildMixed emits a loop of global and shared loads and stores and ALU
+// work over 12 registers, with addresses offset by base; with regsAvail
+// 6 it also gets spill code.
+func buildMixed(regsAvail, iters int, base uint32) *Builder {
+	b := NewBuilder(Config{RegsAvail: regsAvail, SpillBase: 1 << 20})
+	for i := 0; i < iters; i++ {
+		r := uint8(i % 12)
+		b.LDG(r, uint8((i+3)%12), Coalesced(base+uint32(i%7)*128, 4))
+		b.LDS(uint8((i+1)%12), isa.NoReg, Conflicting(base+uint32(i%3)*4, 2))
+		b.ALU(uint8((i+2)%12), r, uint8((i+5)%12), uint8((i+7)%12))
+		b.STS(uint8((i+2)%12), isa.NoReg, Broadcast(base+uint32(i)*4))
+	}
+	return b
+}
+
+// TestFinishReturnsExactPrivateTraces: Finish hands out exact-size
+// traces that later builds — which reuse the pooled emit, spill and
+// vector buffers, here from several goroutines at once and with other
+// addresses — never overwrite.
+func TestFinishReturnsExactPrivateTraces(t *testing.T) {
+	build := func(regsAvail int, base uint32) []isa.WarpInst {
+		return buildMixed(regsAvail, 300, base).Finish()
 	}
 	for _, regs := range []int{0, 6} {
-		first := build(regs)
+		first := build(regs, 0)
 		if cap(first) != len(first) {
 			t.Errorf("regs %d: trace len %d cap %d, want an exact-size slice", regs, len(first), cap(first))
 		}
-		want := append([]isa.WarpInst(nil), first...)
+		want := snapshot(first)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				base := uint32(g+1) << 16
+				ref := snapshot(build(regs, base))
 				for i := 0; i < 20; i++ {
-					if got := build(regs); !reflect.DeepEqual(got, want) {
+					if got := build(regs, base); !reflect.DeepEqual(got, ref) {
 						t.Errorf("regs %d: rebuild differs from the first build", regs)
 						return
 					}
@@ -397,5 +424,63 @@ func TestFinishReturnsExactPrivateTraces(t *testing.T) {
 		if !reflect.DeepEqual(first, want) {
 			t.Errorf("regs %d: a later build overwrote an earlier trace", regs)
 		}
+	}
+	if countOps(build(6, 0))[isa.OpSTG] == 0 {
+		t.Error("regs 6 built no spill stores; the test no longer covers spill vectors")
+	}
+}
+
+// TestFinishPacksAddressVectors: within a finished trace equal vectors
+// share one pointer, and every pointer lies in the builder's arena,
+// whose length is the number of distinct vectors.
+func TestFinishPacksAddressVectors(t *testing.T) {
+	for _, regs := range []int{0, 6} {
+		b := buildMixed(regs, 400, 0)
+		trace := b.Finish()
+		arena := b.Vectors()
+		inArena := make(map[*isa.AddrVec]bool, len(arena))
+		for k := range arena {
+			inArena[&arena[k]] = true
+		}
+		shared := make(map[isa.AddrVec]*isa.AddrVec)
+		for i := range trace {
+			v := trace[i].Addrs
+			if v == nil {
+				continue
+			}
+			if !inArena[v] {
+				t.Fatalf("regs %d: inst %d's vector is outside the arena", regs, i)
+			}
+			if p, ok := shared[*v]; ok && p != v {
+				t.Fatalf("regs %d: inst %d does not share its vector with an equal earlier one", regs, i)
+			}
+			shared[*v] = v
+		}
+		if len(arena) != len(shared) || cap(arena) != len(arena) {
+			t.Errorf("regs %d: arena len %d cap %d, want both %d (distinct vectors)", regs, len(arena), cap(arena), len(shared))
+		}
+	}
+}
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
+// TestBuildAllocsIndependentOfLength: a warmed build allocates only what
+// its trace keeps (the builder, the trace and its vector arena), so the
+// allocation count does not grow with the number of memory instructions
+// or spills.
+func TestBuildAllocsIndependentOfLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	build := func(memInsts int) func() {
+		return func() { buildMixed(6, memInsts/3, 0).Finish() }
+	}
+	short, long := build(100), build(10000)
+	long() // warm the pools to the longer build's size
+	nLong := testing.AllocsPerRun(20, long)
+	nShort := testing.AllocsPerRun(20, short)
+	if nShort != 3 || nLong != 3 {
+		t.Errorf("a warmed build allocates %v times at 100 memory instructions and %v at 10,000, want 3 (builder, trace, arena) at both", nShort, nLong)
 	}
 }

@@ -2,6 +2,23 @@ package kgen
 
 import "repro/internal/isa"
 
+// placeAgg aggregates the uses of one instruction's result.
+type placeAgg struct {
+	nearMax int32 // max same-region use distance within ORFWindow
+	far     bool  // some use beyond the window or region
+}
+
+// grow returns buf resized to n zeroed elements, reallocating only when
+// its capacity is short.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // place assigns MRF/ORF/LRF spaces to every operand of a finished trace.
 //
 // The pass mirrors the compile-time register hierarchy management of
@@ -20,7 +37,9 @@ import "repro/internal/isa"
 //   - Long-latency loads (global, texture) write the MRF: their consumers
 //     run after a deschedule. Shared-memory loads complete while the warp
 //     stays active, so their results use the hierarchy like ALU results.
-func place(insts []isa.WarpInst) {
+//
+// Its per-instruction tables live in s, reused across builds.
+func place(insts []isa.WarpInst, s *scratch) {
 	n := len(insts)
 	if n == 0 {
 		return
@@ -32,10 +51,6 @@ func place(insts []isa.WarpInst) {
 		seq    int32 // producer sequence number within region
 		isLoad bool
 	}
-	type agg struct {
-		nearMax int32 // max same-region use distance within ORFWindow
-		far     bool  // some use beyond the window or region
-	}
 
 	var lastDef [isa.MaxRegs]def
 	for r := range lastDef {
@@ -45,8 +60,9 @@ func place(insts []isa.WarpInst) {
 	// first use has not yet forced a deschedule.
 	var pendingLL [isa.MaxRegs]bool
 
-	aggs := make([]agg, n)
-	producer := make([][3]int32, n) // per-src producing instruction, -1 if none
+	aggs := grow(s.aggs, n)
+	producer := grow(s.producer, n) // per-src producing instruction, -1 if none
+	s.aggs, s.producer = aggs, producer
 
 	region := int32(0)
 	seq := int32(0) // producer sequence counter within region

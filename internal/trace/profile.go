@@ -137,15 +137,22 @@ func Analyze(t *Trace) *Profile {
 				}
 				continue
 			}
-			// Global access: dedupe lines within the instruction.
-			seen := map[uint32]bool{}
+			// Global access: dedupe lines within the instruction, newest
+			// first (neighbouring lanes usually share a line).
+			var lines [isa.WarpSize]uint32
+			n := 0
 			for l := 0; l < isa.WarpSize; l++ {
 				if wi.Mask&(1<<uint(l)) == 0 {
 					continue
 				}
 				line := wi.Addrs[l] / 128
-				if !seen[line] {
-					seen[line] = true
+				k := n - 1
+				for k >= 0 && lines[k] != line {
+					k--
+				}
+				if k < 0 {
+					lines[n] = line
+					n++
 					stream = append(stream, lineAccess{line})
 				}
 			}

@@ -164,6 +164,13 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	n := t.CTAs * t.WarpsPerCTA
 	t.Warps = make([][]isa.WarpInst, 0, min(n, readPrealloc))
+	// Each warp is read into scratch reused across warps, then copied
+	// out exact-size with its address vectors packed, the resident
+	// shape of a trace kgen builds.
+	var insts []isa.WarpInst
+	var slots []int32
+	var pack isa.Packer
+	var av isa.AddrVec
 	for i := 0; i < n; i++ {
 		var count uint32
 		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
@@ -172,17 +179,25 @@ func Read(r io.Reader) (*Trace, error) {
 		if count > maxInstsPerWarp {
 			return nil, fmt.Errorf("trace: warp %d implausibly long (%d)", i, count)
 		}
-		warp := make([]isa.WarpInst, 0, min(count, readPrealloc))
+		insts, slots = insts[:0], slots[:0]
 		for j := uint32(0); j < count; j++ {
 			var wi isa.WarpInst
-			if err := readInst(br, &wi); err != nil {
+			hasAddrs, err := readInst(br, &wi, &av)
+			if err != nil {
 				return nil, fmt.Errorf("trace: warp %d inst %d: %w", i, j, err)
 			}
-			warp = append(warp, wi)
+			slot := int32(-1)
+			if hasAddrs {
+				slot = pack.Add(&av)
+			}
+			insts, slots = append(insts, wi), append(slots, slot)
 		}
-		if err := checkWarp(warp); err != nil {
+		if err := checkWarp(insts); err != nil {
 			return nil, fmt.Errorf("trace: warp %d: %w", i, err)
 		}
+		warp := make([]isa.WarpInst, len(insts))
+		copy(warp, insts)
+		pack.Pack(warp, slots)
 		t.Warps = append(t.Warps, warp)
 	}
 	return t, nil
@@ -209,10 +224,12 @@ func checkWarp(warp []isa.WarpInst) error {
 	return nil
 }
 
-func readInst(r io.Reader, wi *isa.WarpInst) error {
+// readInst decodes one instruction into wi and, when the instruction
+// has addresses, its vector into av; it reports whether it did.
+func readInst(r io.Reader, wi *isa.WarpInst, av *isa.AddrVec) (bool, error) {
 	var buf [10]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return err
+		return false, err
 	}
 	wi.Op = isa.Op(buf[0])
 	flags := buf[1]
@@ -223,14 +240,10 @@ func readInst(r io.Reader, wi *isa.WarpInst) error {
 	wi.Srcs[1] = isa.Operand{Reg: buf[6], Space: isa.RegSpace(buf[7])}
 	wi.Srcs[2] = isa.Operand{Reg: buf[8], Space: isa.RegSpace(buf[9])}
 	if err := binary.Read(r, binary.LittleEndian, &wi.Mask); err != nil {
-		return err
+		return false, err
 	}
-	if flags&flagAddrs != 0 {
-		var av isa.AddrVec
-		if err := binary.Read(r, binary.LittleEndian, av[:]); err != nil {
-			return err
-		}
-		wi.Addrs = &av
+	if flags&flagAddrs == 0 {
+		return false, nil
 	}
-	return nil
+	return true, binary.Read(r, binary.LittleEndian, av[:])
 }

@@ -33,9 +33,11 @@
 //
 // The memoized tables hold only what they need: kgen returns each trace
 // as an exact-size copy (its growable build buffers are pooled, not
-// kept), an isa.WarpInst is 24 bytes, a banks.Outcome packs into three
-// bytes, and a footprint table is one exact-size allocation, so the
-// resident set is the tables themselves, with no append slack.
+// kept) whose distinct address vectors sit once each in one exact-size
+// arena (isa.Packer), an isa.WarpInst is 24 bytes, a banks.Outcome packs
+// into three bytes, and a footprint table is one exact-size allocation,
+// so the resident set is the tables themselves, with no append slack
+// and no vector repeated within a warp.
 //
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
@@ -172,7 +174,7 @@ func TraceCacheSnapshot() TraceCacheStats {
 }
 
 // DefaultTraceCacheLimit is the default approximate byte budget of the
-// trace cache; the full 14-experiment suite stays well inside it.
+// trace cache; the full 15-experiment suite stays well inside it.
 const DefaultTraceCacheLimit = int64(1) << 31 // 2 GiB
 
 // SetTraceCacheLimit sets the cache's approximate byte budget; reaching
@@ -230,15 +232,10 @@ func charge(n int64) {
 	}
 }
 
-// traceBytes estimates the resident footprint of a built warp trace.
-func traceBytes(insts []isa.WarpInst) int64 {
-	n := int64(len(insts)) * int64(unsafe.Sizeof(isa.WarpInst{}))
-	for i := range insts {
-		if insts[i].Addrs != nil {
-			n += int64(unsafe.Sizeof(isa.AddrVec{}))
-		}
-	}
-	return n
+// traceBytes is the resident footprint of a built warp trace of n
+// instructions holding vecs distinct address vectors.
+func traceBytes(n, vecs int) int64 {
+	return int64(n)*int64(unsafe.Sizeof(isa.WarpInst{})) + int64(vecs)*int64(unsafe.Sizeof(isa.AddrVec{}))
 }
 
 // key returns the source's trace-cache key.
@@ -259,8 +256,9 @@ func (s *Source) entry(cta, warp int) *warpEntry {
 	e := grid(s.key()).warp(cta, warp)
 	e.traceOnce.Do(func() {
 		traceCache.builds.Add(1)
-		e.insts = s.buildWarpTrace(cta, warp)
-		charge(traceBytes(e.insts))
+		var vecs int
+		e.insts, vecs = s.buildWarpTrace(cta, warp)
+		charge(traceBytes(len(e.insts), vecs))
 	})
 	return e
 }

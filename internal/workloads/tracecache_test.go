@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/banks"
 	"repro/internal/config"
@@ -243,4 +244,34 @@ func TestTraceCacheSnapshot(t *testing.T) {
 	if got := TraceCacheSnapshot().Bytes; got != 0 {
 		t.Errorf("bytes after reset = %d, want 0", got)
 	}
+}
+
+// TestTraceCacheChargesDistinctVectors: the bytes charged for a kernel's
+// grid are its instructions plus each warp's distinct address vectors
+// once, the resident size of the packed traces.
+func TestTraceCacheChargesDistinctVectors(t *testing.T) {
+	for _, name := range []string{"needle", "bfs"} {
+		ResetTraceCache()
+		src := freshSource(t, name)
+		src.RegsAvail = 12 // add spill code
+		ctas, warps := src.Grid()
+		var want int64
+		for c := 0; c < ctas; c++ {
+			for w := 0; w < warps; w++ {
+				insts := src.WarpTrace(c, w)
+				vecs := make(map[*isa.AddrVec]bool)
+				for i := range insts {
+					if insts[i].Addrs != nil {
+						vecs[insts[i].Addrs] = true
+					}
+				}
+				want += int64(len(insts))*int64(unsafe.Sizeof(isa.WarpInst{})) +
+					int64(len(vecs))*int64(unsafe.Sizeof(isa.AddrVec{}))
+			}
+		}
+		if got := TraceCacheBytes(); got != want {
+			t.Errorf("%s: charged %d bytes, the grid's traces hold %d", name, got, want)
+		}
+	}
+	ResetTraceCache()
 }

@@ -162,7 +162,8 @@ func (s *Source) WarpTrace(cta, warp int) []isa.WarpInst {
 // buildWarpTrace constructs one warp's trace through kgen, which inserts
 // spill code and operand placements. It is deterministic in (kernel,
 // RegsAvail, Seed, cta, warp), which is what makes memoization exact.
-func (s *Source) buildWarpTrace(cta, warp int) []isa.WarpInst {
+// It also returns the number of distinct address vectors the trace holds.
+func (s *Source) buildWarpTrace(cta, warp int) ([]isa.WarpInst, int) {
 	e := &Env{
 		CTA:         cta,
 		Warp:        warp,
@@ -175,7 +176,8 @@ func (s *Source) buildWarpTrace(cta, warp int) []isa.WarpInst {
 		SpillBase: SpillRegionBase + uint32(e.GlobalWarp()%2048)*spillBytesPerWarp,
 	})
 	s.K.Emit(b, e)
-	return b.Finish()
+	insts := b.Finish()
+	return insts, len(b.Vectors())
 }
 
 // registry is populated by the kernel definition files.
