@@ -12,6 +12,8 @@
 package banks
 
 import (
+	"math/bits"
+
 	"repro/internal/config"
 	"repro/internal/isa"
 )
@@ -112,7 +114,7 @@ func (m *Model) unified() bool { return m.design == config.Unified }
 
 // Evaluate computes the bank outcome of one warp instruction.
 func (m *Model) Evaluate(wi *isa.WarpInst) Outcome {
-	if !(wi.Op.IsMemory() && wi.Addrs != nil) {
+	if !(wi.Op.IsMemory() && wi.HasAddrs()) {
 		return m.evaluateRegs(wi)
 	}
 	m.regOnly = false
@@ -251,34 +253,62 @@ func (m *Model) HeatInto(access, conflict *[config.NumBanks]int64) {
 // crossbar per cycle, so distinct granules in the same cluster serialize
 // even when they live in different banks.
 func (m *Model) addShared(wi *isa.WarpInst) int {
+	base, stride, vec := wi.AddrForm()
+	if vec == nil && isa.Monotone(base, stride) {
+		// Equal granules are adjacent, so a lane's granule is new
+		// unless it is the newest one; a zero stride is one address.
+		n := 0
+		for mask := runMask(wi.Mask, stride); mask != 0; mask &= mask - 1 {
+			addr := base + uint32(bits.TrailingZeros32(mask))*stride
+			if g := m.sharedGranule(addr); n == 0 || m.granule[n-1] != g {
+				m.granule[n] = g
+				n++
+				m.fileShared(addr, g)
+			}
+		}
+		return n
+	}
+	if vec == nil {
+		av := wi.Addrs()
+		vec = &av
+	}
 	m.head = emptyBuckets
 	n := 0
 	for t := 0; t < isa.WarpSize; t++ {
 		if wi.Mask&(1<<uint(t)) == 0 {
 			continue
 		}
-		addr := wi.Addrs[t]
-		var g uint32
-		if m.unified() {
-			g = addr / config.UnifiedBankWidth
-		} else {
-			g = addr / config.PartitionedShmemBankWidth
-		}
+		addr := vec[t]
+		g := m.sharedGranule(addr)
 		if m.seen(g, n) {
 			continue
 		}
 		m.record(g, n)
 		n++
-		if m.unified() {
-			cluster := int(g) % config.NumClusters
-			slot := int(addr/config.CacheLineBytes) % config.BanksPerCluster
-			m.bankMem[cluster*config.BanksPerCluster+slot]++
-			m.port[cluster]++
-		} else {
-			m.bankMem[g%config.NumBanks]++
-		}
+		m.fileShared(addr, g)
 	}
 	return n
+}
+
+// sharedGranule is the bank granule of a shared-memory address.
+func (m *Model) sharedGranule(addr uint32) uint32 {
+	if m.unified() {
+		return addr / config.UnifiedBankWidth
+	}
+	return addr / config.PartitionedShmemBankWidth
+}
+
+// fileShared files one access to the shared-memory granule g holding
+// addr.
+func (m *Model) fileShared(addr, g uint32) {
+	if m.unified() {
+		cluster := int(g) % config.NumClusters
+		slot := int(addr/config.CacheLineBytes) % config.BanksPerCluster
+		m.bankMem[cluster*config.BanksPerCluster+slot]++
+		m.port[cluster]++
+	} else {
+		m.bankMem[g%config.NumBanks]++
+	}
 }
 
 // addGlobal files the cache-line accesses of a global memory instruction
@@ -294,31 +324,65 @@ func (m *Model) addShared(wi *isa.WarpInst) int {
 // at most one extra cycle). Each line access is therefore filed as one
 // access to its bank slot, capped at one per slot.
 func (m *Model) addGlobal(wi *isa.WarpInst) int {
+	var slotUsed [config.BanksPerCluster]bool
+	base, stride, vec := wi.AddrForm()
+	if vec == nil && isa.Monotone(base, stride) {
+		// Equal lines are adjacent, as in addShared.
+		n := 0
+		for mask := runMask(wi.Mask, stride); mask != 0; mask &= mask - 1 {
+			line := (base + uint32(bits.TrailingZeros32(mask))*stride) / config.CacheLineBytes
+			if n == 0 || m.granule[n-1] != line {
+				m.granule[n] = line
+				n++
+				m.fileLine(line, &slotUsed)
+			}
+		}
+		return n
+	}
+	if vec == nil {
+		av := wi.Addrs()
+		vec = &av
+	}
 	m.head = emptyBuckets
 	n := 0
-	var slotUsed [config.BanksPerCluster]bool
 	for t := 0; t < isa.WarpSize; t++ {
 		if wi.Mask&(1<<uint(t)) == 0 {
 			continue
 		}
-		line := wi.Addrs[t] / config.CacheLineBytes
+		line := vec[t] / config.CacheLineBytes
 		if m.seen(line, n) {
 			continue
 		}
 		m.record(line, n)
 		n++
-		if m.unified() {
-			slot := int(line) % config.BanksPerCluster
-			if !slotUsed[slot] {
-				slotUsed[slot] = true
-				for c := 0; c < config.NumClusters; c++ {
-					m.bankMem[c*config.BanksPerCluster+slot]++
-				}
-			}
-		}
-		// Partitioned cache lines use dedicated banks; nothing to file.
+		m.fileLine(line, &slotUsed)
 	}
 	return n
+}
+
+// fileLine files one access to a cache line. Partitioned cache lines use
+// dedicated banks, so only the unified design files anything.
+func (m *Model) fileLine(line uint32, slotUsed *[config.BanksPerCluster]bool) {
+	if !m.unified() {
+		return
+	}
+	slot := int(line) % config.BanksPerCluster
+	if !slotUsed[slot] {
+		slotUsed[slot] = true
+		for c := 0; c < config.NumClusters; c++ {
+			m.bankMem[c*config.BanksPerCluster+slot]++
+		}
+	}
+}
+
+// runMask is the lanes an affine access with the given stride needs
+// visiting: all active ones, or with a zero stride, where every lane
+// reads one address, only the lowest.
+func runMask(mask, stride uint32) uint32 {
+	if stride == 0 {
+		return mask & -mask
+	}
+	return mask
 }
 
 // seen reports whether g is among the first n recorded granules. The

@@ -12,7 +12,8 @@ import (
 )
 
 func sharedInst(op isa.Op, addrs *isa.AddrVec) *isa.WarpInst {
-	wi := &isa.WarpInst{Op: op, Mask: isa.FullMask, Addrs: addrs}
+	wi := &isa.WarpInst{Op: op, Mask: isa.FullMask}
+	wi.SetAddrs(addrs)
 	wi.Dst.Reg = isa.NoReg
 	for i := range wi.Srcs {
 		wi.Srcs[i].Reg = isa.NoReg

@@ -17,6 +17,7 @@ package isa
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -187,14 +188,77 @@ type WarpInst struct {
 	// It sits in the padding before Mask, which keeps a WarpInst at 24
 	// bytes (traces are the trace cache's largest resident table).
 	Spill bool
+	// pair says how addrs holds the addresses: 0 means addrs is the
+	// full vector, and k means the vector is affine and addrs is a
+	// slot of Packer pairs, pair k-1 of which holds (base, stride). It
+	// fills the last padding byte before Mask.
+	pair uint8
 	// Mask is the active-thread mask; bit i set means thread i executes.
 	Mask uint32
-	// Addrs holds per-thread byte addresses for memory operations and is
-	// nil otherwise. Shared-memory addresses are offsets into the CTA's
-	// shared segment; global addresses are absolute. Instructions of one
-	// trace may share a vector (see Packer), so it is immutable.
-	Addrs *AddrVec
+	// addrs holds the per-thread byte addresses of memory operations,
+	// in the form pair names, and is nil otherwise. Shared-memory
+	// addresses are offsets into the CTA's shared segment; global
+	// addresses are absolute. Instructions of one trace may share a
+	// vector or a slot of pairs (see Packer), so it is immutable. It is
+	// reached only through the accessors below, which keep a packed
+	// pair from being read as a vector.
+	addrs *AddrVec
 }
+
+// HasAddrs reports whether the instruction carries per-thread addresses.
+func (wi *WarpInst) HasAddrs() bool { return wi.addrs != nil }
+
+// Addr returns thread t's byte address. The instruction must have
+// addresses.
+func (wi *WarpInst) Addr(t int) uint32 {
+	base, stride, vec := wi.AddrForm()
+	if vec != nil {
+		return vec[t]
+	}
+	return base + uint32(t)*stride
+}
+
+// AddrForm returns the instruction's addresses in their stored form, for
+// loops over the lanes that should not re-decode it per lane: vec is the
+// full vector, or nil when thread t's address is base + t*stride
+// (modulo 2^32). The instruction must have addresses.
+func (wi *WarpInst) AddrForm() (base, stride uint32, vec *AddrVec) {
+	if wi.pair == 0 {
+		return 0, 0, wi.addrs
+	}
+	j := 2 * int(wi.pair-1)
+	return wi.addrs[j], wi.addrs[j+1], nil
+}
+
+// Addrs returns a copy of the instruction's addresses, all 32 lanes. The
+// instruction must have addresses.
+func (wi *WarpInst) Addrs() AddrVec {
+	base, stride, vec := wi.AddrForm()
+	if vec != nil {
+		return *vec
+	}
+	var v AddrVec
+	for t := range v {
+		v[t] = base + uint32(t)*stride
+	}
+	return v
+}
+
+// Monotone reports whether the affine addresses base + t*stride of lanes
+// 0 to 31 stay within [0, 2^32) without wrapping, with stride read as a
+// signed step. They are then ordered by lane, and so is any address
+// divided by a constant, such as a line or bank granule: lanes whose
+// quotients are equal are adjacent in any subset of the lanes.
+func Monotone(base, stride uint32) bool {
+	end := int64(base) + (WarpSize-1)*int64(int32(stride))
+	return end >= 0 && end <= math.MaxUint32
+}
+
+// SetAddrs points the instruction at the full vector v (nil removes its
+// addresses). The instruction keeps the pointer, so v must not change
+// afterwards. Traces built in bulk pack their vectors with a Packer
+// instead.
+func (wi *WarpInst) SetAddrs(v *AddrVec) { wi.addrs, wi.pair = v, 0 }
 
 // FullMask is the mask with all 32 threads active.
 const FullMask uint32 = 0xFFFFFFFF

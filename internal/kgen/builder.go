@@ -59,7 +59,7 @@ type Builder struct {
 	cfg      Config
 	s        *scratch // pooled build state, returned by Finish
 	insts    []isa.WarpInst
-	vecs     []isa.AddrVec // the finished trace's vector arena
+	arena    []isa.AddrVec // the finished trace's address arena
 	finished bool
 }
 
@@ -196,8 +196,8 @@ func (b *Builder) emit(op isa.Op, dst uint8, srcs []uint8, addrs *isa.AddrVec) {
 
 // Finish runs register allocation and the operand placement pass, then
 // returns the trace, sized exactly to its length, with its distinct
-// address vectors packed into one arena (isa.Packer). The builder must
-// not be reused afterwards.
+// address vectors packed into one arena (isa.Packer), affine ones as
+// (base, stride) pairs. The builder must not be reused afterwards.
 func (b *Builder) Finish() []isa.WarpInst {
 	if b.finished {
 		panic("kgen: Finish called twice")
@@ -216,16 +216,17 @@ func (b *Builder) Finish() []isa.WarpInst {
 	place(trace, s)
 	out := make([]isa.WarpInst, len(trace))
 	copy(out, trace)
-	b.vecs = s.pack.Pack(out, slots)
+	b.arena = s.pack.Pack(out, slots)
 	s.release()
 	b.s, b.insts = nil, out
 	return out
 }
 
-// Vectors returns the arena holding the finished trace's distinct
-// address vectors, one per content (isa.Packer). It is nil before Finish
-// and for a trace without memory instructions.
-func (b *Builder) Vectors() []isa.AddrVec { return b.vecs }
+// Arena returns the arena holding the finished trace's distinct address
+// vectors, one per content (isa.Packer): a slot per irregular vector,
+// then the affine vectors' pairs, isa.PairsPerSlot to a slot. It is nil
+// before Finish and for a trace without memory instructions.
+func (b *Builder) Arena() []isa.AddrVec { return b.arena }
 
 // release empties the scratch and returns it to the pool.
 func (s *scratch) release() {

@@ -83,16 +83,16 @@ func TestSpillAddressesAreCoalescedPerRegister(t *testing.T) {
 			continue
 		}
 		sawSpill = true
-		if wi.Addrs == nil {
+		if !wi.HasAddrs() {
 			t.Fatal("spill op without addresses")
 		}
-		base := wi.Addrs[0]
+		base := wi.Addr(0)
 		if base < 1<<20 {
 			t.Fatalf("spill address %#x below SpillBase", base)
 		}
 		for l := 1; l < isa.WarpSize; l++ {
-			if wi.Addrs[l] != base+uint32(l)*4 {
-				t.Fatalf("spill lane %d not coalesced: %#x vs base %#x", l, wi.Addrs[l], base)
+			if wi.Addr(l) != base+uint32(l)*4 {
+				t.Fatalf("spill lane %d not coalesced: %#x vs base %#x", l, wi.Addr(l), base)
 			}
 		}
 		if base%128 != 0 {
@@ -363,14 +363,24 @@ func TestAddrHelpers(t *testing.T) {
 	}
 }
 
-// snapshot copies a trace and every address vector it points at, so a
-// later write to the original vectors cannot reach the copy.
-func snapshot(trace []isa.WarpInst) []isa.WarpInst {
-	out := append([]isa.WarpInst(nil), trace...)
-	for i := range out {
-		if v := out[i].Addrs; v != nil {
-			c := *v
-			out[i].Addrs = &c
+// flatInst is an instruction with its addresses expanded to all 32
+// lanes, whichever form the trace keeps them in.
+type flatInst struct {
+	wi    isa.WarpInst // with its addresses removed
+	has   bool
+	addrs isa.AddrVec
+}
+
+// snapshot copies a trace with every address expanded, so a later write
+// to the original's arena cannot reach the copy.
+func snapshot(trace []isa.WarpInst) []flatInst {
+	out := make([]flatInst, len(trace))
+	for i := range trace {
+		f := &out[i]
+		f.wi, f.has = trace[i], trace[i].HasAddrs()
+		f.wi.SetAddrs(nil)
+		for l := 0; f.has && l < isa.WarpSize; l++ {
+			f.addrs[l] = trace[i].Addr(l)
 		}
 	}
 	return out
@@ -413,7 +423,7 @@ func TestFinishReturnsExactPrivateTraces(t *testing.T) {
 				base := uint32(g+1) << 16
 				ref := snapshot(build(regs, base))
 				for i := 0; i < 20; i++ {
-					if got := build(regs, base); !reflect.DeepEqual(got, ref) {
+					if got := snapshot(build(regs, base)); !reflect.DeepEqual(got, ref) {
 						t.Errorf("regs %d: rebuild differs from the first build", regs)
 						return
 					}
@@ -421,7 +431,7 @@ func TestFinishReturnsExactPrivateTraces(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if !reflect.DeepEqual(first, want) {
+		if !reflect.DeepEqual(snapshot(first), want) {
 			t.Errorf("regs %d: a later build overwrote an earlier trace", regs)
 		}
 	}
@@ -430,34 +440,58 @@ func TestFinishReturnsExactPrivateTraces(t *testing.T) {
 	}
 }
 
-// TestFinishPacksAddressVectors: within a finished trace equal vectors
-// share one pointer, and every pointer lies in the builder's arena,
-// whose length is the number of distinct vectors.
+// TestFinishPacksAddressVectors: within a finished trace equal
+// irregular vectors share one arena slot, affine vectors are pairs in
+// the slots after them, each distinct pair once in order of first use,
+// and the arena's length is exactly irregular + ⌈affine/16⌉ slots.
 func TestFinishPacksAddressVectors(t *testing.T) {
 	for _, regs := range []int{0, 6} {
 		b := buildMixed(regs, 400, 0)
 		trace := b.Finish()
-		arena := b.Vectors()
-		inArena := make(map[*isa.AddrVec]bool, len(arena))
+		arena := b.Arena()
+		inArena := make(map[*isa.AddrVec]int, len(arena))
 		for k := range arena {
-			inArena[&arena[k]] = true
+			inArena[&arena[k]] = k
 		}
 		shared := make(map[isa.AddrVec]*isa.AddrVec)
+		var pairs [][2]uint32
+		seenPair := make(map[[2]uint32]bool)
 		for i := range trace {
-			v := trace[i].Addrs
-			if v == nil {
+			if !trace[i].HasAddrs() {
 				continue
 			}
-			if !inArena[v] {
-				t.Fatalf("regs %d: inst %d's vector is outside the arena", regs, i)
+			base, stride, v := trace[i].AddrForm()
+			if v == nil {
+				if p := [2]uint32{base, stride}; !seenPair[p] {
+					seenPair[p] = true
+					pairs = append(pairs, p)
+				}
+				continue
 			}
-			if p, ok := shared[*v]; ok && p != v {
-				t.Fatalf("regs %d: inst %d does not share its vector with an equal earlier one", regs, i)
+			if p, ok := shared[*v]; ok {
+				if p != v {
+					t.Fatalf("regs %d: inst %d does not share its vector with an equal earlier one", regs, i)
+				}
+				continue
+			}
+			if k, ok := inArena[v]; !ok || k != len(shared) {
+				t.Fatalf("regs %d: inst %d's vector is not the next arena slot in first-use order", regs, i)
 			}
 			shared[*v] = v
 		}
-		if len(arena) != len(shared) || cap(arena) != len(arena) {
-			t.Errorf("regs %d: arena len %d cap %d, want both %d (distinct vectors)", regs, len(arena), cap(arena), len(shared))
+		want := len(shared) + (len(pairs)+isa.PairsPerSlot-1)/isa.PairsPerSlot
+		if len(arena) != want || cap(arena) != len(arena) {
+			t.Errorf("regs %d: arena len %d cap %d, want both %d (%d irregular, %d affine)",
+				regs, len(arena), cap(arena), want, len(shared), len(pairs))
+		}
+		if len(pairs) == 0 || len(shared) == 0 {
+			t.Fatalf("regs %d: %d affine and %d irregular vectors; the test needs both", regs, len(pairs), len(shared))
+		}
+		for k, p := range pairs {
+			s := &arena[len(shared)+k/isa.PairsPerSlot]
+			if j := 2 * (k % isa.PairsPerSlot); s[j] != p[0] || s[j+1] != p[1] {
+				t.Fatalf("regs %d: pair %d is (%#x, %#x) in the arena, want (%#x, %#x)", regs, k, s[j], s[j+1], p[0], p[1])
+			}
 		}
 	}
 }

@@ -65,12 +65,20 @@ func (f Footprint) Addr0() uint32 { return f[1] }
 // of byte offsets counts distinct addresses, which are exactly the
 // distinct (line, offset) pairs.
 func appendFootprint(dst []uint32, wi *isa.WarpInst) []uint32 {
+	base, stride, vec := wi.AddrForm()
+	if vec == nil {
+		if isa.Monotone(base, stride) {
+			return appendRunFootprint(dst, wi.Mask, base, stride)
+		}
+		av := wi.Addrs()
+		vec = &av
+	}
 	start := len(dst)
 	first := start + footprintHeader
-	dst = append(dst, 0, wi.Addrs[0])
+	dst = append(dst, 0, vec[0])
 	var offsets [isa.WarpSize][2]uint64
 	for m := wi.Mask; m != 0; m &= m - 1 {
-		a := wi.Addrs[bits.TrailingZeros32(m)]
+		a := vec[bits.TrailingZeros32(m)]
 		line := a / config.CacheLineBytes
 		off := a % config.CacheLineBytes
 		i := len(dst) - 1
@@ -91,6 +99,34 @@ func appendFootprint(dst []uint32, wi *isa.WarpInst) []uint32 {
 		distinct += bits.OnesCount64(offsets[i][0]) + bits.OnesCount64(offsets[i][1])
 	}
 	dst[start] = uint32(distinct) | uint32(bits.OnesCount32(wi.Mask))<<8
+	return dst
+}
+
+// appendRunFootprint is appendFootprint for affine addresses that do not
+// wrap (isa.Monotone). Their lines are ordered by lane, so a lane's line
+// is new unless it is the newest one, and their addresses are distinct
+// unless the stride is zero, when every lane reads one address.
+func appendRunFootprint(dst []uint32, mask, base, stride uint32) []uint32 {
+	start := len(dst)
+	dst = append(dst, 0, base)
+	lanes := mask
+	if stride == 0 {
+		lanes &= -lanes
+	}
+	for ; lanes != 0; lanes &= lanes - 1 {
+		a := base + uint32(bits.TrailingZeros32(lanes))*stride
+		line := a / config.CacheLineBytes
+		if len(dst) == start+footprintHeader || dst[len(dst)-1]>>sectorBits != line {
+			dst = append(dst, line<<sectorBits)
+		}
+		dst[len(dst)-1] |= 1 << (a % config.CacheLineBytes / SectorBytes)
+	}
+	active := bits.OnesCount32(mask)
+	distinct := active
+	if stride == 0 {
+		distinct = min(active, 1)
+	}
+	dst[start] = uint32(distinct) | uint32(active)<<8
 	return dst
 }
 
@@ -118,7 +154,7 @@ func NewFootprints(insts []isa.WarpInst) *Footprints {
 	buf := append((*bp)[:0], make([]uint32, n)...)
 	for i := range insts {
 		buf[i] = uint32(len(buf) - n)
-		if insts[i].Op.IsGlobal() && insts[i].Addrs != nil {
+		if insts[i].Op.IsGlobal() && insts[i].HasAddrs() {
 			buf = appendFootprint(buf, &insts[i])
 		}
 	}

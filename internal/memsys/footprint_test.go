@@ -19,7 +19,7 @@ func naiveFootprint(wi *isa.WarpInst) (lines []uint32, sectors []uint8, distinct
 			continue
 		}
 		active++
-		a := wi.Addrs[t]
+		a := wi.Addr(t)
 		if !seen[a] {
 			seen[a] = true
 			distinct++
@@ -60,7 +60,9 @@ func randomGlobal(r *rand.Rand) isa.WarpInst {
 		mask = isa.FullMask
 	}
 	ops := []isa.Op{isa.OpLDG, isa.OpSTG, isa.OpTEX}
-	return isa.WarpInst{Op: ops[r.IntN(len(ops))], Mask: mask, Addrs: &av}
+	wi := isa.WarpInst{Op: ops[r.IntN(len(ops))], Mask: mask}
+	wi.SetAddrs(&av)
+	return wi
 }
 
 // TestFootprintMatchesNaive checks the packed encoding — lines, sectors,
@@ -91,14 +93,54 @@ func TestFootprintMatchesNaive(t *testing.T) {
 			t.Fatalf("inst %d: table %v, computed %v", i, got, scratch)
 		}
 		lines, sectors, distinct, active := naiveFootprint(wi)
-		if got.Lines() != len(lines) || got.Distinct() != distinct || got.Active() != active || got.Addr0() != wi.Addrs[0] {
+		if got.Lines() != len(lines) || got.Distinct() != distinct || got.Active() != active || got.Addr0() != wi.Addr(0) {
 			t.Fatalf("inst %d: %d lines, %d distinct, %d active, addr0 %#x; want %d, %d, %d, %#x",
-				i, got.Lines(), got.Distinct(), got.Active(), got.Addr0(), len(lines), distinct, active, wi.Addrs[0])
+				i, got.Lines(), got.Distinct(), got.Active(), got.Addr0(), len(lines), distinct, active, wi.Addr(0))
 		}
 		for j := range lines {
 			if l, s := got.Line(j); l != lines[j] || s != sectors[j] {
 				t.Fatalf("inst %d line %d: (%#x, %#x), want (%#x, %#x)", i, j, l, s, lines[j], sectors[j])
 			}
+		}
+	}
+}
+
+// TestFootprintPairFormMatchesVector computes the footprints of affine
+// instructions twice, once with each vector in full form and once
+// packed by an isa.Packer into (base, stride) pairs, and requires the
+// same words. Strides are 0, 4, 128, wrapping "negative" ones and random
+// ones; half the bases sit just below 2^32, so lanes wrap through zero.
+func TestFootprintPairFormMatchesVector(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	strides := []uint32{0, 4, 128, ^uint32(3), ^uint32(127)} // ^3 is -4
+	full := make([]isa.WarpInst, 400)
+	slots := make([]int32, len(full))
+	var p isa.Packer
+	for i := range full {
+		base, stride := r.Uint32(), r.Uint32()
+		if i%2 == 0 {
+			base = ^uint32(0) - r.Uint32N(512)
+		}
+		if k := r.IntN(len(strides) + 1); k < len(strides) {
+			stride = strides[k]
+		}
+		var av isa.AddrVec
+		for l := range av {
+			av[l] = base + uint32(l)*stride
+		}
+		full[i] = randomGlobal(r)
+		full[i].SetAddrs(&av)
+		slots[i] = p.Add(&av)
+	}
+	pair := append([]isa.WarpInst(nil), full...)
+	p.Pack(pair, slots)
+	want, got := NewFootprints(full), NewFootprints(pair)
+	for i := range full {
+		if _, _, vec := pair[i].AddrForm(); vec != nil {
+			t.Fatalf("inst %d: an affine vector kept its full form", i)
+		}
+		if !reflect.DeepEqual(got.At(i), want.At(i)) {
+			t.Fatalf("inst %d: pair form %v, full form %v", i, got.At(i), want.At(i))
 		}
 	}
 }

@@ -40,7 +40,9 @@ func ldg(addr func(lane int) uint32) *isa.WarpInst {
 	for t := 0; t < isa.WarpSize; t++ {
 		av[t] = addr(t)
 	}
-	return &isa.WarpInst{Op: isa.OpLDG, Mask: isa.FullMask, Addrs: &av}
+	wi := &isa.WarpInst{Op: isa.OpLDG, Mask: isa.FullMask}
+	wi.SetAddrs(&av)
+	return wi
 }
 
 // stg builds a full-warp global store with per-lane addresses.

@@ -123,7 +123,7 @@ func Analyze(t *Trace) *Profile {
 					p.MRFWrites++
 				}
 			}
-			if wi.Addrs == nil {
+			if !wi.HasAddrs() {
 				continue
 			}
 			if wi.Op.IsShared() {
@@ -131,7 +131,7 @@ func Analyze(t *Trace) *Profile {
 					if wi.Mask&(1<<uint(l)) == 0 {
 						continue
 					}
-					if a := wi.Addrs[l] + 4; a > p.MaxSharedAddr {
+					if a := wi.Addr(l) + 4; a > p.MaxSharedAddr {
 						p.MaxSharedAddr = a
 					}
 				}
@@ -145,7 +145,7 @@ func Analyze(t *Trace) *Profile {
 				if wi.Mask&(1<<uint(l)) == 0 {
 					continue
 				}
-				line := wi.Addrs[l] / 128
+				line := wi.Addr(l) / 128
 				k := n - 1
 				for k >= 0 && lines[k] != line {
 					k--

@@ -107,7 +107,7 @@ func writeInst(w io.Writer, wi *isa.WarpInst) error {
 	if wi.Spill {
 		flags |= flagSpill
 	}
-	if wi.Addrs != nil {
+	if wi.HasAddrs() {
 		flags |= flagAddrs
 	}
 	buf := []byte{
@@ -123,12 +123,12 @@ func writeInst(w io.Writer, wi *isa.WarpInst) error {
 	if err := binary.Write(w, binary.LittleEndian, wi.Mask); err != nil {
 		return err
 	}
-	if wi.Addrs != nil {
-		if err := binary.Write(w, binary.LittleEndian, wi.Addrs[:]); err != nil {
-			return err
-		}
+	if !wi.HasAddrs() {
+		return nil
 	}
-	return nil
+	// The file holds every lane, whichever form the trace keeps.
+	av := wi.Addrs()
+	return binary.Write(w, binary.LittleEndian, av[:])
 }
 
 // limits guarding against corrupt files.

@@ -82,7 +82,7 @@ func TestRoundTripRandomInstructions(t *testing.T) {
 				for l := range av {
 					av[l] = rng.Uint32()
 				}
-				wi.Addrs = &av
+				wi.SetAddrs(&av)
 			}
 		}
 		// Read only accepts warps that end in EXIT.

@@ -34,10 +34,14 @@
 // The memoized tables hold only what they need: kgen returns each trace
 // as an exact-size copy (its growable build buffers are pooled, not
 // kept) whose distinct address vectors sit once each in one exact-size
-// arena (isa.Packer), an isa.WarpInst is 24 bytes, a banks.Outcome packs
-// into three bytes, and a footprint table is one exact-size allocation,
-// so the resident set is the tables themselves, with no append slack
-// and no vector repeated within a warp.
+// arena (isa.Packer). An irregular vector takes a 128-byte slot of it;
+// an affine one (base + lane*stride on every lane, most of them) is a
+// (base, stride) pair, isa.PairsPerSlot pairs to a slot. An
+// isa.WarpInst is 24 bytes, a banks.Outcome packs into three bytes, and
+// a footprint table is one exact-size allocation, so the resident set
+// is the tables themselves, with no append slack and no vector repeated
+// within a warp. A trace is charged 24 bytes per instruction and 128
+// per arena slot.
 //
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
@@ -233,9 +237,9 @@ func charge(n int64) {
 }
 
 // traceBytes is the resident footprint of a built warp trace of n
-// instructions holding vecs distinct address vectors.
-func traceBytes(n, vecs int) int64 {
-	return int64(n)*int64(unsafe.Sizeof(isa.WarpInst{})) + int64(vecs)*int64(unsafe.Sizeof(isa.AddrVec{}))
+// instructions whose address arena holds slots vector-sized slots.
+func traceBytes(n, slots int) int64 {
+	return int64(n)*int64(unsafe.Sizeof(isa.WarpInst{})) + int64(slots)*int64(unsafe.Sizeof(isa.AddrVec{}))
 }
 
 // key returns the source's trace-cache key.
@@ -256,9 +260,9 @@ func (s *Source) entry(cta, warp int) *warpEntry {
 	e := grid(s.key()).warp(cta, warp)
 	e.traceOnce.Do(func() {
 		traceCache.builds.Add(1)
-		var vecs int
-		e.insts, vecs = s.buildWarpTrace(cta, warp)
-		charge(traceBytes(len(e.insts), vecs))
+		var slots int
+		e.insts, slots = s.buildWarpTrace(cta, warp)
+		charge(traceBytes(len(e.insts), slots))
 	})
 	return e
 }

@@ -247,8 +247,9 @@ func TestTraceCacheSnapshot(t *testing.T) {
 }
 
 // TestTraceCacheChargesDistinctVectors: the bytes charged for a kernel's
-// grid are its instructions plus each warp's distinct address vectors
-// once, the resident size of the packed traces.
+// grid are its instructions plus each warp's address arena, the resident
+// size of the packed traces: a slot per distinct irregular vector and
+// one per isa.PairsPerSlot distinct affine vectors.
 func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 	for _, name := range []string{"needle", "bfs"} {
 		ResetTraceCache()
@@ -256,21 +257,33 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 		src.RegsAvail = 12 // add spill code
 		ctas, warps := src.Grid()
 		var want int64
+		affineTotal := 0
 		for c := 0; c < ctas; c++ {
 			for w := 0; w < warps; w++ {
 				insts := src.WarpTrace(c, w)
-				vecs := make(map[*isa.AddrVec]bool)
+				irregular := make(map[isa.AddrVec]bool)
+				affine := make(map[[2]uint32]bool)
 				for i := range insts {
-					if insts[i].Addrs != nil {
-						vecs[insts[i].Addrs] = true
+					if !insts[i].HasAddrs() {
+						continue
+					}
+					if base, stride, vec := insts[i].AddrForm(); vec != nil {
+						irregular[*vec] = true
+					} else {
+						affine[[2]uint32{base, stride}] = true
 					}
 				}
+				slots := len(irregular) + (len(affine)+isa.PairsPerSlot-1)/isa.PairsPerSlot
 				want += int64(len(insts))*int64(unsafe.Sizeof(isa.WarpInst{})) +
-					int64(len(vecs))*int64(unsafe.Sizeof(isa.AddrVec{}))
+					int64(slots)*int64(unsafe.Sizeof(isa.AddrVec{}))
+				affineTotal += len(affine)
 			}
 		}
 		if got := TraceCacheBytes(); got != want {
 			t.Errorf("%s: charged %d bytes, the grid's traces hold %d", name, got, want)
+		}
+		if affineTotal == 0 {
+			t.Errorf("%s: no affine vectors; the test no longer covers pair slots", name)
 		}
 	}
 	ResetTraceCache()

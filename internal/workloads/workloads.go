@@ -162,7 +162,7 @@ func (s *Source) WarpTrace(cta, warp int) []isa.WarpInst {
 // buildWarpTrace constructs one warp's trace through kgen, which inserts
 // spill code and operand placements. It is deterministic in (kernel,
 // RegsAvail, Seed, cta, warp), which is what makes memoization exact.
-// It also returns the number of distinct address vectors the trace holds.
+// It also returns the number of slots in the trace's address arena.
 func (s *Source) buildWarpTrace(cta, warp int) ([]isa.WarpInst, int) {
 	e := &Env{
 		CTA:         cta,
@@ -177,7 +177,7 @@ func (s *Source) buildWarpTrace(cta, warp int) ([]isa.WarpInst, int) {
 	})
 	s.K.Emit(b, e)
 	insts := b.Finish()
-	return insts, len(b.Vectors())
+	return insts, len(b.Arena())
 }
 
 // registry is populated by the kernel definition files.

@@ -107,9 +107,9 @@ func TestSharedAddressesWithinAllocation(t *testing.T) {
 					if wi.Mask&(1<<uint(l)) == 0 {
 						continue
 					}
-					if int(wi.Addrs[l])+4 > k.SharedBytesPerCTA {
+					if int(wi.Addr(l))+4 > k.SharedBytesPerCTA {
 						t.Errorf("%s warp %d inst %d: shared addr %d beyond CTA allocation %d",
-							k.Name, w, i, wi.Addrs[l], k.SharedBytesPerCTA)
+							k.Name, w, i, wi.Addr(l), k.SharedBytesPerCTA)
 						break
 					}
 				}
@@ -255,12 +255,12 @@ func TestNeedleBlockingFactors(t *testing.T) {
 func TestGlobalAddressesAvoidSpillRegion(t *testing.T) {
 	for _, k := range All() {
 		for _, wi := range traceFor(k, 2, 0, 0) {
-			if !wi.Op.IsGlobal() || wi.Addrs == nil || wi.Spill {
+			if !wi.Op.IsGlobal() || !wi.HasAddrs() || wi.Spill {
 				continue
 			}
 			for l := 0; l < isa.WarpSize; l++ {
-				if wi.Addrs[l] >= SpillRegionBase {
-					t.Errorf("%s: data address %#x inside the spill region", k.Name, wi.Addrs[l])
+				if wi.Addr(l) >= SpillRegionBase {
+					t.Errorf("%s: data address %#x inside the spill region", k.Name, wi.Addr(l))
 					break
 				}
 			}
