@@ -194,7 +194,8 @@ func hashAddrs(v *AddrVec) uint64 {
 	return (a ^ bits.RotateLeft64(b, 16) ^ bits.RotateLeft64(c, 32) ^ bits.RotateLeft64(d, 48)) * k
 }
 
-// hashPair mixes an affine vector's pair the same way.
+// hashPair mixes an affine vector's pair for the same table: every
+// input bit reaches the top bits through the multiplies.
 func hashPair(base, stride uint32) uint64 {
 	const k = 0x9E3779B97F4A7C15
 	h := (uint64(base) | uint64(stride)<<32) * k
