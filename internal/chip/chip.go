@@ -81,8 +81,8 @@ type shardSource struct {
 
 func (s *shardSource) Grid() (int, int) { return s.ctas, s.warps }
 
-func (s *shardSource) WarpTrace(cta, warp int) []isa.WarpInst {
-	return s.src.WarpTrace(cta*s.nSM+s.smIndex, warp)
+func (s *shardSource) WarpCode(cta, warp int) isa.WarpCode {
+	return s.src.WarpCode(cta*s.nSM+s.smIndex, warp)
 }
 
 func (s *shardSource) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
@@ -122,8 +122,8 @@ func (r *Replicated) Grid() (int, int) {
 	return ctas * r.Copies, warps
 }
 
-func (r *Replicated) WarpTrace(cta, warp int) []isa.WarpInst {
-	return r.Source.WarpTrace(cta, warp)
+func (r *Replicated) WarpCode(cta, warp int) isa.WarpCode {
+	return r.Source.WarpCode(cta, warp)
 }
 
 func (r *Replicated) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {

@@ -20,8 +20,8 @@ type funcSource struct {
 	gen         func(cta, warp int) []isa.WarpInst
 }
 
-func (f funcSource) Grid() (int, int)                       { return f.ctas, f.warps }
-func (f funcSource) WarpTrace(cta, warp int) []isa.WarpInst { return f.gen(cta, warp) }
+func (f funcSource) Grid() (int, int)                    { return f.ctas, f.warps }
+func (f funcSource) WarpCode(cta, warp int) isa.WarpCode { return isa.Split(f.gen(cta, warp)) }
 
 // computeKernel emits a latency-tolerant mixed kernel.
 func computeKernel(cta, warp int) []isa.WarpInst {
@@ -228,9 +228,9 @@ type memoSource struct {
 	traces, outcomes, footprints map[[2]int]int
 }
 
-func (m *memoSource) WarpTrace(cta, warp int) []isa.WarpInst {
+func (m *memoSource) WarpCode(cta, warp int) isa.WarpCode {
 	m.traces[[2]int{cta, warp}]++
-	return m.Source.WarpTrace(cta, warp)
+	return m.Source.WarpCode(cta, warp)
 }
 
 func (m *memoSource) WarpOutcomes(cta, warp int, d config.Design, aggressive bool) []banks.Outcome {
@@ -247,8 +247,8 @@ func (m *memoSource) WarpFootprints(cta, warp int) *memsys.Footprints {
 // outcomes and computes footprints per issue.
 type plainSource struct{ src *workloads.Source }
 
-func (p plainSource) Grid() (int, int)                       { return p.src.Grid() }
-func (p plainSource) WarpTrace(cta, warp int) []isa.WarpInst { return p.src.WarpTrace(cta, warp) }
+func (p plainSource) Grid() (int, int)                    { return p.src.Grid() }
+func (p plainSource) WarpCode(cta, warp int) isa.WarpCode { return p.src.WarpCode(cta, warp) }
 
 // TestChipReplaysMemo: a chip's SMs must replay the wrapped source's
 // memoized outcomes and footprints, asking for each grid warp's tables

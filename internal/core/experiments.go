@@ -87,7 +87,7 @@ func (r *Runner) dynInsts(k *workloads.Kernel, budget int) int64 {
 	var n int64
 	for cta := 0; cta < ctas; cta++ {
 		for w := 0; w < k.WarpsPerCTA(); w++ {
-			n += int64(len(src.WarpTrace(cta, w)))
+			n += int64(src.WarpCode(cta, w).Len())
 		}
 	}
 	return n
@@ -123,26 +123,38 @@ var ThreadSweep = []int{256, 512, 768, 1024}
 // Figure2 reproduces the performance-versus-register-file-capacity study:
 // lines are registers/thread from SpillBudgets, points are thread counts,
 // cache is fixed at 64 KB and shared memory is unbounded. Performance is
-// normalized to (64 regs, 1024 threads). All (benchmark, regs, threads)
-// points run as one flat parallel batch.
+// normalized to (64 regs, 1024 threads). A budget above the kernel's
+// demand runs spill free, the same point as the demand itself, so each
+// distinct (benchmark, effective regs, threads) point runs once, all of
+// them as one flat parallel batch.
 func (r *Runner) Figure2() ([]FigureSweep, error) {
 	kernels, err := kernelsByName(Figure2Benchmarks)
 	if err != nil {
 		return nil, err
 	}
+	type job struct{ kernel, regs, threads int }
 	perBench := len(SpillBudgets) * len(ThreadSweep)
-	points, err := parallel.Map(len(kernels)*perBench, func(i int) (SweepPoint, error) {
+	var jobs []job
+	jobOf := make([]int, len(kernels)*perBench) // point -> its job
+	seen := make(map[job]int)
+	for i := range jobOf {
 		k := kernels[i/perBench]
-		regs := SpillBudgets[i%perBench/len(ThreadSweep)]
-		threads := ThreadSweep[i%len(ThreadSweep)]
-		eff := regs
-		if eff > k.RegsNeeded {
-			eff = k.RegsNeeded
+		j := job{i / perBench, min(SpillBudgets[i%perBench/len(ThreadSweep)], k.RegsNeeded), ThreadSweep[i%len(ThreadSweep)]}
+		n, ok := seen[j]
+		if !ok {
+			n = len(jobs)
+			seen[j] = n
+			jobs = append(jobs, j)
 		}
-		rf := eff * 4 * threads
-		cfg := IsolationConfig(k, rf, 64<<10, threads)
-		res, err := r.Run(RunSpec{Kernel: k, Config: cfg, RegsPerThread: eff})
-		pt := SweepPoint{Regs: regs, Threads: threads, CapacityKB: rf >> 10}
+		jobOf[i] = n
+	}
+	runs, err := parallel.Map(len(jobs), func(n int) (SweepPoint, error) {
+		j := jobs[n]
+		k := kernels[j.kernel]
+		rf := j.regs * 4 * j.threads
+		cfg := IsolationConfig(k, rf, 64<<10, j.threads)
+		res, err := r.Run(RunSpec{Kernel: k, Config: cfg, RegsPerThread: j.regs})
+		pt := SweepPoint{Threads: j.threads, CapacityKB: rf >> 10}
 		switch {
 		case IsInfeasible(err):
 			pt.Infeasible = true
@@ -155,6 +167,11 @@ func (r *Runner) Figure2() ([]FigureSweep, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	points := make([]SweepPoint, len(jobOf))
+	for i, n := range jobOf {
+		points[i] = runs[n]
+		points[i].Regs = SpillBudgets[i%perBench/len(ThreadSweep)]
 	}
 	return groupSweeps(kernels, points, perBench, func(p SweepPoint) bool {
 		return p.Regs == 64 && p.Threads == 1024
@@ -490,45 +507,58 @@ type Table6Row struct {
 }
 
 // Table6 evaluates unified-memory capacity sensitivity for the benefit
-// set plus an average row for the Figure 7 set. Rows are independent and
-// run in parallel; within a row the geomean products keep kernel order so
-// the floating-point result is identical to the serial loop's.
+// set plus an average row for the Figure 7 set. Every (kernel, capacity)
+// comparison runs once, all of them as one parallel batch; the average
+// rows reuse the per-kernel comparisons, and their geomean products keep
+// kernel order so the floating-point result is identical to a serial
+// loop's.
 func (r *Runner) Table6() ([]Table6Row, error) {
-	type rowSpec struct {
-		label   string
-		kernels []*workloads.Kernel
+	benefit, others := workloads.BenefitSet(), workloads.NoBenefitSet()
+	kernels := append(append([]*workloads.Kernel(nil), benefit...), others...)
+	type cell struct {
+		c          Comparison
+		infeasible bool
 	}
-	var specs []rowSpec
-	for _, k := range workloads.BenefitSet() {
-		specs = append(specs, rowSpec{k.Name, []*workloads.Kernel{k}})
+	ncap := len(Table6Capacities)
+	cells, err := parallel.Map(len(kernels)*ncap, func(i int) (cell, error) {
+		c, err := r.CompareUnified(kernels[i/ncap], Table6Capacities[i%ncap])
+		if IsInfeasible(err) {
+			return cell{infeasible: true}, nil
+		}
+		return cell{c: c}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	specs = append(specs,
-		rowSpec{"average (benefit)", workloads.BenefitSet()},
-		rowSpec{"figure-7 set (average)", workloads.NoBenefitSet()})
-	return parallel.Map(len(specs), func(s int) (Table6Row, error) {
-		row := Table6Row{Benchmark: specs[s].label}
-		for i, total := range Table6Capacities {
+	// row folds the comparisons of kernels[from:to] into one row.
+	row := func(label string, from, to int) Table6Row {
+		out := Table6Row{Benchmark: label}
+		for i := range Table6Capacities {
 			perfProd, energyProd, n := 1.0, 1.0, 0
-			for _, k := range specs[s].kernels {
-				c, err := r.CompareUnified(k, total)
-				if IsInfeasible(err) {
-					row.Infeasible[i] = true
+			for k := from; k < to; k++ {
+				c := cells[k*ncap+i]
+				if c.infeasible {
+					out.Infeasible[i] = true
 					continue
 				}
-				if err != nil {
-					return row, err
-				}
-				perfProd *= c.PerfRatio
-				energyProd *= c.EnergyRatio
+				perfProd *= c.c.PerfRatio
+				energyProd *= c.c.EnergyRatio
 				n++
 			}
 			if n > 0 {
-				row.Perf[i] = geomean(perfProd, n)
-				row.Energy[i] = geomean(energyProd, n)
+				out.Perf[i] = geomean(perfProd, n)
+				out.Energy[i] = geomean(energyProd, n)
 			}
 		}
-		return row, nil
-	})
+		return out
+	}
+	var rows []Table6Row
+	for k := range benefit {
+		rows = append(rows, row(benefit[k].Name, k, k+1))
+	}
+	return append(rows,
+		row("average (benefit)", 0, len(benefit)),
+		row("figure-7 set (average)", len(benefit), len(kernels))), nil
 }
 
 func geomean(prod float64, n int) float64 {

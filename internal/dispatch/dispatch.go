@@ -34,10 +34,11 @@ import (
 type TraceSource interface {
 	// Grid returns the total number of CTAs and the warps per CTA.
 	Grid() (ctas, warpsPerCTA int)
-	// WarpTrace generates the instruction trace of one warp. It is
-	// called once per warp, when the warp's CTA is launched. Returned
-	// traces may be shared and must be treated as immutable.
-	WarpTrace(cta, warp int) []isa.WarpInst
+	// WarpCode returns the trace of one warp in split form: a program
+	// (which warps may share) and the warp's operand table. It is
+	// called once per warp, when the warp's CTA is launched. Both may
+	// be shared and must be treated as immutable.
+	WarpCode(cta, warp int) isa.WarpCode
 }
 
 // OutcomeSource is an optional TraceSource extension: a source that can
@@ -86,14 +87,16 @@ type Warp struct {
 	// attribution. Timing never reads it. (It shares Status's word.)
 	ArbStall bool
 	CTASlot  int
-	Trace    []isa.WarpInst
+	// Code is the warp's trace: Code.Prog's records are what the timing
+	// core walks, and Code decodes an instruction with its addresses.
+	Code isa.WarpCode
 	// Outcomes, when non-nil, holds the precomputed bank-conflict
-	// outcome of each Trace instruction for the SM's bank-model variant
+	// outcome of each instruction for the SM's bank-model variant
 	// (see OutcomeSource); the timing core then skips the per-issue
 	// conflict evaluation. Probed runs leave it unused.
 	Outcomes []banks.Outcome
 	// Footprints, when non-nil, holds the memoized global-memory
-	// footprint of each Trace instruction (see FootprintSource); the
+	// footprint of each instruction (see FootprintSource); the
 	// timing core then never rescans an address vector. Attached
 	// whenever the source memoizes them, probed runs included.
 	Footprints *memsys.Footprints
@@ -307,7 +310,7 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 		*w = Warp{
 			Status:  Ready,
 			CTASlot: slot,
-			Trace:   st.src.WarpTrace(c.id, i),
+			Code:    st.src.WarpCode(c.id, i),
 			WakeAt:  cycle,
 		}
 		if st.outSrc != nil {
@@ -425,7 +428,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	c := &d.ctas[w.CTASlot]
 	st := &d.streams[c.stream]
 	w.Status = Done
-	w.Trace = nil
+	w.Code = isa.WarpCode{}
 	w.Outcomes = nil
 	w.Footprints = nil
 	d.liveWarps--

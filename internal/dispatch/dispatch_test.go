@@ -13,17 +13,17 @@ import (
 // warp running a trivial two-instruction trace.
 type fakeSource struct {
 	ctas, warpsPer int
-	traced         [][2]int // (cta, warp) pairs WarpTrace was asked for
+	traced         [][2]int // (cta, warp) pairs WarpCode was asked for
 }
 
 func (s *fakeSource) Grid() (int, int) { return s.ctas, s.warpsPer }
 
-func (s *fakeSource) WarpTrace(cta, warp int) []isa.WarpInst {
+func (s *fakeSource) WarpCode(cta, warp int) isa.WarpCode {
 	s.traced = append(s.traced, [2]int{cta, warp})
-	return []isa.WarpInst{
+	return isa.Split([]isa.WarpInst{
 		{Op: isa.OpALU, Mask: isa.FullMask},
 		{Op: isa.OpEXIT, Mask: isa.FullMask},
-	}
+	})
 }
 
 // readyAt reports whether warp w awaits promotion and its wake cycle.

@@ -18,7 +18,7 @@ type CTAState struct {
 // slot, the grid launch cursor, and the ready bitmask.
 //
 // Warp entries are value copies, which deep-copies the per-register
-// scoreboard (an array) but shares the Trace, Outcomes and Footprints
+// scoreboard (an array) but shares the Code, Outcomes and Footprints
 // tables — those are immutable by the TraceSource contract (the
 // workloads trace cache memoizes them process-wide), so sharing them
 // across any number of forks is the copy-on-write half of the snapshot

@@ -6,7 +6,10 @@
 // Each WarpInst describes one SIMT instruction executed by up to 32 threads
 // in lockstep: an operation class, register operands annotated with their
 // placement in the register file hierarchy (MRF/ORF/LRF), and, for memory
-// operations, one address per active thread.
+// operations, one address per active thread. WarpInst is the flat form
+// traces are built, written and read in; the simulator replays them in
+// split form (WarpCode), a program of hot records that warps running
+// the same stream share, plus each warp's own addresses.
 //
 // The ISA is deliberately small. The paper's evaluation depends only on
 // instruction class (which execution unit and latency), register operand

@@ -131,6 +131,47 @@ func (p *Packer) grow() {
 // negative is left alone. The arena holds the irregular vectors, then
 // the pairs, each in order of first use.
 func (p *Packer) Pack(insts []WarpInst, slots []int32) []AddrVec {
+	arena, nv := p.layout(slots)
+	for i, ref := range slots {
+		if ref >= 0 {
+			r := p.at(ref, nv)
+			insts[i].addrs, insts[i].pair = &arena[r.slot()], r.pair()
+		}
+	}
+	p.reset()
+	return arena
+}
+
+// PackRefs is Pack for a trace kept in split form (see WarpCode): it
+// lays out the same arena and returns it with one reference per
+// instruction whose slot is non-negative, in instruction order, and
+// marks in insts which instructions have addresses.
+func (p *Packer) PackRefs(insts []Inst, slots []int32) Operands {
+	arena, nv := p.layout(slots)
+	n := 0
+	for i, ref := range slots {
+		insts[i].hasAddrs = ref >= 0
+		if ref >= 0 {
+			n++
+		}
+	}
+	var refs []AddrRef
+	if n > 0 {
+		refs = make([]AddrRef, 0, n)
+	}
+	for _, ref := range slots {
+		if ref >= 0 {
+			refs = append(refs, p.at(ref, nv))
+		}
+	}
+	p.reset()
+	return Operands{Arena: arena, Refs: refs}
+}
+
+// layout ranks the forms slots use, each in order of first use, and
+// copies them into an exact-size arena (nil if none are used): the nv
+// irregular vectors, then the pairs. The ranks stay in p.rank for at.
+func (p *Packer) layout(slots []int32) (arena []AddrVec, nv int) {
 	rank := p.rank[:0]
 	for range 2 * max(len(p.vecs), len(p.pairs)) {
 		rank = append(rank, -1)
@@ -142,8 +183,8 @@ func (p *Packer) Pack(insts []WarpInst, slots []int32) []AddrVec {
 			used[ref&1]++
 		}
 	}
-	nv := int(used[0])
-	var arena []AddrVec
+	p.rank = rank
+	nv = int(used[0])
 	if n := nv + (int(used[1])+PairsPerSlot-1)/PairsPerSlot; n > 0 {
 		arena = make([]AddrVec, n)
 	}
@@ -158,24 +199,25 @@ func (p *Packer) Pack(insts []WarpInst, slots []int32) []AddrVec {
 			s[j], s[j+1] = bs[0], bs[1]
 		}
 	}
-	for i, ref := range slots {
-		if ref < 0 {
-			continue
-		}
-		r := int(rank[ref])
-		if ref&1 == 0 {
-			insts[i].SetAddrs(&arena[r])
-		} else {
-			insts[i].addrs, insts[i].pair = &arena[nv+r/PairsPerSlot], uint8(r%PairsPerSlot+1)
-		}
+	return arena, nv
+}
+
+// at returns where layout put the form of reference ref.
+func (p *Packer) at(ref int32, nv int) AddrRef {
+	r := int(p.rank[ref])
+	if ref&1 == 0 {
+		return newAddrRef(r, 0)
 	}
-	p.rank = rank
+	return newAddrRef(nv+r/PairsPerSlot, uint8(r%PairsPerSlot+1))
+}
+
+// reset empties the Packer for the next trace.
+func (p *Packer) reset() {
 	p.vecs, p.pairs = p.vecs[:0], p.pairs[:0]
 	if p.gen++; p.gen == 0 {
 		clear(p.table)
 		p.gen = 1
 	}
-	return arena
 }
 
 // hashAddrs mixes a vector two lanes at a time in four independent

@@ -199,6 +199,36 @@ func (b *Builder) emit(op isa.Op, dst uint8, srcs []uint8, addrs *isa.AddrVec) {
 // address vectors packed into one arena (isa.Packer), affine ones as
 // (base, stride) pairs. The builder must not be reused afterwards.
 func (b *Builder) Finish() []isa.WarpInst {
+	trace, slots := b.lower()
+	out := make([]isa.WarpInst, len(trace))
+	copy(out, trace)
+	b.arena = b.s.pack.Pack(out, slots)
+	b.s.release()
+	b.s, b.insts = nil, out
+	return out
+}
+
+// FinishSplit is Finish for the split form (isa.WarpCode): it appends
+// the trace's hot records to insts and returns them with the warp's
+// operand table, whose arena Finish would have returned. The caller
+// owns insts, so a warmed build allocates only the operand table. The
+// builder must not be reused afterwards.
+func (b *Builder) FinishSplit(insts []isa.Inst) ([]isa.Inst, isa.Operands) {
+	trace, slots := b.lower()
+	start := len(insts)
+	for i := range trace {
+		insts = append(insts, trace[i].Hot())
+	}
+	ops := b.s.pack.PackRefs(insts[start:], slots)
+	b.s.release()
+	b.s, b.insts = nil, nil
+	return insts, ops
+}
+
+// lower ends the build: it appends EXIT if the trace lacks it, runs
+// register allocation and operand placement, and returns the finished
+// instructions in scratch with their packer references.
+func (b *Builder) lower() ([]isa.WarpInst, []int32) {
 	if b.finished {
 		panic("kgen: Finish called twice")
 	}
@@ -214,12 +244,7 @@ func (b *Builder) Finish() []isa.WarpInst {
 		trace, slots = s.spilled, s.spills
 	}
 	place(trace, s)
-	out := make([]isa.WarpInst, len(trace))
-	copy(out, trace)
-	b.arena = s.pack.Pack(out, slots)
-	s.release()
-	b.s, b.insts = nil, out
-	return out
+	return trace, slots
 }
 
 // Arena returns the arena holding the finished trace's distinct address

@@ -126,7 +126,14 @@ type Options struct {
 	// execWrap, when set, wraps the job engine's item executor — a test
 	// hook (package-internal) for deterministic kill/restart tests.
 	execWrap func(jobs.Exec) jobs.Exec
+	// simulateWrap, when set, wraps the simulation of every run the
+	// service computes — a test hook (package-internal) that makes
+	// chosen runs fail.
+	simulateWrap func(simulateFunc) simulateFunc
 }
+
+// simulateFunc is the shape of Server.simulate.
+type simulateFunc func(ctx context.Context, rr *plan.Run, sink io.Writer) (int, []byte)
 
 func (o Options) withDefaults() Options {
 	if o.InFlight < 1 {
@@ -161,6 +168,8 @@ type Server struct {
 	// runners shares baseline calibrations across requests to the same
 	// (timing, energy) parameters.
 	runners plan.Runners
+	// sim is simulate, behind Options.simulateWrap when set.
+	sim simulateFunc
 
 	// flight coalesces concurrent identical requests onto one
 	// computation.
@@ -185,6 +194,10 @@ func New(opts Options) (*Server, error) {
 		flight: make(map[string]*flightCall),
 	}
 	s.runners.WarmTimeout = s.opts.DefaultTimeout
+	s.sim = s.simulate
+	if s.opts.simulateWrap != nil {
+		s.sim = s.opts.simulateWrap(s.sim)
+	}
 	s.gate = parallel.NewGate(s.opts.InFlight, s.opts.Queue)
 	s.cache = newResultCache(s.opts.CacheEntries)
 	s.metrics.start = time.Now()
@@ -282,7 +295,7 @@ func (s *Server) simulate(ctx context.Context, rr *plan.Run, sink io.Writer) (in
 		return http.StatusUnprocessableEntity, errorBytes(errInfeasible(err.Error()))
 	case err != nil:
 		s.metrics.serverErrors.Add(1)
-		return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
+		return http.StatusInternalServerError, errorBytes(errInternal("%s (key %s)", err.Error(), rr.Key))
 	}
 	resp := api.RunResponse{
 		Key:    rr.Key,
@@ -369,19 +382,38 @@ func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool, sink i
 	c := &flightCall{done: make(chan struct{})}
 	s.flight[rr.Key] = c
 	s.flightMu.Unlock()
-
-	c.status, c.body = s.simulate(ctx, rr, sink)
-	if c.status == http.StatusOK {
-		s.cache.put(rr.Key, c.body)
-		if s.store != nil {
-			_ = s.store.Put(rr.Key, c.body)
+	s.settle(rr.Key, c, func() (int, []byte) {
+		status, body := s.sim(ctx, rr, sink)
+		if status == http.StatusOK {
+			s.cache.put(rr.Key, body)
+			if s.store != nil {
+				_ = s.store.Put(rr.Key, body)
+			}
 		}
-	}
-	s.flightMu.Lock()
-	delete(s.flight, rr.Key)
-	s.flightMu.Unlock()
-	close(c.done)
+		return status, body
+	})
 	return c.status, c.body, "miss"
+}
+
+// settle runs compute, the one computation of key that c coalesces
+// requests onto, and records its outcome in c. However compute ends,
+// the key leaves the flight table and c's waiters wake: a wedged entry
+// would stall every later request for the key until its own deadline.
+// A panic becomes a 500 envelope that names the key, as handleBatch
+// reports a panicking item.
+func (s *Server) settle(key string, c *flightCall, compute func() (int, []byte)) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.metrics.serverErrors.Add(1)
+			c.status, c.body = http.StatusInternalServerError,
+				errorBytes(errInternal("panic: %v (key %s)", v, key))
+		}
+		s.flightMu.Lock()
+		delete(s.flight, key)
+		s.flightMu.Unlock()
+		close(c.done)
+	}()
+	c.status, c.body = compute()
 }
 
 // admit claims a gate slot for the request, translating backpressure
@@ -561,39 +593,36 @@ func (s *Server) computeExperiment(er *resolvedExperiment) (status int, body []b
 	s.flight[er.key] = c
 	s.flightMu.Unlock()
 
-	// Experiments reuse the run path's Runner memoization keyed by the
-	// default machine with the chosen scheduler.
-	d := machine.Default()
-	d.Timing.Scheduler = string(er.pol)
-	rr, rerr := plan.Resolve(api.RunRequest{Kernel: "needle", Machine: d})
-	if rerr != nil {
-		c.status, c.body = http.StatusInternalServerError, errorBytes(errInternal("%s", rerr.Error()))
-	} else {
+	s.settle(er.key, c, func() (int, []byte) {
+		// Experiments reuse the run path's Runner memoization keyed by
+		// the default machine with the chosen scheduler.
+		d := machine.Default()
+		d.Timing.Scheduler = string(er.pol)
+		rr, err := plan.Resolve(api.RunRequest{Kernel: "needle", Machine: d})
+		if err != nil {
+			return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
+		}
 		started := time.Now()
 		t, err := harness.Run(s.runners.Runner(rr), er.name)
 		s.metrics.simSeconds.observe(time.Since(started).Seconds())
 		if err != nil {
 			s.metrics.serverErrors.Add(1)
-			c.status, c.body = http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
-		} else {
-			s.metrics.simRuns.Add(1)
-			c.status, c.body = http.StatusOK, marshalBody(api.ExperimentResponse{
-				Name:      er.name,
-				Scheduler: string(er.pol),
-				Text:      t.String(),
-				CSV:       t.CSV(),
-				Markdown:  t.Markdown(),
-			})
-			s.cache.put(er.key, c.body)
-			if s.store != nil {
-				_ = s.store.Put(er.key, c.body)
-			}
+			return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
 		}
-	}
-	s.flightMu.Lock()
-	delete(s.flight, er.key)
-	s.flightMu.Unlock()
-	close(c.done)
+		s.metrics.simRuns.Add(1)
+		body := marshalBody(api.ExperimentResponse{
+			Name:      er.name,
+			Scheduler: string(er.pol),
+			Text:      t.String(),
+			CSV:       t.CSV(),
+			Markdown:  t.Markdown(),
+		})
+		s.cache.put(er.key, body)
+		if s.store != nil {
+			_ = s.store.Put(er.key, body)
+		}
+		return http.StatusOK, body
+	})
 	return c.status, c.body, "miss"
 }
 

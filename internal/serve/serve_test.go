@@ -441,3 +441,53 @@ func TestMetricsShape(t *testing.T) {
 		t.Error("uptime not positive")
 	}
 }
+
+// TestSimulatePanicDoesNotWedgeKey: a simulation that panics answers 500
+// naming its key, and leaves the key free, so a second request for it
+// gets its own 500 at once rather than waiting out its deadline on the
+// first one's flight entry; batch items for the key fail alone, and
+// other keys keep serving.
+func TestSimulatePanicDoesNotWedgeKey(t *testing.T) {
+	opts := Options{simulateWrap: func(inner simulateFunc) simulateFunc {
+		return func(ctx context.Context, rr *plan.Run, sink io.Writer) (int, []byte) {
+			if rr.Streams[0].Kernel.Name == "bfs" {
+				panic("injected failure")
+			}
+			return inner(ctx, rr, sink)
+		}
+	}}
+	_, ts := newTestServer(t, opts)
+	ts.Client().Timeout = 30 * time.Second
+	bad, err := plan.Resolve(api.RunRequest{Kernel: "bfs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, body := do(t, ts, http.MethodPost, "/v1/run", `{"kernel":"bfs"}`)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d for the failing key: %d, want 500 (body %s)", i+1, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), bad.Key) || !strings.Contains(string(body), "injected failure") {
+			t.Errorf("request %d: body %s does not name the key %s and the panic", i+1, body, bad.Key)
+		}
+	}
+	resp, body := do(t, ts, http.MethodPost, "/v1/batch", `{"runs":[{"kernel":"bfs"},{"kernel":"vectoradd"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d: %s", resp.StatusCode, body)
+	}
+	var batch struct {
+		Results []api.BatchItem `json:"results"`
+	}
+	if err := json.Unmarshal(body, &batch); err != nil || len(batch.Results) != 2 {
+		t.Fatalf("batch body %s: %v", body, err)
+	}
+	if it := batch.Results[0]; it.Status != http.StatusInternalServerError || it.Error == nil || !strings.Contains(it.Error.Message, bad.Key) {
+		t.Errorf("failing batch item = %+v, want a 500 naming the key", it)
+	}
+	if it := batch.Results[1]; it.Result == nil {
+		t.Errorf("healthy batch item = %+v, want a result", it)
+	}
+	if resp, body := do(t, ts, http.MethodPost, "/v1/run", `{"kernel":"vectoradd"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("another key after the failure: %d: %s", resp.StatusCode, body)
+	}
+}

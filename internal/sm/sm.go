@@ -492,7 +492,7 @@ func (s *SM) note(t int64) {
 // issuing it when its operands are ready.
 func (s *SM) visitWarp(wIdx int) sched.Action {
 	w := s.disp.Warp(wIdx)
-	wi := &w.Trace[w.PC]
+	wi := &w.Code.Prog.Insts[w.PC]
 
 	if w.NextIssue > s.cycle {
 		s.note(w.NextIssue)
@@ -521,14 +521,16 @@ func (s *SM) visitWarp(wIdx int) sched.Action {
 // issue executes one warp instruction and reports to the scheduler
 // whether the warp stays in the active set (Issued) or leaves it on a
 // barrier or exit (IssuedGone).
-func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
+func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 	var out banks.Outcome
 	if w.Outcomes != nil {
 		// Replay the memoized outcome (attached at launch for unprobed
 		// runs); the conflict model is bypassed entirely.
 		out = w.Outcomes[w.PC]
 	} else {
-		out = s.bankModel.Evaluate(wi)
+		var flat isa.WarpInst
+		w.Code.Decode(w.PC, &flat)
+		out = s.bankModel.Evaluate(&flat)
 	}
 	// The issuing warp's stream owns every event of this instruction;
 	// the memory pipeline files into the same books.
@@ -576,16 +578,16 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 		c.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
 		var accs []memsys.Access
-		complete, accs = s.mem.LoadFootprint(s.footprint(w, wi), s.cycle, extra)
+		complete, accs = s.mem.LoadFootprint(s.footprint(w), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
 			}
 		}
 	case isa.OpSTG:
-		s.mem.StoreFootprint(s.footprint(w, wi), s.cycle, extra)
+		s.mem.StoreFootprint(s.footprint(w), s.cycle, extra)
 	case isa.OpTEX:
-		complete = s.mem.TexFootprint(s.footprint(w, wi), s.cycle)
+		complete = s.mem.TexFootprint(s.footprint(w), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone
@@ -604,13 +606,15 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.WarpInst) sched.Action {
 }
 
 // footprint returns the global-memory footprint of the warp's current
-// instruction wi: the memoized one when the trace source supplies a
-// table, else one computed into the memory pipeline's scratch.
-func (s *SM) footprint(w *dispatch.Warp, wi *isa.WarpInst) memsys.Footprint {
+// instruction: the memoized one when the trace source supplies a table,
+// else one computed into the memory pipeline's scratch.
+func (s *SM) footprint(w *dispatch.Warp) memsys.Footprint {
 	if w.Footprints != nil {
 		return w.Footprints.At(w.PC)
 	}
-	return s.mem.Footprint(wi)
+	var flat isa.WarpInst
+	w.Code.Decode(w.PC, &flat)
+	return s.mem.Footprint(&flat)
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

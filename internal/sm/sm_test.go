@@ -16,8 +16,8 @@ type funcSource struct {
 	gen         func(cta, warp int) []isa.WarpInst
 }
 
-func (f funcSource) Grid() (int, int)                       { return f.ctas, f.warps }
-func (f funcSource) WarpTrace(cta, warp int) []isa.WarpInst { return f.gen(cta, warp) }
+func (f funcSource) Grid() (int, int)                    { return f.ctas, f.warps }
+func (f funcSource) WarpCode(cta, warp int) isa.WarpCode { return isa.Split(f.gen(cta, warp)) }
 
 func build(f func(b *kgen.Builder)) []isa.WarpInst {
 	b := kgen.NewBuilder(kgen.Config{})

@@ -92,7 +92,7 @@ func (c *Counters) RecordConflict(maxAccesses int) {
 
 // RecordRegAccesses files one warp instruction's register hierarchy
 // events (per-space operand reads and writes) for the energy model.
-func (c *Counters) RecordRegAccesses(wi *isa.WarpInst) {
+func (c *Counters) RecordRegAccesses(wi *isa.Inst) {
 	for _, src := range wi.Srcs {
 		switch {
 		case !src.Valid():

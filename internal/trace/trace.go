@@ -3,7 +3,7 @@
 //
 // The paper's evaluation flow traced real CUDA binaries with Ocelot and
 // fed the traces to its simulator. This package provides the equivalent
-// interchange point for this repository: any TraceSource (the synthetic
+// interchange point for this repository: any Source (the synthetic
 // workloads, or traces converted from an external tracer) can be recorded
 // to a compact binary file, reloaded later, and replayed through the SM
 // simulator byte-for-byte. It also computes the static profile of a trace
@@ -24,8 +24,8 @@ import (
 // magic identifies the file format; the trailing digit is the version.
 var magic = [8]byte{'G', 'P', 'U', 'T', 'R', 'C', '0', '1'}
 
-// Source is the subset of sm.TraceSource needed here (redeclared to avoid
-// an import cycle; sm.TraceSource satisfies it structurally).
+// Source is a kernel grid in flat form, what Record reads;
+// workloads.Source and Trace satisfy it.
 type Source interface {
 	Grid() (ctas, warpsPerCTA int)
 	WarpTrace(cta, warp int) []isa.WarpInst
@@ -46,6 +46,12 @@ func (t *Trace) Grid() (int, int) { return t.CTAs, t.WarpsPerCTA }
 // WarpTrace implements Source.
 func (t *Trace) WarpTrace(cta, warp int) []isa.WarpInst {
 	return t.Warps[cta*t.WarpsPerCTA+warp]
+}
+
+// WarpCode implements sm.TraceSource, converting the warp to split form
+// on each call; the simulator calls it once per warp launch.
+func (t *Trace) WarpCode(cta, warp int) isa.WarpCode {
+	return isa.Split(t.WarpTrace(cta, warp))
 }
 
 // Instructions returns the total dynamic warp-instruction count.

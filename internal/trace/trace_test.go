@@ -225,13 +225,15 @@ func TestRecordMatchesSource(t *testing.T) {
 }
 
 // TestRoundTripCachedTraces round-trips memoized traces (the workloads
-// trace cache shares one backing array across all readers) for several
-// kernels and seeds: the serialized form must be lossless, and writing
-// must not perturb the shared cached slices other readers hold.
+// trace cache shares one program and operand table per warp across all
+// readers) for several kernels and seeds: the serialized form must be
+// lossless, and writing must neither rebuild nor perturb the cached
+// tables other readers hold.
 func TestRoundTripCachedTraces(t *testing.T) {
 	for _, name := range []string{"needle", "bfs", "dgemm"} {
 		for _, seed := range []uint64{0, 3, 12345} {
 			src := &workloads.Source{K: mustKernel(name), Seed: seed}
+			cached := src.WarpCode(1, 0)
 			orig := Record(limitGrid{src, 2})
 			var buf bytes.Buffer
 			if err := Write(&buf, orig); err != nil {
@@ -244,12 +246,11 @@ func TestRoundTripCachedTraces(t *testing.T) {
 			if !reflect.DeepEqual(got.Warps, orig.Warps) {
 				t.Fatalf("%s seed %d: instruction streams differ after round trip", name, seed)
 			}
-			// The cache must still hand out the same untouched slices.
-			again := src.WarpTrace(1, 0)
-			if &again[0] != &orig.Warps[1*orig.WarpsPerCTA][0] {
+			// The cache must still hand out the same untouched tables.
+			if again := src.WarpCode(1, 0); again != cached {
 				t.Fatalf("%s seed %d: cache rebuilt a trace during serialization", name, seed)
 			}
-			if !reflect.DeepEqual(again, got.Warps[1*got.WarpsPerCTA]) {
+			if !reflect.DeepEqual(cached.AppendFlat(nil), got.Warps[1*got.WarpsPerCTA]) {
 				t.Fatalf("%s seed %d: cached trace mutated by serialization", name, seed)
 			}
 		}

@@ -11,18 +11,34 @@
 // This file makes the amortization structural: a process-wide,
 // concurrency-safe cache keyed by (kernel name, BF, regsAvail, seed)
 // builds each per-warp stream exactly once and hands the same immutable
-// slice to every replay. The timing core only reads traces (the warp's
+// tables to every replay. The timing core only reads traces (the warp's
 // PC and scoreboard live in dispatch.Warp, not in the instructions), so
-// sharing one backing array across concurrently simulated SMs is safe;
-// a -race fan-out test and the golden-table suite pin that down.
+// sharing them across concurrently simulated SMs is safe; a -race
+// fan-out test and the golden-table suite pin that down.
+//
+// A trace is kept in split form (isa.WarpCode), the way a GPU keeps one
+// copy of a kernel's code for all its warps: a program of 16-byte hot
+// records (op, operands and their placement, mask, flags), and a
+// per-warp operand table holding the warp's address arena and one
+// 4-byte reference into it per memory instruction. The warps of a
+// family almost always run one op stream and differ only in their
+// addresses, so the cache interns programs per family by content
+// (isa.ProgramSet): a new warp's records are compared with the
+// family's programs and reuse an equal one, and a warp whose stream
+// differs gets a program of its own. A paper-suite pass builds 59
+// families of 10,288 warps and keeps one program per family.
 //
 // Alongside each warp trace the cache memoizes the banks.Outcome of
 // every instruction per (design, aggressive-scatter) variant: the bank
 // conflict outcome is a pure function of the instruction and the design,
 // so unprobed timing runs can replay it as a table lookup instead of
-// re-evaluating the conflict model per issue. Probed runs keep calling
-// banks.Evaluate (the heatmap needs the model's scratch state); a
-// differential test asserts lookup and evaluation never disagree.
+// re-evaluating the conflict model per issue. Outcome tables are
+// interned per (family, variant) like programs, since warps that touch
+// their banks alike have equal tables (4,041 distinct of the 28,960 a
+// paper-suite pass evaluates). Probed runs keep calling banks.Evaluate
+// on a decoded instruction (the heatmap needs the model's scratch
+// state); a differential test asserts lookup and evaluation never
+// disagree.
 //
 // It also memoizes each warp's global-memory footprints (memsys.Footprints:
 // per LDG/STG/TEX, its distinct lines in first-lane order, their sector
@@ -31,25 +47,28 @@
 // design and variant, probed runs included, and no issue rescans an
 // address vector.
 //
-// The memoized tables hold only what they need: kgen returns each trace
-// as an exact-size copy (its growable build buffers are pooled, not
-// kept) whose distinct address vectors sit once each in one exact-size
-// arena (isa.Packer). An irregular vector takes a 128-byte slot of it;
-// an affine one (base + lane*stride on every lane, most of them) is a
-// (base, stride) pair, isa.PairsPerSlot pairs to a slot. An
-// isa.WarpInst is 24 bytes, a banks.Outcome packs into three bytes, and
-// a footprint table is one exact-size allocation, so the resident set
-// is the tables themselves, with no append slack and no vector repeated
-// within a warp. A trace is charged 24 bytes per instruction and 128
-// per arena slot.
+// The memoized tables hold only what they need: kgen hands each trace
+// over in split form (its growable build buffers are pooled, not kept),
+// with its distinct address vectors once each in one exact-size arena
+// (isa.Packer). An irregular vector takes a 128-byte slot of it; an
+// affine one (base + lane*stride on every lane, most of them) is a
+// (base, stride) pair, isa.PairsPerSlot pairs to a slot. A banks.Outcome
+// packs into three bytes, and a footprint table is one exact-size
+// allocation, so the resident set is the tables themselves, with no
+// append slack and no vector repeated within a warp. The cache charges
+// a program 16 bytes per record plus 4 per instruction for its
+// reference index once, each warp 4 bytes per reference and 128 per
+// arena slot, and each distinct outcome table 3 bytes per instruction.
 //
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
-// rebuilt on demand; in-flight simulations keep their slices). Flushing
+// rebuilt on demand; in-flight simulations keep their tables). Flushing
 // never affects results — only whether a trace is rebuilt.
 package workloads
 
 import (
+	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -87,12 +106,15 @@ func outcomeIndex(design config.Design, aggressive bool) int {
 	return i
 }
 
-// warpEntry memoizes one warp's instruction stream, its per-variant
+// warpEntry memoizes one warp's trace in split form, its per-variant
 // bank outcomes, and its global-memory footprints. Each field is built
 // at most once; the built tables are never written again.
 type warpEntry struct {
-	traceOnce sync.Once
-	insts     []isa.WarpInst
+	family *gridEntry
+
+	codeOnce sync.Once
+	code     isa.WarpCode
+	ops      isa.Operands // code.Ops
 
 	outcomes [outcomeVariants]struct {
 		once sync.Once
@@ -103,24 +125,71 @@ type warpEntry struct {
 	footprints    *memsys.Footprints
 }
 
-// gridEntry holds one trace family's warps, keyed by (cta, warp). Warps
-// are filled lazily so sources that extend the grid (the chip
-// simulator's replicated validation source) memoize naturally.
+// gridEntry holds one trace family's warps, keyed by (cta, warp), and
+// the distinct programs and outcome tables they share, each indexed by
+// its content hash. Warps are filled lazily so sources that extend the
+// grid (the chip simulator's replicated validation source) memoize
+// naturally.
 type gridEntry struct {
-	mu    sync.Mutex
-	warps map[[2]int]*warpEntry
+	mu       sync.Mutex
+	warps    map[[2]int]*warpEntry
+	progs    isa.ProgramSet
+	outcomes [outcomeVariants]map[uint64][][]banks.Outcome
 }
 
 func (g *gridEntry) warp(cta, warp int) *warpEntry {
 	g.mu.Lock()
 	e, ok := g.warps[[2]int{cta, warp}]
 	if !ok {
-		e = &warpEntry{}
+		e = &warpEntry{family: g}
 		g.warps[[2]int{cta, warp}] = e
 	}
 	g.mu.Unlock()
 	return e
 }
+
+// program returns the family's program whose records equal insts,
+// adding a copy when there is none, and whether it added one.
+func (g *gridEntry) program(insts []isa.Inst) (*isa.Program, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.progs.Intern(insts)
+}
+
+// outcomeTable returns the family's outcome table of variant v equal to
+// out, adding an exact-size copy when there is none, and whether it
+// added one.
+func (g *gridEntry) outcomeTable(v int, out []banks.Outcome) ([]banks.Outcome, bool) {
+	var h uint64
+	if len(out) > 0 {
+		// An Outcome has no padding, so equal tables have equal bytes.
+		h = maphash.Bytes(outcomeSeed, unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(out)*int(unsafe.Sizeof(out[0]))))
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.outcomes[v] == nil {
+		g.outcomes[v] = make(map[uint64][][]banks.Outcome)
+	}
+	for _, t := range g.outcomes[v][h] {
+		if slices.Equal(t, out) {
+			return t, false
+		}
+	}
+	t := make([]banks.Outcome, len(out))
+	copy(t, out)
+	g.outcomes[v][h] = append(g.outcomes[v][h], t)
+	return t, true
+}
+
+// outcomeSeed seeds the content hash of outcome tables.
+var outcomeSeed = maphash.MakeSeed()
+
+// Scratch buffers a build fills before interning or an exact-size copy.
+var (
+	instScratch    = sync.Pool{New: func() any { return new([]isa.Inst) }}
+	outcomeScratch = sync.Pool{New: func() any { return new([]banks.Outcome) }}
+	flatScratch    = sync.Pool{New: func() any { return new([]isa.WarpInst) }}
+)
 
 // traceCache is the process-wide cache state. The lookup/build/flush
 // counters are monotonic over the process lifetime (a flush does not
@@ -236,41 +305,53 @@ func charge(n int64) {
 	}
 }
 
-// traceBytes is the resident footprint of a built warp trace of n
-// instructions whose address arena holds slots vector-sized slots.
-func traceBytes(n, slots int) int64 {
-	return int64(n)*int64(unsafe.Sizeof(isa.WarpInst{})) + int64(slots)*int64(unsafe.Sizeof(isa.AddrVec{}))
-}
-
 // key returns the source's trace-cache key.
 func (s *Source) key() traceKey {
 	return traceKey{name: s.K.Name, bf: s.K.BF, regsAvail: s.RegsAvail, seed: s.Seed}
 }
 
-// cachedWarp returns the memoized entry for one warp, building the
-// instruction stream on first use, and counts the request as a lookup.
+// cachedWarp returns the memoized entry for one warp, building its
+// trace on first use, and counts the request as a lookup.
 func (s *Source) cachedWarp(cta, warp int) *warpEntry {
 	traceCache.lookups.Add(1)
 	return s.entry(cta, warp)
 }
 
 // entry is cachedWarp without the lookup count, for side tables a
-// launch requests after the trace itself.
+// launch requests after the trace itself. A new warp's program joins
+// the family's when equal to one of them; the warp is charged its
+// operand table, and the program its records once.
 func (s *Source) entry(cta, warp int) *warpEntry {
 	e := grid(s.key()).warp(cta, warp)
-	e.traceOnce.Do(func() {
+	e.codeOnce.Do(func() {
 		traceCache.builds.Add(1)
-		var slots int
-		e.insts, slots = s.buildWarpTrace(cta, warp)
-		charge(traceBytes(len(e.insts), slots))
+		buf := instScratch.Get().(*[]isa.Inst)
+		insts, ops := s.buildWarpCode(cta, warp, (*buf)[:0])
+		prog, added := e.family.program(insts)
+		*buf = insts
+		instScratch.Put(buf)
+		e.ops = ops
+		e.code = isa.WarpCode{Prog: prog, Ops: &e.ops}
+		n := ops.Bytes()
+		if added {
+			n += prog.Bytes()
+		}
+		charge(n)
 	})
 	return e
 }
 
+// WarpCode implements sm.TraceSource, serving the memoized trace of one
+// warp in split form: the program its family shares and its own
+// operand table, built on first use for this (kernel, RegsAvail, Seed,
+// cta, warp) combination. Both are shared and immutable.
+func (s *Source) WarpCode(cta, warp int) isa.WarpCode { return s.cachedWarp(cta, warp).code }
+
 // WarpOutcomes returns the memoized per-instruction bank-conflict
 // outcomes of one warp under the given bank-model variant, or nil for a
-// design outside the known enum. The returned slice is shared and
-// immutable; it is index-aligned with WarpTrace(cta, warp).
+// design outside the known enum. Warps of a family whose tables are
+// equal share one; the returned slice is shared and immutable, and it
+// is index-aligned with WarpCode(cta, warp).
 func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
 	v := outcomeIndex(design, aggressive)
 	if v < 0 {
@@ -279,8 +360,24 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 	e := s.cachedWarp(cta, warp)
 	slot := &e.outcomes[v]
 	slot.once.Do(func() {
-		slot.out = banks.Outcomes(design, aggressive, e.insts)
-		charge(int64(len(slot.out)) * int64(unsafe.Sizeof(banks.Outcome{})))
+		m := banks.New(design)
+		if aggressive {
+			m = banks.NewAggressive(design)
+		}
+		bp := outcomeScratch.Get().(*[]banks.Outcome)
+		out := (*bp)[:0]
+		var wi isa.WarpInst
+		for i := range e.code.Len() {
+			e.code.Decode(i, &wi)
+			out = append(out, m.Evaluate(&wi))
+		}
+		table, added := e.family.outcomeTable(v, out)
+		*bp = out
+		outcomeScratch.Put(bp)
+		slot.out = table
+		if added {
+			charge(int64(len(table)) * int64(unsafe.Sizeof(banks.Outcome{})))
+		}
 	})
 	return slot.out
 }
@@ -290,11 +387,16 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 // distinct-address count. A footprint depends only on the instruction's
 // mask and address vector (the line size is fixed), so one table serves
 // every design, variant and probe setting. The table is shared and
-// immutable; it is index-aligned with WarpTrace(cta, warp).
+// immutable; it is index-aligned with WarpCode(cta, warp).
 func (s *Source) WarpFootprints(cta, warp int) *memsys.Footprints {
 	e := s.entry(cta, warp)
 	e.footprintOnce.Do(func() {
-		e.footprints = memsys.NewFootprints(e.insts)
+		bp := flatScratch.Get().(*[]isa.WarpInst)
+		flat := e.code.AppendFlat((*bp)[:0])
+		e.footprints = memsys.NewFootprints(flat)
+		clear(flat) // drop the pointers into the warp's arena
+		*bp = flat
+		flatScratch.Put(bp)
 		charge(e.footprints.Bytes())
 	})
 	return e.footprints

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/kgen"
 	"repro/internal/memsys"
 )
 
@@ -23,37 +25,39 @@ func freshSource(t *testing.T, name string) *Source {
 }
 
 // TestTraceCacheSharesBacking: two Sources with identical parameters must
-// hand out the same backing array — the trace is built once, process-wide.
+// hand out the same program and operand table — the trace is built
+// once, process-wide.
 func TestTraceCacheSharesBacking(t *testing.T) {
 	ResetTraceCache()
-	a := freshSource(t, "needle").WarpTrace(0, 0)
-	b := freshSource(t, "needle").WarpTrace(0, 0)
-	if len(a) == 0 {
+	a := freshSource(t, "needle").WarpCode(0, 0)
+	b := freshSource(t, "needle").WarpCode(0, 0)
+	if a.Len() == 0 {
 		t.Fatal("empty trace")
 	}
-	if &a[0] != &b[0] {
-		t.Error("identical sources built the trace twice (distinct backing arrays)")
+	if a != b {
+		t.Error("identical sources built the trace twice (distinct tables)")
 	}
 }
 
 // TestTraceCacheColdVsHot: a cache flush must not change the generated
 // instructions — rebuilds are deterministic. (DeepEqual follows the
-// Addrs pointers, so this compares full address vectors, not pointers.)
+// address pointers, so this compares full address vectors, not
+// pointers.)
 func TestTraceCacheColdVsHot(t *testing.T) {
 	ResetTraceCache()
 	src := freshSource(t, "mummer")
 	_, warps := src.Grid()
-	cold := make([][]isa.WarpInst, warps)
+	cold := make([]isa.WarpCode, warps)
 	for w := 0; w < warps; w++ {
-		cold[w] = src.WarpTrace(0, w)
+		cold[w] = src.WarpCode(0, w)
 	}
 	ResetTraceCache()
 	for w := 0; w < warps; w++ {
-		hot := src.WarpTrace(0, w)
-		if &hot[0] == &cold[w][0] {
+		hot := src.WarpCode(0, w)
+		if hot.Ops == cold[w].Ops || hot.Prog == cold[w].Prog {
 			t.Fatalf("warp %d: flush did not drop the cached entry", w)
 		}
-		if !reflect.DeepEqual(cold[w], hot) {
+		if !reflect.DeepEqual(cold[w].AppendFlat(nil), hot.AppendFlat(nil)) {
 			t.Fatalf("warp %d: trace differs after cache flush", w)
 		}
 	}
@@ -61,21 +65,21 @@ func TestTraceCacheColdVsHot(t *testing.T) {
 
 // TestTraceCacheKeyDistinguishesVariants: kernels that share a registry
 // name but differ in blocking factor or register budget must not collide
-// in the cache.
+// in the cache, nor share programs.
 func TestTraceCacheKeyDistinguishesVariants(t *testing.T) {
 	ResetTraceCache()
 	k16 := NeedleKernel(16)
 	k64 := NeedleKernel(64)
-	t16 := (&Source{K: k16}).WarpTrace(0, 0)
-	t64 := (&Source{K: k64}).WarpTrace(0, 0)
-	if len(t16) == len(t64) && &t16[0] == &t64[0] {
+	t16 := (&Source{K: k16}).WarpCode(0, 0)
+	t64 := (&Source{K: k64}).WarpCode(0, 0)
+	if t16.Ops == t64.Ops || t16.Prog == t64.Prog {
 		t.Fatal("needle BF=16 and BF=64 shared one cache entry")
 	}
 
-	full := freshSource(t, "needle").WarpTrace(0, 0)
+	full := freshSource(t, "needle").WarpCode(0, 0)
 	k, _ := ByName("needle")
-	spilled := (&Source{K: k, RegsAvail: 18}).WarpTrace(0, 0)
-	if len(full) == len(spilled) && &full[0] == &spilled[0] {
+	spilled := (&Source{K: k, RegsAvail: 18}).WarpCode(0, 0)
+	if full.Ops == spilled.Ops || full.Prog == spilled.Prog {
 		t.Fatal("spill-free and regsAvail=18 traces shared one cache entry")
 	}
 }
@@ -92,7 +96,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 		ctas = 4
 	}
 	const goroutines = 8
-	traces := make([][]*isa.WarpInst, goroutines) // per-goroutine first-element pointers
+	traces := make([][]isa.WarpCode, goroutines)
 	outs := make([][]*banks.Outcome, goroutines)
 	fps := make([][]*memsys.Footprints, goroutines)
 	var wg sync.WaitGroup
@@ -103,11 +107,11 @@ func TestTraceCacheConcurrent(t *testing.T) {
 			s := &Source{K: src.K} // distinct Source, same identity
 			for c := 0; c < ctas; c++ {
 				for w := 0; w < warps; w++ {
-					tr := s.WarpTrace(c, w)
-					traces[g] = append(traces[g], &tr[0])
+					tr := s.WarpCode(c, w)
+					traces[g] = append(traces[g], tr)
 					out := s.WarpOutcomes(c, w, config.Unified, false)
-					if len(out) != len(tr) {
-						t.Errorf("goroutine %d: %d outcomes for %d instructions", g, len(out), len(tr))
+					if len(out) != tr.Len() {
+						t.Errorf("goroutine %d: %d outcomes for %d instructions", g, len(out), tr.Len())
 						return
 					}
 					outs[g] = append(outs[g], &out[0])
@@ -119,7 +123,7 @@ func TestTraceCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	for g := 1; g < goroutines; g++ {
 		if !reflect.DeepEqual(traces[0], traces[g]) {
-			t.Errorf("goroutine %d saw different trace backing arrays than goroutine 0", g)
+			t.Errorf("goroutine %d saw different trace tables than goroutine 0", g)
 		}
 		if !reflect.DeepEqual(outs[0], outs[g]) {
 			t.Errorf("goroutine %d saw different outcome backing arrays than goroutine 0", g)
@@ -247,9 +251,11 @@ func TestTraceCacheSnapshot(t *testing.T) {
 }
 
 // TestTraceCacheChargesDistinctVectors: the bytes charged for a kernel's
-// grid are its instructions plus each warp's address arena, the resident
-// size of the packed traces: a slot per distinct irregular vector and
-// one per isa.PairsPerSlot distinct affine vectors.
+// grid are the resident size of its split traces: each distinct program
+// of the family once (16 bytes per record and 4 per reference index),
+// then per warp 4 bytes per address reference and its address arena, a
+// slot per distinct irregular vector and one per isa.PairsPerSlot
+// distinct affine vectors.
 func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 	for _, name := range []string{"needle", "bfs"} {
 		ResetTraceCache()
@@ -258,15 +264,29 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 		ctas, warps := src.Grid()
 		var want int64
 		affineTotal := 0
+		progs := make(map[*isa.Program]bool)
 		for c := 0; c < ctas; c++ {
 			for w := 0; w < warps; w++ {
-				insts := src.WarpTrace(c, w)
+				code := src.WarpCode(c, w)
+				if !progs[code.Prog] {
+					progs[code.Prog] = true
+					want += int64(code.Len()) * int64(unsafe.Sizeof(isa.Inst{}))
+					for i := range code.Prog.Insts {
+						if code.Prog.Insts[i].HasAddrs() {
+							want += int64(code.Len()) * 4 // the reference index
+							break
+						}
+					}
+				}
+				insts := code.AppendFlat(nil)
 				irregular := make(map[isa.AddrVec]bool)
 				affine := make(map[[2]uint32]bool)
+				refs := 0
 				for i := range insts {
 					if !insts[i].HasAddrs() {
 						continue
 					}
+					refs++
 					if base, stride, vec := insts[i].AddrForm(); vec != nil {
 						irregular[*vec] = true
 					} else {
@@ -274,8 +294,7 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 					}
 				}
 				slots := len(irregular) + (len(affine)+isa.PairsPerSlot-1)/isa.PairsPerSlot
-				want += int64(len(insts))*int64(unsafe.Sizeof(isa.WarpInst{})) +
-					int64(slots)*int64(unsafe.Sizeof(isa.AddrVec{}))
+				want += int64(refs)*4 + int64(slots)*int64(unsafe.Sizeof(isa.AddrVec{}))
 				affineTotal += len(affine)
 			}
 		}
@@ -287,4 +306,127 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 		}
 	}
 	ResetTraceCache()
+}
+
+// TestFamilySharesOneProgram: every warp of a family whose warps differ
+// only in their addresses shares one program backing array, spill code
+// included, while each keeps its own operand table.
+func TestFamilySharesOneProgram(t *testing.T) {
+	ResetTraceCache()
+	for _, tc := range []struct {
+		name string
+		regs int
+	}{{"needle", 0}, {"bfs", 12}, {"dgemm", 0}} {
+		src := freshSource(t, tc.name)
+		src.RegsAvail = tc.regs
+		ctas, warps := src.Grid()
+		first := src.WarpCode(0, 0)
+		ops := make(map[*isa.Operands]bool)
+		for c := 0; c < ctas; c++ {
+			for w := 0; w < warps; w++ {
+				code := src.WarpCode(c, w)
+				if &code.Prog.Insts[0] != &first.Prog.Insts[0] {
+					t.Fatalf("%s regs %d: warp (%d, %d) has a program of its own", tc.name, tc.regs, c, w)
+				}
+				ops[code.Ops] = true
+			}
+		}
+		if len(ops) != ctas*warps {
+			t.Errorf("%s regs %d: %d operand tables for %d warps", tc.name, tc.regs, len(ops), ctas*warps)
+		}
+	}
+	ResetTraceCache()
+}
+
+// TestWarpTraceMatchesKgen: WarpTrace decodes the memoized split form
+// back to exactly what a direct kgen build of the warp returns, on every
+// field and every lane's address, for warps across the grid.
+func TestWarpTraceMatchesKgen(t *testing.T) {
+	ResetTraceCache()
+	for _, tc := range []struct {
+		name string
+		regs int
+	}{{"needle", 0}, {"bfs", 12}, {"dgemm", 0}, {"mummer", 0}} {
+		src := freshSource(t, tc.name)
+		src.RegsAvail = tc.regs
+		ctas, warps := src.Grid()
+		for _, cw := range [][2]int{{0, 0}, {ctas - 1, warps - 1}, {ctas / 2, warps / 2}} {
+			c, w := cw[0], cw[1]
+			got := src.WarpTrace(c, w)
+			want := directBuild(src, c, w)
+			if len(got) != len(want) {
+				t.Fatalf("%s (%d, %d): %d instructions, kgen builds %d", tc.name, c, w, len(got), len(want))
+			}
+			for i := range want {
+				g, x := &got[i], &want[i]
+				if g.Hot() != x.Hot() {
+					t.Fatalf("%s (%d, %d) inst %d: decoded %v, kgen %v", tc.name, c, w, i, g, x)
+				}
+				if !x.HasAddrs() {
+					continue
+				}
+				for l := 0; l < isa.WarpSize; l++ {
+					if g.Addr(l) != x.Addr(l) {
+						t.Fatalf("%s (%d, %d) inst %d lane %d: address %#x, kgen %#x", tc.name, c, w, i, l, g.Addr(l), x.Addr(l))
+					}
+				}
+			}
+		}
+	}
+}
+
+// directBuild builds one warp's flat trace through kgen, as the trace
+// cache does, without the cache.
+func directBuild(s *Source, cta, warp int) []isa.WarpInst {
+	e := &Env{
+		CTA:         cta,
+		Warp:        warp,
+		WarpsPerCTA: s.K.WarpsPerCTA(),
+		BF:          s.K.BF,
+		Rng:         rand.New(rand.NewPCG(s.Seed^0x9E3779B97F4A7C15, uint64(cta)<<20|uint64(warp))),
+	}
+	b := kgen.NewBuilder(kgen.Config{
+		RegsAvail: s.RegsAvail,
+		SpillBase: SpillRegionBase + uint32(e.GlobalWarp()%2048)*spillBytesPerWarp,
+	})
+	s.K.Emit(b, e)
+	return b.Finish()
+}
+
+// TestInternedOutcomesMatchOutcomes: in every bank-model variant, each
+// warp's interned outcome table equals banks.Outcomes over its decoded
+// trace, and warps whose tables are equal share one backing array.
+func TestInternedOutcomesMatchOutcomes(t *testing.T) {
+	ResetTraceCache()
+	shared := false
+	for _, name := range []string{"bfs", "needle"} {
+		src := freshSource(t, name)
+		ctas, warps := src.Grid()
+		for _, design := range []config.Design{config.Partitioned, config.Unified, config.FermiLike} {
+			for _, aggressive := range []bool{false, true} {
+				var tables [][]banks.Outcome
+				for c := 0; c < min(ctas, 4); c++ {
+					for w := 0; w < warps; w++ {
+						got := src.WarpOutcomes(c, w, design, aggressive)
+						want := banks.Outcomes(design, aggressive, src.WarpTrace(c, w))
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s design %v aggressive %v warp (%d, %d): interned table differs from banks.Outcomes", name, design, aggressive, c, w)
+						}
+						for _, prev := range tables {
+							if reflect.DeepEqual(prev, got) {
+								if &prev[0] != &got[0] {
+									t.Fatalf("%s design %v aggressive %v warp (%d, %d): equal tables not shared", name, design, aggressive, c, w)
+								}
+								shared = true
+							}
+						}
+						tables = append(tables, got)
+					}
+				}
+			}
+		}
+	}
+	if !shared {
+		t.Error("no two warps had equal outcome tables; the test no longer covers sharing")
+	}
 }

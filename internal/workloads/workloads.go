@@ -134,11 +134,10 @@ func (k *Kernel) SharedBytesPerThread() float64 {
 // configuring the register budget (for spill studies) and deterministic
 // per-warp seeding.
 //
-// WarpTrace is memoized process-wide (see tracecache.go): all Sources
+// WarpCode is memoized process-wide (see tracecache.go): all Sources
 // with the same (kernel name, BF, RegsAvail, Seed) share one immutable
-// copy of each warp's instruction stream, so capacity sweeps replay a
-// trace instead of rebuilding it per configuration point. Callers must
-// treat returned traces as read-only.
+// copy of each warp's trace, so capacity sweeps replay a trace instead
+// of rebuilding it per configuration point.
 type Source struct {
 	// K is the kernel to run.
 	K *Kernel
@@ -152,18 +151,21 @@ type Source struct {
 // Grid implements sm.TraceSource.
 func (s *Source) Grid() (int, int) { return s.K.GridCTAs, s.K.WarpsPerCTA() }
 
-// WarpTrace implements sm.TraceSource, serving the memoized immutable
-// trace (built on first use for this (kernel, RegsAvail, Seed, cta,
-// warp) combination).
+// WarpTrace returns one warp's trace in flat form, decoded from the
+// memoized split form (WarpCode) into a fresh slice the caller owns.
+// The simulator replays WarpCode; this serves callers that want flat
+// instructions, such as trace.Record.
 func (s *Source) WarpTrace(cta, warp int) []isa.WarpInst {
-	return s.cachedWarp(cta, warp).insts
+	c := s.WarpCode(cta, warp)
+	return c.AppendFlat(make([]isa.WarpInst, 0, c.Len()))
 }
 
-// buildWarpTrace constructs one warp's trace through kgen, which inserts
-// spill code and operand placements. It is deterministic in (kernel,
-// RegsAvail, Seed, cta, warp), which is what makes memoization exact.
-// It also returns the number of slots in the trace's address arena.
-func (s *Source) buildWarpTrace(cta, warp int) ([]isa.WarpInst, int) {
+// buildWarpCode constructs one warp's trace through kgen, which inserts
+// spill code and operand placements, appending its hot records to insts
+// and returning them with its operand table. It is deterministic in
+// (kernel, RegsAvail, Seed, cta, warp), which is what makes memoization
+// exact.
+func (s *Source) buildWarpCode(cta, warp int, insts []isa.Inst) ([]isa.Inst, isa.Operands) {
 	e := &Env{
 		CTA:         cta,
 		Warp:        warp,
@@ -176,8 +178,7 @@ func (s *Source) buildWarpTrace(cta, warp int) ([]isa.WarpInst, int) {
 		SpillBase: SpillRegionBase + uint32(e.GlobalWarp()%2048)*spillBytesPerWarp,
 	})
 	s.K.Emit(b, e)
-	insts := b.Finish()
-	return insts, len(b.Arena())
+	return b.FinishSplit(insts)
 }
 
 // registry is populated by the kernel definition files.
