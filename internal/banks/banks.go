@@ -93,10 +93,28 @@ func NewAggressive(d config.Design) *Model {
 // Design returns the design the model evaluates.
 func (m *Model) Design() config.Design { return m.design }
 
+// Variants is the number of bank-model variants: each config.Design,
+// simple or with aggressive scatter/gather.
+const Variants = 2 * 3
+
+// Variant returns the index in [0, Variants) of a bank-model variant,
+// under which trace sources memoize its outcome tables, or -1 for a
+// design outside the config.Design enum.
+func Variant(design config.Design, aggressive bool) int {
+	if design > config.FermiLike {
+		return -1
+	}
+	i := int(design) * 2
+	if aggressive {
+		i++
+	}
+	return i
+}
+
 // Outcomes evaluates every instruction of a trace under one bank-model
 // variant. An Outcome is a pure function of the instruction and the
-// variant, so the result can be memoized and replayed across runs (the
-// trace cache in internal/workloads does exactly that).
+// variant, so the result can be memoized and replayed across runs (every
+// trace source does exactly that).
 func Outcomes(design config.Design, aggressive bool, insts []isa.WarpInst) []Outcome {
 	m := New(design)
 	if aggressive {

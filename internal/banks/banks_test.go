@@ -255,3 +255,21 @@ func TestOutcomePackedWorstCase(t *testing.T) {
 		t.Errorf("ExtraCycles = %d, want 34", got)
 	}
 }
+
+// TestVariantIndexes: every design and scatter variant gets its own
+// index in [0, Variants), and a design outside the enum gets none.
+func TestVariantIndexes(t *testing.T) {
+	seen := make(map[int]bool)
+	for _, d := range []config.Design{config.Partitioned, config.Unified, config.FermiLike} {
+		for _, aggressive := range []bool{false, true} {
+			v := Variant(d, aggressive)
+			if v < 0 || v >= Variants || seen[v] {
+				t.Errorf("Variant(%v, %v) = %d: out of range or taken", d, aggressive, v)
+			}
+			seen[v] = true
+		}
+	}
+	if v := Variant(config.FermiLike+1, false); v != -1 {
+		t.Errorf("Variant of an unknown design = %d, want -1", v)
+	}
+}

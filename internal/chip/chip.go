@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/banks"
 	"repro/internal/config"
-	"repro/internal/dispatch"
 	"repro/internal/dram"
 	"repro/internal/isa"
 	"repro/internal/memsys"
@@ -69,9 +68,8 @@ type TraceSource = sm.TraceSource
 
 // shardSource deals a grid's CTAs round-robin across SMs, the way the
 // hardware work distributor does: the shard's CTA i is the grid's CTA
-// i*nSM+smIndex. It forwards the wrapped source's memoized bank outcomes
-// and footprints through the same mapping, and returns nil for a table
-// the wrapped source does not memoize (the SM then computes it).
+// i*nSM+smIndex. Its outcome and footprint tables are the wrapped
+// source's, under the same mapping.
 type shardSource struct {
 	src          TraceSource
 	smIndex, nSM int
@@ -86,17 +84,11 @@ func (s *shardSource) WarpCode(cta, warp int) isa.WarpCode {
 }
 
 func (s *shardSource) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
-	if src, ok := s.src.(dispatch.OutcomeSource); ok {
-		return src.WarpOutcomes(cta*s.nSM+s.smIndex, warp, design, aggressive)
-	}
-	return nil
+	return s.src.WarpOutcomes(cta*s.nSM+s.smIndex, warp, design, aggressive)
 }
 
 func (s *shardSource) WarpFootprints(cta, warp int) *memsys.Footprints {
-	if src, ok := s.src.(dispatch.FootprintSource); ok {
-		return src.WarpFootprints(cta*s.nSM+s.smIndex, warp)
-	}
-	return nil
+	return s.src.WarpFootprints(cta*s.nSM+s.smIndex, warp)
 }
 
 // Replicated is a grid of Copies back-to-back copies of a source's grid,
@@ -104,18 +96,12 @@ func (s *shardSource) WarpFootprints(cta, warp int) *memsys.Footprints {
 // single-SM methodology is compared against a chip (Section 5.1). CTA i
 // of the replicated grid is the wrapped source's CTA i: a kernel's traces
 // are deterministic in the CTA index, so the copies past the first
-// continue its CTA numbering. Memoized bank outcomes and footprints are
-// forwarded under the same index, or nil when the wrapped source does not
-// memoize them.
+// continue its CTA numbering. Outcome and footprint tables are the
+// wrapped source's, under the same index.
 type Replicated struct {
 	Source TraceSource
 	Copies int
 }
-
-var (
-	_ dispatch.OutcomeSource   = (*Replicated)(nil)
-	_ dispatch.FootprintSource = (*Replicated)(nil)
-)
 
 func (r *Replicated) Grid() (int, int) {
 	ctas, warps := r.Source.Grid()
@@ -127,17 +113,11 @@ func (r *Replicated) WarpCode(cta, warp int) isa.WarpCode {
 }
 
 func (r *Replicated) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
-	if src, ok := r.Source.(dispatch.OutcomeSource); ok {
-		return src.WarpOutcomes(cta, warp, design, aggressive)
-	}
-	return nil
+	return r.Source.WarpOutcomes(cta, warp, design, aggressive)
 }
 
 func (r *Replicated) WarpFootprints(cta, warp int) *memsys.Footprints {
-	if src, ok := r.Source.(dispatch.FootprintSource); ok {
-		return src.WarpFootprints(cta, warp)
-	}
-	return nil
+	return r.Source.WarpFootprints(cta, warp)
 }
 
 // Chip is a configured multi-SM machine.

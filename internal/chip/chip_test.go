@@ -11,17 +11,18 @@ import (
 	"repro/internal/kgen"
 	"repro/internal/memsys"
 	"repro/internal/sm"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// funcSource adapts a closure into a TraceSource.
-type funcSource struct {
-	ctas, warps int
-	gen         func(cta, warp int) []isa.WarpInst
+// funcSource records a ctas x warps grid whose warps gen builds.
+func funcSource(ctas, warps int, gen func(cta, warp int) []isa.WarpInst) *trace.Trace {
+	t := &trace.Trace{CTAs: ctas, WarpsPerCTA: warps}
+	for i := range ctas * warps {
+		t.Warps = append(t.Warps, gen(i/warps, i%warps))
+	}
+	return t
 }
-
-func (f funcSource) Grid() (int, int)                    { return f.ctas, f.warps }
-func (f funcSource) WarpCode(cta, warp int) isa.WarpCode { return isa.Split(f.gen(cta, warp)) }
 
 // computeKernel emits a latency-tolerant mixed kernel.
 func computeKernel(cta, warp int) []isa.WarpInst {
@@ -38,7 +39,7 @@ func computeKernel(cta, warp int) []isa.WarpInst {
 }
 
 func TestChipRunsAllCTAs(t *testing.T) {
-	src := funcSource{ctas: 16, warps: 2, gen: computeKernel}
+	src := funcSource(16, 2, computeKernel)
 	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +65,7 @@ func TestChipRunsAllCTAs(t *testing.T) {
 }
 
 func TestChipUnevenGrid(t *testing.T) {
-	src := funcSource{ctas: 10, warps: 1, gen: computeKernel}
+	src := funcSource(10, 1, computeKernel)
 	c, err := New(Config{NumSMs: 4}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestChipUnevenGrid(t *testing.T) {
 }
 
 func TestChipRejectsBadConfigs(t *testing.T) {
-	src := funcSource{ctas: 2, warps: 1, gen: computeKernel}
+	src := funcSource(2, 1, computeKernel)
 	if _, err := New(Config{NumSMs: 0}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 1}); err == nil {
 		t.Error("zero SMs should be rejected")
 	}
@@ -91,7 +92,7 @@ func TestChipRejectsBadConfigs(t *testing.T) {
 // TestConservativeOrdering checks the min-clock interleave: requests reach
 // the shared DRAM system nearly in timestamp order.
 func TestConservativeOrdering(t *testing.T) {
-	src := funcSource{ctas: 32, warps: 2, gen: computeKernel}
+	src := funcSource(32, 2, computeKernel)
 	c, err := New(Config{NumSMs: 8}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestSharedBandwidthContention(t *testing.T) {
 	}
 	// Enough warps per SM that DRAM latency is fully hidden and only
 	// bandwidth can bind.
-	src := funcSource{ctas: 16, warps: 8, gen: stream}
+	src := funcSource(16, 8, stream)
 	// Four SMs sharing a single 8 B/cycle channel: one quarter of the
 	// usual per-SM share.
 	starved, err := New(Config{
@@ -190,7 +191,7 @@ func TestL2AbsorbsCrossSMSharing(t *testing.T) {
 		}
 		return b.Finish()
 	}
-	src := funcSource{ctas: 16, warps: 4, gen: shared}
+	src := funcSource(16, 4, shared)
 	base := dram.SystemConfig{Channels: 4, BytesPerCyclePerChannel: 8, LatencyCycles: 400}
 	noL2, err := New(Config{NumSMs: 4, Mem: base}, config.Baseline(), sm.DefaultParams(), Kernel{Source: src, ResidentCTAs: 2})
 	if err != nil {
@@ -243,17 +244,22 @@ func (m *memoSource) WarpFootprints(cta, warp int) *memsys.Footprints {
 	return m.Source.WarpFootprints(cta, warp)
 }
 
-// plainSource hides a Source's memo tables, so every SM evaluates bank
-// outcomes and computes footprints per issue.
-type plainSource struct{ src *workloads.Source }
+// wideGrid is a source's grid extended to ctas CTAs, in flat form.
+type wideGrid struct {
+	*workloads.Source
+	ctas int
+}
 
-func (p plainSource) Grid() (int, int)                    { return p.src.Grid() }
-func (p plainSource) WarpCode(cta, warp int) isa.WarpCode { return p.src.WarpCode(cta, warp) }
+func (g wideGrid) Grid() (int, int) {
+	_, warps := g.Source.Grid()
+	return g.ctas, warps
+}
 
 // TestChipReplaysMemo: a chip's SMs must replay the wrapped source's
 // memoized outcomes and footprints, asking for each grid warp's tables
 // exactly once and under the same grid index as its trace, and the run
-// must equal one whose SMs recompute everything.
+// must equal one over a recording of the source, whose tables are
+// computed afresh from the flat trace.
 func TestChipReplaysMemo(t *testing.T) {
 	k, err := workloads.ByName("vectoradd")
 	if err != nil {
@@ -272,7 +278,7 @@ func TestChipReplaysMemo(t *testing.T) {
 		}
 		return res
 	}
-	got, want := run(memo), run(plainSource{src})
+	got, want := run(memo), run(trace.Record(src))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("memo replay changed the chip run: %+v vs %+v", got.Total, want.Total)
 	}
@@ -290,7 +296,8 @@ func TestChipReplaysMemo(t *testing.T) {
 
 // TestReplicatedForwardsMemo: a Replicated grid must forward the wrapped
 // source's memoized outcomes and footprints for every warp it launches,
-// and the chip run must equal one over a wrapper that forwards nothing.
+// and the chip run must equal one over a recording of the replicated
+// grid.
 func TestReplicatedForwardsMemo(t *testing.T) {
 	k, err := workloads.ByName("vectoradd")
 	if err != nil {
@@ -301,7 +308,7 @@ func TestReplicatedForwardsMemo(t *testing.T) {
 	const sms = 3
 	run := func(s TraceSource) *Result {
 		c, err := New(Config{NumSMs: sms}, config.Baseline(), sm.DefaultParams(),
-			Kernel{Name: k.Name, Source: &Replicated{Source: s, Copies: sms}, ResidentCTAs: 2})
+			Kernel{Name: k.Name, Source: s, ResidentCTAs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,11 +318,12 @@ func TestReplicatedForwardsMemo(t *testing.T) {
 		}
 		return res
 	}
-	got, want := run(memo), run(plainSource{src})
+	ctas, warps := src.Grid()
+	got := run(&Replicated{Source: memo, Copies: sms})
+	want := run(trace.Record(wideGrid{src, sms * ctas}))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("forwarded memo tables changed the replicated run: %+v vs %+v", got.Total, want.Total)
 	}
-	ctas, warps := src.Grid()
 	if len(memo.traces) != sms*ctas*warps {
 		t.Fatalf("chip launched %d warps, want %d", len(memo.traces), sms*ctas*warps)
 	}

@@ -30,35 +30,27 @@ import (
 	"repro/internal/stats"
 )
 
-// TraceSource supplies the kernel grid to execute.
+// TraceSource supplies the kernel grid to execute and, per warp, the
+// tables the timing core replays instead of recomputing: every
+// instruction's bank-conflict outcome and global-memory footprint. An
+// outcome depends only on the instruction and the bank-model variant,
+// and a footprint only on the address vector, so a source computes each
+// table once per warp (internal/workloads and internal/trace memoize
+// them). Every returned value may be shared and must be treated as
+// immutable; tables are index-aligned with the warp's WarpCode.
 type TraceSource interface {
 	// Grid returns the total number of CTAs and the warps per CTA.
 	Grid() (ctas, warpsPerCTA int)
 	// WarpCode returns the trace of one warp in split form: a program
 	// (which warps may share) and the warp's operand table. It is
-	// called once per warp, when the warp's CTA is launched. Both may
-	// be shared and must be treated as immutable.
+	// called once per warp, when the warp's CTA is launched.
 	WarpCode(cta, warp int) isa.WarpCode
-}
-
-// OutcomeSource is an optional TraceSource extension: a source that can
-// additionally supply the precomputed bank-conflict outcome of every
-// instruction under a given bank-model variant (the trace cache in
-// internal/workloads memoizes these). The slice must be index-aligned
-// with the warp's trace and immutable; nil means the warp has none and
-// the SM evaluates each instruction.
-type OutcomeSource interface {
-	TraceSource
+	// WarpOutcomes returns the bank-conflict outcome of each of the
+	// warp's instructions under one bank-model variant (nil for a design
+	// outside the config.Design enum, which the SM refuses).
 	WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome
-}
-
-// FootprintSource is an optional TraceSource extension: a source that
-// can additionally supply every instruction's global-memory footprint
-// (the trace cache in internal/workloads memoizes these). The table must
-// be index-aligned with the warp's trace and immutable; nil means the
-// warp has none and the SM computes each footprint.
-type FootprintSource interface {
-	TraceSource
+	// WarpFootprints returns the global-memory footprint of each of the
+	// warp's instructions.
 	WarpFootprints(cta, warp int) *memsys.Footprints
 }
 
@@ -90,15 +82,12 @@ type Warp struct {
 	// Code is the warp's trace: Code.Prog's records are what the timing
 	// core walks, and Code decodes an instruction with its addresses.
 	Code isa.WarpCode
-	// Outcomes, when non-nil, holds the precomputed bank-conflict
-	// outcome of each instruction for the SM's bank-model variant
-	// (see OutcomeSource); the timing core then skips the per-issue
-	// conflict evaluation. Probed runs leave it unused.
-	Outcomes []banks.Outcome
-	// Footprints, when non-nil, holds the memoized global-memory
-	// footprint of each instruction (see FootprintSource); the
-	// timing core then never rescans an address vector. Attached
-	// whenever the source memoizes them, probed runs included.
+	// Outcomes holds the bank-conflict outcome of each instruction
+	// under the dispatcher's bank-model variant, and Footprints each
+	// instruction's global-memory footprint; both are attached at
+	// launch from the trace source, and the timing core replays them
+	// on every issue, probed runs included.
+	Outcomes   []banks.Outcome
 	Footprints *memsys.Footprints
 	PC         int
 	// NextIssue serializes the warp's own issue stream while the
@@ -135,12 +124,7 @@ type StreamSpec struct {
 
 // streamState is one stream's launch bookkeeping.
 type streamState struct {
-	src TraceSource
-	// outSrc mirrors Dispatcher.outSrc per stream (each stream has its
-	// own trace source and therefore its own outcome memoization).
-	outSrc OutcomeSource
-	// fpSrc is the stream's source when it memoizes footprints, else nil.
-	fpSrc     FootprintSource
+	src       TraceSource
 	nextCTA   int // next grid CTA of this stream to launch
 	totalCTAs int
 	warpsPer  int
@@ -161,6 +145,8 @@ type streamState struct {
 // streams, and a drained slot relaunches the next CTA of its own
 // stream.
 type Dispatcher struct {
+	// design and aggressive select the bank-model variant whose outcome
+	// tables launched warps replay.
 	design     config.Design
 	aggressive bool
 
@@ -199,12 +185,16 @@ var _ [64 - config.MaxWarpsPerSM]struct{}
 // CTA slots are interleaved round-robin across streams (stream 0's
 // first slot, stream 1's first slot, ..., stream 0's second slot, ...),
 // so slot — and therefore warp — indices alternate between streams and
-// index-based tie-breaks (MinReady) stay fair.
-func New(specs []StreamSpec) (*Dispatcher, error) {
+// index-based tie-breaks (MinReady) stay fair. Launched warps replay
+// the outcome tables of the given bank-model variant.
+func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dispatch: need at least one stream")
 	}
-	d := &Dispatcher{streams: make([]streamState, len(specs)), readyLow: noWake, lowExact: true}
+	d := &Dispatcher{
+		design: design, aggressive: aggressive,
+		streams: make([]streamState, len(specs)), readyLow: noWake, lowExact: true,
+	}
 	totalWarps, maxResident := 0, 0
 	for i, sp := range specs {
 		if sp.Source == nil || sp.Counters == nil {
@@ -219,7 +209,6 @@ func New(specs []StreamSpec) (*Dispatcher, error) {
 		}
 		st := &d.streams[i]
 		st.src = sp.Source
-		st.fpSrc, _ = sp.Source.(FootprintSource)
 		st.totalCTAs = totalCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
@@ -253,24 +242,6 @@ func New(specs []StreamSpec) (*Dispatcher, error) {
 		}
 	}
 	return d, nil
-}
-
-// EnableOutcomes requests precomputed bank outcomes for every launched
-// warp under the given bank-model variant. It reports whether every
-// stream's trace source supports them; it must be called before Start.
-func (d *Dispatcher) EnableOutcomes(design config.Design, aggressive bool) bool {
-	for i := range d.streams {
-		src, ok := d.streams[i].src.(OutcomeSource)
-		if !ok {
-			for j := 0; j < i; j++ {
-				d.streams[j].outSrc = nil
-			}
-			return false
-		}
-		d.streams[i].outSrc = src
-	}
-	d.design, d.aggressive = design, aggressive
-	return true
 }
 
 // Start launches the initial resident CTAs at the given cycle and records
@@ -308,16 +279,12 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 	for i, wIdx := range c.warps {
 		w := &d.warps[wIdx]
 		*w = Warp{
-			Status:  Ready,
-			CTASlot: slot,
-			Code:    st.src.WarpCode(c.id, i),
-			WakeAt:  cycle,
-		}
-		if st.outSrc != nil {
-			w.Outcomes = st.outSrc.WarpOutcomes(c.id, i, d.design, d.aggressive)
-		}
-		if st.fpSrc != nil {
-			w.Footprints = st.fpSrc.WarpFootprints(c.id, i)
+			Status:     Ready,
+			CTASlot:    slot,
+			Code:       st.src.WarpCode(c.id, i),
+			Outcomes:   st.src.WarpOutcomes(c.id, i, d.design, d.aggressive),
+			Footprints: st.src.WarpFootprints(c.id, i),
+			WakeAt:     cycle,
 		}
 		d.liveWarps++
 		st.liveWarps++

@@ -7,23 +7,31 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // fakeSource is a TraceSource for a grid of ctas x warpsPer warps, each
-// warp running a trivial two-instruction trace.
+// warp running a trivial two-instruction trace. It records which warps
+// were launched.
 type fakeSource struct {
-	ctas, warpsPer int
-	traced         [][2]int // (cta, warp) pairs WarpCode was asked for
+	*trace.Trace
+	traced [][2]int // (cta, warp) pairs WarpCode was asked for
 }
 
-func (s *fakeSource) Grid() (int, int) { return s.ctas, s.warpsPer }
+func newFakeSource(ctas, warpsPer int) *fakeSource {
+	t := &trace.Trace{CTAs: ctas, WarpsPerCTA: warpsPer}
+	for range ctas * warpsPer {
+		t.Warps = append(t.Warps, []isa.WarpInst{
+			{Op: isa.OpALU, Mask: isa.FullMask},
+			{Op: isa.OpEXIT, Mask: isa.FullMask},
+		})
+	}
+	return &fakeSource{Trace: t}
+}
 
 func (s *fakeSource) WarpCode(cta, warp int) isa.WarpCode {
 	s.traced = append(s.traced, [2]int{cta, warp})
-	return isa.Split([]isa.WarpInst{
-		{Op: isa.OpALU, Mask: isa.FullMask},
-		{Op: isa.OpEXIT, Mask: isa.FullMask},
-	})
+	return s.Trace.WarpCode(cta, warp)
 }
 
 // readyAt reports whether warp w awaits promotion and its wake cycle.
@@ -33,9 +41,9 @@ func readyAt(d *Dispatcher, w int) (int64, bool) {
 
 func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSource, *stats.Counters) {
 	t.Helper()
-	src := &fakeSource{ctas: ctas, warpsPer: warpsPer}
+	src := newFakeSource(ctas, warpsPer)
 	c := &stats.Counters{}
-	d, err := New([]StreamSpec{{Source: src, ResidentCTAs: resident, Counters: c}})
+	d, err := New([]StreamSpec{{Source: src, ResidentCTAs: resident, Counters: c}}, config.Partitioned, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +52,14 @@ func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSour
 
 func TestNewValidation(t *testing.T) {
 	c := &stats.Counters{}
-	if _, err := New([]StreamSpec{{Source: &fakeSource{ctas: 1, warpsPer: 2}, ResidentCTAs: 0, Counters: c}}); err == nil {
+	if _, err := New([]StreamSpec{{Source: newFakeSource(1, 2), ResidentCTAs: 0, Counters: c}}, config.Partitioned, false); err == nil {
 		t.Error("resident CTAs < 1 should fail")
 	}
-	if _, err := New([]StreamSpec{{Source: &fakeSource{ctas: 1, warpsPer: 0}, ResidentCTAs: 2, Counters: c}}); err == nil {
+	if _, err := New([]StreamSpec{{Source: newFakeSource(1, 0), ResidentCTAs: 2, Counters: c}}, config.Partitioned, false); err == nil {
 		t.Error("zero warps per CTA should fail")
 	}
 	over := config.MaxWarpsPerSM + 1
-	if _, err := New([]StreamSpec{{Source: &fakeSource{ctas: 1, warpsPer: over}, ResidentCTAs: 1, Counters: c}}); err == nil {
+	if _, err := New([]StreamSpec{{Source: newFakeSource(1, over), ResidentCTAs: 1, Counters: c}}, config.Partitioned, false); err == nil {
 		t.Error("oversubscribing the SM warp limit should fail")
 	}
 }
@@ -85,6 +93,41 @@ func TestStartLaunchesResidentCTAs(t *testing.T) {
 	d.Activate(0)
 	if _, ok := readyAt(d, 0); ok {
 		t.Error("activated warp still reports ready")
+	}
+}
+
+// TestLaunchAttachesTables: each launched warp carries the source's
+// outcome table for the dispatcher's bank-model variant and its
+// footprint table, and a dispatcher restored from a snapshot keeps the
+// snapshot's tables.
+func TestLaunchAttachesTables(t *testing.T) {
+	newUnified := func() (*Dispatcher, *fakeSource) {
+		src := newFakeSource(2, 2)
+		d, err := New([]StreamSpec{{Source: src, ResidentCTAs: 1, Counters: &stats.Counters{}}}, config.Unified, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, src
+	}
+	d, src := newUnified()
+	d.Start(0)
+	for i := 0; i < d.NumWarps(); i++ {
+		w := d.Warp(i)
+		if want := src.WarpOutcomes(0, i, config.Unified, true); len(w.Outcomes) != w.Code.Len() || &w.Outcomes[0] != &want[0] {
+			t.Errorf("warp %d: launched without its unified aggressive outcome table", i)
+		}
+		if w.Footprints != src.WarpFootprints(0, i) {
+			t.Errorf("warp %d: launched without its footprint table", i)
+		}
+	}
+	fork, _ := newUnified()
+	if err := fork.Restore(d.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < d.NumWarps(); i++ {
+		if w, p := fork.Warp(i), d.Warp(i); &w.Outcomes[0] != &p.Outcomes[0] || w.Footprints != p.Footprints {
+			t.Errorf("warp %d: Restore replaced the snapshot's tables", i)
+		}
 	}
 }
 
@@ -225,12 +268,12 @@ func TestWakeBoundMatchesBruteForce(t *testing.T) {
 			specs := func() []StreamSpec {
 				var sp []StreamSpec
 				for s := 0; s < streams; s++ {
-					src := &fakeSource{ctas: 12, warpsPer: 2 + s}
+					src := newFakeSource(12, 2+s)
 					sp = append(sp, StreamSpec{Source: src, ResidentCTAs: 2, Counters: &stats.Counters{}})
 				}
 				return sp
 			}
-			d, err := New(specs())
+			d, err := New(specs(), config.Partitioned, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +325,7 @@ func TestWakeBoundMatchesBruteForce(t *testing.T) {
 					d.Exit(active[rng.Intn(len(active))], now) // may launch a CTA
 					what = "exit"
 				case streams == 1:
-					fork, err := New(specs())
+					fork, err := New(specs(), config.Partitioned, false)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -19,11 +19,10 @@ type CTAState struct {
 //
 // Warp entries are value copies, which deep-copies the per-register
 // scoreboard (an array) but shares the Code, Outcomes and Footprints
-// tables — those are immutable by the TraceSource contract (the
-// workloads trace cache memoizes them process-wide), so sharing them
-// across any number of forks is the copy-on-write half of the snapshot
-// design: a 64-warp snapshot costs a few KB of mutable state, never the
-// traces.
+// tables — those are immutable by the TraceSource contract (trace
+// sources memoize them), so sharing them across any number of forks is
+// the copy-on-write half of the snapshot design: a 64-warp snapshot
+// costs a few KB of mutable state, never the traces.
 type State struct {
 	Warps []Warp
 	CTAs  []CTAState
@@ -63,14 +62,8 @@ func (d *Dispatcher) Snapshot() *State {
 // Restore overwrites the dispatcher state with a previously captured
 // State. It copies out of st (never aliases its slices), so one State
 // can seed any number of forks, concurrently. The grid shape and slot
-// counts must match.
-//
-// Outcome slices are re-resolved rather than trusted: the fork's own
-// outcome configuration (EnableOutcomes, or its absence on probed runs)
-// decides whether each live warp replays memoized bank outcomes, so a
-// snapshot taken by an unprobed parent restores correctly into a probed
-// fork and vice versa. Footprint tables are re-resolved the same way
-// from the fork's source; they do not depend on the probe.
+// counts must match. Live warps keep the tables the snapshot holds:
+// they are valid because a fork keeps its parent's bank-model variant.
 func (d *Dispatcher) Restore(st *State) error {
 	if len(d.streams) != 1 {
 		return fmt.Errorf("dispatch: multi-stream dispatchers do not restore snapshots (streams are prefix-defining)")
@@ -101,20 +94,6 @@ func (d *Dispatcher) Restore(st *State) error {
 		}
 	} else {
 		stream.doneAt = -1
-	}
-	for i := range d.warps {
-		w := &d.warps[i]
-		if w.Status == Done || w.Status == Idle {
-			continue
-		}
-		cta, warp := st.CTAs[w.CTASlot].ID, i%stream.warpsPer
-		w.Outcomes, w.Footprints = nil, nil
-		if stream.outSrc != nil {
-			w.Outcomes = stream.outSrc.WarpOutcomes(cta, warp, d.design, d.aggressive)
-		}
-		if stream.fpSrc != nil {
-			w.Footprints = stream.fpSrc.WarpFootprints(cta, warp)
-		}
 	}
 	return nil
 }

@@ -67,7 +67,7 @@ func TestSimulationInvariants(t *testing.T) {
 		if resident*warps > config.MaxWarpsPerSM {
 			resident = 1
 		}
-		src := funcSource{ctas, warps, randomKernel(seed, length)}
+		src := funcSource(ctas, warps, randomKernel(seed, length))
 		s, err := newSM(cfg, DefaultParams(), src, resident)
 		if err != nil {
 			return false
@@ -124,7 +124,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		// Exercise the bounded-MSHR stall path too: its eviction choice
 		// must not depend on map iteration order.
 		params.MaxMSHRs = []int{0, 1, 2, 8}[int(mshrRaw)%4]
-		src := funcSource{4, 2, randomKernel(seed, length)}
+		src := funcSource(4, 2, randomKernel(seed, length))
 		run := func() *stats.Counters {
 			s, err := newSM(config.Baseline(), params, src, 2)
 			if err != nil {

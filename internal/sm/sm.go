@@ -101,6 +101,8 @@ type SM struct {
 	params Params
 	cfg    config.MemConfig
 
+	// bankModel re-evaluates each issued instruction for the probe's
+	// bank heatmap; timing replays the warp's outcome table instead.
 	bankModel *banks.Model
 	sched     sched.Scheduler
 	disp      *dispatch.Dispatcher
@@ -183,6 +185,9 @@ func NewSM(spec Spec) (*SM, error) {
 		return nil, fmt.Errorf("sm: Spec.Source is nil")
 	}
 	cfg, params := spec.Config, spec.Params
+	if banks.Variant(cfg.Design, params.AggressiveScatter) < 0 {
+		return nil, fmt.Errorf("sm: unknown design %v", cfg.Design)
+	}
 	if params.ActiveWarps < 1 {
 		params.ActiveWarps = config.ActiveWarps
 	}
@@ -214,17 +219,11 @@ func NewSM(spec Spec) (*SM, error) {
 		specs[i] = dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs, Counters: &s.streams[i]}
 		names[i] = st.Name
 	}
-	if s.disp, err = dispatch.New(specs); err != nil {
+	if s.disp, err = dispatch.New(specs, cfg.Design, params.AggressiveScatter); err != nil {
 		return nil, fmt.Errorf("sm: %w", err)
 	}
 	if spec.Probe != nil {
 		spec.Probe.SetStreams(names)
-	}
-	if spec.Probe == nil {
-		// Unprobed runs replay memoized bank outcomes (an Outcome is a
-		// pure function of instruction and variant); probed runs keep
-		// evaluating so the model's scratch tallies feed the heatmap.
-		s.disp.EnableOutcomes(cfg.Design, params.AggressiveScatter)
 	}
 	s.visit = s.visitWarp
 	s.mem = memsys.New(memConfig(cfg, params), mem, &s.streams[0])
@@ -522,16 +521,7 @@ func (s *SM) visitWarp(wIdx int) sched.Action {
 // whether the warp stays in the active set (Issued) or leaves it on a
 // barrier or exit (IssuedGone).
 func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
-	var out banks.Outcome
-	if w.Outcomes != nil {
-		// Replay the memoized outcome (attached at launch for unprobed
-		// runs); the conflict model is bypassed entirely.
-		out = w.Outcomes[w.PC]
-	} else {
-		var flat isa.WarpInst
-		w.Code.Decode(w.PC, &flat)
-		out = s.bankModel.Evaluate(&flat)
-	}
+	out := w.Outcomes[w.PC]
 	// The issuing warp's stream owns every event of this instruction;
 	// the memory pipeline files into the same books.
 	stream := s.disp.Stream(wIdx)
@@ -540,6 +530,11 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 	if s.prof != nil {
 		s.lastStream = stream
 		s.prof.Issue(s.cycle, stream)
+		// The heatmap needs the model's per-bank tallies, which only an
+		// evaluation leaves behind; timing uses the replayed outcome.
+		var flat isa.WarpInst
+		w.Code.Decode(w.PC, &flat)
+		s.bankModel.Evaluate(&flat)
 		acc, conf := s.prof.Heat()
 		s.bankModel.HeatInto(acc, conf)
 	}
@@ -578,16 +573,16 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 		c.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
 		var accs []memsys.Access
-		complete, accs = s.mem.LoadFootprint(s.footprint(w), s.cycle, extra)
+		complete, accs = s.mem.LoadFootprint(w.Footprints.At(w.PC), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
 			}
 		}
 	case isa.OpSTG:
-		s.mem.StoreFootprint(s.footprint(w), s.cycle, extra)
+		s.mem.StoreFootprint(w.Footprints.At(w.PC), s.cycle, extra)
 	case isa.OpTEX:
-		complete = s.mem.TexFootprint(s.footprint(w), s.cycle)
+		complete = s.mem.TexFootprint(w.Footprints.At(w.PC), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone
@@ -603,18 +598,6 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 	}
 	w.PC++
 	return sched.Issued
-}
-
-// footprint returns the global-memory footprint of the warp's current
-// instruction: the memoized one when the trace source supplies a table,
-// else one computed into the memory pipeline's scratch.
-func (s *SM) footprint(w *dispatch.Warp) memsys.Footprint {
-	if w.Footprints != nil {
-		return w.Footprints.At(w.PC)
-	}
-	var flat isa.WarpInst
-	w.Code.Decode(w.PC, &flat)
-	return s.mem.Footprint(&flat)
 }
 
 // DirtyCacheLines returns the number of modified lines resident in the

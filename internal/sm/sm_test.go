@@ -8,16 +8,17 @@ import (
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/kgen"
+	"repro/internal/trace"
 )
 
-// funcSource adapts a closure into a TraceSource.
-type funcSource struct {
-	ctas, warps int
-	gen         func(cta, warp int) []isa.WarpInst
+// funcSource records a ctas x warps grid whose warps gen builds.
+func funcSource(ctas, warps int, gen func(cta, warp int) []isa.WarpInst) *trace.Trace {
+	t := &trace.Trace{CTAs: ctas, WarpsPerCTA: warps}
+	for i := range ctas * warps {
+		t.Warps = append(t.Warps, gen(i/warps, i%warps))
+	}
+	return t
 }
-
-func (f funcSource) Grid() (int, int)                    { return f.ctas, f.warps }
-func (f funcSource) WarpCode(cta, warp int) isa.WarpCode { return isa.Split(f.gen(cta, warp)) }
 
 func build(f func(b *kgen.Builder)) []isa.WarpInst {
 	b := kgen.NewBuilder(kgen.Config{})
@@ -34,14 +35,14 @@ func TestSingleWarpALUChain(t *testing.T) {
 	// A dependent ALU chain of N instructions: each waits 8 cycles for
 	// its predecessor, so runtime is close to 8*N.
 	const n = 100
-	src := funcSource{ctas: 1, warps: 1, gen: func(_, _ int) []isa.WarpInst {
+	src := funcSource(1, 1, func(_, _ int) []isa.WarpInst {
 		return build(func(b *kgen.Builder) {
 			b.ALU(0)
 			for i := 1; i < n; i++ {
 				b.ALU(uint8(i%4), uint8((i-1)%4))
 			}
 		})
-	}}
+	})
 	s, err := newSM(config.Baseline(), DefaultParams(), src, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestIndependentWarpsHideLatency(t *testing.T) {
 			}
 		})
 	}
-	one, err := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, chain}, 1)
+	one, err := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, chain), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestIndependentWarpsHideLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := newSM(config.Baseline(), DefaultParams(), funcSource{1, 8, chain}, 1)
+	eight, err := newSM(config.Baseline(), DefaultParams(), funcSource(1, 8, chain), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +107,12 @@ func TestCacheHitVersusMissLatency(t *testing.T) {
 	cached := config.Baseline()
 	uncached := config.Baseline()
 	uncached.CacheBytes = 0
-	sC, _ := newSM(cached, DefaultParams(), funcSource{1, 1, gen}, 1)
+	sC, _ := newSM(cached, DefaultParams(), funcSource(1, 1, gen), 1)
 	cC, err := sC.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sU, _ := newSM(uncached, DefaultParams(), funcSource{1, 1, gen}, 1)
+	sU, _ := newSM(uncached, DefaultParams(), funcSource(1, 1, gen), 1)
 	cU, err := sU.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +140,7 @@ func TestWriteThroughTraffic(t *testing.T) {
 			}
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestBarrierSynchronizesCTA(t *testing.T) {
 			b.ALU(1)
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 2, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 2, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestBarrierReleasedByExitingWarp(t *testing.T) {
 			b.ALU(1)
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 2, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 2, gen), 1)
 	if _, err := s.Run(); err != nil {
 		t.Fatalf("CTA with early-exiting warp deadlocked: %v", err)
 	}
@@ -208,7 +209,7 @@ func TestNoProgressIsTyped(t *testing.T) {
 			b.ALU(1, 0)
 		})
 	}
-	s, err := newSM(config.Baseline(), params, funcSource{1, 1, gen}, 1)
+	s, err := newSM(config.Baseline(), params, funcSource(1, 1, gen), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestCTARotation(t *testing.T) {
 			b.ALU(1, 0)
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{6, 2, gen}, 2)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(6, 2, gen), 2)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -259,12 +260,12 @@ func TestMoreResidentCTAsHideDRAMLatency(t *testing.T) {
 	}
 	cfg := config.Baseline()
 	cfg.CacheBytes = 0 // force DRAM on every access
-	one, _ := newSM(cfg, DefaultParams(), funcSource{8, 2, gen}, 1)
+	one, _ := newSM(cfg, DefaultParams(), funcSource(8, 2, gen), 1)
 	c1, err := one.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, _ := newSM(cfg, DefaultParams(), funcSource{8, 2, gen}, 4)
+	four, _ := newSM(cfg, DefaultParams(), funcSource(8, 2, gen), 4)
 	c4, err := four.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -287,12 +288,12 @@ func TestBankConflictsSlowExecution(t *testing.T) {
 			})
 		}
 	}
-	sNice, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen(1)}, 1)
+	sNice, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen(1)), 1)
 	cNice, err := sNice.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sBad, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen(32)}, 1)
+	sBad, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen(32)), 1)
 	cBad, err := sBad.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +321,7 @@ func TestTwoLevelSchedulerDeschedulesOnMiss(t *testing.T) {
 	}
 	cfg := config.Baseline()
 	cfg.CacheBytes = 0
-	s, _ := newSM(cfg, DefaultParams(), funcSource{1, 16, gen}, 1)
+	s, _ := newSM(cfg, DefaultParams(), funcSource(1, 16, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -344,12 +345,12 @@ func TestSpilledTraceRunsSlower(t *testing.T) {
 			return b.Finish()
 		}
 	}
-	sFull, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen(0)}, 1)
+	sFull, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen(0)), 1)
 	cFull, err := sFull.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sSpill, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen(8)}, 1)
+	sSpill, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen(8)), 1)
 	cSpill, err := sSpill.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -369,14 +370,31 @@ func TestSpilledTraceRunsSlower(t *testing.T) {
 
 func TestRejectsOversubscription(t *testing.T) {
 	gen := func(_, _ int) []isa.WarpInst { return build(func(b *kgen.Builder) { b.ALU(0) }) }
-	if _, err := newSM(config.Baseline(), DefaultParams(), funcSource{1, 8, gen}, 5); err == nil {
+	if _, err := newSM(config.Baseline(), DefaultParams(), funcSource(1, 8, gen), 5); err == nil {
 		t.Error("40 warps should exceed the 32-warp SM limit")
 	}
-	if _, err := newSM(config.Baseline(), DefaultParams(), funcSource{1, 0, gen}, 1); err == nil {
+	if _, err := newSM(config.Baseline(), DefaultParams(), funcSource(1, 0, gen), 1); err == nil {
 		t.Error("zero warps per CTA should be rejected")
 	}
-	if _, err := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 0); err == nil {
+	if _, err := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 0); err == nil {
 		t.Error("zero resident CTAs should be rejected")
+	}
+}
+
+// TestRejectsUnknownDesign: a design outside the enum has no outcome
+// tables to replay, so it must fail at construction rather than in the
+// cycle loop.
+func TestRejectsUnknownDesign(t *testing.T) {
+	gen := func(_, _ int) []isa.WarpInst { return build(func(b *kgen.Builder) { b.ALU(0) }) }
+	cfg := config.Baseline()
+	cfg.Design = config.FermiLike + 1
+	for _, aggressive := range []bool{false, true} {
+		p := DefaultParams()
+		p.AggressiveScatter = aggressive
+		_, err := newSM(cfg, p, funcSource(1, 1, gen), 1)
+		if err == nil || !strings.Contains(err.Error(), "unknown design") {
+			t.Errorf("aggressive=%v: NewSM accepted design %v (err %v)", aggressive, cfg.Design, err)
+		}
 	}
 }
 
@@ -396,12 +414,12 @@ func TestArbitrationConflictsOnlyUnified(t *testing.T) {
 		return b.Finish()
 	}
 	uniCfg := config.MemConfig{Design: config.Unified, RFBytes: 256 << 10, SharedBytes: 64 << 10, CacheBytes: 64 << 10}
-	sU, _ := newSM(uniCfg, DefaultParams(), funcSource{1, 1, gen}, 1)
+	sU, _ := newSM(uniCfg, DefaultParams(), funcSource(1, 1, gen), 1)
 	cU, err := sU.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sP, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	sP, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	cP, err := sP.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +441,7 @@ func TestRegisterHierarchyCountersPopulated(t *testing.T) {
 			}
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +461,7 @@ func TestTexFetchLongLatency(t *testing.T) {
 			b.ALU(1, 0)
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +489,7 @@ func TestUncachedModePerThreadTransactions(t *testing.T) {
 	}
 	cfg := config.Baseline()
 	cfg.CacheBytes = 0
-	s, _ := newSM(cfg, DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(cfg, DefaultParams(), funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +509,7 @@ func TestSectoredFills(t *testing.T) {
 			b.ALU(2, 1)
 		})
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +532,7 @@ func TestWriteBackMode(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.WriteBackCache = true
-	s, _ := newSM(config.Baseline(), p, funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), p, funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -540,12 +558,12 @@ func TestStepAPIMatchesRun(t *testing.T) {
 			}
 		})
 	}
-	run, _ := newSM(config.Baseline(), DefaultParams(), funcSource{2, 2, gen}, 2)
+	run, _ := newSM(config.Baseline(), DefaultParams(), funcSource(2, 2, gen), 2)
 	want, err := run.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepped, _ := newSM(config.Baseline(), DefaultParams(), funcSource{2, 2, gen}, 2)
+	stepped, _ := newSM(config.Baseline(), DefaultParams(), funcSource(2, 2, gen), 2)
 	stepped.Start()
 	for !stepped.Done() {
 		if err := stepped.Step(); err != nil {
@@ -563,7 +581,7 @@ func TestStartAtOffsetsClock(t *testing.T) {
 	gen := func(_, _ int) []isa.WarpInst {
 		return build(func(b *kgen.Builder) { b.ALU(0) })
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	s.StartAt(1000)
 	for !s.Done() {
 		if err := s.Step(); err != nil {
@@ -582,7 +600,7 @@ func TestMaskedInstructionThreadCount(t *testing.T) {
 		b.STG(0, isa.NoReg, kgen.Coalesced(0, 4))
 		return b.Finish()
 	}
-	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource{1, 1, gen}, 1)
+	s, _ := newSM(config.Baseline(), DefaultParams(), funcSource(1, 1, gen), 1)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -608,7 +626,7 @@ func TestGreedySchedulerIssuesRuns(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.GreedyScheduler = true
-	s, _ := newSM(config.Baseline(), p, funcSource{4, 4, gen}, 2)
+	s, _ := newSM(config.Baseline(), p, funcSource(4, 4, gen), 2)
 	c, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -616,7 +634,7 @@ func TestGreedySchedulerIssuesRuns(t *testing.T) {
 	if c.CTAsRetired != 4 {
 		t.Errorf("GTO starved CTAs: retired %d of 4", c.CTAsRetired)
 	}
-	rr, _ := newSM(config.Baseline(), DefaultParams(), funcSource{4, 4, gen}, 2)
+	rr, _ := newSM(config.Baseline(), DefaultParams(), funcSource(4, 4, gen), 2)
 	cr, err := rr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -641,12 +659,12 @@ func TestMSHRLimitThrottlesMisses(t *testing.T) {
 	}
 	limited := DefaultParams()
 	limited.MaxMSHRs = 2
-	sL, _ := newSM(config.Baseline(), limited, funcSource{2, 4, gen}, 2)
+	sL, _ := newSM(config.Baseline(), limited, funcSource(2, 4, gen), 2)
 	cL, err := sL.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sU, _ := newSM(config.Baseline(), DefaultParams(), funcSource{2, 4, gen}, 2)
+	sU, _ := newSM(config.Baseline(), DefaultParams(), funcSource(2, 4, gen), 2)
 	cU, err := sU.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
+	"repro/internal/banks"
+	"repro/internal/config"
 	"repro/internal/isa"
+	"repro/internal/memsys"
 )
 
 // magic identifies the file format; the trailing digit is the version.
@@ -31,13 +35,32 @@ type Source interface {
 	WarpTrace(cta, warp int) []isa.WarpInst
 }
 
-// Trace is a fully materialized kernel grid.
+// Trace is a fully materialized kernel grid. It is also a simulator
+// trace source (sm.TraceSource): the first request for a warp converts
+// it to split form and computes its footprints, each variant's outcome
+// table is computed on its first request, and every later request,
+// from any goroutine, returns the same values. Warps must not change
+// once the trace has served the simulator.
 type Trace struct {
 	CTAs        int
 	WarpsPerCTA int
 	// Warps holds the per-warp instruction streams, indexed
 	// [cta*WarpsPerCTA + warp].
 	Warps [][]isa.WarpInst
+
+	memoOnce sync.Once
+	memo     []warpMemo // per warp, allocated on first use
+}
+
+// warpMemo holds one warp's simulator tables, each built at most once.
+type warpMemo struct {
+	once       sync.Once
+	code       isa.WarpCode
+	footprints *memsys.Footprints
+	outcomes   [banks.Variants]struct {
+		once sync.Once
+		out  []banks.Outcome
+	}
 }
 
 // Grid implements Source.
@@ -48,10 +71,38 @@ func (t *Trace) WarpTrace(cta, warp int) []isa.WarpInst {
 	return t.Warps[cta*t.WarpsPerCTA+warp]
 }
 
-// WarpCode implements sm.TraceSource, converting the warp to split form
-// on each call; the simulator calls it once per warp launch.
-func (t *Trace) WarpCode(cta, warp int) isa.WarpCode {
-	return isa.Split(t.WarpTrace(cta, warp))
+// warp returns the warp's memo with its code and footprints built.
+func (t *Trace) warp(cta, warp int) *warpMemo {
+	t.memoOnce.Do(func() { t.memo = make([]warpMemo, len(t.Warps)) })
+	i := cta*t.WarpsPerCTA + warp
+	m := &t.memo[i]
+	m.once.Do(func() {
+		m.code = isa.Split(t.Warps[i])
+		m.footprints = memsys.NewFootprints(t.Warps[i])
+	})
+	return m
+}
+
+// WarpCode implements sm.TraceSource: the warp in split form.
+func (t *Trace) WarpCode(cta, warp int) isa.WarpCode { return t.warp(cta, warp).code }
+
+// WarpOutcomes implements sm.TraceSource: the warp's bank-conflict
+// outcomes under one bank-model variant, or nil for a design outside
+// the config.Design enum.
+func (t *Trace) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
+	v := banks.Variant(design, aggressive)
+	if v < 0 {
+		return nil
+	}
+	slot := &t.warp(cta, warp).outcomes[v]
+	slot.once.Do(func() { slot.out = banks.Outcomes(design, aggressive, t.WarpTrace(cta, warp)) })
+	return slot.out
+}
+
+// WarpFootprints implements sm.TraceSource: the global-memory
+// footprints of the warp's instructions.
+func (t *Trace) WarpFootprints(cta, warp int) *memsys.Footprints {
+	return t.warp(cta, warp).footprints
 }
 
 // Instructions returns the total dynamic warp-instruction count.

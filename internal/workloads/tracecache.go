@@ -31,14 +31,13 @@
 // Alongside each warp trace the cache memoizes the banks.Outcome of
 // every instruction per (design, aggressive-scatter) variant: the bank
 // conflict outcome is a pure function of the instruction and the design,
-// so unprobed timing runs can replay it as a table lookup instead of
-// re-evaluating the conflict model per issue. Outcome tables are
-// interned per (family, variant) like programs, since warps that touch
-// their banks alike have equal tables (4,041 distinct of the 28,960 a
-// paper-suite pass evaluates). Probed runs keep calling banks.Evaluate
-// on a decoded instruction (the heatmap needs the model's scratch
-// state); a differential test asserts lookup and evaluation never
-// disagree.
+// so timing runs replay it as a table lookup instead of re-evaluating
+// the conflict model per issue. Outcome tables are interned per
+// (family, variant) like programs, since warps that touch their banks
+// alike have equal tables (4,041 distinct of the 28,960 a paper-suite
+// pass evaluates). Probed runs replay the same tables and evaluate only
+// for the bank heatmap, which needs the model's per-bank tallies; a
+// differential test asserts lookup and evaluation never disagree.
 //
 // It also memoizes each warp's global-memory footprints (memsys.Footprints:
 // per LDG/STG/TEX, its distinct lines in first-lane order, their sector
@@ -89,23 +88,6 @@ type traceKey struct {
 	seed      uint64
 }
 
-// outcomeVariants is the number of (design, aggressive) bank-model
-// variants an instruction's conflict outcome can be memoized under.
-const outcomeVariants = 2 * 3 // config.Design values x {simple, aggressive}
-
-// outcomeIndex maps a bank-model variant to its memoization slot, or -1
-// for designs outside the known enum (defensively uncached).
-func outcomeIndex(design config.Design, aggressive bool) int {
-	if int(design) >= 3 {
-		return -1
-	}
-	i := int(design) * 2
-	if aggressive {
-		i++
-	}
-	return i
-}
-
 // warpEntry memoizes one warp's trace in split form, its per-variant
 // bank outcomes, and its global-memory footprints. Each field is built
 // at most once; the built tables are never written again.
@@ -116,7 +98,7 @@ type warpEntry struct {
 	code     isa.WarpCode
 	ops      isa.Operands // code.Ops
 
-	outcomes [outcomeVariants]struct {
+	outcomes [banks.Variants]struct {
 		once sync.Once
 		out  []banks.Outcome
 	}
@@ -134,7 +116,7 @@ type gridEntry struct {
 	mu       sync.Mutex
 	warps    map[[2]int]*warpEntry
 	progs    isa.ProgramSet
-	outcomes [outcomeVariants]map[uint64][][]banks.Outcome
+	outcomes [banks.Variants]map[uint64][][]banks.Outcome
 }
 
 func (g *gridEntry) warp(cta, warp int) *warpEntry {
@@ -317,10 +299,11 @@ func (s *Source) cachedWarp(cta, warp int) *warpEntry {
 	return s.entry(cta, warp)
 }
 
-// entry is cachedWarp without the lookup count, for side tables a
-// launch requests after the trace itself. A new warp's program joins
-// the family's when equal to one of them; the warp is charged its
-// operand table, and the program its records once.
+// entry is cachedWarp without the lookup count, for the outcome and
+// footprint tables a launch requests after the trace itself, so a
+// launch counts one lookup. A new warp's program joins the family's
+// when equal to one of them; the warp is charged its operand table,
+// and the program its records once.
 func (s *Source) entry(cta, warp int) *warpEntry {
 	e := grid(s.key()).warp(cta, warp)
 	e.codeOnce.Do(func() {
@@ -353,11 +336,11 @@ func (s *Source) WarpCode(cta, warp int) isa.WarpCode { return s.cachedWarp(cta,
 // equal share one; the returned slice is shared and immutable, and it
 // is index-aligned with WarpCode(cta, warp).
 func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
-	v := outcomeIndex(design, aggressive)
+	v := banks.Variant(design, aggressive)
 	if v < 0 {
 		return nil
 	}
-	e := s.cachedWarp(cta, warp)
+	e := s.entry(cta, warp)
 	slot := &e.outcomes[v]
 	slot.once.Do(func() {
 		m := banks.New(design)

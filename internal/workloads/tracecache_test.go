@@ -12,6 +12,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kgen"
 	"repro/internal/memsys"
+	"repro/internal/sm"
 )
 
 // freshSource returns a Source for the named registry kernel.
@@ -247,6 +248,30 @@ func TestTraceCacheSnapshot(t *testing.T) {
 	}
 	if got := TraceCacheSnapshot().Bytes; got != 0 {
 		t.Errorf("bytes after reset = %d, want 0", got)
+	}
+}
+
+// TestRunCountsOneLookupPerWarp: a simulation of a fresh grid counts
+// exactly one lookup (and one build) per launched warp; the outcome and
+// footprint tables its launches also request are not lookups.
+func TestRunCountsOneLookupPerWarp(t *testing.T) {
+	ResetTraceCache()
+	src := freshSource(t, "vectoradd")
+	before := TraceCacheSnapshot()
+	m, err := sm.NewSM(sm.Spec{Config: config.Baseline(), Params: sm.DefaultParams(), Source: src, ResidentCTAs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after := TraceCacheSnapshot()
+	ctas, warps := src.Grid()
+	if got := after.Lookups - before.Lookups; got != int64(ctas*warps) {
+		t.Errorf("run of %d warps counted %d lookups, want one per warp", ctas*warps, got)
+	}
+	if got := after.Builds - before.Builds; got != int64(ctas*warps) {
+		t.Errorf("run of a fresh %d-warp grid counted %d builds, want one per warp", ctas*warps, got)
 	}
 }
 
