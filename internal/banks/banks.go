@@ -98,7 +98,7 @@ func (m *Model) Design() config.Design { return m.design }
 const Variants = 2 * 3
 
 // Variant returns the index in [0, Variants) of a bank-model variant,
-// under which trace sources memoize its outcome tables, or -1 for a
+// under which the trace cache memoizes its outcome tables, or -1 for a
 // design outside the config.Design enum.
 func Variant(design config.Design, aggressive bool) int {
 	if design > config.FermiLike {

@@ -34,9 +34,9 @@ import (
 // tables the timing core replays instead of recomputing: every
 // instruction's bank-conflict outcome and global-memory footprint. An
 // outcome depends only on the instruction and the bank-model variant,
-// and a footprint only on the address vector, so a source computes each
-// table once per warp (internal/workloads and internal/trace memoize
-// them). Every returned value may be shared and must be treated as
+// and a footprint only on the address vector, so a source may memoize
+// them (internal/workloads does; internal/trace computes them per
+// request). Every returned value may be shared and must be treated as
 // immutable; tables are index-aligned with the warp's WarpCode.
 type TraceSource interface {
 	// Grid returns the total number of CTAs and the warps per CTA.

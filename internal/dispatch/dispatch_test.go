@@ -2,8 +2,10 @@ package dispatch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/banks"
 	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -15,7 +17,14 @@ import (
 // were launched.
 type fakeSource struct {
 	*trace.Trace
-	traced [][2]int // (cta, warp) pairs WarpCode was asked for
+	traced   [][2]int      // (cta, warp) pairs WarpCode was asked for
+	variants []variantCall // WarpOutcomes requests
+}
+
+// variantCall is the bank-model variant of one WarpOutcomes request.
+type variantCall struct {
+	design     config.Design
+	aggressive bool
 }
 
 func newFakeSource(ctas, warpsPer int) *fakeSource {
@@ -32,6 +41,11 @@ func newFakeSource(ctas, warpsPer int) *fakeSource {
 func (s *fakeSource) WarpCode(cta, warp int) isa.WarpCode {
 	s.traced = append(s.traced, [2]int{cta, warp})
 	return s.Trace.WarpCode(cta, warp)
+}
+
+func (s *fakeSource) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
+	s.variants = append(s.variants, variantCall{design, aggressive})
+	return s.Trace.WarpOutcomes(cta, warp, design, aggressive)
 }
 
 // readyAt reports whether warp w awaits promotion and its wake cycle.
@@ -111,12 +125,20 @@ func TestLaunchAttachesTables(t *testing.T) {
 	}
 	d, src := newUnified()
 	d.Start(0)
+	for _, v := range src.variants {
+		if v != (variantCall{config.Unified, true}) {
+			t.Errorf("launch asked for outcomes under %v aggressive %v, want the dispatcher's unified aggressive variant", v.design, v.aggressive)
+		}
+	}
+	if len(src.variants) != d.NumWarps() {
+		t.Errorf("launch asked for %d outcome tables for %d warps", len(src.variants), d.NumWarps())
+	}
 	for i := 0; i < d.NumWarps(); i++ {
 		w := d.Warp(i)
-		if want := src.WarpOutcomes(0, i, config.Unified, true); len(w.Outcomes) != w.Code.Len() || &w.Outcomes[0] != &want[0] {
+		if want := src.WarpOutcomes(0, i, config.Unified, true); len(w.Outcomes) != w.Code.Len() || !reflect.DeepEqual(w.Outcomes, want) {
 			t.Errorf("warp %d: launched without its unified aggressive outcome table", i)
 		}
-		if w.Footprints != src.WarpFootprints(0, i) {
+		if !reflect.DeepEqual(w.Footprints, src.WarpFootprints(0, i)) {
 			t.Errorf("warp %d: launched without its footprint table", i)
 		}
 	}

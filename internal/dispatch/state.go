@@ -19,10 +19,11 @@ type CTAState struct {
 //
 // Warp entries are value copies, which deep-copies the per-register
 // scoreboard (an array) but shares the Code, Outcomes and Footprints
-// tables — those are immutable by the TraceSource contract (trace
-// sources memoize them), so sharing them across any number of forks is
-// the copy-on-write half of the snapshot design: a 64-warp snapshot
-// costs a few KB of mutable state, never the traces.
+// tables — those are immutable by the TraceSource contract (the
+// workloads trace cache memoizes them process-wide), so sharing them
+// across any number of forks is the copy-on-write half of the snapshot
+// design: a 64-warp snapshot costs a few KB of mutable state, never the
+// traces.
 type State struct {
 	Warps []Warp
 	CTAs  []CTAState

@@ -102,7 +102,8 @@ type SM struct {
 	cfg    config.MemConfig
 
 	// bankModel re-evaluates each issued instruction for the probe's
-	// bank heatmap; timing replays the warp's outcome table instead.
+	// bank heatmap, nil without a probe; timing replays the warp's
+	// outcome table instead.
 	bankModel *banks.Model
 	sched     sched.Scheduler
 	disp      *dispatch.Dispatcher
@@ -191,9 +192,12 @@ func NewSM(spec Spec) (*SM, error) {
 	if params.ActiveWarps < 1 {
 		params.ActiveWarps = config.ActiveWarps
 	}
-	bankModel := banks.New(cfg.Design)
-	if params.AggressiveScatter {
-		bankModel = banks.NewAggressive(cfg.Design)
+	var bankModel *banks.Model
+	if spec.Probe != nil {
+		bankModel = banks.New(cfg.Design)
+		if params.AggressiveScatter {
+			bankModel = banks.NewAggressive(cfg.Design)
+		}
 	}
 	mem := spec.Memory
 	var owned *dram.DRAM

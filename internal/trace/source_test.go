@@ -13,7 +13,7 @@ import (
 )
 
 // designs lists every config.Design; with both scatter variants each
-// they are the bank-model variants a source memoizes outcomes under.
+// they are the six bank-model variants.
 var designs = []config.Design{config.Partitioned, config.Unified, config.FermiLike}
 
 // TestTablesMatchSource: a recording serves the same outcome tables, in
@@ -46,27 +46,20 @@ func TestTablesMatchSource(t *testing.T) {
 	}
 }
 
-// TestWarpCodeMemoized: a trace built as a literal converts each warp
-// once, so repeated requests return the same program and operand table,
-// and the same outcome and footprint tables.
-func TestWarpCodeMemoized(t *testing.T) {
+// TestWarpCodeRepeats: a trace built as a literal converts a warp the
+// same way on every request, to a program that decodes to the warp, and
+// serves no outcome table for a design outside the enum.
+func TestWarpCodeRepeats(t *testing.T) {
 	built := buildTrace()
 	tr := &Trace{CTAs: built.CTAs, WarpsPerCTA: built.WarpsPerCTA, Warps: built.Warps}
 	for c := range tr.CTAs {
 		for w := range tr.WarpsPerCTA {
 			first := tr.WarpCode(c, w)
-			if again := tr.WarpCode(c, w); again.Prog != first.Prog || again.Ops != first.Ops {
-				t.Fatalf("warp (%d, %d): WarpCode converted the warp again", c, w)
+			if again := tr.WarpCode(c, w); !reflect.DeepEqual(again, first) {
+				t.Fatalf("warp (%d, %d): a second WarpCode returned a different program", c, w)
 			}
 			if !reflect.DeepEqual(first.AppendFlat(nil), tr.WarpTrace(c, w)) {
 				t.Fatalf("warp (%d, %d): WarpCode does not decode to the warp", c, w)
-			}
-			out := tr.WarpOutcomes(c, w, config.Unified, false)
-			if again := tr.WarpOutcomes(c, w, config.Unified, false); &again[0] != &out[0] {
-				t.Fatalf("warp (%d, %d): outcome table built twice", c, w)
-			}
-			if tr.WarpFootprints(c, w) != tr.WarpFootprints(c, w) {
-				t.Fatalf("warp (%d, %d): footprint table built twice", c, w)
 			}
 		}
 	}
@@ -76,9 +69,9 @@ func TestWarpCodeMemoized(t *testing.T) {
 }
 
 // TestConcurrentSMsShareTrace runs 8 SMs at once over one recording,
-// probed and unprobed, which under -race checks that its lazily built
-// tables are safe to share; every run must match a run over the live
-// source.
+// probed and unprobed, which under -race checks that a recording and
+// the tables it computes are safe to share; every run must match a run
+// over the live source.
 func TestConcurrentSMsShareTrace(t *testing.T) {
 	src := &workloads.Source{K: mustKernel("needle"), Seed: 1}
 	run := func(s sm.TraceSource, probed bool) (*stats.Counters, error) {

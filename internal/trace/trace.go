@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/banks"
 	"repro/internal/config"
@@ -36,31 +35,14 @@ type Source interface {
 }
 
 // Trace is a fully materialized kernel grid. It is also a simulator
-// trace source (sm.TraceSource): the first request for a warp converts
-// it to split form and computes its footprints, each variant's outcome
-// table is computed on its first request, and every later request,
-// from any goroutine, returns the same values. Warps must not change
-// once the trace has served the simulator.
+// trace source (sm.TraceSource) that computes a warp's tables on each
+// request; the dispatcher asks once per warp launch.
 type Trace struct {
 	CTAs        int
 	WarpsPerCTA int
 	// Warps holds the per-warp instruction streams, indexed
 	// [cta*WarpsPerCTA + warp].
 	Warps [][]isa.WarpInst
-
-	memoOnce sync.Once
-	memo     []warpMemo // per warp, allocated on first use
-}
-
-// warpMemo holds one warp's simulator tables, each built at most once.
-type warpMemo struct {
-	once       sync.Once
-	code       isa.WarpCode
-	footprints *memsys.Footprints
-	outcomes   [banks.Variants]struct {
-		once sync.Once
-		out  []banks.Outcome
-	}
 }
 
 // Grid implements Source.
@@ -71,38 +53,23 @@ func (t *Trace) WarpTrace(cta, warp int) []isa.WarpInst {
 	return t.Warps[cta*t.WarpsPerCTA+warp]
 }
 
-// warp returns the warp's memo with its code and footprints built.
-func (t *Trace) warp(cta, warp int) *warpMemo {
-	t.memoOnce.Do(func() { t.memo = make([]warpMemo, len(t.Warps)) })
-	i := cta*t.WarpsPerCTA + warp
-	m := &t.memo[i]
-	m.once.Do(func() {
-		m.code = isa.Split(t.Warps[i])
-		m.footprints = memsys.NewFootprints(t.Warps[i])
-	})
-	return m
-}
-
 // WarpCode implements sm.TraceSource: the warp in split form.
-func (t *Trace) WarpCode(cta, warp int) isa.WarpCode { return t.warp(cta, warp).code }
+func (t *Trace) WarpCode(cta, warp int) isa.WarpCode { return isa.Split(t.WarpTrace(cta, warp)) }
 
 // WarpOutcomes implements sm.TraceSource: the warp's bank-conflict
 // outcomes under one bank-model variant, or nil for a design outside
 // the config.Design enum.
 func (t *Trace) WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome {
-	v := banks.Variant(design, aggressive)
-	if v < 0 {
+	if banks.Variant(design, aggressive) < 0 {
 		return nil
 	}
-	slot := &t.warp(cta, warp).outcomes[v]
-	slot.once.Do(func() { slot.out = banks.Outcomes(design, aggressive, t.WarpTrace(cta, warp)) })
-	return slot.out
+	return banks.Outcomes(design, aggressive, t.WarpTrace(cta, warp))
 }
 
 // WarpFootprints implements sm.TraceSource: the global-memory
 // footprints of the warp's instructions.
 func (t *Trace) WarpFootprints(cta, warp int) *memsys.Footprints {
-	return t.warp(cta, warp).footprints
+	return memsys.NewFootprints(t.WarpTrace(cta, warp))
 }
 
 // Instructions returns the total dynamic warp-instruction count.

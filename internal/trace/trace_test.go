@@ -396,7 +396,7 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-reading a written trace: %v", err)
 		}
-		if tr.CTAs != again.CTAs || tr.WarpsPerCTA != again.WarpsPerCTA || !reflect.DeepEqual(tr.Warps, again.Warps) {
+		if !reflect.DeepEqual(tr, again) {
 			t.Fatal("trace changed across a Write/Read round trip")
 		}
 	})
