@@ -34,6 +34,7 @@ import (
 
 	"repro/api"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/parallel"
 )
 
@@ -62,7 +63,7 @@ func main() {
 	if *submitURL != "" {
 		res, err = submit(*submitURL, c)
 	} else {
-		res, err = c.Execute()
+		res, err = c.Execute(core.NewRunner())
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)

@@ -7,14 +7,19 @@
 //
 // A campaign compiles to one machine-major list of api.RunRequests —
 // the cells of the (machine x workload) matrix. The same compiled runs
-// execute two ways with bit-identical outcomes: locally through
-// core.Runner + parallel.Map (Execute), or remotely as a "compare" job
-// whose result bytes are byte-identical to POST /v1/batch of the runs
-// (ResultFromBatch). Rendering draws every scalar from exactly the
+// execute two ways with bit-identical outcomes: locally on the caller's
+// core.Runner through parallel.Map (Execute), or remotely as a "compare"
+// job whose result bytes are byte-identical to POST /v1/batch of the
+// runs (ResultFromBatch). Rendering draws every scalar from exactly the
 // fields that round-trip the JSON API losslessly (int64 counters,
 // float64 totals), which is what makes the local CLI and the job API
 // produce byte-identical tables — the same property the golden suite
 // pins for the paper experiments.
+//
+// Campaigns are the repository's one comparison engine: cmd/compare runs
+// campaign files, and internal/harness renders the paper's Figures 7, 9
+// and 10, Table 6 and the §4.2 ablation from campaigns it builds under
+// the caller's Runner.
 package campaign
 
 import (

@@ -1,14 +1,15 @@
 package campaign
 
 import (
-	"context"
 	"fmt"
 
 	"repro/api"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/stats"
+	"repro/internal/workloads"
 )
 
 // Outcome is one campaign cell's result, reduced to scalars that
@@ -59,14 +60,24 @@ type Result struct {
 	Outcomes [][]Outcome
 }
 
-// Execute runs every cell locally, fanned out across the parallel
-// engine. Each cell resolves and simulates through internal/plan, the
-// path the service takes for the same RunRequest. Results are
-// deterministic and independent of the worker count. A cell whose
-// configuration cannot fit the kernel settles as an infeasible Outcome;
-// any other failure aborts the campaign.
-func (c *Campaign) Execute() (*Result, error) {
+// Execute runs every cell locally on the caller's Runner r, fanned out
+// across the parallel engine. Each cell resolves through internal/plan,
+// the path the service takes for the same RunRequest. Two rules keep r's
+// memoized work in use:
+//
+//   - A cell whose resolved timing and energy parameters equal r's,
+//     compared in canonical form (plan.RunnerKey), runs on r; any other
+//     cell runs on a Runner memoized for its own parameters.
+//   - A cell that is its Runner's own calibration baseline reads
+//     Runner.Baseline instead of simulating again.
+//
+// Results are deterministic and independent of the worker count and of
+// what r has cached. A cell whose configuration cannot fit the kernel
+// settles as an infeasible Outcome; any other failure aborts the
+// campaign.
+func (c *Campaign) Execute(r *core.Runner) (*Result, error) {
 	var runners plan.Runners
+	own := plan.RunnerKey(r.Params, r.Energy.P)
 	flat, err := parallel.Map(len(c.Runs), func(i int) (Outcome, error) {
 		label := c.Workloads[i%len(c.Workloads)].Label
 		machineName := c.Spec.Machines[i/len(c.Workloads)].Name
@@ -74,7 +85,16 @@ func (c *Campaign) Execute() (*Result, error) {
 		if err != nil {
 			return Outcome{}, fmt.Errorf("%s under %s: %w", label, machineName, err)
 		}
-		res, err := runners.Simulate(context.Background(), run)
+		cr := r
+		if run.RunnerKey() != own {
+			cr = runners.Runner(run)
+		}
+		var res *core.Result
+		if k := calibration(run, cr); k != nil {
+			res, err = cr.Baseline(k)
+		} else {
+			res, err = cr.Run(run.Spec())
+		}
 		if core.IsInfeasible(err) {
 			return Outcome{Infeasible: true}, nil
 		}
@@ -87,6 +107,20 @@ func (c *Campaign) Execute() (*Result, error) {
 		return nil, err
 	}
 	return c.result(flat), nil
+}
+
+// calibration returns the kernel whose Runner.Baseline run the cell is
+// on cr — one stream under config.Baseline() with spill-free registers,
+// cr's seed and no probe — or nil when it is any other run.
+func calibration(run *plan.Run, cr *core.Runner) *workloads.Kernel {
+	if len(run.Streams) != 1 || run.Config != config.Baseline() || run.Probe {
+		return nil
+	}
+	st := run.Streams[0]
+	if st.Regs != st.Kernel.RegsNeeded || st.Seed != cr.Seed {
+		return nil
+	}
+	return st.Kernel
 }
 
 // ResultFromBatch decodes a campaign result from the batch response of

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/api"
+	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/workloads"
 )
 
 // renderAll joins every table of a result, the way cmd/compare prints
@@ -35,12 +37,12 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 	defer parallel.SetWorkers(parallel.Workers())
 
 	parallel.SetWorkers(1)
-	serial, err := c.Execute()
+	serial, err := c.Execute(core.NewRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetWorkers(8)
-	fanned, err := c.Execute()
+	fanned, err := c.Execute(core.NewRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestExecuteInfeasibleCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(core.NewRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestPaperDesignsCampaignReproducesGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Execute()
+	res, err := c.Execute(core.NewRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +199,45 @@ func TestCommittedCampaignsParse(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no committed campaigns found")
+	}
+}
+
+// TestExecuteReusesRunnerBaselines pins the two Execute rules. With the
+// caller's baselines computed, a campaign of the baseline machine and a
+// unified machine under the same parameters must launch exactly one
+// grid per unified cell: baseline cells read Runner.Baseline, and
+// unified cells run on the caller's Runner, whose memoized baselines
+// calibrate their energy. Any re-simulation would launch warps, and each
+// launched warp is one trace-cache lookup. The machines spell the
+// scheduler "twolevel" where core.NewRunner leaves it zero, so the
+// parameters must match in canonical form.
+func TestExecuteReusesRunnerBaselines(t *testing.T) {
+	r := core.NewRunner()
+	names := []string{"vectoradd", "needle"}
+	want := int64(0)
+	for _, name := range names {
+		k, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Baseline(k); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(k.GridCTAs * k.WarpsPerCTA())
+	}
+	spec := minSpec()
+	spec.Workloads = names
+	spec.Machines[0].Machine.Timing.Scheduler = "twolevel"
+	spec.Machines[1].Machine.Timing.Scheduler = "twolevel"
+	c, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := workloads.TraceCacheSnapshot()
+	if _, err := c.Execute(r); err != nil {
+		t.Fatal(err)
+	}
+	if got := workloads.TraceCacheSnapshot().Lookups - before.Lookups; got != want {
+		t.Errorf("campaign made %d trace-cache lookups, want %d (one grid per unified cell, none for baseline cells)", got, want)
 	}
 }

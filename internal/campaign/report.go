@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/report"
 )
 
@@ -114,16 +111,22 @@ func (r Regression) String() string {
 
 // Tables renders the campaign: one diff table per metric (workload
 // rows; baseline value column; value + delta columns per non-baseline
-// machine, regressions flagged "!"), then one paper-style comparison
-// table per Tables entry.
+// machine, regressions flagged "!"), then its paper tables.
 func (res *Result) Tables() []*report.Table {
 	c := res.Campaign
 	out := make([]*report.Table, 0, len(c.metrics)+len(c.tables))
 	for _, m := range c.metrics {
 		out = append(out, res.metricTable(m))
 	}
-	for _, ts := range c.tables {
-		out = append(out, res.paperTable(ts))
+	return append(out, res.PaperTables()...)
+}
+
+// PaperTables renders one paper-style comparison table per Tables entry
+// of the spec, in order.
+func (res *Result) PaperTables() []*report.Table {
+	out := make([]*report.Table, len(res.Campaign.tables))
+	for i, ts := range res.Campaign.tables {
+		out[i] = res.paperTable(ts)
 	}
 	return out
 }
@@ -172,12 +175,14 @@ func (res *Result) metricTable(m metricDef) *report.Table {
 }
 
 // paperTable renders one machine against the campaign baseline with the
-// Figure 7/9/10 columns, through the same harness renderer the golden
-// experiments use — which is why a campaign spelling out the paper's
-// designs reproduces the goldens byte-identically.
+// Figure 7/9/10 columns. The ratios are the paper's normalization to the
+// baseline run, computed from the exact round-tripped scalars, so a
+// campaign spelling out the paper's designs reproduces the goldens byte
+// for byte.
 func (res *Result) paperTable(ts tableSpec) *report.Table {
 	c := res.Campaign
-	t := harness.NewComparisonTable(ts.title)
+	t := report.NewTable(ts.title,
+		"benchmark", "perf (x)", "energy (x)", "dram (x)", "threads", "rf", "shared", "cache")
 	for _, w := range ts.workloads {
 		o := res.Outcomes[ts.machine][w]
 		base := res.Outcomes[c.Baseline][w]
@@ -185,20 +190,12 @@ func (res *Result) paperTable(ts tableSpec) *report.Table {
 			t.AddRow(c.Workloads[w].Label, "infeasible", "-", "-", "-", "-", "-", "-")
 			continue
 		}
-		t.AddRow(harness.ComparisonRow(core.Comparison{
-			Benchmark: c.Workloads[w].Label,
-			Config: config.MemConfig{
-				RFBytes:     o.Config.RFBytes,
-				SharedBytes: o.Config.SharedBytes,
-				CacheBytes:  o.Config.CacheBytes,
-			},
-			Threads: o.Threads,
-			// Exactly core's compare() arithmetic, applied to the exact
-			// round-tripped scalars.
-			PerfRatio:   float64(base.Cycles) / float64(o.Cycles),
-			EnergyRatio: o.EnergyJ / base.EnergyJ,
-			DRAMRatio:   float64(o.DRAMBytes) / float64(base.DRAMBytes),
-		})...)
+		t.AddRow(c.Workloads[w].Label,
+			report.Ratio(float64(base.Cycles)/float64(o.Cycles)),
+			report.Ratio(o.EnergyJ/base.EnergyJ),
+			report.Ratio(float64(o.DRAMBytes)/float64(base.DRAMBytes)),
+			fmt.Sprint(o.Threads),
+			report.KB(o.Config.RFBytes), report.KB(o.Config.SharedBytes), report.KB(o.Config.CacheBytes))
 	}
 	return t
 }

@@ -1,7 +1,10 @@
 // Package core ties the substrates together: it runs a workload kernel
 // under a local-memory configuration on the SM timing simulator, attaches
-// occupancy and energy analyses, and hosts the experiment drivers that
-// regenerate every table and figure of the paper (experiments.go).
+// occupancy and energy analyses, and hosts the paper's capacity-sweep,
+// characterization and validation drivers (experiments.go,
+// extensions.go). Comparisons of one machine against another (Figures 7,
+// 9 and 10, Table 6, the ablations) run as internal/campaign campaigns
+// on a Runner.
 //
 // This is the library's primary entry point:
 //
@@ -23,10 +26,9 @@
 // event count.
 //
 // Ratio-only metrics carry meaning only when divided by the same metric
-// of another run: Result.Performance (reciprocal runtime — the paper
-// normalizes every performance figure to the baseline partitioned
-// configuration), and the Comparison fields PerfRatio, EnergyRatio, and
-// DRAMRatio (already normalized to the kernel's baseline run).
+// of another run: Result.Performance is reciprocal runtime, and the paper
+// normalizes every performance figure to the kernel's run under the
+// baseline partitioned configuration (Runner.Baseline).
 //
 // Runs that cannot achieve residency fail with a *FitError (and nil
 // kernels with ErrKernelNil); use errors.As / errors.Is, or

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/config"
 	"repro/internal/energy"
@@ -309,23 +308,6 @@ func normalize(pts []SweepPoint, ref float64) {
 	}
 }
 
-// Comparison is one benchmark's unified-versus-partitioned outcome
-// (Figures 7, 9, 10 and Table 6).
-type Comparison struct {
-	Benchmark string
-	// Config is the flexible design's resolved configuration.
-	Config config.MemConfig
-	// Threads is the resident thread count under the flexible design.
-	Threads int
-	// PerfRatio is flexible performance / baseline performance
-	// (higher is better).
-	PerfRatio float64
-	// EnergyRatio is flexible energy / baseline energy (lower is better).
-	EnergyRatio float64
-	// DRAMRatio is flexible DRAM traffic / baseline (lower is better).
-	DRAMRatio float64
-}
-
 // unifiedConfig is k's §4.5 allocation of a unified memory of
 // totalBytes.
 func unifiedConfig(k *workloads.Kernel, totalBytes int) (config.MemConfig, error) {
@@ -334,75 +316,6 @@ func unifiedConfig(k *workloads.Kernel, totalBytes int) (config.MemConfig, error
 		return config.MemConfig{}, fmt.Errorf("allocate %s: %w", k.Name, err)
 	}
 	return cfg, nil
-}
-
-// fermiConfig is k's Fermi-like limited design of totalBytes: a fixed
-// 256 KB register file plus the better of the two preset shared/cache
-// splits.
-func fermiConfig(k *workloads.Kernel, totalBytes int) (config.MemConfig, error) {
-	return config.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, totalBytes-config.BaselineRFBytes, 0), nil
-}
-
-// CompareUnified runs a kernel under the Section 4.5 allocation of a
-// unified memory of totalBytes and compares it with the kernel's baseline
-// partitioned run.
-func (r *Runner) CompareUnified(k *workloads.Kernel, totalBytes int) (Comparison, error) {
-	cfg, err := unifiedConfig(k, totalBytes)
-	if err != nil {
-		return Comparison{}, err
-	}
-	return r.compare(k, cfg)
-}
-
-func (r *Runner) compare(k *workloads.Kernel, cfg config.MemConfig) (Comparison, error) {
-	base, err := r.Baseline(k)
-	if err != nil {
-		return Comparison{}, err
-	}
-	res, err := r.Run(RunSpec{Kernel: k, Config: cfg})
-	if err != nil {
-		return Comparison{}, fmt.Errorf("%s under %v: %w", k.Name, cfg, err)
-	}
-	return Comparison{
-		Benchmark:   k.Name,
-		Config:      cfg,
-		Threads:     res.Occupancy.Threads,
-		PerfRatio:   float64(base.Counters.Cycles) / float64(res.Counters.Cycles),
-		EnergyRatio: res.Energy.Total() / base.Energy.Total(),
-		DRAMRatio:   float64(res.Counters.DRAMBytes()) / float64(base.Counters.DRAMBytes()),
-	}, nil
-}
-
-// Figure7 compares the 384 KB unified design against the equal-capacity
-// partitioned baseline for the no-benefit set; the paper's result is that
-// every change stays within about 1%.
-func (r *Runner) Figure7() ([]Comparison, error) {
-	return r.compareAll(workloads.NoBenefitSet(), unifiedConfig)
-}
-
-// Figure9 is the same comparison for the benefit set (gains of 4-71%).
-func (r *Runner) Figure9() ([]Comparison, error) {
-	return r.compareAll(workloads.BenefitSet(), unifiedConfig)
-}
-
-// Figure10 compares the Fermi-like limited-flexibility design for the
-// benefit set.
-func (r *Runner) Figure10() ([]Comparison, error) {
-	return r.compareAll(workloads.BenefitSet(), fermiConfig)
-}
-
-// compareAll compares every kernel against its partitioned baseline run
-// under the configuration design derives for it from the 384 KB
-// baseline capacity, fanned out across the parallel engine in kernel
-// order.
-func (r *Runner) compareAll(ks []*workloads.Kernel, design func(*workloads.Kernel, int) (config.MemConfig, error)) ([]Comparison, error) {
-	return parallel.Map(len(ks), func(i int) (Comparison, error) {
-		cfg, err := design(ks[i], config.BaselineTotalBytes)
-		if err != nil {
-			return Comparison{}, err
-		}
-		return r.compare(ks[i], cfg)
-	})
 }
 
 // Figure8Row is one benchmark's chosen partitioning of the 384 KB unified
@@ -490,82 +403,6 @@ func (r *Runner) Table5() ([]ConflictRow, error) {
 		out[i] = row
 	}
 	return out, nil
-}
-
-// Table6Capacities are the unified-memory capacities of Table 6.
-var Table6Capacities = []int{128 << 10, 256 << 10, 384 << 10}
-
-// Table6Row is one benchmark's capacity-sensitivity row.
-type Table6Row struct {
-	Benchmark string
-	// Perf[i] and Energy[i] are normalized to the baseline partitioned
-	// design, for Table6Capacities[i].
-	Perf   [3]float64
-	Energy [3]float64
-	// Infeasible[i] marks capacities the kernel cannot fit.
-	Infeasible [3]bool
-}
-
-// Table6 evaluates unified-memory capacity sensitivity for the benefit
-// set plus an average row for the Figure 7 set. Every (kernel, capacity)
-// comparison runs once, all of them as one parallel batch; the average
-// rows reuse the per-kernel comparisons, and their geomean products keep
-// kernel order so the floating-point result is identical to a serial
-// loop's.
-func (r *Runner) Table6() ([]Table6Row, error) {
-	benefit, others := workloads.BenefitSet(), workloads.NoBenefitSet()
-	kernels := append(append([]*workloads.Kernel(nil), benefit...), others...)
-	type cell struct {
-		c          Comparison
-		infeasible bool
-	}
-	ncap := len(Table6Capacities)
-	cells, err := parallel.Map(len(kernels)*ncap, func(i int) (cell, error) {
-		c, err := r.CompareUnified(kernels[i/ncap], Table6Capacities[i%ncap])
-		if IsInfeasible(err) {
-			return cell{infeasible: true}, nil
-		}
-		return cell{c: c}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// row folds the comparisons of kernels[from:to] into one row.
-	row := func(label string, from, to int) Table6Row {
-		out := Table6Row{Benchmark: label}
-		for i := range Table6Capacities {
-			perfProd, energyProd, n := 1.0, 1.0, 0
-			for k := from; k < to; k++ {
-				c := cells[k*ncap+i]
-				if c.infeasible {
-					out.Infeasible[i] = true
-					continue
-				}
-				perfProd *= c.c.PerfRatio
-				energyProd *= c.c.EnergyRatio
-				n++
-			}
-			if n > 0 {
-				out.Perf[i] = geomean(perfProd, n)
-				out.Energy[i] = geomean(energyProd, n)
-			}
-		}
-		return out
-	}
-	var rows []Table6Row
-	for k := range benefit {
-		rows = append(rows, row(benefit[k].Name, k, k+1))
-	}
-	return append(rows,
-		row("average (benefit)", 0, len(benefit)),
-		row("figure-7 set (average)", len(benefit), len(kernels))), nil
-}
-
-func geomean(prod float64, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return math.Pow(prod, 1/float64(n))
 }
 
 // Figure11Point is one (blocking factor, thread count) needle measurement.
@@ -672,15 +509,4 @@ func Table4() []Table4Row {
 		})
 	}
 	return out
-}
-
-// MRFFraction returns the fraction of register-operand accesses served by
-// the MRF in a kernel's baseline run — the two-level hierarchy headline
-// (~40%, i.e. a 60% reduction).
-func (r *Runner) MRFFraction(k *workloads.Kernel) (float64, error) {
-	res, err := r.Baseline(k)
-	if err != nil {
-		return 0, err
-	}
-	return res.Counters.MRFAccessFraction(), nil
 }

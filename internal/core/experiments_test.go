@@ -7,89 +7,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// comparisonsByName indexes a comparison list.
-func comparisonsByName(comps []Comparison) map[string]Comparison {
-	m := make(map[string]Comparison, len(comps))
-	for _, c := range comps {
-		m[c.Benchmark] = c
-	}
-	return m
-}
-
-// TestFigure9Shape checks the paper's headline result: the benefit set
-// gains 4-71% under the 384 KB unified design, needle is the largest
-// winner, energy drops, and dgemm alone sees no DRAM reduction.
-func TestFigure9Shape(t *testing.T) {
-	r := NewRunner()
-	comps, err := r.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 8 {
-		t.Fatalf("benefit set has %d benchmarks, want 8", len(comps))
-	}
-	byName := comparisonsByName(comps)
-	best := ""
-	bestPerf := 0.0
-	for _, c := range comps {
-		t.Logf("%-8s perf=%.3f energy=%.3f dram=%.3f", c.Benchmark, c.PerfRatio, c.EnergyRatio, c.DRAMRatio)
-		if c.PerfRatio < 0.97 {
-			t.Errorf("%s: unified slower than baseline (%.3f)", c.Benchmark, c.PerfRatio)
-		}
-		if c.PerfRatio > 2.2 {
-			t.Errorf("%s: implausible speedup %.3f (paper max 1.71)", c.Benchmark, c.PerfRatio)
-		}
-		if c.EnergyRatio > 1.05 {
-			t.Errorf("%s: unified raises energy by %.1f%%", c.Benchmark, 100*(c.EnergyRatio-1))
-		}
-		if c.PerfRatio > bestPerf {
-			best, bestPerf = c.Benchmark, c.PerfRatio
-		}
-	}
-	if best != "needle" {
-		t.Errorf("largest winner is %s (%.2fx), want needle", best, bestPerf)
-	}
-	if bestPerf < 1.4 || bestPerf > 2.0 {
-		t.Errorf("needle speedup %.2fx outside the paper's ballpark (1.71x)", bestPerf)
-	}
-	// dgemm gains from threads, not cache: its DRAM traffic must not drop
-	// meaningfully (the paper singles it out).
-	if dg := byName["dgemm"]; dg.DRAMRatio < 0.97 || dg.DRAMRatio > 1.05 {
-		t.Errorf("dgemm DRAM ratio = %.3f, want ~1.0 (no reduction)", dg.DRAMRatio)
-	}
-	// Everyone else sees some DRAM reduction (1-32% in the paper).
-	for _, c := range comps {
-		if c.Benchmark == "dgemm" || c.Benchmark == "needle" {
-			continue
-		}
-		if c.DRAMRatio > 1.01 {
-			t.Errorf("%s: DRAM traffic grew under unified (%.3f)", c.Benchmark, c.DRAMRatio)
-		}
-	}
-}
-
-// TestFigure7Shape checks that the no-benefit set is essentially unchanged
-// under the unified design (the paper: within ~1%; we allow a few percent).
-func TestFigure7Shape(t *testing.T) {
-	r := NewRunner()
-	comps, err := r.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 18 {
-		t.Fatalf("no-benefit set has %d benchmarks, want 18", len(comps))
-	}
-	for _, c := range comps {
-		t.Logf("%-18s perf=%.3f energy=%.3f", c.Benchmark, c.PerfRatio, c.EnergyRatio)
-		if c.PerfRatio < 0.93 || c.PerfRatio > 1.10 {
-			t.Errorf("%s: |perf change| too large for the no-benefit set: %.3f", c.Benchmark, c.PerfRatio)
-		}
-		if c.EnergyRatio < 0.90 || c.EnergyRatio > 1.07 {
-			t.Errorf("%s: |energy change| too large for the no-benefit set: %.3f", c.Benchmark, c.EnergyRatio)
-		}
-	}
-}
-
 // TestTable1Shape checks the characterization invariants: spill overhead
 // shrinks monotonically with the register budget and vanishes at 64
 // registers; DRAM traffic shrinks monotonically with cache capacity; the
@@ -284,85 +201,6 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
-// TestTable6Shape checks capacity sensitivity: performance is generally
-// maximized at 384 KB, and small capacities hurt register- and
-// shared-hungry workloads.
-func TestTable6Shape(t *testing.T) {
-	r := NewRunner()
-	rows, err := r.Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := make(map[string]Table6Row, len(rows))
-	for _, row := range rows {
-		byName[row.Benchmark] = row
-		t.Logf("%-22s perf %.2f/%.2f/%.2f energy %.2f/%.2f/%.2f",
-			row.Benchmark, row.Perf[0], row.Perf[1], row.Perf[2],
-			row.Energy[0], row.Energy[1], row.Energy[2])
-	}
-	for _, name := range []string{"dgemm", "pcr", "ray"} {
-		row := byName[name]
-		if !row.Infeasible[0] && row.Perf[0] > row.Perf[2] {
-			t.Errorf("%s: 128KB (%v) should not beat 384KB (%v)", name, row.Perf[0], row.Perf[2])
-		}
-	}
-	avg := byName["average (benefit)"]
-	if avg.Perf[2] < 1.05 || avg.Perf[2] > 1.35 {
-		t.Errorf("benefit-set average at 384KB = %.3f, paper reports 1.16", avg.Perf[2])
-	}
-	if avg.Perf[1] < avg.Perf[0] {
-		t.Errorf("benefit-set average should improve 128->256KB: %v", avg.Perf)
-	}
-	fig7 := byName["figure-7 set (average)"]
-	if fig7.Perf[2] < 0.97 || fig7.Perf[2] > 1.05 {
-		t.Errorf("figure-7 average at 384KB = %.3f, want ~1.0", fig7.Perf[2])
-	}
-	// The no-benefit set sees its lowest energy at the smallest capacity
-	// (less SRAM leakage), one of the paper's Table 6 observations.
-	if fig7.Energy[0] > fig7.Energy[2] {
-		t.Errorf("figure-7 energy should be lowest at 128KB: %v", fig7.Energy)
-	}
-}
-
-// TestFigure10Shape checks the Fermi-like limited design: it helps, but
-// strictly less than full unification on shared-hungry and
-// register-hungry workloads.
-func TestFigure10Shape(t *testing.T) {
-	r := NewRunner()
-	fermi, err := r.Figure10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := r.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniBy := comparisonsByName(unified)
-	for _, f := range fermi {
-		t.Logf("%-8s fermi=%.3f unified=%.3f", f.Benchmark, f.PerfRatio, uniBy[f.Benchmark].PerfRatio)
-		if f.PerfRatio < 0.9 {
-			t.Errorf("%s: Fermi-like design should not badly hurt (%.3f)", f.Benchmark, f.PerfRatio)
-		}
-		if f.Config.RFBytes != config.BaselineRFBytes {
-			t.Errorf("%s: Fermi-like design must keep the 256KB register file", f.Benchmark)
-		}
-	}
-	// needle and dgemm depend on resources Fermi-like flexibility cannot
-	// provide enough of; full unification must win clearly.
-	for _, name := range []string{"needle", "dgemm"} {
-		var f Comparison
-		for _, c := range fermi {
-			if c.Benchmark == name {
-				f = c
-			}
-		}
-		if f.PerfRatio > uniBy[name].PerfRatio+0.02 {
-			t.Errorf("%s: Fermi-like (%.3f) should not beat unified (%.3f)",
-				name, f.PerfRatio, uniBy[name].PerfRatio)
-		}
-	}
-}
-
 // TestFigure8Shape checks the Section 4.5 allocations.
 func TestFigure8Shape(t *testing.T) {
 	r := NewRunner()
@@ -449,10 +287,11 @@ func TestMRFReduction(t *testing.T) {
 	r := NewRunner()
 	sum, n := 0.0, 0
 	for _, k := range workloads.All() {
-		frac, err := r.MRFFraction(k)
+		base, err := r.Baseline(k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		frac := base.Counters.MRFAccessFraction()
 		sum += frac
 		n++
 		if frac > 0.85 {
@@ -551,47 +390,5 @@ func TestIsolationConfigUnbounded(t *testing.T) {
 	occCTAs := cfg.SharedBytes / k.SharedBytesPerCTA
 	if occCTAs < config.MaxThreadsPerSM/k.ThreadsPerCTA {
 		t.Errorf("unbounded shared memory still limits needle: %d CTAs", occCTAs)
-	}
-}
-
-// TestSeedRobustness checks that the headline conclusion does not depend
-// on the random streams driving the divergent gathers: needle's speedup is
-// seed-independent (it has no randomness) and the gather-driven winners
-// stay winners within a band.
-func TestSeedRobustness(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed sweep skipped in -short mode")
-	}
-	speedup := func(seed uint64, name string) float64 {
-		r := NewRunner()
-		r.Seed = seed
-		k, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := r.CompareUnified(k, config.BaselineTotalBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.PerfRatio
-	}
-	for _, name := range []string{"needle", "bfs", "ray"} {
-		a, b, c := speedup(1, name), speedup(7, name), speedup(1234567, name)
-		t.Logf("%-8s speedups across seeds: %.3f %.3f %.3f", name, a, b, c)
-		lo, hi := a, a
-		for _, v := range []float64{b, c} {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi-lo > 0.12 {
-			t.Errorf("%s: speedup varies %.3f..%.3f across seeds; conclusion unstable", name, lo, hi)
-		}
-		if lo < 1.0 {
-			t.Errorf("%s: a seed flipped the conclusion (%.3f)", name, lo)
-		}
 	}
 }

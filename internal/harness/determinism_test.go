@@ -4,23 +4,25 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/workloads"
 )
 
 // TestParallelMatchesSerial proves the execution engine never changes
-// results: a representative experiment (figure7, which exercises baseline
-// caching, the §4.5 allocator, and the energy model) is regenerated with
-// 1 worker (the exact serial path) and with 8, and both the rendered
-// table and the underlying simulation counters must be identical.
+// results: a representative experiment (figure7, a campaign that
+// exercises baseline reuse, the §4.5 allocator, and the energy model) is
+// regenerated with 1 worker (the exact serial path) and with 8, and both
+// the rendered table and the underlying campaign outcomes and baseline
+// counters must be identical.
 func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism check skipped in -short mode")
 	}
 	type outcome struct {
 		table    string
-		comps    []core.Comparison
+		outcomes [][]campaign.Outcome
 		counters map[string]int64 // baseline cycles per kernel
 	}
 	runAt := func(workers int) outcome {
@@ -31,7 +33,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("j=%d: %v", workers, err)
 		}
-		comps, err := r.Figure7()
+		res, err := execute(r, figure7Spec(r))
 		if err != nil {
 			t.Fatalf("j=%d: %v", workers, err)
 		}
@@ -43,7 +45,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			counters[k.Name] = base.Counters.Cycles
 		}
-		return outcome{table: tab.String(), comps: comps, counters: counters}
+		return outcome{table: tab.String(), outcomes: res.Outcomes, counters: counters}
 	}
 
 	// Serial with a cold trace cache, then parallel twice: first against
@@ -63,9 +65,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Errorf("rendered tables differ between -j 1 and -j 8 (%s):\n--- j=1 ---\n%s--- j=8 ---\n%s",
 				par.label, serial.table, par.out.table)
 		}
-		if !reflect.DeepEqual(serial.comps, par.out.comps) {
-			t.Errorf("comparison results differ between -j 1 and -j 8 (%s):\nj=1: %+v\nj=8: %+v",
-				par.label, serial.comps, par.out.comps)
+		if !reflect.DeepEqual(serial.outcomes, par.out.outcomes) {
+			t.Errorf("campaign outcomes differ between -j 1 and -j 8 (%s):\nj=1: %+v\nj=8: %+v",
+				par.label, serial.outcomes, par.out.outcomes)
 		}
 		if !reflect.DeepEqual(serial.counters, par.out.counters) {
 			t.Errorf("baseline counters differ between -j 1 and -j 8 (%s):\nj=1: %v\nj=8: %v",

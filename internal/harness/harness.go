@@ -1,15 +1,24 @@
 // Package harness regenerates every table and figure of the paper as a
 // rendered text table. It is the shared engine behind cmd/paper, smserve's
-// /v1/experiment and the repository benchmark: each ExperimentFunc runs the
-// corresponding internal/core driver and formats its output with the same
-// rows and series the paper reports.
+// /v1/experiment and the repository benchmark. Each experiment runs on the
+// caller's core.Runner and formats its output with the same rows and
+// series the paper reports: the capacity sweeps, Table 1/5, validation
+// and multitenant through their internal/core drivers, and the
+// comparisons against a baseline machine (figure7, figure9, figure10,
+// table6, ablation) as internal/campaign campaigns built under the
+// Runner's parameters.
 package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
+	"repro/api"
+	"repro/internal/campaign"
+	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/workloads"
 )
@@ -158,41 +167,67 @@ func Table5(r *core.Runner) (*report.Table, error) {
 	return t, nil
 }
 
-// NewComparisonTable returns an empty baseline-comparison table with
-// the canonical Figure 7/9/10 columns. Callers that need per-row
-// control (e.g. infeasible markers in campaign tables) pair it with
-// ComparisonRow; everyone else uses ComparisonTable.
-func NewComparisonTable(title string) *report.Table {
-	return report.NewTable(title,
-		"benchmark", "perf (x)", "energy (x)", "dram (x)", "threads", "rf", "shared", "cache")
+// The comparison experiments (figure7, figure9, figure10, table6 and
+// ablation) run as compare campaigns on r. Every machine takes its
+// timing and energy from r, and the campaign's seed is r's, so they
+// render under the caller's parameters (-sched gto, smserve's
+// /v1/experiment); cells that match r run on it and reuse its baseline
+// runs (campaign.Execute).
+
+// paperMachine is the partitioned baseline machine under r's timing and
+// energy parameters.
+func paperMachine(r *core.Runner) machine.Description {
+	return machine.Describe(config.Baseline(), r.Params, r.Energy.P)
 }
 
-// ComparisonRow formats one comparison for NewComparisonTable.
-func ComparisonRow(c core.Comparison) []string {
-	return []string{c.Benchmark, report.Ratio(c.PerfRatio), report.Ratio(c.EnergyRatio),
-		report.Ratio(c.DRAMRatio), fmt.Sprint(c.Threads),
-		report.KB(c.Config.RFBytes), report.KB(c.Config.SharedBytes),
-		report.KB(c.Config.CacheBytes)}
-}
-
-// ComparisonTable renders machine-versus-baseline comparisons — the
-// Figure 7/9/10 rendering, shared with the campaign layer's
-// paper-style tables.
-func ComparisonTable(title string, comps []core.Comparison) *report.Table {
-	t := NewComparisonTable(title)
-	for _, c := range comps {
-		t.AddRow(ComparisonRow(c)...)
+// execute validates a campaign spec and executes it on r under r's seed.
+func execute(r *core.Runner, spec api.CompareRequest) (*campaign.Result, error) {
+	spec.Seed = r.Seed
+	c, err := campaign.New(spec)
+	if err != nil {
+		return nil, err
 	}
-	return t
+	return c.Execute(r)
+}
+
+// unified384 and fermi384 are the paper's two flexible designs at the
+// baseline's 384 KB total capacity.
+var (
+	unified384 = api.CompareMachine{Name: "unified-384k", AllocTotalKB: config.BaselineTotalBytes >> 10}
+	fermi384   = api.CompareMachine{Name: "fermi-like-384k", FermiTotalKB: config.BaselineTotalBytes >> 10}
+)
+
+// comparisonSpec is the campaign of one design against the partitioned
+// baseline over a workload set, with one paper table of the design.
+func comparisonSpec(r *core.Runner, title, set string, design api.CompareMachine) api.CompareRequest {
+	design.Machine = paperMachine(r)
+	return api.CompareRequest{
+		Name:      "comparison",
+		Machines:  []api.CompareMachine{{Name: "partitioned", Machine: design.Machine}, design},
+		Workloads: []string{set},
+		Tables:    []api.CompareTable{{Title: title, Machine: design.Name}},
+	}
+}
+
+// figure7Spec compares the 384 KB unified design against the
+// equal-capacity partitioned baseline for the no-benefit set; the
+// paper's result is that every change stays within about 1%.
+func figure7Spec(r *core.Runner) api.CompareRequest {
+	return comparisonSpec(r, "Figure 7: unified (384KB) vs partitioned, applications with no benefit", "no-benefit", unified384)
+}
+
+// comparison executes a comparisonSpec and renders its paper table.
+func comparison(r *core.Runner, spec api.CompareRequest) (*report.Table, error) {
+	res, err := execute(r, spec)
+	if err != nil {
+		return nil, err
+	}
+	return res.PaperTables()[0], nil
 }
 
 // Figure7 renders the no-benefit comparison.
 func Figure7(r *core.Runner) (*report.Table, error) {
-	comps, err := r.Figure7()
-	if err != nil {
-		return nil, err
-	}
-	return ComparisonTable("Figure 7: unified (384KB) vs partitioned, applications with no benefit", comps), nil
+	return comparison(r, figure7Spec(r))
 }
 
 // Figure8 renders the chosen unified partitionings.
@@ -210,45 +245,71 @@ func Figure8(r *core.Runner) (*report.Table, error) {
 	return t, nil
 }
 
-// Figure9 renders the benefit comparison.
+// Figure9 renders the same comparison for the benefit set (gains of
+// 4-71%).
 func Figure9(r *core.Runner) (*report.Table, error) {
-	comps, err := r.Figure9()
-	if err != nil {
-		return nil, err
-	}
-	return ComparisonTable("Figure 9: unified (384KB) vs partitioned, applications that benefit", comps), nil
+	return comparison(r, comparisonSpec(r, "Figure 9: unified (384KB) vs partitioned, applications that benefit", "benefit", unified384))
 }
 
-// Figure10 renders the Fermi-like limited-flexibility comparison.
+// Figure10 renders the Fermi-like limited-flexibility comparison for the
+// benefit set.
 func Figure10(r *core.Runner) (*report.Table, error) {
-	comps, err := r.Figure10()
-	if err != nil {
-		return nil, err
-	}
-	return ComparisonTable("Figure 10: Fermi-like limited design (384KB) vs partitioned", comps), nil
+	return comparison(r, comparisonSpec(r, "Figure 10: Fermi-like limited design (384KB) vs partitioned", "benefit", fermi384))
 }
 
-// Table6 renders capacity sensitivity.
+// table6KB are the unified-memory capacities of Table 6.
+var table6KB = []int{128, 256, 384}
+
+// Table6 renders unified-memory capacity sensitivity for the benefit set
+// plus an average row each for the benefit and Figure 7 sets, normalized
+// to the baseline partitioned design. Every (kernel, capacity) cell runs
+// once as one campaign; the average rows fold the per-kernel cells,
+// their geomean products in kernel order.
 func Table6(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Table6()
+	base := paperMachine(r)
+	machines := []api.CompareMachine{{Name: "partitioned", Machine: base}}
+	for _, kb := range table6KB {
+		machines = append(machines, api.CompareMachine{Name: fmt.Sprintf("unified-%dk", kb), Machine: base, AllocTotalKB: kb})
+	}
+	res, err := execute(r, api.CompareRequest{Name: "table6", Machines: machines, Workloads: []string{"benefit", "no-benefit"}})
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable("Table 6: unified capacity sensitivity (normalized to baseline partitioned)",
 		"benchmark", "perf@128K", "perf@256K", "perf@384K", "energy@128K", "energy@256K", "energy@384K")
-	for _, row := range rows {
-		cell := func(v float64, infeasible bool) string {
-			if infeasible {
-				return "n/a"
+	// row folds the cells of workloads [from, to) into one row; a
+	// capacity some kernel of the row cannot fit reads "n/a".
+	row := func(label string, from, to int) {
+		perf := make([]string, len(table6KB))
+		energy := make([]string, len(table6KB))
+		for i := range table6KB {
+			perfProd, energyProd, n := 1.0, 1.0, 0
+			infeasible := false
+			for w := from; w < to; w++ {
+				b, o := res.Outcomes[0][w], res.Outcomes[1+i][w]
+				if b.Infeasible || o.Infeasible {
+					infeasible = true
+					continue
+				}
+				perfProd *= float64(b.Cycles) / float64(o.Cycles)
+				energyProd *= o.EnergyJ / b.EnergyJ
+				n++
 			}
-			return report.Ratio(v)
+			perf[i], energy[i] = "n/a", "n/a"
+			if !infeasible {
+				perf[i] = report.Ratio(math.Pow(perfProd, 1/float64(n)))
+				energy[i] = report.Ratio(math.Pow(energyProd, 1/float64(n)))
+			}
 		}
-		t.AddRow(row.Benchmark,
-			cell(row.Perf[0], row.Infeasible[0]), cell(row.Perf[1], row.Infeasible[1]),
-			cell(row.Perf[2], row.Infeasible[2]),
-			cell(row.Energy[0], row.Infeasible[0]), cell(row.Energy[1], row.Infeasible[1]),
-			cell(row.Energy[2], row.Infeasible[2]))
+		t.AddRow(append(append([]string{label}, perf...), energy...)...)
 	}
+	ws := res.Campaign.Workloads
+	nb := len(workloads.BenefitSet())
+	for w := 0; w < nb; w++ {
+		row(ws[w].Label, w, w+1)
+	}
+	row("average (benefit)", 0, nb)
+	row("figure-7 set (average)", nb, len(ws))
 	return t, nil
 }
 
@@ -304,19 +365,39 @@ func Validation(r *core.Runner) (*report.Table, error) {
 	return t, nil
 }
 
-// Ablation renders the Section 4.2 simple-vs-aggressive scatter design
-// comparison over the full registry.
+// Ablation renders the Section 4.2 comparison over the full registry:
+// the simple single-bank-per-cluster unified design against the
+// aggressive multi-bank-per-cluster variant, each under its §4.5
+// allocation of 384 KB. The speedup is simple cycles over aggressive
+// cycles.
 func Ablation(r *core.Runner) (*report.Table, error) {
-	rows, err := r.AblateScatter(workloads.All())
+	simple := paperMachine(r)
+	simple.Timing.AggressiveScatter = false
+	aggressive := simple
+	aggressive.Timing.AggressiveScatter = true
+	total := config.BaselineTotalBytes >> 10
+	res, err := execute(r, api.CompareRequest{
+		Name: "ablation",
+		Machines: []api.CompareMachine{
+			{Name: "simple", Machine: simple, AllocTotalKB: total},
+			{Name: "aggressive", Machine: aggressive, AllocTotalKB: total},
+		},
+		Workloads: []string{"all"},
+	})
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		"Ablation (§4.2): aggressive multi-bank scatter/gather vs simple unified design",
 		"benchmark", "speedup", "conflict cycles (simple)", "conflict cycles (aggressive)")
-	for _, row := range rows {
-		t.AddRow(row.Benchmark, fmt.Sprintf("%.4f", row.Speedup),
-			fmt.Sprint(row.ConflictCyclesSimple), fmt.Sprint(row.ConflictCyclesAggressive))
+	for w, wl := range res.Campaign.Workloads {
+		simple, agg := res.Outcomes[0][w], res.Outcomes[1][w]
+		if simple.Infeasible || agg.Infeasible {
+			t.AddRow(wl.Label, "infeasible", "-", "-")
+			continue
+		}
+		t.AddRow(wl.Label, fmt.Sprintf("%.4f", float64(simple.Cycles)/float64(agg.Cycles)),
+			fmt.Sprint(simple.ConflictCycles), fmt.Sprint(agg.ConflictCycles))
 	}
 	return t, nil
 }

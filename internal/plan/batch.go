@@ -80,7 +80,7 @@ func (g *warmGroup) prefix(timeout time.Duration) (*core.Warm, error) {
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		g.warm, g.err = r.Warm(ctx, g.seed.spec(), g.cycles)
+		g.warm, g.err = r.Warm(ctx, g.seed.Spec(), g.cycles)
 	})
 	return g.warm, g.err
 }
@@ -170,7 +170,7 @@ func (rs *Runners) Runner(r *Run) *core.Runner {
 // direct path only: ResolveBatch never puts a probed run in a group.
 func (rs *Runners) Simulate(ctx context.Context, r *Run, opts ...core.RunOption) (*core.Result, error) {
 	if r.warm == nil {
-		return rs.Runner(r).RunCtx(ctx, r.spec(), opts...)
+		return rs.Runner(r).RunCtx(ctx, r.Spec(), opts...)
 	}
 	warm, err := r.warm.prefix(rs.WarmTimeout)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package plan decides what gets simulated for an api.RunRequest, and
 // under which key. It is the one implementation every front end shares:
-// smserve's endpoints and job engine, campaign.Execute (cmd/compare),
-// cmd/sweep and cmd/smsim all turn requests into core runs here, so a
-// request means the same simulation — the same configuration, the same
-// calibrating core.Runner, the same cache key — whichever way it
-// arrives. That is what makes local and job-API output byte-identical.
+// smserve's endpoints and job engine, campaign.Execute (cmd/compare and
+// the harness comparison experiments), cmd/sweep and cmd/smsim all turn
+// requests into core runs here, so a request means the same simulation —
+// the same configuration, the same calibrating parameters, the same
+// cache key — whichever way it arrives. That is what makes local and
+// job-API output byte-identical.
 //
 // The package has five parts:
 //
@@ -15,7 +16,7 @@
 //     warm_cycles.
 //   - ExpandSweep turns a sweep into the equivalent batch.
 //   - Runners memoizes one core.Runner per (timing, energy) parameter
-//     set and simulates resolved runs on them.
+//     set, keyed by RunnerKey, and simulates resolved runs on them.
 //   - Flags maps the command-line flags smsim and smprof share to a
 //     request.
 package plan
@@ -106,8 +107,8 @@ func (r *Run) Label() string {
 	return strings.Join(names, "+")
 }
 
-// spec returns the core run specification.
-func (r *Run) spec() core.RunSpec {
+// Spec returns the core run specification.
+func (r *Run) Spec() core.RunSpec {
 	streams := make([]core.StreamSpec, len(r.Streams))
 	for i, st := range r.Streams {
 		streams[i] = core.StreamSpec{Kernel: st.Kernel, RegsPerThread: st.Regs, Seed: st.Seed}
@@ -215,18 +216,25 @@ func Resolve(req api.RunRequest) (*Run, error) {
 		return nil, err
 	}
 	r.Key = Key(ck)
-	// The runner depends only on the (timing, energy) half of the
-	// machine; zero the configuration half so runs under different
-	// capacities share one Runner and its baseline calibrations.
-	rk := r.canon
-	rk.Design, rk.RFKB, rk.SharedKB, rk.CacheKB, rk.MaxThreads = "", 0, 0, 0, 0
-	rkb, err := json.Marshal(rk)
-	if err != nil {
-		return nil, err
-	}
-	r.runnerKey = string(rkb)
+	r.runnerKey = RunnerKey(params, eparams)
 	return r, nil
 }
+
+// RunnerKey is the canonical form of a (timing, energy) parameter set:
+// the machine description with its configuration half zeroed, so runs
+// under different capacities share one Runner and its baseline
+// calibrations. Spellings of the same parameters share a key (the zero
+// scheduler policy and "twolevel", for example).
+func RunnerKey(p sm.Params, e energy.Params) string {
+	d := machine.Describe(config.MemConfig{}, p, e)
+	d.Design = ""
+	b, _ := json.Marshal(d) // a Description always marshals
+	return string(b)
+}
+
+// RunnerKey is the canonical form of the run's timing and energy
+// parameters (the package-level RunnerKey of them).
+func (r *Run) RunnerKey() string { return r.runnerKey }
 
 // Kernel looks up a registry kernel; a needle request with a blocking
 // factor builds that variant.

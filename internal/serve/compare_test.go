@@ -9,6 +9,7 @@ import (
 
 	"repro/api"
 	"repro/internal/campaign"
+	"repro/internal/core"
 )
 
 const compareBody = `{
@@ -74,7 +75,7 @@ func TestJobCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := c.Execute()
+	local, err := c.Execute(core.NewRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
