@@ -241,3 +241,72 @@ func TestExecuteReusesRunnerBaselines(t *testing.T) {
 		t.Errorf("campaign made %d trace-cache lookups, want %d (one grid per unified cell, none for baseline cells)", got, want)
 	}
 }
+
+// execFile loads a committed example campaign and executes it on a fresh
+// Runner.
+func execFile(name string) (*Result, error) {
+	c, err := Load(filepath.Join("..", "..", "examples", "campaigns", name))
+	if err != nil {
+		return nil, err
+	}
+	return c.Execute(core.NewRunner())
+}
+
+// machineIndex returns the index of the named campaign machine.
+func machineIndex(t *testing.T, c *Campaign, name string) int {
+	t.Helper()
+	for i, m := range c.Spec.Machines {
+		if m.Name == name {
+			return i
+		}
+	}
+	t.Fatalf("campaign %s has no machine %q", c.Spec.Name, name)
+	return -1
+}
+
+// TestWritePolicyCampaign checks examples/campaigns/write-policy.json, the
+// Section 4.3/4.4 ablation: for these write-once streaming workloads a
+// write-back cache buys little or nothing over the paper's
+// write-through design. (internal/core's TestWriteBackLeavesDirtyLines
+// checks the flush a write-back design would owe at repartitioning.)
+func TestWritePolicyCampaign(t *testing.T) {
+	res, err := execFile("write-policy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Campaign
+	wt, wb := machineIndex(t, c, "write-through"), machineIndex(t, c, "write-back")
+	for w, wl := range c.Workloads {
+		through, back := res.Outcomes[wt][w], res.Outcomes[wb][w]
+		perf := float64(through.Cycles) / float64(back.Cycles)
+		t.Logf("%-10s perf=%.3f dram=%.3f", wl.Label, perf, float64(back.DRAMBytes)/float64(through.DRAMBytes))
+		if perf > 1.3 {
+			t.Errorf("%s: write-back cannot plausibly be %.2fx faster for write-once streams", wl.Label, perf)
+		}
+	}
+}
+
+// TestActiveSetCampaign checks examples/campaigns/active-set.json: the
+// two-level scheduler's active set of 8 warps (the prior work's choice)
+// performs within a few percent of a flat 32-warp scheduler. The active
+// set restricts issue candidates, not residency, so 8 suffices once
+// long-latency waiters are swapped out.
+func TestActiveSetCampaign(t *testing.T) {
+	res, err := execFile("active-set.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := res.Campaign
+	sizes := []string{"active-4", "active-8", "active-16", "active-32"}
+	for w, wl := range c.Workloads {
+		cycles := make([]int64, len(sizes))
+		for i, name := range sizes {
+			cycles[i] = res.Outcomes[machineIndex(t, c, name)][w].Cycles
+		}
+		t.Logf("%-10s active=4:%d 8:%d 16:%d 32:%d", wl.Label, cycles[0], cycles[1], cycles[2], cycles[3])
+		if c8, c32 := float64(cycles[1]), float64(cycles[3]); c8 > 1.10*c32 {
+			t.Errorf("%s: 8 active warps loses %.1f%% to a flat scheduler — the two-level design should be near-free",
+				wl.Label, 100*(c8/c32-1))
+		}
+	}
+}

@@ -19,21 +19,15 @@ import (
 // one machine against the partitioned baseline — which run as
 // internal/campaign campaigns on a core.Runner.
 
-// execFile loads a committed example campaign and executes it on a fresh
-// Runner.
-func execFile(name string) (*campaign.Result, error) {
-	c, err := campaign.Load(filepath.Join("..", "..", "examples", "campaigns", name))
+// paperDesigns executes the committed paper-designs campaign (the
+// Figure 7/9/10 designs over the whole registry) on a fresh Runner once
+// per test binary; the figure shape tests share it.
+var paperDesigns = sync.OnceValues(func() (*campaign.Result, error) {
+	c, err := campaign.Load(filepath.Join("..", "..", "examples", "campaigns", "paper-designs.json"))
 	if err != nil {
 		return nil, err
 	}
 	return c.Execute(core.NewRunner())
-}
-
-// paperDesigns executes the committed paper-designs campaign (the
-// Figure 7/9/10 designs over the whole registry) once per test binary;
-// the figure shape tests share it.
-var paperDesigns = sync.OnceValues(func() (*campaign.Result, error) {
-	return execFile("paper-designs.json")
 })
 
 // machineIndex returns the index of the named campaign machine.
@@ -288,11 +282,11 @@ func TestSeedRobustness(t *testing.T) {
 	}
 }
 
-// TestAblateScatter checks the Section 4.2 ablation: the aggressive
+// TestScatterAblation checks the Section 4.2 ablation: the aggressive
 // multi-bank-per-cluster design never loses, never adds conflict
 // serialization, and its average gain is small (the paper: 0.5%), which
 // justified shipping the simple design.
-func TestAblateScatter(t *testing.T) {
+func TestScatterAblation(t *testing.T) {
 	spec := api.CompareRequest{
 		Name: "scatter",
 		Machines: []api.CompareMachine{
@@ -330,52 +324,5 @@ func TestAblateScatter(t *testing.T) {
 	// helps: its conflicts must drop.
 	if res.Outcomes[1][0].ConflictCycles >= res.Outcomes[0][0].ConflictCycles {
 		t.Error("needle: aggressive design should reduce its diagonal-scatter conflicts")
-	}
-}
-
-// TestAblateWritePolicy checks examples/campaigns/write-policy.json, the
-// Section 4.3/4.4 ablation: for these write-once streaming workloads a
-// write-back cache buys little or nothing over the paper's
-// write-through design. (TestWriteBackLeavesDirtyLines checks the flush
-// a write-back design would owe at repartitioning.)
-func TestAblateWritePolicy(t *testing.T) {
-	res, err := execFile("write-policy.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Campaign
-	wt, wb := machineIndex(t, c, "write-through"), machineIndex(t, c, "write-back")
-	for w, wl := range c.Workloads {
-		through, back := res.Outcomes[wt][w], res.Outcomes[wb][w]
-		perf := float64(through.Cycles) / float64(back.Cycles)
-		t.Logf("%-10s perf=%.3f dram=%.3f", wl.Label, perf, float64(back.DRAMBytes)/float64(through.DRAMBytes))
-		if perf > 1.3 {
-			t.Errorf("%s: write-back cannot plausibly be %.2fx faster for write-once streams", wl.Label, perf)
-		}
-	}
-}
-
-// TestAblateScheduler checks examples/campaigns/active-set.json: the
-// two-level scheduler's active set of 8 warps (the prior work's choice)
-// performs within a few percent of a flat 32-warp scheduler. The active
-// set restricts issue candidates, not residency, so 8 suffices once
-// long-latency waiters are swapped out.
-func TestAblateScheduler(t *testing.T) {
-	res, err := execFile("active-set.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Campaign
-	sizes := []string{"active-4", "active-8", "active-16", "active-32"}
-	for w, wl := range c.Workloads {
-		cycles := make([]int64, len(sizes))
-		for i, name := range sizes {
-			cycles[i] = res.Outcomes[machineIndex(t, c, name)][w].Cycles
-		}
-		t.Logf("%-10s active=4:%d 8:%d 16:%d 32:%d", wl.Label, cycles[0], cycles[1], cycles[2], cycles[3])
-		if c8, c32 := float64(cycles[1]), float64(cycles[3]); c8 > 1.10*c32 {
-			t.Errorf("%s: 8 active warps loses %.1f%% to a flat scheduler — the two-level design should be near-free",
-				wl.Label, 100*(c8/c32-1))
-		}
 	}
 }

@@ -88,8 +88,8 @@ func TestValidateMethodology(t *testing.T) {
 // TestWriteBackLeavesDirtyLines checks the write-policy ablation's
 // repartitioning argument (§4.3/4.4): the write-through design the paper
 // chose owes no flush when the unified memory is repartitioned, while a
-// write-back design leaves modified lines behind. TestAblateWritePolicy
-// checks the cycles of the two policies.
+// write-back design leaves modified lines behind. internal/campaign's
+// TestWritePolicyCampaign checks the cycles of the two policies.
 func TestWriteBackLeavesDirtyLines(t *testing.T) {
 	wt := NewRunner()
 	wb := NewRunner()
