@@ -242,6 +242,39 @@ func TestExecuteReusesRunnerBaselines(t *testing.T) {
 	}
 }
 
+// TestEnergyIndependentOfRunnerSeed: a cell calibrates its energy on
+// the baseline run under its own seed, not under the seed of the Runner
+// that executes it. One seed-7 cell (bfs under alloc_total_kb 384) must
+// report bit-equal energy on a seed-1 Runner and on a seed-7 Runner.
+func TestEnergyIndependentOfRunnerSeed(t *testing.T) {
+	spec := api.CompareRequest{
+		Name:      "seed",
+		Machines:  []api.CompareMachine{{Name: "uni", AllocTotalKB: 384}},
+		Workloads: []string{"bfs"},
+		Seed:      7,
+	}
+	c, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]Outcome
+	for i, seed := range []uint64{1, 7} {
+		r := core.NewRunner()
+		r.Seed = seed
+		res, err := c.Execute(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = res.Outcomes[0][0]
+	}
+	if got[0].Cycles != got[1].Cycles {
+		t.Fatalf("cycles differ between Runners: seed 1 %d, seed 7 %d", got[0].Cycles, got[1].Cycles)
+	}
+	if got[0].EnergyJ != got[1].EnergyJ {
+		t.Errorf("energy on a seed-1 Runner %v J, on a seed-7 Runner %v J", got[0].EnergyJ, got[1].EnergyJ)
+	}
+}
+
 // execFile loads a committed example campaign and executes it on a fresh
 // Runner.
 func execFile(name string) (*Result, error) {

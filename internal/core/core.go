@@ -121,8 +121,9 @@ func WithProbe(p *probe.Probe) RunOption {
 // A Runner is safe for concurrent use: the experiment drivers fan their
 // independent (kernel, config) runs out through internal/parallel, and the
 // only shared mutable state — the baseline cache — is computed at most
-// once per kernel regardless of how many goroutines ask for it. Params,
-// Energy, and Seed must not be modified once runs are in flight.
+// once per kernel and seed regardless of how many goroutines ask for
+// it. Params, Energy, and Seed must not be modified once runs are in
+// flight.
 type Runner struct {
 	// Params are the SM timing parameters (Table 2).
 	Params sm.Params
@@ -137,10 +138,12 @@ type Runner struct {
 
 // baselineKey identifies a kernel's baseline run. Kernel variants share
 // a name (every needle blocking factor is "needle"), so the blocking
-// factor is part of the key.
+// factor is part of the key, and so is the workload seed the run
+// calibrates.
 type baselineKey struct {
 	name string
 	bf   int
+	seed uint64
 }
 
 // baselineEntry computes one kernel's baseline run exactly once.
@@ -217,7 +220,7 @@ func (r *Runner) finishResult(p *prepared, counters *stats.Counters, perStream [
 	res := &Result{Spec: p.spec, Occupancy: jointOccupancy(p.occs), Counters: counters}
 	cfg := p.spec.Config
 	if len(p.streams) == 1 {
-		other, err := r.calibratedOther(p.streams[0].Kernel, cfg, counters)
+		other, err := r.calibratedOther(p.streams[0], cfg, counters)
 		if err != nil {
 			return nil, err
 		}
@@ -310,11 +313,17 @@ func (p *prepared) smSpec(params sm.Params, pr *probe.Probe) sm.Spec {
 }
 
 // Baseline returns (and caches) the kernel's run under the baseline
-// partitioned 256/64/64 configuration — the normalization point for every
-// comparative result in the paper. Concurrent callers share a single
-// computation per kernel (name and blocking factor).
+// partitioned 256/64/64 configuration and the Runner's seed — the
+// normalization point for every comparative result in the paper.
+// Concurrent callers share a single computation per kernel (name and
+// blocking factor).
 func (r *Runner) Baseline(k *workloads.Kernel) (*Result, error) {
-	key := baselineKey{k.Name, k.BF}
+	return r.baseline(k, r.Seed)
+}
+
+// baseline is Baseline under the given workload seed, cached per seed.
+func (r *Runner) baseline(k *workloads.Kernel, seed uint64) (*Result, error) {
+	key := baselineKey{k.Name, k.BF, seed}
 	r.mu.Lock()
 	e, ok := r.baselines[key]
 	if !ok {
@@ -323,7 +332,7 @@ func (r *Runner) Baseline(k *workloads.Kernel) (*Result, error) {
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = r.Run(RunSpec{Kernel: k, Config: config.Baseline()})
+		e.res, e.err = r.Run(RunSpec{Kernel: k, Config: config.Baseline(), Seed: seed})
 		if e.err != nil {
 			e.err = fmt.Errorf("core: baseline for %s: %w", k.Name, e.err)
 		}
@@ -332,17 +341,19 @@ func (r *Runner) Baseline(k *workloads.Kernel) (*Result, error) {
 }
 
 // calibratedOther returns the benchmark's constant non-bank SM dynamic
-// power (watts), calibrated on the baseline run (Section 5.2). A run under
+// power (watts), calibrated on the baseline run of the stream's kernel
+// under the stream's own seed (Section 5.2), so a run's energy does not
+// depend on the seed of the Runner that executes it. A run under
 // the baseline configuration always self-calibrates on its own counters:
 // the simulator is deterministic, so those counters equal the cached
 // baseline's, and depending only on the spec (never on cache state) keeps
 // results identical whatever order concurrent runs complete in. It also
 // avoids re-entering Baseline from within the baseline run itself.
-func (r *Runner) calibratedOther(k *workloads.Kernel, cfg config.MemConfig, c *stats.Counters) (float64, error) {
+func (r *Runner) calibratedOther(st StreamSpec, cfg config.MemConfig, c *stats.Counters) (float64, error) {
 	if cfg == config.Baseline() {
 		return r.Energy.CalibrateOther(cfg, c), nil
 	}
-	base, err := r.Baseline(k)
+	base, err := r.baseline(st.Kernel, st.Seed)
 	if err != nil {
 		return 0, err
 	}

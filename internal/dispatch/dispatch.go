@@ -37,7 +37,9 @@ import (
 // and a footprint only on the address vector, so a source may memoize
 // them (internal/workloads does; internal/trace computes them per
 // request). Every returned value may be shared and must be treated as
-// immutable; tables are index-aligned with the warp's WarpCode.
+// immutable. Outcome tables are index-aligned with the warp's WarpCode;
+// footprint tables hold only the global-memory instructions, indexed by
+// their ordinal in its program (isa.Program.Global).
 type TraceSource interface {
 	// Grid returns the total number of CTAs and the warps per CTA.
 	Grid() (ctas, warpsPerCTA int)
@@ -49,8 +51,8 @@ type TraceSource interface {
 	// warp's instructions under one bank-model variant (nil for a design
 	// outside the config.Design enum, which the SM refuses).
 	WarpOutcomes(cta, warp int, design config.Design, aggressive bool) []banks.Outcome
-	// WarpFootprints returns the global-memory footprint of each of the
-	// warp's instructions.
+	// WarpFootprints returns the footprint of each of the warp's
+	// global-memory instructions.
 	WarpFootprints(cta, warp int) *memsys.Footprints
 }
 
@@ -84,9 +86,10 @@ type Warp struct {
 	Code isa.WarpCode
 	// Outcomes holds the bank-conflict outcome of each instruction
 	// under the dispatcher's bank-model variant, and Footprints each
-	// instruction's global-memory footprint; both are attached at
-	// launch from the trace source, and the timing core replays them
-	// on every issue, probed runs included.
+	// global-memory instruction's footprint, at its ordinal
+	// (Code.Prog.Global); both are attached at launch from the trace
+	// source, and the timing core replays them on every issue, probed
+	// runs included.
 	Outcomes   []banks.Outcome
 	Footprints *memsys.Footprints
 	PC         int

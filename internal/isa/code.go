@@ -63,15 +63,22 @@ func (r AddrRef) slot() int   { return int(r >> pairBits) }
 func (r AddrRef) pair() uint8 { return uint8(r & (1<<pairBits - 1)) }
 
 // Program is a warp's instruction stream without its addresses: the hot
-// records, and for each instruction with addresses the index of its
-// reference in a warp's Operands. Warps whose streams differ only in
-// their addresses share one Program. It is immutable once built.
+// records, for each instruction with addresses the index of its
+// reference in a warp's Operands, and for each global-memory
+// instruction its ordinal among them, which indexes a warp's footprint
+// table (memsys.Footprints). Warps whose streams differ only in their
+// addresses share one Program. It is immutable once built.
 type Program struct {
 	Insts []Inst
 	// ref[i] indexes Operands.Refs for instruction i when it has
 	// addresses: the number of such instructions before it. It is nil
 	// when no instruction has addresses.
 	ref []uint32
+	// global[i] is the number of global-memory instructions (Op.IsGlobal)
+	// before instruction i, and globals their total. global is nil when
+	// there are none.
+	global  []uint32
+	globals int
 }
 
 // NewProgram returns the program of insts, in an exact-size copy.
@@ -87,12 +94,28 @@ func NewProgram(insts []Inst) *Program {
 			p.ref[i] = n
 			n++
 		}
+		if insts[i].Op.IsGlobal() {
+			if p.global == nil {
+				p.global = make([]uint32, len(insts))
+			}
+			p.global[i] = uint32(p.globals)
+			p.globals++
+		}
 	}
 	return p
 }
 
+// Global returns the ordinal of global-memory instruction i among the
+// program's global-memory instructions.
+func (p *Program) Global(i int) int { return int(p.global[i]) }
+
+// Globals returns the number of global-memory instructions.
+func (p *Program) Globals() int { return p.globals }
+
 // Bytes returns the program's resident size.
-func (p *Program) Bytes() int64 { return int64(len(p.Insts))*16 + int64(len(p.ref))*4 }
+func (p *Program) Bytes() int64 {
+	return int64(len(p.Insts))*16 + int64(len(p.ref))*4 + int64(len(p.global))*4
+}
 
 // Operands is one warp's operand table: the arena of its distinct
 // address vectors (see Packer), and one reference into it per

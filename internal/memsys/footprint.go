@@ -16,8 +16,8 @@ import (
 // count), and lane 0's address, where whole-warp DRAM transactions are
 // booked. It is a pure function of the instruction's mask and address
 // vector — the line size is fixed — so the trace cache memoizes one per
-// instruction (see Footprints) and the timing core never rescans the
-// address vector.
+// global-memory instruction (see Footprints) and the timing core never
+// rescans the address vector.
 //
 // The words are [distinct | active<<8, lane-0 address, line<<4 | sectors,
 // ...]: a line number is an address over 128, so it fits in 25 bits, and
@@ -130,13 +130,16 @@ func appendRunFootprint(dst []uint32, mask, base, stride uint32) []uint32 {
 	return dst
 }
 
-// Footprints is one warp's memoized footprint table, index-aligned with
-// its trace: a single allocation holding each instruction's offset into
-// an arena of footprint words, then the arena. Instructions that are not
-// global-memory accesses have empty footprints. The table is immutable
-// once built and safe to share across concurrently simulated SMs.
+// Footprints is one warp's memoized footprint table, indexed by
+// global-memory ordinal (isa.Program.Global): a single allocation
+// holding each global-memory instruction's offset into an arena of
+// footprint words, an end offset, then the arena. Other instructions
+// have no entry, and a global-memory instruction without addresses has
+// an empty footprint. The table is immutable once built and safe to
+// share across concurrently simulated SMs.
 type Footprints struct {
-	// off[i]..off[i+1] spans instruction i's words in arena.
+	// off[g]..off[g+1] spans global-memory instruction g's words in
+	// arena.
 	off   []uint32
 	arena []uint32
 }
@@ -145,20 +148,29 @@ type Footprints struct {
 // so a table costs one exact-size allocation.
 var footprintScratch = sync.Pool{New: func() any { return new([]uint32) }}
 
-// NewFootprints builds the footprint table of a warp trace.
-func NewFootprints(insts []isa.WarpInst) *Footprints {
+// NewFootprints builds the footprint table of a warp trace, decoding
+// only its global-memory instructions.
+func NewFootprints(code isa.WarpCode) *Footprints {
 	bp := footprintScratch.Get().(*[]uint32)
-	n := len(insts) + 1
+	n := code.Prog.Globals() + 1
 	// The offsets come first and the arena follows, as in the table's
 	// single allocation; offsets count from the arena's start.
 	buf := append((*bp)[:0], make([]uint32, n)...)
-	for i := range insts {
-		buf[i] = uint32(len(buf) - n)
-		if insts[i].Op.IsGlobal() && insts[i].HasAddrs() {
-			buf = appendFootprint(buf, &insts[i])
+	var wi isa.WarpInst
+	g := 0
+	for i := range code.Prog.Insts {
+		in := &code.Prog.Insts[i]
+		if !in.Op.IsGlobal() {
+			continue
+		}
+		buf[g] = uint32(len(buf) - n)
+		g++
+		if in.HasAddrs() {
+			code.Decode(i, &wi)
+			buf = appendFootprint(buf, &wi)
 		}
 	}
-	buf[len(insts)] = uint32(len(buf) - n)
+	buf[g] = uint32(len(buf) - n)
 	words := make([]uint32, len(buf))
 	copy(words, buf)
 	*bp = buf
@@ -166,9 +178,9 @@ func NewFootprints(insts []isa.WarpInst) *Footprints {
 	return &Footprints{off: words[:n], arena: words[n:]}
 }
 
-// At returns instruction i's footprint (empty for instructions that do
-// not access global memory).
-func (t *Footprints) At(i int) Footprint { return t.arena[t.off[i]:t.off[i+1]] }
+// At returns the footprint of global-memory instruction g, counted by
+// isa.Program.Global.
+func (t *Footprints) At(g int) Footprint { return t.arena[t.off[g]:t.off[g+1]] }
 
 // Bytes returns the table's resident size, for the trace cache's budget.
 func (t *Footprints) Bytes() int64 { return int64(len(t.off)+len(t.arena)) * 4 }

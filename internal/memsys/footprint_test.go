@@ -3,6 +3,7 @@ package memsys
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -65,10 +66,53 @@ func randomGlobal(r *rand.Rand) isa.WarpInst {
 	return wi
 }
 
+// referenceFootprints is the per-instruction table the indexed one is
+// checked against: every instruction of a flat trace gets its own
+// footprint, empty unless it is a global-memory access with addresses.
+func referenceFootprints(flat []isa.WarpInst) []Footprint {
+	ref := make([]Footprint, len(flat))
+	for i := range flat {
+		if flat[i].Op.IsGlobal() && flat[i].HasAddrs() {
+			ref[i] = appendFootprint(nil, &flat[i])
+		}
+	}
+	return ref
+}
+
+// checkTable requires table, built from the split form of flat, to hold
+// the reference footprint of each global-memory instruction at its
+// ordinal, and an entry for nothing else: the offsets number the
+// global-memory instructions plus one.
+func checkTable(t testing.TB, table *Footprints, code isa.WarpCode, flat []isa.WarpInst) {
+	t.Helper()
+	ref := referenceFootprints(flat)
+	globals, words := 0, 0
+	for i := range flat {
+		if !flat[i].Op.IsGlobal() {
+			continue
+		}
+		if g := code.Prog.Global(i); g != globals {
+			t.Fatalf("inst %d (%v): ordinal %d, want %d", i, flat[i].Op, g, globals)
+		}
+		if got := table.At(globals); !slices.Equal(got, ref[i]) {
+			t.Fatalf("inst %d (%v): footprint %v, want %v", i, flat[i].Op, got, ref[i])
+		}
+		globals++
+		words += len(ref[i])
+	}
+	if code.Prog.Globals() != globals || len(table.off) != globals+1 {
+		t.Fatalf("%d offsets, program counts %d globals; want %d globals", len(table.off), code.Prog.Globals(), globals)
+	}
+	if want := int64(4 * (globals + 1 + words)); table.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want %d", table.Bytes(), want)
+	}
+}
+
 // TestFootprintMatchesNaive checks the packed encoding — lines, sectors,
 // distinct addresses, active threads, lane-0 address — against the
 // naive reference on random instructions, and that a table built from a
-// trace returns each instruction's own footprint.
+// trace returns each global-memory instruction's own footprint at its
+// ordinal.
 func TestFootprintMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	insts := make([]isa.WarpInst, 0, 600)
@@ -78,17 +122,16 @@ func TestFootprintMatchesNaive(t *testing.T) {
 			insts = append(insts, isa.WarpInst{Op: isa.OpALU, Mask: isa.FullMask})
 		}
 	}
-	table := NewFootprints(insts)
+	code := isa.Split(insts)
+	table := NewFootprints(code)
+	checkTable(t, table, code, insts)
 	m := New(Config{}, nil, nil)
 	for i := range insts {
 		wi := &insts[i]
-		got := table.At(i)
 		if !wi.Op.IsGlobal() {
-			if len(got) != 0 {
-				t.Fatalf("inst %d (%v): footprint %v, want empty", i, wi.Op, got)
-			}
 			continue
 		}
+		got := table.At(code.Prog.Global(i))
 		if scratch := m.Footprint(wi); !reflect.DeepEqual(got, scratch) {
 			t.Fatalf("inst %d: table %v, computed %v", i, got, scratch)
 		}
@@ -105,44 +148,85 @@ func TestFootprintMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFootprintPairFormMatchesVector computes the footprints of affine
-// instructions twice, once with each vector in full form and once
-// packed by an isa.Packer into (base, stride) pairs, and requires the
-// same words. Strides are 0, 4, 128, wrapping "negative" ones and random
-// ones; half the bases sit just below 2^32, so lanes wrap through zero.
+// TestFootprintPairFormMatchesVector builds the footprint table of
+// affine instructions from their split form, where isa.Split packs
+// every vector into a (base, stride) pair, and requires the words the
+// full vectors give. Strides are 0, 4, 128, wrapping "negative" ones
+// and random ones; half the bases sit just below 2^32, so lanes wrap
+// through zero.
 func TestFootprintPairFormMatchesVector(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
-	strides := []uint32{0, 4, 128, ^uint32(3), ^uint32(127)} // ^3 is -4
 	full := make([]isa.WarpInst, 400)
-	slots := make([]int32, len(full))
-	var p isa.Packer
 	for i := range full {
-		base, stride := r.Uint32(), r.Uint32()
-		if i%2 == 0 {
-			base = ^uint32(0) - r.Uint32N(512)
-		}
-		if k := r.IntN(len(strides) + 1); k < len(strides) {
-			stride = strides[k]
-		}
-		var av isa.AddrVec
-		for l := range av {
-			av[l] = base + uint32(l)*stride
-		}
 		full[i] = randomGlobal(r)
+		av := affineVec(r, r.Uint32(), r.Uint32())
+		if i%2 == 0 {
+			av = affineVec(r, ^uint32(0)-r.Uint32N(512), r.Uint32())
+		}
 		full[i].SetAddrs(&av)
-		slots[i] = p.Add(&av)
 	}
-	pair := append([]isa.WarpInst(nil), full...)
-	p.Pack(pair, slots)
-	want, got := NewFootprints(full), NewFootprints(pair)
+	code := isa.Split(full)
+	var wi isa.WarpInst
 	for i := range full {
-		if _, _, vec := pair[i].AddrForm(); vec != nil {
+		code.Decode(i, &wi)
+		if _, _, vec := wi.AddrForm(); vec != nil {
 			t.Fatalf("inst %d: an affine vector kept its full form", i)
 		}
-		if !reflect.DeepEqual(got.At(i), want.At(i)) {
-			t.Fatalf("inst %d: pair form %v, full form %v", i, got.At(i), want.At(i))
-		}
 	}
+	checkTable(t, NewFootprints(code), code, full)
+}
+
+// affineVec returns the vector base + lane*stride, its stride replaced
+// by 0, 4, 128 or a wrapping "negative" one four times in five.
+func affineVec(r *rand.Rand, base, stride uint32) isa.AddrVec {
+	strides := []uint32{0, 4, 128, ^uint32(3), ^uint32(127)} // ^3 is -4
+	if k := r.IntN(len(strides) + 1); k < len(strides) {
+		stride = strides[k]
+	}
+	var av isa.AddrVec
+	for l := range av {
+		av[l] = base + uint32(l)*stride
+	}
+	return av
+}
+
+// FuzzFootprints builds the footprint table of random split code — ALU,
+// LDS, STS, LDG, STG and TEX instructions with random masks, affine
+// vectors (wrapping and zero strides included), irregular ones, and
+// some global-memory instructions without addresses — and requires the
+// reference footprint of every global-memory instruction at its ordinal,
+// and no entry for any other instruction.
+func FuzzFootprints(f *testing.F) {
+	f.Add(uint64(1), uint8(40))
+	f.Add(uint64(2), uint8(1))
+	f.Add(uint64(3), uint8(200))
+	ops := []isa.Op{isa.OpALU, isa.OpLDS, isa.OpSTS, isa.OpLDG, isa.OpSTG, isa.OpTEX}
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8) {
+		r := rand.New(rand.NewPCG(seed, 5))
+		flat := make([]isa.WarpInst, int(size))
+		for i := range flat {
+			flat[i] = isa.WarpInst{Op: ops[r.IntN(len(ops))], Mask: r.Uint32()}
+			if r.IntN(4) == 0 {
+				flat[i].Mask = isa.FullMask
+			}
+			if flat[i].Op == isa.OpALU || r.IntN(8) == 0 {
+				continue
+			}
+			var av isa.AddrVec
+			switch r.IntN(3) {
+			case 0:
+				av = affineVec(r, r.Uint32(), r.Uint32())
+			case 1:
+				av = affineVec(r, ^uint32(0)-r.Uint32N(512), r.Uint32())
+			default:
+				irregular := randomGlobal(r)
+				av = irregular.Addrs()
+			}
+			flat[i].SetAddrs(&av)
+		}
+		code := isa.Split(flat)
+		checkTable(t, NewFootprints(code), code, flat)
+	})
 }
 
 // TestFootprintExtremes covers the encoding's bounds: the highest line

@@ -577,16 +577,16 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 		c.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
 		var accs []memsys.Access
-		complete, accs = s.mem.LoadFootprint(w.Footprints.At(w.PC), s.cycle, extra)
+		complete, accs = s.mem.LoadFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle, extra)
 		if s.prof != nil {
 			for i := range accs {
 				s.prof.MemAccess(&accs[i])
 			}
 		}
 	case isa.OpSTG:
-		s.mem.StoreFootprint(w.Footprints.At(w.PC), s.cycle, extra)
+		s.mem.StoreFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle, extra)
 	case isa.OpTEX:
-		complete = s.mem.TexFootprint(w.Footprints.At(w.PC), s.cycle)
+		complete = s.mem.TexFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle)
 		return sched.IssuedGone

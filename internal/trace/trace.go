@@ -67,9 +67,9 @@ func (t *Trace) WarpOutcomes(cta, warp int, design config.Design, aggressive boo
 }
 
 // WarpFootprints implements sm.TraceSource: the global-memory
-// footprints of the warp's instructions.
+// footprints of the warp's global-memory instructions.
 func (t *Trace) WarpFootprints(cta, warp int) *memsys.Footprints {
-	return memsys.NewFootprints(t.WarpTrace(cta, warp))
+	return memsys.NewFootprints(t.WarpCode(cta, warp))
 }
 
 // Instructions returns the total dynamic warp-instruction count.

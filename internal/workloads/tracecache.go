@@ -44,7 +44,13 @@
 // masks and its distinct-address count). They depend only on the address
 // vector and the fixed line size, so one table per warp serves every
 // design and variant, probed runs included, and no issue rescans an
-// address vector.
+// address vector. Outcome tables are index-aligned with the warp's
+// program, one entry per instruction; a footprint table has an entry
+// only per global-memory instruction, indexed by its ordinal among them
+// (isa.Program.Global, which the family's warps share like the rest of
+// the program), since only LDG/STG/TEX have footprints (about one
+// instruction in seven in a paper-suite pass). The builder decodes only
+// those instructions from the split trace.
 //
 // The memoized tables hold only what they need: kgen hands each trace
 // over in split form (its growable build buffers are pooled, not kept),
@@ -55,9 +61,11 @@
 // packs into three bytes, and a footprint table is one exact-size
 // allocation, so the resident set is the tables themselves, with no
 // append slack and no vector repeated within a warp. The cache charges
-// a program 16 bytes per record plus 4 per instruction for its
-// reference index once, each warp 4 bytes per reference and 128 per
-// arena slot, and each distinct outcome table 3 bytes per instruction.
+// a program once, 16 bytes per record plus 4 per instruction for each
+// of its reference and global-memory indexes; each warp 4 bytes per
+// reference and 128 per arena slot; each distinct outcome table 3 bytes
+// per instruction; and each warp's footprint table 4 bytes per
+// global-memory instruction, 4 for its end offset, and 4 per arena word.
 //
 // Memory is bounded: the cache tracks an approximate byte footprint and
 // flushes itself entirely when it would exceed the budget (entries are
@@ -170,7 +178,6 @@ var outcomeSeed = maphash.MakeSeed()
 var (
 	instScratch    = sync.Pool{New: func() any { return new([]isa.Inst) }}
 	outcomeScratch = sync.Pool{New: func() any { return new([]banks.Outcome) }}
-	flatScratch    = sync.Pool{New: func() any { return new([]isa.WarpInst) }}
 )
 
 // traceCache is the process-wide cache state. The lookup/build/flush
@@ -366,20 +373,16 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 }
 
 // WarpFootprints returns the memoized global-memory footprints of one
-// warp: per instruction, its distinct lines and sector masks and its
-// distinct-address count. A footprint depends only on the instruction's
-// mask and address vector (the line size is fixed), so one table serves
-// every design, variant and probe setting. The table is shared and
-// immutable; it is index-aligned with WarpCode(cta, warp).
+// warp: per global-memory instruction, its distinct lines and sector
+// masks and its distinct-address count. A footprint depends only on the
+// instruction's mask and address vector (the line size is fixed), so
+// one table serves every design, variant and probe setting. The table
+// is shared and immutable; it is indexed by the global-memory ordinal
+// of WarpCode(cta, warp)'s program (isa.Program.Global).
 func (s *Source) WarpFootprints(cta, warp int) *memsys.Footprints {
 	e := s.entry(cta, warp)
 	e.footprintOnce.Do(func() {
-		bp := flatScratch.Get().(*[]isa.WarpInst)
-		flat := e.code.AppendFlat((*bp)[:0])
-		e.footprints = memsys.NewFootprints(flat)
-		clear(flat) // drop the pointers into the warp's arena
-		*bp = flat
-		flatScratch.Put(bp)
+		e.footprints = memsys.NewFootprints(e.code)
 		charge(e.footprints.Bytes())
 	})
 	return e.footprints

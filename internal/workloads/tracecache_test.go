@@ -3,6 +3,7 @@ package workloads
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -141,9 +142,10 @@ func TestTraceCacheConcurrent(t *testing.T) {
 // TestWarpOutcomesMatchEvaluate is the differential check behind the
 // timing core's fast paths, over every registry kernel: for every
 // bank-model variant, the memoized outcome table must equal a fresh
-// Model's per-instruction evaluation, and every instruction's memoized
-// footprint must equal the lines, sectors and distinct-address count
-// the memory pipeline computes from the instruction itself.
+// Model's per-instruction evaluation, and every global-memory
+// instruction's memoized footprint, read at its ordinal, must equal the
+// lines, sectors and distinct-address count the memory pipeline computes
+// from the instruction itself.
 func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 	ResetTraceCache()
 	m := memsys.New(memsys.Config{}, nil, nil)
@@ -166,16 +168,12 @@ func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 				}
 			}
 		}
-		fps := src.WarpFootprints(0, 0)
+		fps, prog := src.WarpFootprints(0, 0), src.WarpCode(0, 0).Prog
 		for i := range insts {
-			got := fps.At(i)
 			if !insts[i].Op.IsGlobal() {
-				if len(got) != 0 {
-					t.Fatalf("%s inst %d (%v): non-global instruction has footprint %v", k.Name, i, insts[i].Op, got)
-				}
 				continue
 			}
-			want := m.Footprint(&insts[i])
+			got, want := fps.At(prog.Global(i)), m.Footprint(&insts[i])
 			if got.Lines() != want.Lines() || got.Distinct() != want.Distinct() ||
 				got.Active() != want.Active() || got.Addr0() != want.Addr0() {
 				t.Fatalf("%s inst %d: memoized %d lines/%d distinct/%d active/addr0 %#x, computed %d/%d/%d/%#x",
@@ -276,18 +274,22 @@ func TestRunCountsOneLookupPerWarp(t *testing.T) {
 }
 
 // TestTraceCacheChargesDistinctVectors: the bytes charged for a kernel's
-// grid are the resident size of its split traces: each distinct program
-// of the family once (16 bytes per record and 4 per reference index),
-// then per warp 4 bytes per address reference and its address arena, a
-// slot per distinct irregular vector and one per isa.PairsPerSlot
-// distinct affine vectors.
+// grid are the resident size of its tables. Its split traces hold each
+// distinct program of the family once (16 bytes per record, and 4 per
+// record for each of its reference and global-memory indexes), then per
+// warp 4 bytes per address reference and its address arena, a slot per
+// distinct irregular vector and one per isa.PairsPerSlot distinct
+// affine vectors. Once every warp's outcome tables (all six variants)
+// and footprint table are built too, the charge is the sum of the
+// Bytes() of every distinct program and outcome table and of every
+// warp's operand and footprint table.
 func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 	for _, name := range []string{"needle", "bfs"} {
 		ResetTraceCache()
 		src := freshSource(t, name)
 		src.RegsAvail = 12 // add spill code
 		ctas, warps := src.Grid()
-		var want int64
+		var want, tables int64
 		affineTotal := 0
 		progs := make(map[*isa.Program]bool)
 		for c := 0; c < ctas; c++ {
@@ -296,13 +298,20 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 				if !progs[code.Prog] {
 					progs[code.Prog] = true
 					want += int64(code.Len()) * int64(unsafe.Sizeof(isa.Inst{}))
+					hasAddrs, global := false, false
 					for i := range code.Prog.Insts {
-						if code.Prog.Insts[i].HasAddrs() {
-							want += int64(code.Len()) * 4 // the reference index
-							break
-						}
+						hasAddrs = hasAddrs || code.Prog.Insts[i].HasAddrs()
+						global = global || code.Prog.Insts[i].Op.IsGlobal()
 					}
+					if hasAddrs {
+						want += int64(code.Len()) * 4 // the reference index
+					}
+					if global {
+						want += int64(code.Len()) * 4 // the global-memory index
+					}
+					tables += code.Prog.Bytes()
 				}
+				tables += code.Ops.Bytes()
 				insts := code.AppendFlat(nil)
 				irregular := make(map[isa.AddrVec]bool)
 				affine := make(map[[2]uint32]bool)
@@ -326,8 +335,88 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 		if got := TraceCacheBytes(); got != want {
 			t.Errorf("%s: charged %d bytes, the grid's traces hold %d", name, got, want)
 		}
+		if want != tables {
+			t.Errorf("%s: the grid's traces hold %d bytes, their programs and operand tables report %d", name, want, tables)
+		}
 		if affineTotal == 0 {
 			t.Errorf("%s: no affine vectors; the test no longer covers pair slots", name)
+		}
+
+		outcomes := make(map[*banks.Outcome]bool)
+		for c := 0; c < ctas; c++ {
+			for w := 0; w < warps; w++ {
+				for _, design := range []config.Design{config.Partitioned, config.Unified, config.FermiLike} {
+					for _, aggressive := range []bool{false, true} {
+						out := src.WarpOutcomes(c, w, design, aggressive)
+						if !outcomes[&out[0]] {
+							outcomes[&out[0]] = true
+							tables += int64(len(out)) * int64(unsafe.Sizeof(out[0]))
+						}
+					}
+				}
+				tables += src.WarpFootprints(c, w).Bytes()
+			}
+		}
+		if got := TraceCacheBytes(); got != tables {
+			t.Errorf("%s: charged %d bytes, the grid's tables report %d", name, got, tables)
+		}
+	}
+	ResetTraceCache()
+}
+
+// TestFootprintsIndexedByGlobal: a warp's memoized footprint table holds
+// one entry per global-memory instruction, read at the ordinal its
+// program gives it. Each entry equals the footprint a reference
+// per-instruction builder computes from the decoded flat instruction,
+// no other instruction has an entry, and Bytes() is 4 per entry, one end
+// offset and the arena's words.
+func TestFootprintsIndexedByGlobal(t *testing.T) {
+	ResetTraceCache()
+	m := memsys.New(memsys.Config{}, nil, nil)
+	// reference is one footprint per instruction: empty unless it is a
+	// global-memory access with addresses.
+	reference := func(flat []isa.WarpInst) []memsys.Footprint {
+		ref := make([]memsys.Footprint, len(flat))
+		for i := range flat {
+			if flat[i].Op.IsGlobal() && flat[i].HasAddrs() {
+				ref[i] = slices.Clone(m.Footprint(&flat[i]))
+			}
+		}
+		return ref
+	}
+	for _, tc := range []struct {
+		name string
+		regs int
+	}{{"needle", 0}, {"bfs", 12}, {"dgemm", 0}} {
+		src := freshSource(t, tc.name)
+		src.RegsAvail = tc.regs
+		ctas, warps := src.Grid()
+		for c := 0; c < ctas; c++ {
+			for w := 0; w < warps; w++ {
+				code, fps := src.WarpCode(c, w), src.WarpFootprints(c, w)
+				flat := code.AppendFlat(nil)
+				ref := reference(flat)
+				globals, words := 0, 0
+				for i := range flat {
+					if !flat[i].Op.IsGlobal() {
+						continue
+					}
+					if g := code.Prog.Global(i); g != globals {
+						t.Fatalf("%s regs %d warp (%d, %d) inst %d: ordinal %d, want %d", tc.name, tc.regs, c, w, i, g, globals)
+					}
+					if got := fps.At(globals); !slices.Equal(got, ref[i]) {
+						t.Fatalf("%s regs %d warp (%d, %d) inst %d (%v): footprint %v, want %v", tc.name, tc.regs, c, w, i, flat[i].Op, got, ref[i])
+					}
+					globals++
+					words += len(ref[i])
+				}
+				if globals == 0 || code.Prog.Globals() != globals {
+					t.Fatalf("%s regs %d warp (%d, %d): program counts %d global-memory instructions, the trace has %d", tc.name, tc.regs, c, w, code.Prog.Globals(), globals)
+				}
+				if want := int64(4 * (globals + 1 + words)); fps.Bytes() != want {
+					t.Fatalf("%s regs %d warp (%d, %d): Bytes() = %d, want 4 x (%d globals + 1 + %d words) = %d", tc.name, tc.regs, c, w, fps.Bytes(), globals, words, want)
+				}
+			}
 		}
 	}
 	ResetTraceCache()
