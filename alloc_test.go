@@ -7,7 +7,10 @@
 package repro_test
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -42,6 +45,75 @@ func steadySpec(tb testing.TB, name string, maxMSHRs int) sm.Spec {
 		Source:       &workloads.Source{K: k},
 		ResidentCTAs: occ.CTAs,
 	}
+}
+
+// heapAllocs runs f and returns the number of heap allocations the
+// process made meanwhile. Every allocation of the window is sampled
+// (runtime.MemProfileRate is 1 for it), so when the count is not zero
+// the second result lists the stacks that allocated, most first. The
+// memory profile publishes a sample only after a GC cycle completes,
+// so collecting the stacks forces two cycles, after the window. The
+// list can also hold a few stacks of allocations made before the
+// window (since the previous cycle), sampled at the usual rate.
+func heapAllocs(f func()) (uint64, string) {
+	before := allocsByStack()
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
+	f()
+	runtime.ReadMemStats(&end)
+	runtime.MemProfileRate = rate
+	n := end.Mallocs - start.Mallocs
+	if n == 0 {
+		return 0, ""
+	}
+	runtime.GC()
+	runtime.GC()
+	type site struct {
+		stack [32]uintptr
+		n     int64
+	}
+	var sites []site
+	for stack, count := range allocsByStack() {
+		if d := count - before[stack]; d > 0 {
+			sites = append(sites, site{stack, d})
+		}
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i].n > sites[j].n })
+	var b strings.Builder
+	for _, s := range sites {
+		fmt.Fprintf(&b, "%d allocation(s) at:\n", s.n)
+		rec := runtime.StackRecord{Stack0: s.stack}
+		frames := runtime.CallersFrames(rec.Stack())
+		for {
+			fr, more := frames.Next()
+			fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", fr.Function, fr.File, fr.Line)
+			if !more {
+				break
+			}
+		}
+	}
+	return n, b.String()
+}
+
+// allocsByStack returns the memory profile's allocation count per
+// stack.
+func allocsByStack() map[[32]uintptr]int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	var recs []runtime.MemProfileRecord
+	for {
+		recs = make([]runtime.MemProfileRecord, n+16)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	m := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		m[r.Stack0] += r.AllocObjects
+	}
+	return m
 }
 
 // newSteadySM builds a fresh SM from steadySpec.
@@ -82,16 +154,16 @@ func TestForkedCycleLoopAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for !fork.Done() {
-			if err := fork.Step(); err != nil {
-				t.Fatal(err)
+		d, stacks := heapAllocs(func() {
+			for !fork.Done() && err == nil {
+				err = fork.Step()
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d != 0 {
-			t.Errorf("%s: %d heap allocations during a forked cycle loop, want 0", name, d)
+		if d != 0 {
+			t.Errorf("%s: %d heap allocations during a forked cycle loop, want 0; allocating stacks:\n%s", name, d, stacks)
 		}
 	}
 }
@@ -109,16 +181,17 @@ func TestCycleLoopSteadyStateAllocFree(t *testing.T) {
 
 		machine := newSteadySM(t, name, allocMSHRs)
 		machine.Start()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for !machine.Done() {
-			if err := machine.Step(); err != nil {
-				t.Fatal(err)
+		var err error
+		d, stacks := heapAllocs(func() {
+			for !machine.Done() && err == nil {
+				err = machine.Step()
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d != 0 {
-			t.Errorf("%s: %d heap allocations during a warmed cycle loop, want 0", name, d)
+		if d != 0 {
+			t.Errorf("%s: %d heap allocations during a warmed cycle loop, want 0; allocating stacks:\n%s", name, d, stacks)
 		}
 	}
 }

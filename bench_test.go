@@ -6,7 +6,12 @@
 //	go test -run '^$' -bench '^BenchmarkCycleLoop$' -benchmem .
 package repro_test
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sched"
+	"repro/internal/sm"
+)
 
 // BenchmarkCycleLoop measures the steady-state cost of one SM
 // scheduling action (sm.Step) with a hot trace cache. It steps needle
@@ -36,5 +41,46 @@ func BenchmarkCycleLoop(b *testing.B) {
 		if err := machine.Step(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCycleLoopMemoryBound is BenchmarkCycleLoop on bfs, a
+// memory-bound gather kernel whose warps spend most steps waiting on
+// DRAM, under each scheduling policy: it times the warp choice when
+// few active warps are due, where needle times it when most are.
+//
+//	go test -run '^$' -bench '^BenchmarkCycleLoopMemoryBound$' -benchmem .
+func BenchmarkCycleLoopMemoryBound(b *testing.B) {
+	for _, pol := range sched.Policies() {
+		b.Run(string(pol), func(b *testing.B) {
+			b.ReportAllocs()
+			spec := steadySpec(b, "bfs", 0)
+			spec.Params.Scheduler = pol
+			start := func() *sm.SM {
+				machine, err := sm.NewSM(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				machine.Start()
+				return machine
+			}
+			// One complete run memoizes the traces and sizes the scratch
+			// buffers before the timer starts.
+			if _, err := start().Run(); err != nil {
+				b.Fatal(err)
+			}
+			machine := start()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if machine.Done() {
+					b.StopTimer()
+					machine = start()
+					b.StartTimer()
+				}
+				if err := machine.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

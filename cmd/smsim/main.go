@@ -11,6 +11,7 @@
 //	smsim -kernel bfs -sched gto                 # greedy-then-oldest scheduler
 //	smsim -streams needle+matrixmul              # two kernels co-resident (multi-tenant)
 //	smsim -streams bfs+nn -design unified        # jointly allocated unified mix
+//	smsim -trace vec.trc -resident 4             # replay a recorded trace (partitioned, -rf/-shm/-cache)
 //	smsim -list                                  # show all benchmarks
 package main
 
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -61,6 +63,30 @@ func replayTrace(path string, cfg config.MemConfig, params sm.Params, residentCT
 		c.Cycles, c.WarpInsts, c.IPC(), report.Percent(c.CacheHitRate()), c.DRAMBytes())
 }
 
+// replayRejects names the set flags a trace replay would not apply. A
+// replay runs the partitioned design sized by -rf/-shm/-cache/-threads
+// under -sched, so a derived design, its -total, a machine file, a
+// registry kernel or stream mix, or a register budget would be reported
+// as if it had run.
+func replayRejects(fs *flag.FlagSet, design string) error {
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "design":
+			if design != "partitioned" {
+				bad = append(bad, "-design "+design)
+			}
+		case "total", "machine", "kernel", "streams", "regs":
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		return fmt.Errorf("%s cannot be applied to -trace: a replay runs the partitioned design sized by -rf/-shm/-cache",
+			strings.Join(bad, ", "))
+	}
+	return nil
+}
+
 func main() {
 	rf := plan.AddFlags(flag.CommandLine)
 	rf.AddMachineFlag(flag.CommandLine)
@@ -99,6 +125,10 @@ func main() {
 		return
 	}
 	if *traceFile != "" {
+		if err := replayRejects(flag.CommandLine, rf.Design); err != nil {
+			fmt.Fprintln(os.Stderr, "smsim:", err)
+			os.Exit(2)
+		}
 		policy, err := sched.ParsePolicy(rf.Sched)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smsim:", err)

@@ -90,6 +90,24 @@ func TestCLISmoke(t *testing.T) {
 		if !strings.Contains(out, "replayed") {
 			t.Errorf("replay output:\n%s", out)
 		}
+		// A replay runs the partitioned design: a flag it cannot apply
+		// is a usage error naming the flag, not a report of a run that
+		// did not happen.
+		for _, tc := range []struct {
+			args  []string
+			names string
+		}{
+			{[]string{"-design", "unified"}, "-design unified"},
+			{[]string{"-design", "fermi", "-total", "256"}, "-design fermi, -total"},
+			{[]string{"-machine", filepath.Join(tmp, "absent.json")}, "-machine"},
+		} {
+			cmd := exec.Command("go", append([]string{"run", "./cmd/smsim", "-trace", tf}, tc.args...)...)
+			out, err := cmd.CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "exit status 2") ||
+				!strings.Contains(string(out), "smsim: "+tc.names+" cannot be applied") || strings.Contains(string(out), "replayed") {
+				t.Errorf("smsim -trace %s: err %v, output:\n%s", strings.Join(tc.args, " "), err, out)
+			}
+		}
 	})
 
 	t.Run("chipsim", func(t *testing.T) {

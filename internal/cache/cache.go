@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 )
@@ -23,6 +24,9 @@ type Cache struct {
 	sets      int
 	ways      int
 	lineBytes int
+	// setMul is ceil(2^64 / sets), the multiplier that maps a line to
+	// its set without a division (see set).
+	setMul uint64
 
 	tags  []uint32 // sets * ways entries holding line addresses
 	age   []uint32 // LRU timestamps, parallel to tags
@@ -49,6 +53,7 @@ func New(capacityBytes int) *Cache {
 			return &Cache{ways: config.CacheWays, lineBytes: config.CacheLineBytes}
 		}
 	}
+	c.setMul = setMultiplier(c.sets)
 	c.tags = make([]uint32, c.sets*c.ways)
 	c.age = make([]uint32, c.sets*c.ways)
 	c.dirty = make([]bool, c.sets*c.ways)
@@ -80,9 +85,18 @@ func (c *Cache) TagBytes() int {
 	return lines * 18 / 8
 }
 
-// set returns the slice of tag indices for a line address.
+// setMultiplier returns ceil(2^64 / sets) (0 for one set, where it
+// wraps).
+func setMultiplier(sets int) uint64 { return ^uint64(0)/uint64(sets) + 1 }
+
+// set returns the set index of a line address, line mod sets. It uses
+// Lemire's division-free remainder: the low 64 bits of setMul*line hold
+// the fraction line/sets, and multiplying that fraction by sets leaves
+// the remainder in the high 64 bits. The result is exact for every
+// 32-bit line and set count (one set gives setMul 0 and remainder 0).
 func (c *Cache) set(line uint32) int {
-	return int(line) % c.sets
+	rem, _ := bits.Mul64(c.setMul*uint64(line), uint64(c.sets))
+	return int(rem)
 }
 
 // Read probes the cache for the line containing addr and, on a miss,

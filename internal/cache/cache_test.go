@@ -209,3 +209,27 @@ func TestAccessAllocateZeroCapacity(t *testing.T) {
 		t.Error("zero-capacity cache should miss with no victim")
 	}
 }
+
+// TestSetIndexMatchesRemainder checks the division-free set index
+// against line % sets: every set count up to 4096 (a 2 MB cache has
+// 4096 sets), the set counts near the 32-bit limit, and per count the
+// edge lines plus random ones.
+func TestSetIndexMatchesRemainder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	counts := []int{1<<31 - 1, 1 << 31, 1<<32 - 1}
+	for sets := 1; sets <= 4096; sets++ {
+		counts = append(counts, sets)
+	}
+	for _, sets := range counts {
+		c := &Cache{sets: sets, setMul: setMultiplier(sets)}
+		lines := []uint32{0, 1, uint32(sets - 1), uint32(sets), uint32(sets + 1), 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1}
+		for range 64 {
+			lines = append(lines, rng.Uint32())
+		}
+		for _, line := range lines {
+			if got, want := c.set(line), int(uint64(line)%uint64(sets)); got != want {
+				t.Fatalf("set(%d) with %d sets = %d, want %d", line, sets, got, want)
+			}
+		}
+	}
+}

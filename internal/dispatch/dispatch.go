@@ -14,6 +14,12 @@
 // kernel is a one-stream dispatcher. Each stream files its launch and
 // retirement events into its own counter set.
 //
+// Beside the warp array the Dispatcher keeps a dense array of each
+// slot's Slot: the cycles that decide when the warp can next be
+// promoted and issue. The scheduler's walk over the active set and its
+// promotion scan over the ready warps read those few bytes per
+// candidate instead of the warp.
+//
 // Dispatcher implements the scheduler's Pool interface (NumStreams /
 // Stream / MinReady / Activate), which is the only coupling between the
 // two components.
@@ -62,7 +68,7 @@ type Status uint8
 const (
 	// Idle: the slot is unoccupied.
 	Idle Status = iota
-	// Ready: eligible for the active set at WakeAt.
+	// Ready: eligible for the active set at its Slot.WakeAt.
 	Ready
 	// Active: in the scheduler's active set.
 	Active
@@ -93,14 +99,55 @@ type Warp struct {
 	Outcomes   []banks.Outcome
 	Footprints *memsys.Footprints
 	PC         int
-	// NextIssue serializes the warp's own issue stream while the
-	// bank-conflict extra cycles of its previous instruction elapse.
-	NextIssue int64
-	// WakeAt is the cycle a Ready warp becomes eligible for promotion.
-	WakeAt int64
 	// RegReady is the per-register scoreboard: the cycle each
 	// architectural register's pending value arrives.
 	RegReady [isa.MaxRegs]int64
+}
+
+// DepReady returns the cycle the last source operand of the
+// instruction at PC arrives: the largest RegReady among its sources.
+// PC must index an instruction.
+func (w *Warp) DepReady() int64 {
+	dep := int64(0)
+	for _, src := range w.Code.Prog.Insts[w.PC].Srcs {
+		if src.Reg != isa.NoReg {
+			if t := w.RegReady[src.Reg]; t > dep {
+				dep = t
+			}
+		}
+	}
+	return dep
+}
+
+// Due is the earliest cycle a warp's next instruction can issue, as two
+// terms the scheduler's walk compares with the clock. Only the warp's
+// own issue changes them (it writes the scoreboard, the PC and the
+// issue stream), so the timing core sets them when the warp issues and
+// they stay exact until it issues again; a launched warp starts at
+// zero in both.
+type Due struct {
+	// Issue is the first cycle the warp's own issue stream is free: the
+	// bank-conflict extra cycles of its previous instruction serialize
+	// it.
+	Issue int64
+	// Dep is the instruction at PC's Warp.DepReady. The two-level
+	// deschedule rule compares it alone with the clock.
+	Dep int64
+}
+
+// Slot is a warp slot's scheduling state, kept apart from the warp.
+type Slot struct {
+	Due
+	// WakeAt is the cycle a Ready warp becomes eligible for promotion.
+	WakeAt int64
+}
+
+// slot is an entry of the dispatcher's dense per-slot array.
+type slot struct {
+	Slot
+	// stream is the slot's owning stream index; the mapping is
+	// structural (slots never change streams).
+	stream int
 }
 
 // ctaSlot tracks one resident CTA.
@@ -156,10 +203,8 @@ type Dispatcher struct {
 	streams []streamState
 
 	warps []Warp
-	// streamOf maps each warp slot to its owning stream index; the
-	// mapping is structural (slots never change streams).
-	streamOf []int
-	ctas     []ctaSlot
+	slots []slot
+	ctas  []ctaSlot
 
 	liveWarps int
 	// readyMask has bit w set iff warp slot w is in the Ready state, so
@@ -168,7 +213,7 @@ type Dispatcher struct {
 	// slot. MaxWarpsPerSM <= 64 keeps every slot in one word (checked
 	// at compile time below).
 	readyMask uint64
-	// readyLow is at most every Ready warp's WakeAt (noWake when none
+	// readyLow is at most every Ready warp's wake cycle (noWake when none
 	// is Ready), so MinReady and MinFutureWake can answer without a scan
 	// while every parked warp sleeps past now. Lowering it as warps
 	// become Ready keeps it a bound; lowExact records that it is also
@@ -226,7 +271,7 @@ func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher
 			totalWarps, config.MaxWarpsPerSM)
 	}
 	d.warps = make([]Warp, totalWarps)
-	d.streamOf = make([]int, totalWarps)
+	d.slots = make([]slot, totalWarps)
 	base := 0
 	for round := 0; round < maxResident; round++ {
 		for s, sp := range specs {
@@ -237,7 +282,7 @@ func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher
 			slot := ctaSlot{id: -1, stream: s, warps: make([]int, warpsPer)}
 			for w := 0; w < warpsPer; w++ {
 				slot.warps[w] = base + w
-				d.streamOf[base+w] = s
+				d.slots[base+w].stream = s
 				d.streams[s].mask |= 1 << uint(base+w)
 			}
 			base += warpsPer
@@ -287,8 +332,8 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 			Code:       st.src.WarpCode(c.id, i),
 			Outcomes:   st.src.WarpOutcomes(c.id, i, d.design, d.aggressive),
 			Footprints: st.src.WarpFootprints(c.id, i),
-			WakeAt:     cycle,
 		}
+		d.slots[wIdx].Slot = Slot{WakeAt: cycle}
 		d.liveWarps++
 		st.liveWarps++
 		d.readyMask |= 1 << uint(wIdx)
@@ -309,6 +354,15 @@ func (d *Dispatcher) NumWarps() int { return len(d.warps) }
 // Warp returns the warp at slot i for direct state access.
 func (d *Dispatcher) Warp(i int) *Warp { return &d.warps[i] }
 
+// Due returns warp slot i's readiness terms for direct access; the
+// timing core writes them whenever the warp issues.
+func (d *Dispatcher) Due(i int) *Due { return &d.slots[i].Due }
+
+// WakeBy reports whether a Ready warp may be eligible for promotion by
+// now. When it is false, MinReady fails for every stream, so the
+// scheduler's refill has nothing to promote.
+func (d *Dispatcher) WakeBy(now int64) bool { return d.readyLow <= now }
+
 // lowerWake keeps readyLow a bound after a warp becomes Ready at wake.
 // The minimum of an exact minimum and a new wake is exact, so lowExact
 // is unchanged.
@@ -327,7 +381,7 @@ func (d *Dispatcher) MinFutureWake(now int64) int64 {
 	}
 	min, low := noWake, noWake
 	for m := d.readyMask; m != 0; m &= m - 1 {
-		wake := d.warps[bits.TrailingZeros64(m)].WakeAt
+		wake := d.slots[bits.TrailingZeros64(m)].WakeAt
 		if wake > now && wake < min {
 			min = wake
 		}
@@ -344,7 +398,7 @@ func (d *Dispatcher) MinFutureWake(now int64) int64 {
 func (d *Dispatcher) Activate(w int) {
 	d.warps[w].Status = Active
 	d.readyMask &^= 1 << uint(w)
-	if d.warps[w].WakeAt == d.readyLow {
+	if d.slots[w].WakeAt == d.readyLow {
 		d.lowExact = false
 	}
 }
@@ -355,7 +409,7 @@ func (d *Dispatcher) Activate(w int) {
 // from the active set.
 func (d *Dispatcher) Park(w int, wake int64) {
 	d.warps[w].Status = Ready
-	d.warps[w].WakeAt = wake
+	d.slots[w].WakeAt = wake
 	d.readyMask |= 1 << uint(w)
 	d.lowerWake(wake)
 }
@@ -382,7 +436,7 @@ func (d *Dispatcher) release(c *ctaSlot, now int64) {
 		ww := &d.warps[idx]
 		if ww.Status == Barrier {
 			ww.Status = Ready
-			ww.WakeAt = now + 1
+			d.slots[idx].WakeAt = now + 1
 			d.readyMask |= 1 << uint(idx)
 		}
 	}
@@ -426,7 +480,7 @@ func (d *Dispatcher) NumStreams() int { return len(d.streams) }
 
 // Stream returns the stream index owning warp slot w (the sched.Pool
 // view). The mapping is structural and never changes.
-func (d *Dispatcher) Stream(w int) int { return d.streamOf[w] }
+func (d *Dispatcher) Stream(w int) int { return d.slots[w].stream }
 
 // MinReady returns the stream's Ready warp with the oldest wake cycle
 // at or before now, lowest slot index breaking ties, and its wake — the
@@ -441,7 +495,7 @@ func (d *Dispatcher) MinReady(now int64, stream int) (w int, wake int64, ok bool
 	best, bestWake, low := -1, int64(0), noWake
 	for m := d.readyMask & mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		wake := d.warps[i].WakeAt
+		wake := d.slots[i].WakeAt
 		if wake <= now && (best < 0 || wake < bestWake) {
 			best, bestWake = i, wake
 		}

@@ -50,7 +50,7 @@ func (s *fakeSource) WarpOutcomes(cta, warp int, design config.Design, aggressiv
 
 // readyAt reports whether warp w awaits promotion and its wake cycle.
 func readyAt(d *Dispatcher, w int) (int64, bool) {
-	return d.Warp(w).WakeAt, d.Warp(w).Status == Ready
+	return d.slots[w].WakeAt, d.Warp(w).Status == Ready
 }
 
 func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSource, *stats.Counters) {
@@ -256,12 +256,12 @@ func TestEarlyExitReleasesBarrier(t *testing.T) {
 func bruteMinReady(d *Dispatcher, now int64, stream int) (int, int64, bool) {
 	best, bestWake := -1, int64(0)
 	for i := 0; i < d.NumWarps(); i++ {
-		w := d.Warp(i)
-		if d.Stream(i) != stream || w.Status != Ready || w.WakeAt > now {
+		wake := d.slots[i].WakeAt
+		if d.Stream(i) != stream || d.Warp(i).Status != Ready || wake > now {
 			continue
 		}
-		if best < 0 || w.WakeAt < bestWake {
-			best, bestWake = i, w.WakeAt
+		if best < 0 || wake < bestWake {
+			best, bestWake = i, wake
 		}
 	}
 	return best, bestWake, best >= 0
@@ -271,8 +271,8 @@ func bruteMinReady(d *Dispatcher, now int64, stream int) (int, int64, bool) {
 func bruteMinFutureWake(d *Dispatcher, now int64) int64 {
 	min := int64(1) << 62
 	for i := 0; i < d.NumWarps(); i++ {
-		if w := d.Warp(i); w.Status == Ready && w.WakeAt > now && w.WakeAt < min {
-			min = w.WakeAt
+		if wake := d.slots[i].WakeAt; d.Warp(i).Status == Ready && wake > now && wake < min {
+			min = wake
 		}
 	}
 	return min

@@ -14,8 +14,9 @@ type CTAState struct {
 	BarWaits  int
 }
 
-// State is a frozen image of the dispatcher: every warp slot, every CTA
-// slot, the grid launch cursor, and the ready bitmask.
+// State is a frozen image of the dispatcher: every warp slot and its
+// scheduling state, every CTA slot, the grid launch cursor, and the
+// ready bitmask.
 //
 // Warp entries are value copies, which deep-copies the per-register
 // scoreboard (an array) but shares the Code, Outcomes and Footprints
@@ -26,6 +27,9 @@ type CTAState struct {
 // traces.
 type State struct {
 	Warps []Warp
+	// Slots holds each warp slot's scheduling state, index-aligned
+	// with Warps.
+	Slots []Slot
 	CTAs  []CTAState
 	// NextCTA is the grid launch cursor; TotalCTAs and WarpsPer pin the
 	// grid shape so Restore can refuse a mismatched source.
@@ -47,12 +51,16 @@ func (d *Dispatcher) Snapshot() *State {
 	}
 	st := &State{
 		Warps:     append([]Warp(nil), d.warps...),
+		Slots:     make([]Slot, len(d.slots)),
 		CTAs:      make([]CTAState, len(d.ctas)),
 		NextCTA:   d.streams[0].nextCTA,
 		TotalCTAs: d.streams[0].totalCTAs,
 		WarpsPer:  d.streams[0].warpsPer,
 		LiveWarps: d.liveWarps,
 		ReadyMask: d.readyMask,
+	}
+	for i := range d.slots {
+		st.Slots[i] = d.slots[i].Slot
 	}
 	for i := range d.ctas {
 		st.CTAs[i] = CTAState{ID: d.ctas[i].id, LiveWarps: d.ctas[i].liveWarps, BarWaits: d.ctas[i].barWaits}
@@ -70,7 +78,7 @@ func (d *Dispatcher) Restore(st *State) error {
 		return fmt.Errorf("dispatch: multi-stream dispatchers do not restore snapshots (streams are prefix-defining)")
 	}
 	stream := &d.streams[0]
-	if len(st.Warps) != len(d.warps) || len(st.CTAs) != len(d.ctas) {
+	if len(st.Warps) != len(d.warps) || len(st.Slots) != len(d.warps) || len(st.CTAs) != len(d.ctas) {
 		return fmt.Errorf("dispatch: slot shape changed across a snapshot: %d/%d warps, %d/%d CTAs",
 			len(st.Warps), len(d.warps), len(st.CTAs), len(d.ctas))
 	}
@@ -79,6 +87,9 @@ func (d *Dispatcher) Restore(st *State) error {
 			st.TotalCTAs, st.WarpsPer, stream.totalCTAs, stream.warpsPer)
 	}
 	copy(d.warps, st.Warps)
+	for i := range d.slots {
+		d.slots[i].Slot = st.Slots[i]
+	}
 	for i := range d.ctas {
 		d.ctas[i].id = st.CTAs[i].ID
 		d.ctas[i].liveWarps = st.CTAs[i].LiveWarps

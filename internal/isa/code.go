@@ -44,6 +44,44 @@ func (in *Inst) HasAddrs() bool { return in.hasAddrs }
 // ActiveThreads returns the number of active threads in the instruction.
 func (in *Inst) ActiveThreads() int { return bits.OnesCount32(in.Mask) }
 
+// RegAccesses counts one instruction's register-file accesses, per
+// space of the MRF/ORF/LRF hierarchy, in 4-bit fields: operand reads at
+// bit 4*(space-1) and result writes 12 bits above. A result whose
+// cheapest level is not the MRF but which also writes the MRF
+// (DstMRFWrite) counts one write in each. Operands in other spaces
+// count nothing.
+type RegAccesses uint32
+
+// regWrites is the bit offset of the write fields.
+const regWrites = 12
+
+// Reads returns the number of operand reads from space s.
+func (r RegAccesses) Reads(s RegSpace) int64 { return int64(r >> (4 * (s - 1)) & 0xF) }
+
+// Writes returns the number of result writes to space s.
+func (r RegAccesses) Writes(s RegSpace) int64 {
+	return int64(r >> (regWrites + 4*(s-1)) & 0xF)
+}
+
+// regAccesses returns the instruction's register-file accesses.
+func (in *Inst) regAccesses() RegAccesses {
+	var r RegAccesses
+	for _, src := range in.Srcs {
+		if src.Valid() && src.Space <= SpaceLRF {
+			r += 1 << (4 * (src.Space - 1))
+		}
+	}
+	if in.Dst.Valid() {
+		if in.Dst.Space <= SpaceLRF {
+			r += 1 << (regWrites + 4*(in.Dst.Space-1))
+		}
+		if in.DstMRFWrite && in.Dst.Space != SpaceMRF {
+			r += 1 << regWrites
+		}
+	}
+	return r
+}
+
 // AddrRef locates one instruction's addresses in its warp's arena: a
 // slot, and a pair within it in WarpInst's encoding (0 for a full
 // vector, k for pair k-1 of the slot).
@@ -63,13 +101,16 @@ func (r AddrRef) slot() int   { return int(r >> pairBits) }
 func (r AddrRef) pair() uint8 { return uint8(r & (1<<pairBits - 1)) }
 
 // Program is a warp's instruction stream without its addresses: the hot
-// records, for each instruction with addresses the index of its
-// reference in a warp's Operands, and for each global-memory
-// instruction its ordinal among them, which indexes a warp's footprint
-// table (memsys.Footprints). Warps whose streams differ only in their
-// addresses share one Program. It is immutable once built.
+// records, each instruction's register-file accesses, for each
+// instruction with addresses the index of its reference in a warp's
+// Operands, and for each global-memory instruction its ordinal among
+// them, which indexes a warp's footprint table (memsys.Footprints).
+// Warps whose streams differ only in their addresses share one Program.
+// It is immutable once built.
 type Program struct {
 	Insts []Inst
+	// regs[i] is instruction i's RegAccesses.
+	regs []RegAccesses
 	// ref[i] indexes Operands.Refs for instruction i when it has
 	// addresses: the number of such instructions before it. It is nil
 	// when no instruction has addresses.
@@ -83,10 +124,11 @@ type Program struct {
 
 // NewProgram returns the program of insts, in an exact-size copy.
 func NewProgram(insts []Inst) *Program {
-	p := &Program{Insts: make([]Inst, len(insts))}
+	p := &Program{Insts: make([]Inst, len(insts)), regs: make([]RegAccesses, len(insts))}
 	copy(p.Insts, insts)
 	n := uint32(0)
 	for i := range insts {
+		p.regs[i] = insts[i].regAccesses()
 		if insts[i].hasAddrs {
 			if p.ref == nil {
 				p.ref = make([]uint32, len(insts))
@@ -105,6 +147,9 @@ func NewProgram(insts []Inst) *Program {
 	return p
 }
 
+// RegAccesses returns instruction i's register-file accesses.
+func (p *Program) RegAccesses(i int) RegAccesses { return p.regs[i] }
+
 // Global returns the ordinal of global-memory instruction i among the
 // program's global-memory instructions.
 func (p *Program) Global(i int) int { return int(p.global[i]) }
@@ -114,7 +159,7 @@ func (p *Program) Globals() int { return p.globals }
 
 // Bytes returns the program's resident size.
 func (p *Program) Bytes() int64 {
-	return int64(len(p.Insts))*16 + int64(len(p.ref))*4 + int64(len(p.global))*4
+	return int64(len(p.Insts))*16 + int64(len(p.regs))*4 + int64(len(p.ref))*4 + int64(len(p.global))*4
 }
 
 // Operands is one warp's operand table: the arena of its distinct

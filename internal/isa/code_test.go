@@ -127,3 +127,51 @@ func FuzzSplit(f *testing.F) {
 		}
 	})
 }
+
+// TestRegAccessesCountOperands checks a program's packed register-file
+// access counts against a per-operand count, over every operand that
+// names or omits a register in each space, known or not, with and
+// without the MRF write-through of a non-MRF result.
+func TestRegAccessesCountOperands(t *testing.T) {
+	var operands []Operand
+	for _, reg := range []uint8{3, NoReg} {
+		for space := SpaceNone; space <= SpaceLRF+1; space++ {
+			operands = append(operands, Operand{Reg: reg, Space: space})
+		}
+	}
+	var insts []Inst
+	for _, a := range operands {
+		for _, b := range operands {
+			for _, c := range operands {
+				for _, dst := range operands {
+					for _, mrf := range []bool{false, true} {
+						insts = append(insts, Inst{Op: OpALU, Dst: dst, DstMRFWrite: mrf, Srcs: [3]Operand{a, b, c}})
+					}
+				}
+			}
+		}
+	}
+	p := NewProgram(insts)
+	for i := range insts {
+		var reads, writes [SpaceLRF + 1]int64
+		for _, src := range insts[i].Srcs {
+			if src.Valid() && src.Space <= SpaceLRF {
+				reads[src.Space]++
+			}
+		}
+		if dst := insts[i].Dst; dst.Valid() {
+			if dst.Space <= SpaceLRF {
+				writes[dst.Space]++
+			}
+			if insts[i].DstMRFWrite && dst.Space != SpaceMRF {
+				writes[SpaceMRF]++
+			}
+		}
+		r := p.RegAccesses(i)
+		for s := SpaceMRF; s <= SpaceLRF; s++ {
+			if r.Reads(s) != reads[s] || r.Writes(s) != writes[s] {
+				t.Fatalf("%+v: %v reads/writes = %d/%d, want %d/%d", insts[i], s, r.Reads(s), r.Writes(s), reads[s], writes[s])
+			}
+		}
+	}
+}

@@ -29,11 +29,16 @@ func (s *twoLevel) Len() int      { return len(s.active) }
 // Walk tries candidates at positions rr, rr+1, ... modulo the set size.
 // A descheduled candidate is removed in place and the walk continues at
 // the position that slid into its slot; an issuing candidate advances the
-// cursor past itself (round-robin) or parks it on itself (greedy).
+// cursor past itself (round-robin) or parks it on itself (greedy). The
+// cursor stays below the set size, so rr+k is below twice the size and
+// one subtraction wraps it.
 func (s *twoLevel) Walk(visit func(w int) Action) bool {
 	n := len(s.active)
 	for k := 0; k < n; k++ {
-		pos := (s.rr + k) % n
+		pos := s.rr + k
+		if pos >= n {
+			pos -= n
+		}
 		switch visit(s.active[pos]) {
 		case Keep:
 		case Deschedule:
@@ -55,12 +60,13 @@ func (s *twoLevel) Walk(visit func(w int) Action) bool {
 	return false
 }
 
-// advanceCursor repositions the round-robin cursor after an issue at pos.
+// advanceCursor repositions the round-robin cursor after an issue at
+// pos, a position in the set.
 func (s *twoLevel) advanceCursor(pos int) {
 	if s.greedy {
-		s.rr = pos % len(s.active) // greedy: stay on this warp
-	} else {
-		s.rr = (pos + 1) % len(s.active)
+		s.rr = pos // greedy: stay on this warp
+	} else if s.rr = pos + 1; s.rr == len(s.active) {
+		s.rr = 0
 	}
 }
 
@@ -71,9 +77,7 @@ func (s *twoLevel) remove(pos int) {
 	if s.rr > pos {
 		s.rr--
 	}
-	if len(s.active) > 0 {
-		s.rr %= len(s.active)
-	} else {
+	if s.rr >= len(s.active) {
 		s.rr = 0
 	}
 }

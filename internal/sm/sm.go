@@ -303,7 +303,9 @@ func (s *SM) Step() error {
 	if s.cycle < s.slotFreeAt {
 		s.cycle = s.slotFreeAt
 	}
-	s.sched.Refill(s.disp, s.cycle)
+	if s.disp.WakeBy(s.cycle) {
+		s.sched.Refill(s.disp, s.cycle)
+	}
 	issued, nextEvent := s.tryIssue()
 	if issued {
 		return nil
@@ -383,15 +385,14 @@ func (s *SM) stallReason() (probe.StallReason, int) {
 	sawDep, sawSerial, sawArb := false, false, false
 	depStream, serialStream, arbStream := 0, 0, 0
 	for _, wIdx := range s.sched.Active() {
-		w := s.disp.Warp(wIdx)
-		if w.NextIssue > s.cycle {
+		if s.disp.Due(wIdx).Issue > s.cycle {
 			// The warp holds its own issue stream while bank-conflict
 			// extra cycles of its previous instruction elapse.
 			if !sawSerial {
 				serialStream = s.disp.Stream(wIdx)
 			}
 			sawSerial = true
-			if w.ArbStall && !sawArb {
+			if s.disp.Warp(wIdx).ArbStall && !sawArb {
 				arbStream = s.disp.Stream(wIdx)
 				sawArb = true
 			}
@@ -491,40 +492,33 @@ func (s *SM) note(t int64) {
 	}
 }
 
-// visitWarp is the Walk visitor: it judges one active-set candidate,
-// issuing it when its operands are ready.
+// visitWarp is the Walk visitor: it judges one active-set candidate by
+// its readiness terms, and loads the warp only to issue it once both
+// have passed.
 func (s *SM) visitWarp(wIdx int) sched.Action {
-	w := s.disp.Warp(wIdx)
-	wi := &w.Code.Prog.Insts[w.PC]
-
-	if w.NextIssue > s.cycle {
-		s.note(w.NextIssue)
+	due := s.disp.Due(wIdx)
+	if due.Issue > s.cycle {
+		s.note(due.Issue)
 		return sched.Keep
 	}
-	depReady := int64(0)
-	for _, src := range wi.Srcs {
-		if src.Reg != isa.NoReg {
-			if t := w.RegReady[src.Reg]; t > depReady {
-				depReady = t
-			}
-		}
-	}
-	if depReady > s.cycle {
-		s.note(depReady)
-		if depReady-s.cycle > s.params.DeschedulePast {
+	if dep := due.Dep; dep > s.cycle {
+		s.note(dep)
+		if dep-s.cycle > s.params.DeschedulePast {
 			// Two-level rule: swap out on a long-latency dependence.
-			s.disp.Park(wIdx, depReady)
+			s.disp.Park(wIdx, dep)
 			return sched.Deschedule
 		}
 		return sched.Keep
 	}
-	return s.issue(wIdx, w, wi)
+	w := s.disp.Warp(wIdx)
+	return s.issue(wIdx, w, due, &w.Code.Prog.Insts[w.PC])
 }
 
-// issue executes one warp instruction and reports to the scheduler
-// whether the warp stays in the active set (Issued) or leaves it on a
-// barrier or exit (IssuedGone).
-func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
+// issue executes one warp instruction, sets the warp's readiness terms
+// for its next one, and reports to the scheduler whether the warp stays
+// in the active set (Issued) or leaves it on a barrier or exit
+// (IssuedGone).
+func (s *SM) issue(wIdx int, w *dispatch.Warp, due *dispatch.Due, wi *isa.Inst) sched.Action {
 	out := w.Outcomes[w.PC]
 	// The issuing warp's stream owns every event of this instruction;
 	// the memory pipeline files into the same books.
@@ -552,7 +546,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 	if out.Arbitration {
 		c.ArbitrationConflicts++
 	}
-	c.RecordRegAccesses(wi)
+	c.RecordRegAccesses(w.Code.Prog.RegAccesses(w.PC))
 
 	// Bank-conflict serialization follows the paper's §6.1 model: each
 	// access beyond the first to the most-contended bank delays *this*
@@ -562,7 +556,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 	// does; there is no cross-instruction bank port contention.)
 	extra := int64(out.ExtraCycles())
 	s.slotFreeAt = s.cycle + 1
-	w.NextIssue = s.cycle + 1 + extra
+	due.Issue = s.cycle + 1 + extra
 
 	complete := s.cycle + 1
 	switch wi.Op {
@@ -588,7 +582,8 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 	case isa.OpTEX:
 		complete = s.mem.TexFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle)
 	case isa.OpBAR:
-		s.disp.Barrier(wIdx, s.cycle)
+		s.disp.Barrier(wIdx, s.cycle) // advances PC past the BAR
+		due.Dep = w.DepReady()
 		return sched.IssuedGone
 	case isa.OpEXIT:
 		s.disp.Exit(wIdx, s.cycle)
@@ -601,6 +596,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, wi *isa.Inst) sched.Action {
 		}
 	}
 	w.PC++
+	due.Dep = w.DepReady()
 	return sched.Issued
 }
 

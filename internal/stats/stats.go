@@ -92,31 +92,13 @@ func (c *Counters) RecordConflict(maxAccesses int) {
 
 // RecordRegAccesses files one warp instruction's register hierarchy
 // events (per-space operand reads and writes) for the energy model.
-func (c *Counters) RecordRegAccesses(wi *isa.Inst) {
-	for _, src := range wi.Srcs {
-		switch {
-		case !src.Valid():
-		case src.Space == isa.SpaceMRF:
-			c.MRFReads++
-		case src.Space == isa.SpaceORF:
-			c.ORFReads++
-		case src.Space == isa.SpaceLRF:
-			c.LRFReads++
-		}
-	}
-	if wi.Dst.Valid() {
-		switch wi.Dst.Space {
-		case isa.SpaceMRF:
-			c.MRFWrites++
-		case isa.SpaceORF:
-			c.ORFWrites++
-		case isa.SpaceLRF:
-			c.LRFWrites++
-		}
-		if wi.DstMRFWrite && wi.Dst.Space != isa.SpaceMRF {
-			c.MRFWrites++
-		}
-	}
+func (c *Counters) RecordRegAccesses(r isa.RegAccesses) {
+	c.MRFReads += r.Reads(isa.SpaceMRF)
+	c.ORFReads += r.Reads(isa.SpaceORF)
+	c.LRFReads += r.Reads(isa.SpaceLRF)
+	c.MRFWrites += r.Writes(isa.SpaceMRF)
+	c.ORFWrites += r.Writes(isa.SpaceORF)
+	c.LRFWrites += r.Writes(isa.SpaceLRF)
 }
 
 // DRAMBytes returns total DRAM traffic in bytes.
