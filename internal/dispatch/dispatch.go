@@ -119,13 +119,14 @@ func (w *Warp) DepReady() int64 {
 	return dep
 }
 
-// Due is the earliest cycle a warp's next instruction can issue, as two
-// terms the scheduler's walk compares with the clock. Only the warp's
-// own issue changes them (it writes the scoreboard, the PC and the
-// issue stream), so the timing core sets them when the warp issues and
-// they stay exact until it issues again; a launched warp starts at
-// zero in both.
-type Due struct {
+// Slot is a warp slot's scheduling state, kept apart from the warp:
+// the earliest cycle its next instruction can issue, as two terms the
+// scheduler's walk compares with the clock, and the cycle it can next
+// be promoted. Only the warp's own issue changes the issue terms (it
+// writes the scoreboard, the PC and the issue stream), so the timing
+// core sets them when the warp issues and they stay exact until it
+// issues again; a launched warp starts at zero in both.
+type Slot struct {
 	// Issue is the first cycle the warp's own issue stream is free: the
 	// bank-conflict extra cycles of its previous instruction serialize
 	// it.
@@ -133,11 +134,6 @@ type Due struct {
 	// Dep is the instruction at PC's Warp.DepReady. The two-level
 	// deschedule rule compares it alone with the clock.
 	Dep int64
-}
-
-// Slot is a warp slot's scheduling state, kept apart from the warp.
-type Slot struct {
-	Due
 	// WakeAt is the cycle a Ready warp becomes eligible for promotion.
 	WakeAt int64
 }
@@ -354,9 +350,9 @@ func (d *Dispatcher) NumWarps() int { return len(d.warps) }
 // Warp returns the warp at slot i for direct state access.
 func (d *Dispatcher) Warp(i int) *Warp { return &d.warps[i] }
 
-// Due returns warp slot i's readiness terms for direct access; the
-// timing core writes them whenever the warp issues.
-func (d *Dispatcher) Due(i int) *Due { return &d.slots[i].Due }
+// Slot returns warp slot i's scheduling state for direct access; the
+// timing core writes its issue terms whenever the warp issues.
+func (d *Dispatcher) Slot(i int) *Slot { return &d.slots[i].Slot }
 
 // WakeBy reports whether a Ready warp may be eligible for promotion by
 // now. When it is false, MinReady fails for every stream, so the

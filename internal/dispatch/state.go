@@ -79,8 +79,8 @@ func (d *Dispatcher) Restore(st *State) error {
 	}
 	stream := &d.streams[0]
 	if len(st.Warps) != len(d.warps) || len(st.Slots) != len(d.warps) || len(st.CTAs) != len(d.ctas) {
-		return fmt.Errorf("dispatch: slot shape changed across a snapshot: %d/%d warps, %d/%d CTAs",
-			len(st.Warps), len(d.warps), len(st.CTAs), len(d.ctas))
+		return fmt.Errorf("dispatch: slot shape changed across a snapshot: %d/%d warps (%d slot states), %d/%d CTAs",
+			len(st.Warps), len(d.warps), len(st.Slots), len(st.CTAs), len(d.ctas))
 	}
 	if st.TotalCTAs != stream.totalCTAs || st.WarpsPer != stream.warpsPer {
 		return fmt.Errorf("dispatch: grid changed across a snapshot: %dx%d state, %dx%d source",

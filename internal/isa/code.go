@@ -45,35 +45,35 @@ func (in *Inst) HasAddrs() bool { return in.hasAddrs }
 func (in *Inst) ActiveThreads() int { return bits.OnesCount32(in.Mask) }
 
 // RegAccesses counts one instruction's register-file accesses, per
-// space of the MRF/ORF/LRF hierarchy, in 4-bit fields: operand reads at
-// bit 4*(space-1) and result writes 12 bits above. A result whose
-// cheapest level is not the MRF but which also writes the MRF
-// (DstMRFWrite) counts one write in each. Operands in other spaces
-// count nothing.
-type RegAccesses uint32
+// space of the MRF/ORF/LRF hierarchy, in 2-bit fields: operand reads at
+// bit 2*(space-1), at most three, and result writes 6 bits above, at
+// most one. A result whose cheapest level is not the MRF but which also
+// writes the MRF (DstMRFWrite) counts one write in each. Operands in
+// other spaces count nothing.
+type RegAccesses uint16
 
 // regWrites is the bit offset of the write fields.
-const regWrites = 12
+const regWrites = 6
 
 // Reads returns the number of operand reads from space s.
-func (r RegAccesses) Reads(s RegSpace) int64 { return int64(r >> (4 * (s - 1)) & 0xF) }
+func (r RegAccesses) Reads(s RegSpace) int64 { return int64(r >> (2 * (s - 1)) & 3) }
 
 // Writes returns the number of result writes to space s.
 func (r RegAccesses) Writes(s RegSpace) int64 {
-	return int64(r >> (regWrites + 4*(s-1)) & 0xF)
+	return int64(r >> (regWrites + 2*(s-1)) & 3)
 }
 
-// regAccesses returns the instruction's register-file accesses.
-func (in *Inst) regAccesses() RegAccesses {
+// RegAccesses returns the instruction's register-file accesses.
+func (in *Inst) RegAccesses() RegAccesses {
 	var r RegAccesses
 	for _, src := range in.Srcs {
 		if src.Valid() && src.Space <= SpaceLRF {
-			r += 1 << (4 * (src.Space - 1))
+			r += 1 << (2 * (src.Space - 1))
 		}
 	}
 	if in.Dst.Valid() {
 		if in.Dst.Space <= SpaceLRF {
-			r += 1 << (regWrites + 4*(in.Dst.Space-1))
+			r += 1 << (regWrites + 2*(in.Dst.Space-1))
 		}
 		if in.DstMRFWrite && in.Dst.Space != SpaceMRF {
 			r += 1 << regWrites
@@ -128,7 +128,7 @@ func NewProgram(insts []Inst) *Program {
 	copy(p.Insts, insts)
 	n := uint32(0)
 	for i := range insts {
-		p.regs[i] = insts[i].regAccesses()
+		p.regs[i] = insts[i].RegAccesses()
 		if insts[i].hasAddrs {
 			if p.ref == nil {
 				p.ref = make([]uint32, len(insts))
@@ -159,7 +159,7 @@ func (p *Program) Globals() int { return p.globals }
 
 // Bytes returns the program's resident size.
 func (p *Program) Bytes() int64 {
-	return int64(len(p.Insts))*16 + int64(len(p.regs))*4 + int64(len(p.ref))*4 + int64(len(p.global))*4
+	return int64(len(p.Insts))*16 + int64(len(p.regs))*2 + int64(len(p.ref))*4 + int64(len(p.global))*4
 }
 
 // Operands is one warp's operand table: the arena of its distinct

@@ -80,7 +80,7 @@ func (c *readinessChecker) step(s *SM, what string) {
 		}
 		switch {
 		case c.status[i] == dispatch.Idle || c.status[i] == dispatch.Done || w.PC < c.pc[i]:
-			c.issue[i] = 0 // a launch: every programme ends in EXIT, so PC fell
+			c.issue[i] = 0 // a launch: every program ends in EXIT, so PC fell
 		case w.PC == c.pc[i]+1:
 			// An instruction issued at the step's cycle (a barrier
 			// advances the PC past its BAR too).
@@ -94,8 +94,9 @@ func (c *readinessChecker) step(s *SM, what string) {
 				dep = w.RegReady[src.Reg]
 			}
 		}
-		if got, want := *s.disp.Due(i), (dispatch.Due{Issue: c.issue[i], Dep: dep}); got != want {
-			c.t.Fatalf("%s cycle %d: warp %d (%v, PC %d) holds %+v, want %+v", what, s.cycle, i, w.Status, w.PC, got, want)
+		if got := s.disp.Slot(i); got.Issue != c.issue[i] || got.Dep != dep {
+			c.t.Fatalf("%s cycle %d: warp %d (%v, PC %d) holds Issue %d, Dep %d, want %d, %d",
+				what, s.cycle, i, w.Status, w.PC, got.Issue, got.Dep, c.issue[i], dep)
 		}
 	}
 	c.mark(s)
@@ -156,8 +157,8 @@ func TestReadinessTermsMatchBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < s.disp.NumWarps(); i++ {
-				if *fork.disp.Due(i) != *s.disp.Due(i) {
-					t.Fatalf("%s: fork restored warp %d's terms as %+v, parent holds %+v", what, i, *fork.disp.Due(i), *s.disp.Due(i))
+				if *fork.disp.Slot(i) != *s.disp.Slot(i) {
+					t.Fatalf("%s: fork restored warp %d's slot as %+v, parent holds %+v", what, i, *fork.disp.Slot(i), *s.disp.Slot(i))
 				}
 			}
 			fc := &readinessChecker{t: t, issue: append([]int64(nil), c.issue...), pc: make([]int, len(c.pc)), status: make([]dispatch.Status, len(c.pc))}

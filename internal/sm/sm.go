@@ -385,7 +385,7 @@ func (s *SM) stallReason() (probe.StallReason, int) {
 	sawDep, sawSerial, sawArb := false, false, false
 	depStream, serialStream, arbStream := 0, 0, 0
 	for _, wIdx := range s.sched.Active() {
-		if s.disp.Due(wIdx).Issue > s.cycle {
+		if s.disp.Slot(wIdx).Issue > s.cycle {
 			// The warp holds its own issue stream while bank-conflict
 			// extra cycles of its previous instruction elapse.
 			if !sawSerial {
@@ -496,12 +496,12 @@ func (s *SM) note(t int64) {
 // its readiness terms, and loads the warp only to issue it once both
 // have passed.
 func (s *SM) visitWarp(wIdx int) sched.Action {
-	due := s.disp.Due(wIdx)
-	if due.Issue > s.cycle {
-		s.note(due.Issue)
+	slot := s.disp.Slot(wIdx)
+	if slot.Issue > s.cycle {
+		s.note(slot.Issue)
 		return sched.Keep
 	}
-	if dep := due.Dep; dep > s.cycle {
+	if dep := slot.Dep; dep > s.cycle {
 		s.note(dep)
 		if dep-s.cycle > s.params.DeschedulePast {
 			// Two-level rule: swap out on a long-latency dependence.
@@ -511,14 +511,14 @@ func (s *SM) visitWarp(wIdx int) sched.Action {
 		return sched.Keep
 	}
 	w := s.disp.Warp(wIdx)
-	return s.issue(wIdx, w, due, &w.Code.Prog.Insts[w.PC])
+	return s.issue(wIdx, w, slot, &w.Code.Prog.Insts[w.PC])
 }
 
 // issue executes one warp instruction, sets the warp's readiness terms
 // for its next one, and reports to the scheduler whether the warp stays
 // in the active set (Issued) or leaves it on a barrier or exit
 // (IssuedGone).
-func (s *SM) issue(wIdx int, w *dispatch.Warp, due *dispatch.Due, wi *isa.Inst) sched.Action {
+func (s *SM) issue(wIdx int, w *dispatch.Warp, slot *dispatch.Slot, wi *isa.Inst) sched.Action {
 	out := w.Outcomes[w.PC]
 	// The issuing warp's stream owns every event of this instruction;
 	// the memory pipeline files into the same books.
@@ -556,7 +556,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, due *dispatch.Due, wi *isa.Inst) 
 	// does; there is no cross-instruction bank port contention.)
 	extra := int64(out.ExtraCycles())
 	s.slotFreeAt = s.cycle + 1
-	due.Issue = s.cycle + 1 + extra
+	slot.Issue = s.cycle + 1 + extra
 
 	complete := s.cycle + 1
 	switch wi.Op {
@@ -583,7 +583,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, due *dispatch.Due, wi *isa.Inst) 
 		complete = s.mem.TexFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle)
 	case isa.OpBAR:
 		s.disp.Barrier(wIdx, s.cycle) // advances PC past the BAR
-		due.Dep = w.DepReady()
+		slot.Dep = w.DepReady()
 		return sched.IssuedGone
 	case isa.OpEXIT:
 		s.disp.Exit(wIdx, s.cycle)
@@ -596,7 +596,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, due *dispatch.Due, wi *isa.Inst) 
 		}
 	}
 	w.PC++
-	due.Dep = w.DepReady()
+	slot.Dep = w.DepReady()
 	return sched.Issued
 }
 

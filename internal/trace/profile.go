@@ -96,33 +96,21 @@ func Analyze(t *Trace) *Profile {
 				p.SpillInstructions++
 			}
 			for _, s := range wi.Srcs {
-				if !s.Valid() {
-					continue
-				}
-				regs[s.Reg] = true
-				switch s.Space {
-				case isa.SpaceMRF:
-					p.MRFReads++
-				case isa.SpaceORF:
-					p.ORFReads++
-				case isa.SpaceLRF:
-					p.LRFReads++
+				if s.Valid() {
+					regs[s.Reg] = true
 				}
 			}
 			if wi.Dst.Valid() {
 				regs[wi.Dst.Reg] = true
-				switch wi.Dst.Space {
-				case isa.SpaceMRF:
-					p.MRFWrites++
-				case isa.SpaceORF:
-					p.ORFWrites++
-				case isa.SpaceLRF:
-					p.LRFWrites++
-				}
-				if wi.DstMRFWrite && wi.Dst.Space != isa.SpaceMRF {
-					p.MRFWrites++
-				}
 			}
+			hot := wi.Hot()
+			ra := hot.RegAccesses()
+			p.MRFReads += ra.Reads(isa.SpaceMRF)
+			p.ORFReads += ra.Reads(isa.SpaceORF)
+			p.LRFReads += ra.Reads(isa.SpaceLRF)
+			p.MRFWrites += ra.Writes(isa.SpaceMRF)
+			p.ORFWrites += ra.Writes(isa.SpaceORF)
+			p.LRFWrites += ra.Writes(isa.SpaceLRF)
 			if !wi.HasAddrs() {
 				continue
 			}

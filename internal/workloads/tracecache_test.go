@@ -298,7 +298,7 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 				if !progs[code.Prog] {
 					progs[code.Prog] = true
 					want += int64(code.Len()) * int64(unsafe.Sizeof(isa.Inst{}))
-					want += int64(code.Len()) * 4 // the register-access counts
+					want += int64(code.Len()) * 2 // the register-access counts
 					hasAddrs, global := false, false
 					for i := range code.Prog.Insts {
 						hasAddrs = hasAddrs || code.Prog.Insts[i].HasAddrs()
