@@ -54,9 +54,11 @@ func steadySpec(tb testing.TB, name string, maxMSHRs int) sm.Spec {
 // memory profile publishes a sample only after a GC cycle completes,
 // so collecting the stacks forces two cycles, after the window. The
 // list can also hold a few stacks of allocations made before the
-// window (since the previous cycle), sampled at the usual rate.
+// window (since the previous cycle), sampled at the usual rate. Only
+// the profile's records are read before the window; the rest of the
+// bookkeeping waits for a failure.
 func heapAllocs(f func()) (uint64, string) {
-	before := allocsByStack()
+	before := memProfile()
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
 	var start, end runtime.MemStats
@@ -70,13 +72,20 @@ func heapAllocs(f func()) (uint64, string) {
 	}
 	runtime.GC()
 	runtime.GC()
+	grown := make(map[[32]uintptr]int64)
+	for _, r := range memProfile() {
+		grown[r.Stack0] += r.AllocObjects
+	}
+	for _, r := range before {
+		grown[r.Stack0] -= r.AllocObjects
+	}
 	type site struct {
 		stack [32]uintptr
 		n     int64
 	}
 	var sites []site
-	for stack, count := range allocsByStack() {
-		if d := count - before[stack]; d > 0 {
+	for stack, d := range grown {
+		if d > 0 {
 			sites = append(sites, site{stack, d})
 		}
 	}
@@ -97,23 +106,16 @@ func heapAllocs(f func()) (uint64, string) {
 	return n, b.String()
 }
 
-// allocsByStack returns the memory profile's allocation count per
-// stack.
-func allocsByStack() map[[32]uintptr]int64 {
+// memProfile returns the memory profile's records.
+func memProfile() []runtime.MemProfileRecord {
 	n, _ := runtime.MemProfile(nil, true)
-	var recs []runtime.MemProfileRecord
 	for {
-		recs = make([]runtime.MemProfileRecord, n+16)
+		recs := make([]runtime.MemProfileRecord, n+16)
 		var ok bool
 		if n, ok = runtime.MemProfile(recs, true); ok {
-			break
+			return recs[:n]
 		}
 	}
-	m := make(map[[32]uintptr]int64, n)
-	for _, r := range recs[:n] {
-		m[r.Stack0] += r.AllocObjects
-	}
-	return m
 }
 
 // newSteadySM builds a fresh SM from steadySpec.
