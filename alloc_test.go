@@ -9,6 +9,7 @@ package repro_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -57,11 +58,23 @@ func steadySpec(tb testing.TB, name string, maxMSHRs int) sm.Spec {
 // window (since the previous cycle), sampled at the usual rate. Only
 // the profile's records are read before the window; the rest of the
 // bookkeeping waits for a failure.
+//
+// The count is process-wide, so the runtime's own work must not land
+// in the window. debug.FreeOSMemory comes first: it finishes any GC
+// cycle in progress (whose mark workers allocate), runs one more, and
+// returns the freed pages itself, which leaves the background
+// scavenger no work to wake for (its first sleep on a P allocates a
+// timer slot). A plain runtime.GC() here is worse than nothing: the
+// scavenger then wakes inside the window. A throwaway ReadMemStats
+// follows, so the OS thread that restarting the world can start is
+// made before the window opens.
 func heapAllocs(f func()) (uint64, string) {
+	var start, end runtime.MemStats
+	debug.FreeOSMemory()
+	runtime.ReadMemStats(&start)
 	before := memProfile()
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
-	var start, end runtime.MemStats
 	runtime.ReadMemStats(&start)
 	f()
 	runtime.ReadMemStats(&end)

@@ -13,7 +13,6 @@
 //	POST   /v1/jobs            submit an async job          -> Job (202)
 //	GET    /v1/jobs            list jobs                    -> []Job
 //	GET    /v1/jobs/{id}       poll status and progress     -> Job
-//	GET    /v1/jobs/{id}/events  live progress stream          (SSE, JobEvent)
 //	GET    /v1/jobs/{id}/result  final result bytes         -> RunResponse/BatchResponse/...
 //	DELETE /v1/jobs/{id}       cancel                       -> Job
 //	GET    /v1/kernels         the benchmark registry       -> []KernelInfo

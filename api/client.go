@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -22,8 +21,7 @@ type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8344".
 	BaseURL string
 	// HTTP is the underlying client; NewClient defaults it to
-	// http.DefaultClient. Streaming (JobEvents) and long polls rely on
-	// its timeout being unset or generous.
+	// http.DefaultClient.
 	HTTP *http.Client
 }
 
@@ -274,69 +272,4 @@ func (c *Client) Compare(ctx context.Context, req CompareRequest, interval time.
 		return nil, fmt.Errorf("api: decoding compare job result: %w", err)
 	}
 	return &br, nil
-}
-
-// JobEvents streams a job's server-sent events, invoking fn for each
-// decoded event — the replayed history first, then live events — until
-// the server ends the stream (after the job's terminal EventDone), fn
-// returns a non-nil error, or ctx ends. A nil return means the stream
-// completed.
-func (c *Client) JobEvents(ctx context.Context, id string, fn func(JobEvent) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return decodeError(resp.StatusCode, body)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var evType string
-	var data []byte
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if evType != "" || len(data) > 0 {
-				ev, err := decodeEvent(evType, data)
-				if err != nil {
-					return err
-				}
-				if err := fn(ev); err != nil {
-					return err
-				}
-			}
-			evType, data = "", nil
-		case strings.HasPrefix(line, "event:"):
-			evType = strings.TrimSpace(line[len("event:"):])
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(line[len("data:"):], " ")...)
-		}
-	}
-	return sc.Err()
-}
-
-// decodeEvent unmarshals one SSE frame into a JobEvent.
-func decodeEvent(evType string, data []byte) (JobEvent, error) {
-	ev := JobEvent{Type: evType, Data: data}
-	switch evType {
-	case EventState, EventDone:
-		ev.Job = new(Job)
-		if err := json.Unmarshal(data, ev.Job); err != nil {
-			return ev, fmt.Errorf("api: %s event: %w", evType, err)
-		}
-	case EventItem:
-		ev.Item = new(JobItemEvent)
-		if err := json.Unmarshal(data, ev.Item); err != nil {
-			return ev, fmt.Errorf("api: item event: %w", err)
-		}
-	}
-	return ev, nil
 }

@@ -78,7 +78,14 @@ func ParseStep(step string) (func(v int) int, error) {
 	return func(v int) int { return v + add }, nil
 }
 
+// maxSweepPoints bounds a sweep's point count: a sweep is expanded
+// synchronously on submit, so an unbounded range would hold the
+// handler and its memory.
+const maxSweepPoints = 10000
+
 // Values expands the sweep's From/To/Step range into its point values.
+// A range with more than maxSweepPoints points, or whose step
+// overflows int before passing To, is an error.
 func (s *SweepRequest) Values() ([]int, error) {
 	next, err := ParseStep(s.Step)
 	if err != nil {
@@ -88,8 +95,19 @@ func (s *SweepRequest) Values() ([]int, error) {
 		return nil, fmt.Errorf("bad sweep range [%d, %d] (want 0 < from <= to)", s.From, s.To)
 	}
 	var values []int
-	for v := s.From; v <= s.To; v = next(v) {
+	for v := s.From; v <= s.To; {
+		if len(values) == maxSweepPoints {
+			return nil, fmt.Errorf("range [%d, %d] step %s has more than %d points", s.From, s.To, s.Step, maxSweepPoints)
+		}
 		values = append(values, v)
+		if v == s.To {
+			break
+		}
+		n := next(v)
+		if n <= v {
+			return nil, fmt.Errorf("range [%d, %d] step %s overflows int after %d", s.From, s.To, s.Step, v)
+		}
+		v = n
 	}
 	return values, nil
 }
@@ -178,53 +196,4 @@ type JobStats struct {
 	Failed int64 `json:"failed"`
 	// Cancelled counts cancelled terminal transitions this process.
 	Cancelled int64 `json:"cancelled"`
-}
-
-// Job event types, in SSE "event:" fields and JobEvent.Type.
-const (
-	// EventState carries the full Job after a state transition.
-	EventState = "state"
-	// EventItem reports one settled item. Item events are emitted in
-	// item-index order regardless of execution interleaving, so a
-	// job's event stream is deterministic.
-	EventItem = "item"
-	// EventProbe carries one live probe NDJSON line from a probed item.
-	EventProbe = "probe"
-	// EventDone is the stream terminator: the final Job state, after
-	// which the server closes the stream.
-	EventDone = "done"
-)
-
-// JobEvent is one server-sent event from GET /v1/jobs/{id}/events. The
-// wire form is standard SSE: "event:" carries Type, "data:" one JSON
-// object (a Job for state/done events, a JobItemEvent for item events,
-// a raw probe NDJSON record for probe events).
-type JobEvent struct {
-	// Type is the SSE event name (EventState, EventItem, EventProbe,
-	// EventDone).
-	Type string
-	// Job is decoded for EventState/EventDone events.
-	Job *Job
-	// Item is decoded for EventItem events.
-	Item *JobItemEvent
-	// Data is the raw data payload of every event (the NDJSON line for
-	// EventProbe).
-	Data []byte
-}
-
-// JobItemEvent is the data payload of an EventItem event.
-type JobItemEvent struct {
-	// Index is the item's position in the job.
-	Index int `json:"index"`
-	// Key is the item's canonical result key in the store.
-	Key string `json:"key"`
-	// Status is the item's HTTP-equivalent status.
-	Status int `json:"status"`
-	// Cache says where the result came from ("miss", "hit", "stored",
-	// "coalesced").
-	Cache string `json:"cache"`
-	// Done snapshots the job's settled-item count after this item.
-	Done int `json:"done"`
-	// Total is the job's item count.
-	Total int `json:"total"`
 }

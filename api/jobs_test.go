@@ -1,6 +1,9 @@
 package api
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestParseStep(t *testing.T) {
 	cases := []struct {
@@ -58,9 +61,30 @@ func TestSweepValues(t *testing.T) {
 		{From: 0, To: 256, Step: "2x"},
 		{From: 256, To: 32, Step: "2x"},
 		{From: 32, To: 256, Step: "nope"},
+		// A step that overflows int would wrap and never pass To.
+		{From: 1, To: math.MaxInt, Step: "2x"},
+		{From: math.MaxInt - 2, To: math.MaxInt, Step: "3"},
+		// Too many points to expand on submit.
+		{From: 1, To: 1e9, Step: "1"},
+		{From: 1, To: maxSweepPoints + 1, Step: "1"},
 	} {
-		if _, err := bad.Values(); err == nil {
-			t.Errorf("Values(%+v): want error, got none", bad)
+		if vals, err := bad.Values(); err == nil {
+			t.Errorf("Values(%d..%d step %s): %d points, want an error", bad.From, bad.To, bad.Step, len(vals))
+		}
+	}
+	// Ranges that end at math.MaxInt or at exactly maxSweepPoints points
+	// are whole.
+	for _, c := range []struct {
+		req  SweepRequest
+		want int
+	}{
+		{SweepRequest{From: 1, To: maxSweepPoints, Step: "1"}, maxSweepPoints},
+		{SweepRequest{From: math.MaxInt - 2, To: math.MaxInt, Step: "2"}, 2},
+		{SweepRequest{From: 1 << 61, To: 1 << 62, Step: "2x"}, 2},
+	} {
+		vals, err := c.req.Values()
+		if err != nil || len(vals) != c.want {
+			t.Errorf("Values(%d..%d step %s) = %d points, %v; want %d", c.req.From, c.req.To, c.req.Step, len(vals), err, c.want)
 		}
 	}
 }

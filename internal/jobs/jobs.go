@@ -2,17 +2,17 @@
 // service's /v1/jobs API: a submitted run/batch/sweep/experiment
 // returns immediately with a job id, executes in the background under
 // bounded admission (parallel.Gate for concurrent jobs, parallel.Map
-// for item fan-out), streams progress and per-item completion events to
-// any number of subscribers, and cancels through the same context
-// plumbing the synchronous endpoints use.
+// for item fan-out), reports progress through the polled job state, and
+// cancels through the same context plumbing the synchronous endpoints
+// use.
 //
 // The engine is deliberately generic: it knows nothing about
 // simulations. The service hands it two callbacks — Resolve, which
 // turns a raw request body into a Plan (an ordered item list plus an
 // assembly function), and Exec, which settles one item — and the
 // engine owns everything else: the state machine
-// (queued -> running -> done | failed | cancelled), item accounting,
-// the event log, and persistence.
+// (queued -> running -> done | failed | cancelled), item accounting
+// and persistence.
 //
 // Durability: with Options.Dir set, every job's request is written
 // (atomically, via internal/store's rename trick) to
@@ -27,12 +27,6 @@
 // bytes already stored. The checkpoint granularity is therefore one
 // item; a killed sweep re-pays at most its warm prefix plus the items
 // in flight at the kill.
-//
-// Determinism: item events are emitted in item-index order regardless
-// of execution interleaving (a reorder buffer holds completed items
-// until their predecessors settle), so a job's event stream — like
-// every response body in the service — does not depend on worker
-// count or scheduling.
 package jobs
 
 import (
@@ -61,14 +55,11 @@ var (
 	ErrNotReady = errors.New("jobs: job has not finished")
 )
 
-// Item is one unit of work in a job.
+// Item is one unit of work in a job. Items are positional: results
+// assemble in Plan.Items order.
 type Item struct {
-	// Index is the item's position; results assemble in index order.
-	Index int
 	// Key is the item's canonical result key (the store's SHA-256).
 	Key string
-	// Probe marks items whose execution streams probe NDJSON.
-	Probe bool
 	// Payload is opaque to the engine and interpreted by Exec (the
 	// service stores its resolved run here).
 	Payload any
@@ -92,19 +83,10 @@ type Plan struct {
 	Assemble func(statuses []int, bodies [][]byte) (int, []byte)
 }
 
-// ItemContext lets Exec stream observability back into the job while
-// an item runs.
+// ItemContext lets Exec report progress back into the job while an
+// item runs.
 type ItemContext struct {
-	job  *job
-	item Item
-}
-
-// Probe publishes one probe NDJSON line as a live job event.
-func (c *ItemContext) Probe(line []byte) {
-	if c == nil || c.job == nil {
-		return
-	}
-	c.job.broadcastProbe(line)
+	job *job
 }
 
 // Note sets the job's "current activity" progress field (e.g. the warm
@@ -146,39 +128,6 @@ type Options struct {
 	Exec    Exec
 }
 
-// Event is one entry of a job's event log: a typed, JSON-encoded
-// payload (see api.JobEvent for the vocabulary).
-type Event struct {
-	Seq  int
-	Type string
-	Data []byte
-}
-
-// Subscription is a live view of one job's events: Replay holds
-// everything emitted before the subscription, C delivers subsequent
-// events and closes when the job reaches a terminal state (or the
-// engine shuts down). Close releases the subscription early.
-type Subscription struct {
-	Replay []Event
-	C      <-chan Event
-
-	cancel func()
-}
-
-// Close detaches the subscription; safe to call multiple times.
-func (s *Subscription) Close() {
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-}
-
-// maxEventLog bounds a job's retained event log. Item and state events
-// are always retained (their count is bounded by the item count);
-// probe events stop being logged past the cap but still reach live
-// subscribers.
-const maxEventLog = 1 << 16
-
 // job is the engine-internal state of one job.
 type job struct {
 	mu sync.Mutex
@@ -207,17 +156,6 @@ type job struct {
 	// onDisk marks history records loaded from a previous process:
 	// their final bytes live only in the result file.
 	onDisk bool
-
-	// Event log and subscribers.
-	seq     int
-	log     []Event
-	subs    map[int]chan Event
-	nextSub int
-	closed  bool // no further events; channels closed
-
-	// Reorder buffer for deterministic item events.
-	itemNext    int
-	itemPending map[int]api.JobItemEvent
 }
 
 // Engine runs jobs. Create one with New; Close it on shutdown.
@@ -285,12 +223,6 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	e.rootCancel()
 	e.wg.Wait()
-	// Release any remaining subscribers so SSE handlers return.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, j := range e.jobs {
-		j.closeSubs()
-	}
 }
 
 // Submit resolves, persists, and enqueues one job. The returned Job is
@@ -320,7 +252,6 @@ func (e *Engine) Submit(request []byte) (api.Job, error) {
 		return api.Job{}, fmt.Errorf("%w: %v", ErrStorage, err)
 	}
 	view := j.view()
-	j.broadcastState(api.EventState)
 	e.start(j)
 	return view, nil
 }
@@ -329,18 +260,16 @@ func (e *Engine) Submit(request []byte) (api.Job, error) {
 func (e *Engine) newJob(id string, plan Plan, request json.RawMessage, resumes int) *job {
 	ctx, cancel := context.WithCancel(e.rootCtx)
 	j := &job{
-		id:          id,
-		typ:         plan.Type,
-		note:        plan.Note,
-		request:     request,
-		plan:        plan,
-		state:       api.JobQueued,
-		resumes:     resumes,
-		created:     time.Now(),
-		ctx:         ctx,
-		cancel:      cancel,
-		subs:        make(map[int]chan Event),
-		itemPending: make(map[int]api.JobItemEvent),
+		id:      id,
+		typ:     plan.Type,
+		note:    plan.Note,
+		request: request,
+		plan:    plan,
+		state:   api.JobQueued,
+		resumes: resumes,
+		created: time.Now(),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	j.progress.Total = len(plan.Items)
 	return j
@@ -383,17 +312,14 @@ func (e *Engine) run(j *job) {
 	j.started = time.Now()
 	j.mu.Unlock()
 	_ = e.persist(j)
-	j.broadcastState(api.EventState)
 
 	n := len(j.plan.Items)
 	statuses := make([]int, n)
 	bodies := make([][]byte, n)
 	_, perr := parallel.Map(n, func(i int) (struct{}, error) {
-		it := j.plan.Items[i]
-		ic := &ItemContext{job: j, item: it}
-		status, body, cache := e.opts.Exec(j.ctx, it, ic)
+		status, body, cache := e.opts.Exec(j.ctx, j.plan.Items[i], &ItemContext{job: j})
 		statuses[i], bodies[i] = status, body
-		j.settleItem(it, status, cache)
+		j.settleItem(status, cache)
 		return struct{}{}, nil
 	})
 
@@ -431,8 +357,7 @@ func (e *Engine) run(j *job) {
 	}
 }
 
-// finish moves a job to a terminal state, persists it, publishes the
-// final events, and closes subscribers.
+// finish moves a job to a terminal state and persists it.
 func (e *Engine) finish(j *job, state string, jerr *api.Error, final []byte, finalStatus int) {
 	j.mu.Lock()
 	j.state = state
@@ -466,8 +391,6 @@ func (e *Engine) finish(j *job, state string, jerr *api.Error, final []byte, fin
 	}
 	e.mu.Unlock()
 
-	j.broadcastState(api.EventDone)
-	j.closeSubs()
 	e.trimHistory()
 }
 
@@ -565,49 +488,6 @@ func (e *Engine) Result(id string) (int, []byte, error) {
 	return status, final, nil
 }
 
-// Subscribe attaches to a job's event stream.
-func (e *Engine) Subscribe(id string) (*Subscription, bool) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		rec, err := e.readRecord(id)
-		if err != nil {
-			return nil, false
-		}
-		j = rec
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	replay := make([]Event, len(j.log))
-	copy(replay, j.log)
-	if len(replay) == 0 && j.onDisk {
-		// History job from a previous process: the per-process event log
-		// is gone; synthesize the terminal event.
-		if data, err := json.Marshal(j.viewLocked()); err == nil {
-			replay = append(replay, Event{Seq: 0, Type: api.EventDone, Data: data})
-		}
-	}
-	ch := make(chan Event, 1024)
-	if j.closed || j.onDisk {
-		close(ch)
-		return &Subscription{Replay: replay, C: ch}, true
-	}
-	j.nextSub++
-	subID := j.nextSub
-	j.subs[subID] = ch
-	sub := &Subscription{Replay: replay, C: ch}
-	sub.cancel = func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if c, ok := j.subs[subID]; ok {
-			delete(j.subs, subID)
-			close(c)
-		}
-	}
-	return sub, true
-}
-
 // Stats returns the engine's accounting.
 func (e *Engine) Stats() api.JobStats {
 	e.mu.Lock()
@@ -662,9 +542,8 @@ func jobNum(id string) int {
 
 // ---- job internals ----
 
-// settleItem records one settled item and emits its event in index
-// order.
-func (j *job) settleItem(it Item, status int, cache string) {
+// settleItem counts one settled item into the job's progress.
+func (j *job) settleItem(status int, cache string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.progress.Done++
@@ -678,25 +557,6 @@ func (j *job) settleItem(it Item, status int, cache string) {
 		j.progress.StoreHits++
 	case "coalesced":
 		j.progress.Coalesced++
-	}
-	j.itemPending[it.Index] = api.JobItemEvent{
-		Index:  it.Index,
-		Key:    it.Key,
-		Status: status,
-		Cache:  cache,
-		Total:  j.progress.Total,
-	}
-	for {
-		ev, ok := j.itemPending[j.itemNext]
-		if !ok {
-			break
-		}
-		delete(j.itemPending, j.itemNext)
-		j.itemNext++
-		ev.Done = j.itemNext
-		if data, err := json.Marshal(ev); err == nil {
-			j.broadcastLocked(api.EventItem, data, true)
-		}
 	}
 }
 
@@ -712,73 +572,11 @@ func (j *job) isCancelled() bool {
 	return j.cancelled
 }
 
-// broadcastState publishes the job's current view as a state/done
-// event.
-func (j *job) broadcastState(evType string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	data, err := json.Marshal(j.viewLocked())
-	if err != nil {
-		return
-	}
-	j.broadcastLocked(evType, data, true)
-}
-
-// broadcastProbe publishes one probe NDJSON line. Probe events beyond
-// the log cap still reach live subscribers but are not replayed.
-func (j *job) broadcastProbe(line []byte) {
-	data := make([]byte, len(line))
-	copy(data, line)
-	data = []byte(strings.TrimRight(string(data), "\n"))
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.broadcastLocked(api.EventProbe, data, len(j.log) < maxEventLog)
-}
-
-// broadcastLocked appends to the log (when logged) and fans out to
-// subscribers; j.mu must be held. A subscriber whose buffer is full
-// loses the event (SSE clients that lag behind a simulation have
-// bigger problems; the replay log is the source of truth).
-func (j *job) broadcastLocked(evType string, data []byte, logged bool) {
-	if j.closed {
-		return
-	}
-	ev := Event{Seq: j.seq, Type: evType, Data: data}
-	j.seq++
-	if logged {
-		j.log = append(j.log, ev)
-	}
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// closeSubs closes every subscriber channel and marks the stream ended.
-func (j *job) closeSubs() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return
-	}
-	j.closed = true
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
-}
-
 // view renders the job's public state.
 func (j *job) view() api.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.viewLocked()
-}
-
-func (j *job) viewLocked() api.Job {
-	v := api.Job{
+	return api.Job{
 		ID:           j.id,
 		Type:         j.typ,
 		State:        j.state,
@@ -790,7 +588,6 @@ func (j *job) viewLocked() api.Job {
 		FinishedUnix: unix(j.finished),
 		Error:        j.jobErr,
 	}
-	return v
 }
 
 func unix(t time.Time) int64 {
@@ -894,8 +691,6 @@ func recordJob(rec record) *job {
 		finished:    timeOrZero(rec.Finished),
 		finalStatus: rec.FinalStatus,
 		onDisk:      true,
-		closed:      true,
-		subs:        map[int]chan Event{},
 	}
 }
 
@@ -973,7 +768,6 @@ func (e *Engine) recover() error {
 	sort.Slice(resumable, func(a, b int) bool { return jobNum(resumable[a].id) < jobNum(resumable[b].id) })
 	for _, j := range resumable {
 		_ = e.persist(j)
-		j.broadcastState(api.EventState)
 		e.start(j)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func testResolve(request []byte) (Plan, error) {
 	}
 	items := make([]Item, spec.N)
 	for i := range items {
-		items[i] = Item{Index: i, Key: fmt.Sprintf("key-%d", i)}
+		items[i] = Item{Key: fmt.Sprintf("key-%d", i)}
 	}
 	return Plan{
 		Type:  "batch",
@@ -44,13 +45,20 @@ func testResolve(request []byte) (Plan, error) {
 	}, nil
 }
 
+// itemIndex recovers a testResolve item's position from its key.
+func itemIndex(it Item) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(it.Key, "key-"))
+	return n
+}
+
 // plainExec settles items instantly; failSet items settle 422.
 func plainExec(failSet map[int]bool) Exec {
 	return func(ctx context.Context, it Item, ic *ItemContext) (int, []byte, string) {
-		if failSet[it.Index] {
-			return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("err%d", it.Index)), "miss"
+		i := itemIndex(it)
+		if failSet[i] {
+			return http.StatusUnprocessableEntity, []byte(fmt.Sprintf("err%d", i)), "miss"
 		}
-		return http.StatusOK, []byte(fmt.Sprintf("b%d", it.Index)), "miss"
+		return http.StatusOK, []byte(fmt.Sprintf("b%d", i)), "miss"
 	}
 }
 
@@ -130,7 +138,7 @@ func TestItemErrorsCountButDontFailBatch(t *testing.T) {
 // engine keeps serving other jobs.
 func TestPanickingItemFailsJob(t *testing.T) {
 	exec := func(ctx context.Context, it Item, ic *ItemContext) (int, []byte, string) {
-		if it.Index == 1 {
+		if it.Key == "key-1" {
 			panic("simulator bug")
 		}
 		return plainExec(nil)(ctx, it, ic)
@@ -166,83 +174,6 @@ func TestSubmitRejectsBadSpec(t *testing.T) {
 	}
 	if _, ok := e.Get("j1"); ok {
 		t.Error("rejected submit is Gettable")
-	}
-}
-
-// TestEventOrderDeterministic pins the reorder buffer: item events
-// arrive in index order with monotone done counts even though execution
-// finishes in reverse.
-func TestEventOrderDeterministic(t *testing.T) {
-	const n = 6
-	release := make(chan struct{})
-	exec := func(ctx context.Context, it Item, ic *ItemContext) (int, []byte, string) {
-		<-release
-		// Higher indexes return sooner.
-		time.Sleep(time.Duration(n-it.Index) * 3 * time.Millisecond)
-		return http.StatusOK, []byte(fmt.Sprintf("b%d", it.Index)), "miss"
-	}
-	e, err := New(Options{Resolve: testResolve, Exec: exec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	job := submitSpec(t, e, testSpec{N: n})
-	sub, ok := e.Subscribe(job.ID)
-	if !ok {
-		t.Fatal("Subscribe failed")
-	}
-	defer sub.Close()
-	close(release)
-
-	var items []api.JobItemEvent
-	collect := func(ev Event) {
-		if ev.Type != api.EventItem {
-			return
-		}
-		var ie api.JobItemEvent
-		if err := json.Unmarshal(ev.Data, &ie); err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, ie)
-	}
-	for _, ev := range sub.Replay {
-		collect(ev)
-	}
-	for ev := range sub.C {
-		collect(ev)
-	}
-	if len(items) != n {
-		t.Fatalf("saw %d item events, want %d", len(items), n)
-	}
-	for i, ie := range items {
-		if ie.Index != i || ie.Done != i+1 || ie.Total != n {
-			t.Errorf("item event %d = %+v, want index %d done %d", i, ie, i, i+1)
-		}
-	}
-}
-
-func TestSubscribeReplaysTerminalJob(t *testing.T) {
-	e, err := New(Options{Resolve: testResolve, Exec: plainExec(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	job := submitSpec(t, e, testSpec{N: 2})
-	waitTerminal(t, e, job.ID)
-	sub, ok := e.Subscribe(job.ID)
-	if !ok {
-		t.Fatal("Subscribe failed")
-	}
-	defer sub.Close()
-	if _, open := <-sub.C; open {
-		t.Error("terminal job's live channel not closed")
-	}
-	var last Event
-	for _, ev := range sub.Replay {
-		last = ev
-	}
-	if last.Type != api.EventDone {
-		t.Errorf("replay ends with %q, want done", last.Type)
 	}
 }
 
@@ -396,7 +327,7 @@ func TestSingleItemFailureFailsJob(t *testing.T) {
 	resolve := func(request []byte) (Plan, error) {
 		return Plan{
 			Type:     "run",
-			Items:    []Item{{Index: 0, Key: "k"}},
+			Items:    []Item{{Key: "k"}},
 			Assemble: func(st []int, bd [][]byte) (int, []byte) { return st[0], bd[0] },
 		}, nil
 	}

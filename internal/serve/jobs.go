@@ -94,46 +94,6 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleJobEvents streams a job's event log as server-sent events:
-// replayed history first, then live events, ending after the terminal
-// "done" event (or when the client goes away).
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sub, ok := s.engine.Subscribe(id)
-	if !ok {
-		writeError(w, errNotFound("no job %q", id))
-		return
-	}
-	defer sub.Close()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, errInternal("streaming unsupported by this connection"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	writeEvent := func(ev jobs.Event) {
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data)
-		fl.Flush()
-	}
-	for _, ev := range sub.Replay {
-		writeEvent(ev)
-	}
-	for {
-		select {
-		case ev, open := <-sub.C:
-			if !open {
-				return
-			}
-			writeEvent(ev)
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
 // jobResolve is the engine's Resolve callback: raw body -> Plan. The
 // errors it returns surface as the submitter's 400 (or, on restart, as
 // a failed job), so they are *api.Error values.
@@ -218,7 +178,7 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 		return jobs.Plan{
 			Type:     "experiment",
 			Note:     "experiment " + er.name,
-			Items:    []jobs.Item{{Index: 0, Key: er.key, Payload: er}},
+			Items:    []jobs.Item{{Key: er.key, Payload: er}},
 			Assemble: assembleSingle,
 		}, nil
 	}
@@ -228,7 +188,7 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 func runItems(rrs []*plan.Run) []jobs.Item {
 	items := make([]jobs.Item, len(rrs))
 	for i, rr := range rrs {
-		items[i] = jobs.Item{Index: i, Key: rr.Key, Probe: rr.Probe, Payload: rr}
+		items[i] = jobs.Item{Key: rr.Key, Payload: rr}
 	}
 	return items
 }
@@ -243,44 +203,19 @@ func assembleSingle(statuses []int, bodies [][]byte) (int, []byte) {
 }
 
 // jobExec is the engine's Exec callback: it settles one item through
-// the shared pipeline, streaming probe lines and warm-prefix notes back
-// through the item context.
+// the shared pipeline, reporting a warm prefix as the job's current
+// activity. A probed item's NDJSON comes back in its result body.
 func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext) (int, []byte, string) {
 	switch p := it.Payload.(type) {
 	case *plan.Run:
-		var sink io.Writer
-		if p.Probe {
-			sink = &lineWriter{emit: ic.Probe}
-		}
 		if p.WarmCycles > 0 {
 			ic.Note(fmt.Sprintf("warm@%d %s", p.WarmCycles, p.Label()))
 			defer ic.Note("")
 		}
-		return s.compute(ctx, p, false, sink)
+		return s.compute(ctx, p, false)
 	case *resolvedExperiment:
 		return s.computeExperiment(p)
 	default:
 		return http.StatusInternalServerError, errorBytes(errInternal("unknown job item payload %T", it.Payload)), "miss"
 	}
-}
-
-// lineWriter splits a probe's NDJSON byte stream into lines and hands
-// each complete line to emit — the bridge from the probe's io.Writer
-// contract to the job engine's per-line probe events.
-type lineWriter struct {
-	emit func([]byte)
-	buf  []byte
-}
-
-func (lw *lineWriter) Write(p []byte) (int, error) {
-	lw.buf = append(lw.buf, p...)
-	for {
-		i := bytes.IndexByte(lw.buf, '\n')
-		if i < 0 {
-			break
-		}
-		lw.emit(lw.buf[:i+1])
-		lw.buf = lw.buf[i+1:]
-	}
-	return len(p), nil
 }

@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -54,60 +55,16 @@ func submitJob(t *testing.T, ts *httptest.Server, body string) api.Job {
 	return j
 }
 
-// sseEvent is one parsed server-sent event.
-type sseEvent struct {
-	Type string
-	Data string
-}
-
-// readSSE consumes a /v1/jobs/{id}/events stream to completion.
-func readSSE(t *testing.T, ts *httptest.Server, id string) []sseEvent {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET events: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-	var evs []sseEvent
-	var cur sseEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if cur.Type != "" {
-				evs = append(evs, cur)
-			}
-			cur = sseEvent{}
-		case strings.HasPrefix(line, "event: "):
-			cur.Type = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			cur.Data = strings.TrimPrefix(line, "data: ")
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return evs
-}
-
 const lifecycleBatch = `{"runs":[
 	{"kernel":"vectoradd"},
 	{"kernel":"vectoradd","seed":7},
 	{"kernel":"sto"}
 ]}`
 
-// TestJobLifecycle is the submit -> poll -> events -> result walk: the
-// job's final bytes must be identical to the synchronous /v1/batch
-// response for the same request, and the event stream must be the
-// deterministic queued/running prefix, items in index order, then done.
+// TestJobLifecycle is the submit -> poll -> result walk: the job's
+// final bytes must be identical to the synchronous /v1/batch response
+// for the same request. Polling is the one progress channel; there is
+// no event stream.
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
 
@@ -142,31 +99,61 @@ func TestJobLifecycle(t *testing.T) {
 		t.Errorf("job result differs from sync batch:\njob:  %s\nsync: %s", jobBody, syncBody)
 	}
 
-	// The replayed event stream: state events first, then items in index
-	// order with monotone done counts, terminated by done.
-	evs := readSSE(t, ts, j.ID)
-	if len(evs) < 5 {
-		t.Fatalf("events = %+v, want >= 5", evs)
+	if resp, body := do(t, ts, http.MethodGet, "/v1/jobs/"+j.ID+"/events", ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/jobs/{id}/events: %d: %s, want 404", resp.StatusCode, body)
 	}
-	if evs[0].Type != api.EventState || evs[len(evs)-1].Type != api.EventDone {
-		t.Fatalf("stream frame = %s..%s, want state..done", evs[0].Type, evs[len(evs)-1].Type)
+}
+
+// TestJobProbedRun: a probed run submitted as a job returns its probe
+// NDJSON in the result body, byte-identical to /v1/run of the same
+// request on a fresh server.
+func TestJobProbedRun(t *testing.T) {
+	const run = `{"kernel":"vectoradd","probe":true}`
+	_, tsJob := newTestServer(t, Options{})
+	_, tsSync := newTestServer(t, Options{})
+
+	j := submitJob(t, tsJob, `{"run":`+run+`}`)
+	if done := pollJob(t, tsJob, j.ID); done.State != api.JobDone {
+		t.Fatalf("terminal view = %+v", done)
 	}
-	wantIdx := 0
-	for _, ev := range evs {
-		if ev.Type != api.EventItem {
-			continue
-		}
-		var ie api.JobItemEvent
-		if err := json.Unmarshal([]byte(ev.Data), &ie); err != nil {
-			t.Fatal(err)
-		}
-		if ie.Index != wantIdx || ie.Done != wantIdx+1 || ie.Total != 3 {
-			t.Fatalf("item event = %+v, want index %d done %d", ie, wantIdx, wantIdx+1)
-		}
-		wantIdx++
+	respJob, jobBody := do(t, tsJob, http.MethodGet, "/v1/jobs/"+j.ID+"/result", "")
+	if respJob.StatusCode != http.StatusOK {
+		t.Fatalf("job result: %d: %s", respJob.StatusCode, jobBody)
 	}
-	if wantIdx != 3 {
-		t.Errorf("saw %d item events, want 3", wantIdx)
+	respSync, syncBody := do(t, tsSync, http.MethodPost, "/v1/run", run)
+	if respSync.StatusCode != http.StatusOK {
+		t.Fatalf("sync run: %d: %s", respSync.StatusCode, syncBody)
+	}
+	if !bytes.Equal(jobBody, syncBody) {
+		t.Errorf("job result differs from sync run:\njob:  %.200s\nsync: %.200s", jobBody, syncBody)
+	}
+	var rr api.RunResponse
+	if err := json.Unmarshal(jobBody, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rr.ProbeNDJSON == "" {
+		t.Error("probed job result has empty probe_ndjson")
+	}
+}
+
+// TestJobSweepUnboundedRejected: a sweep whose range never ends or asks
+// for more points than the service accepts is the submitter's 400, at
+// once, not a job.
+func TestJobSweepUnboundedRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, sweep := range []string{
+		fmt.Sprintf(`{"kernel":"vectoradd","resource":"cache","from":1,"to":%d,"step":"2x"}`, math.MaxInt),
+		fmt.Sprintf(`{"kernel":"vectoradd","resource":"cache","from":%d,"to":%d,"step":"3"}`, math.MaxInt-2, math.MaxInt),
+		`{"kernel":"vectoradd","resource":"cache","from":1,"to":1000000000,"step":"1"}`,
+	} {
+		resp, body := do(t, ts, http.MethodPost, "/v1/jobs", `{"sweep":`+sweep+`}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("sweep %s: %d: %s, want 400", sweep, resp.StatusCode, body)
+		}
+		var env api.ErrorBody
+		if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || env.Error.Code != api.CodeBadRequest {
+			t.Errorf("sweep %s: body %s, want a bad_request envelope", sweep, body)
+		}
 	}
 }
 
@@ -309,22 +296,20 @@ func TestJobKillRestartResume(t *testing.T) {
 	dir := t.TempDir()
 	const sweep = `{"sweep":{"kernel":"vectoradd","resource":"cache","from":32,"to":256,"step":"2x"}}`
 
-	// Phase 1: a server whose job executor stalls after the first item.
+	// Phase 1: a server whose job executor settles one item (whichever
+	// arrives first) and stalls every other until the "kill".
 	firstDone := make(chan struct{})
-	var settled atomic.Int32
+	var claimed atomic.Bool
 	s1, err := New(Options{
 		DataDir: dir,
 		execWrap: func(inner jobs.Exec) jobs.Exec {
 			return func(ctx context.Context, it jobs.Item, ic *jobs.ItemContext) (int, []byte, string) {
-				if it.Index != 0 {
-					// Stall every later item until the "kill".
+				if !claimed.CompareAndSwap(false, true) {
 					<-ctx.Done()
 					return http.StatusRequestTimeout, errorBytes(errCancelled("killed")), "miss"
 				}
 				status, body, cache := inner(ctx, it, ic)
-				if settled.Add(1) == 1 {
-					close(firstDone)
-				}
+				close(firstDone)
 				return status, body, cache
 			}
 		},

@@ -14,7 +14,6 @@
 //	POST   /v1/jobs             submit an async job (202)   -> api.Job
 //	GET    /v1/jobs             list jobs                   -> []api.Job
 //	GET    /v1/jobs/{id}        poll status and progress    -> api.Job
-//	GET    /v1/jobs/{id}/events live progress stream           (SSE)
 //	GET    /v1/jobs/{id}/result final result bytes
 //	DELETE /v1/jobs/{id}        cancel                      -> api.Job
 //	GET    /v1/kernels          the benchmark registry      -> []api.KernelInfo
@@ -76,7 +75,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -133,7 +131,7 @@ type Options struct {
 }
 
 // simulateFunc is the shape of Server.simulate.
-type simulateFunc func(ctx context.Context, rr *plan.Run, sink io.Writer) (int, []byte)
+type simulateFunc func(ctx context.Context, rr *plan.Run) (int, []byte)
 
 func (o Options) withDefaults() Options {
 	if o.InFlight < 1 {
@@ -238,7 +236,6 @@ func New(opts Options) (*Server, error) {
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
 	s.mux = mux
 	return s, nil
@@ -256,10 +253,7 @@ func (s *Server) Close() {
 }
 
 // simulate executes one resolved run and marshals its response body.
-// sink, when non-nil, receives probe NDJSON bytes live while the
-// simulation runs (the job engine's probe event stream), in addition to
-// the response body.
-func (s *Server) simulate(ctx context.Context, rr *plan.Run, sink io.Writer) (int, []byte) {
+func (s *Server) simulate(ctx context.Context, rr *plan.Run) (int, []byte) {
 	timeout := rr.Timeout
 	if timeout == 0 {
 		timeout = s.opts.DefaultTimeout
@@ -272,11 +266,7 @@ func (s *Server) simulate(ctx context.Context, rr *plan.Run, sink io.Writer) (in
 		started = time.Now()
 	)
 	if rr.Probe {
-		w := io.Writer(&ndjson)
-		if sink != nil {
-			w = io.MultiWriter(&ndjson, sink)
-		}
-		opts = append(opts, core.WithProbe(probe.New(rr.ProbeInterval, w)))
+		opts = append(opts, core.WithProbe(probe.New(rr.ProbeInterval, &ndjson)))
 	}
 	res, err := s.runners.Simulate(ctx, rr, opts...)
 	s.metrics.simRuns.Add(1)
@@ -348,10 +338,9 @@ func (s *Server) simulate(ctx context.Context, rr *plan.Run, sink io.Writer) (in
 // compute runs the cache -> store -> coalesce -> simulate pipeline for
 // one resolved run. It assumes admission is already settled. counted
 // says the caller already recorded this lookup in the cache stats
-// (handleRun's pre-admission check), so the recheck stays quiet. sink
-// is simulate's live probe sink. The cacheState return is "hit",
-// "stored", "coalesced", or "miss".
-func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool, sink io.Writer) (status int, body []byte, cacheState string) {
+// (handleRun's pre-admission check), so the recheck stays quiet. The
+// cacheState return is "hit", "stored", "coalesced", or "miss".
+func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool) (status int, body []byte, cacheState string) {
 	lookup := s.cache.get
 	if counted {
 		lookup = s.cache.peek
@@ -383,7 +372,7 @@ func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool, sink i
 	s.flight[rr.Key] = c
 	s.flightMu.Unlock()
 	s.settle(rr.Key, c, func() (int, []byte) {
-		status, body := s.sim(ctx, rr, sink)
+		status, body := s.sim(ctx, rr)
 		if status == http.StatusOK {
 			s.cache.put(rr.Key, body)
 			if s.store != nil {
@@ -457,7 +446,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	status, body, state := s.compute(r.Context(), rr, true, nil)
+	status, body, state := s.compute(r.Context(), rr, true)
 	writeBody(w, status, body, state)
 }
 
@@ -506,7 +495,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Items fan out across the process worker budget; Map keeps results
 	// in request order, so the assembled body is worker-count invariant.
 	items, err := parallel.Map(len(resolved), func(i int) (json.RawMessage, error) {
-		status, body, state := s.compute(r.Context(), resolved[i], false, nil)
+		status, body, state := s.compute(r.Context(), resolved[i], false)
 		mu.Lock()
 		if state == "miss" {
 			misses++

@@ -280,7 +280,7 @@ func TestSimulateDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr.Timeout = time.Nanosecond
-	status, body := s.simulate(context.Background(), rr, nil)
+	status, body := s.simulate(context.Background(), rr)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", status, body)
 	}
@@ -449,11 +449,11 @@ func TestMetricsShape(t *testing.T) {
 // other keys keep serving.
 func TestSimulatePanicDoesNotWedgeKey(t *testing.T) {
 	opts := Options{simulateWrap: func(inner simulateFunc) simulateFunc {
-		return func(ctx context.Context, rr *plan.Run, sink io.Writer) (int, []byte) {
+		return func(ctx context.Context, rr *plan.Run) (int, []byte) {
 			if rr.Streams[0].Kernel.Name == "bfs" {
 				panic("injected failure")
 			}
-			return inner(ctx, rr, sink)
+			return inner(ctx, rr)
 		}
 	}}
 	_, ts := newTestServer(t, opts)
