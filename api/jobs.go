@@ -78,14 +78,14 @@ func ParseStep(step string) (func(v int) int, error) {
 	return func(v int) int { return v + add }, nil
 }
 
-// maxSweepPoints bounds a sweep's point count: a sweep is expanded
-// synchronously on submit, so an unbounded range would hold the
-// handler and its memory.
-const maxSweepPoints = 10000
+// MaxRuns bounds the runs one request expands to: a batch's items and
+// a sweep's points. Both are resolved synchronously on submit, so an
+// unbounded request would hold the handler and its memory.
+const MaxRuns = 10000
 
 // Values expands the sweep's From/To/Step range into its point values.
-// A range with more than maxSweepPoints points, or whose step
-// overflows int before passing To, is an error.
+// A range with more than MaxRuns points, or whose step overflows int
+// before passing To, is an error.
 func (s *SweepRequest) Values() ([]int, error) {
 	next, err := ParseStep(s.Step)
 	if err != nil {
@@ -96,8 +96,8 @@ func (s *SweepRequest) Values() ([]int, error) {
 	}
 	var values []int
 	for v := s.From; v <= s.To; {
-		if len(values) == maxSweepPoints {
-			return nil, fmt.Errorf("range [%d, %d] step %s has more than %d points", s.From, s.To, s.Step, maxSweepPoints)
+		if len(values) == MaxRuns {
+			return nil, fmt.Errorf("range [%d, %d] step %s has more than %d points", s.From, s.To, s.Step, MaxRuns)
 		}
 		values = append(values, v)
 		if v == s.To {

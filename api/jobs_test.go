@@ -66,19 +66,19 @@ func TestSweepValues(t *testing.T) {
 		{From: math.MaxInt - 2, To: math.MaxInt, Step: "3"},
 		// Too many points to expand on submit.
 		{From: 1, To: 1e9, Step: "1"},
-		{From: 1, To: maxSweepPoints + 1, Step: "1"},
+		{From: 1, To: MaxRuns + 1, Step: "1"},
 	} {
 		if vals, err := bad.Values(); err == nil {
 			t.Errorf("Values(%d..%d step %s): %d points, want an error", bad.From, bad.To, bad.Step, len(vals))
 		}
 	}
-	// Ranges that end at math.MaxInt or at exactly maxSweepPoints points
+	// Ranges that end at math.MaxInt or at exactly MaxRuns points
 	// are whole.
 	for _, c := range []struct {
 		req  SweepRequest
 		want int
 	}{
-		{SweepRequest{From: 1, To: maxSweepPoints, Step: "1"}, maxSweepPoints},
+		{SweepRequest{From: 1, To: MaxRuns, Step: "1"}, MaxRuns},
 		{SweepRequest{From: math.MaxInt - 2, To: math.MaxInt, Step: "2"}, 2},
 		{SweepRequest{From: 1 << 61, To: 1 << 62, Step: "2x"}, 2},
 	} {

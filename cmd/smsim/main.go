@@ -54,6 +54,7 @@ func replayTrace(path string, cfg config.MemConfig, params sm.Params, residentCT
 		os.Exit(1)
 	}
 	c, err := simulator.Run()
+	simulator.Release()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smsim:", err)
 		os.Exit(1)

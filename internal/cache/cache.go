@@ -13,6 +13,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/config"
 )
@@ -40,27 +41,39 @@ type Cache struct {
 // yields a cache on which every access misses (the paper's "0 KB cache"
 // characterization point).
 func New(capacityBytes int) *Cache {
-	c := &Cache{ways: config.CacheWays, lineBytes: config.CacheLineBytes}
+	c := new(Cache)
+	c.Reset(capacityBytes)
+	return c
+}
+
+// Reset empties the cache and gives it the geometry New builds for
+// capacityBytes, reusing its arrays when they are large enough: a
+// recycled SM frame keeps one tag store across runs of any size.
+func (c *Cache) Reset(capacityBytes int) {
+	tags, age, dirty := c.tags[:0], c.age[:0], c.dirty[:0]
+	*c = Cache{ways: config.CacheWays, lineBytes: config.CacheLineBytes, tags: tags, age: age, dirty: dirty}
 	if capacityBytes <= 0 {
-		return c
+		return
 	}
 	lines := capacityBytes / c.lineBytes
-	c.sets = lines / c.ways
-	if c.sets < 1 {
-		c.sets = 1
-		c.ways = lines
-		if c.ways < 1 {
-			return &Cache{ways: config.CacheWays, lineBytes: config.CacheLineBytes}
+	sets, ways := lines/c.ways, c.ways
+	if sets < 1 {
+		if lines < 1 {
+			return
 		}
+		sets, ways = 1, lines
 	}
-	c.setMul = setMultiplier(c.sets)
-	c.tags = make([]uint32, c.sets*c.ways)
-	c.age = make([]uint32, c.sets*c.ways)
-	c.dirty = make([]bool, c.sets*c.ways)
+	c.sets, c.ways = sets, ways
+	c.setMul = setMultiplier(sets)
+	n := sets * ways
+	c.tags = slices.Grow(tags, n)[:n]
+	c.age = slices.Grow(age, n)[:n]
+	c.dirty = slices.Grow(dirty, n)[:n]
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	return c
+	clear(c.age)
+	clear(c.dirty)
 }
 
 // CapacityBytes returns the cache capacity.

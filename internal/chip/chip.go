@@ -190,7 +190,14 @@ func New(cfg Config, memCfg config.MemConfig, params sm.Params, kernels ...Kerne
 }
 
 // Run executes all SMs to completion in conservative global-time order.
+// It then releases every SM's frame (sm.SM.Release), so a chip runs
+// once: a second Run fails with sm.ErrReleased.
 func (c *Chip) Run() (*Result, error) {
+	defer func() {
+		for _, m := range c.sms {
+			m.Release()
+		}
+	}()
 	for i, m := range c.sms {
 		m.StartAt(int64(i) * c.cfg.LaunchStagger)
 	}

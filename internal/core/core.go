@@ -203,6 +203,7 @@ func (r *Runner) RunCtx(ctx context.Context, spec RunSpec, opts ...RunOption) (*
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)
 	}
+	defer machine.Release()
 	counters, err := machine.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", p.label(), p.spec.Config, err)

@@ -54,6 +54,7 @@ func (r *Runner) Warm(ctx context.Context, spec RunSpec, warmCycles int64) (*War
 	if err != nil {
 		return nil, fmt.Errorf("core: warm %s under %v: %w", p.label(), p.spec.Config, err)
 	}
+	defer machine.Release()
 	if err := machine.RunToContext(ctx, warmCycles); err != nil {
 		return nil, fmt.Errorf("core: warm %s under %v: %w", p.label(), p.spec.Config, err)
 	}
@@ -87,6 +88,7 @@ func (w *Warm) Resume(ctx context.Context, dst *Runner, params sm.Params) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("core: resume %s: %w", w.run.label(), err)
 	}
+	defer machine.Release()
 	counters, err := machine.RunContext(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: resume %s under %v: %w", w.run.label(), w.Spec.Config, err)
@@ -105,6 +107,7 @@ func (w *Warm) ResumeExact(ctx context.Context, dst *Runner, params sm.Params) (
 	if err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", w.run.label(), w.Spec.Config, err)
 	}
+	defer machine.Release()
 	if err := machine.RunToContext(ctx, w.Cycle); err != nil {
 		return nil, fmt.Errorf("core: %s under %v: %w", w.run.label(), w.Spec.Config, err)
 	}

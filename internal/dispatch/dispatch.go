@@ -28,6 +28,7 @@ package dispatch
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/banks"
 	"repro/internal/config"
@@ -201,6 +202,8 @@ type Dispatcher struct {
 	warps []Warp
 	slots []slot
 	ctas  []ctaSlot
+	// ctaWarps backs every CTA slot's warp index list.
+	ctaWarps []int
 
 	liveWarps int
 	// readyMask has bit w set iff warp slot w is in the Ready state, so
@@ -232,42 +235,59 @@ var _ [64 - config.MaxWarpsPerSM]struct{}
 // index-based tie-breaks (MinReady) stay fair. Launched warps replay
 // the outcome tables of the given bank-model variant.
 func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher, error) {
+	d := new(Dispatcher)
+	if err := d.Reset(specs, design, aggressive); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset readies the dispatcher for a new run exactly as New builds it,
+// reusing its stream, warp, slot and CTA arrays when they are large
+// enough. After a failed Reset the dispatcher must be Reset again
+// before use.
+func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive bool) error {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("dispatch: need at least one stream")
+		return fmt.Errorf("dispatch: need at least one stream")
 	}
-	d := &Dispatcher{
-		design: design, aggressive: aggressive,
-		streams: make([]streamState, len(specs)), readyLow: noWake, lowExact: true,
-	}
-	totalWarps, maxResident := 0, 0
+	streams, warps, slots, ctas, ctaWarps := d.streams, d.warps, d.slots, d.ctas, d.ctaWarps
+	*d = Dispatcher{design: design, aggressive: aggressive, readyLow: noWake, lowExact: true}
+	d.streams = slices.Grow(streams[:0], len(specs))[:len(specs)]
+	clear(d.streams)
+	totalWarps, totalCTAs, maxResident := 0, 0, 0
 	for i, sp := range specs {
 		if sp.Source == nil || sp.Counters == nil {
-			return nil, fmt.Errorf("dispatch: stream %d needs a trace source and a counter set", i)
+			return fmt.Errorf("dispatch: stream %d needs a trace source and a counter set", i)
 		}
 		if sp.ResidentCTAs < 1 {
-			return nil, fmt.Errorf("dispatch: stream %d needs at least one resident CTA", i)
+			return fmt.Errorf("dispatch: stream %d needs at least one resident CTA", i)
 		}
-		totalCTAs, warpsPer := sp.Source.Grid()
+		gridCTAs, warpsPer := sp.Source.Grid()
 		if warpsPer < 1 {
-			return nil, fmt.Errorf("dispatch: stream %d has no warps per CTA", i)
+			return fmt.Errorf("dispatch: stream %d has no warps per CTA", i)
 		}
 		st := &d.streams[i]
 		st.src = sp.Source
-		st.totalCTAs = totalCTAs
+		st.totalCTAs = gridCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
 		st.c = sp.Counters
 		totalWarps += sp.ResidentCTAs * warpsPer
+		totalCTAs += sp.ResidentCTAs
 		if sp.ResidentCTAs > maxResident {
 			maxResident = sp.ResidentCTAs
 		}
 	}
 	if totalWarps > config.MaxWarpsPerSM {
-		return nil, fmt.Errorf("dispatch: %d resident warps exceed the %d-warp SM limit",
+		return fmt.Errorf("dispatch: %d resident warps exceed the %d-warp SM limit",
 			totalWarps, config.MaxWarpsPerSM)
 	}
-	d.warps = make([]Warp, totalWarps)
-	d.slots = make([]slot, totalWarps)
+	d.warps = slices.Grow(warps[:0], totalWarps)[:totalWarps]
+	clear(d.warps)
+	d.slots = slices.Grow(slots[:0], totalWarps)[:totalWarps]
+	clear(d.slots)
+	d.ctaWarps = slices.Grow(ctaWarps[:0], totalWarps)[:totalWarps]
+	d.ctas = slices.Grow(ctas[:0], totalCTAs)
 	base := 0
 	for round := 0; round < maxResident; round++ {
 		for s, sp := range specs {
@@ -275,7 +295,7 @@ func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher
 				continue
 			}
 			warpsPer := d.streams[s].warpsPer
-			slot := ctaSlot{id: -1, stream: s, warps: make([]int, warpsPer)}
+			slot := ctaSlot{id: -1, stream: s, warps: d.ctaWarps[base : base+warpsPer : base+warpsPer]}
 			for w := 0; w < warpsPer; w++ {
 				slot.warps[w] = base + w
 				d.slots[base+w].stream = s
@@ -285,7 +305,15 @@ func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher
 			d.ctas = append(d.ctas, slot)
 		}
 	}
-	return d, nil
+	return nil
+}
+
+// Detach drops the dispatcher's references to its run's trace sources,
+// warp tables and counters, so a recycled dispatcher keeps nothing of a
+// finished run alive. Reset readies it again.
+func (d *Dispatcher) Detach() {
+	clear(d.warps)
+	clear(d.streams)
 }
 
 // Start launches the initial resident CTAs at the given cycle and records

@@ -67,7 +67,14 @@ func (cfg Config) Normalized() Config {
 
 // New builds a channel with the given configuration.
 func New(cfg Config) *DRAM {
-	return &DRAM{cfg: cfg.Normalized()}
+	d := new(DRAM)
+	d.Reset(cfg)
+	return d
+}
+
+// Reset returns the channel to the idle state New builds, under cfg.
+func (d *DRAM) Reset(cfg Config) {
+	*d = DRAM{cfg: cfg.Normalized()}
 }
 
 // latencyFor returns the access latency, applying the open-row model when

@@ -96,15 +96,28 @@ type MemSys struct {
 
 // New builds a memory pipeline issuing to mem, filing events into c.
 func New(cfg Config, mem Memory, c *stats.Counters) *MemSys {
-	return &MemSys{
-		cfg:     cfg,
-		l1:      cache.New(cfg.CacheBytes),
-		mem:     mem,
-		c:       c,
-		pending: newPendingTable(cfg.MaxMSHRs),
-		accBuf:  make([]Access, 0, isa.WarpSize),
-	}
+	m := new(MemSys)
+	m.Reset(cfg, mem, c)
+	return m
 }
+
+// Reset readies the pipeline for a new run exactly as New builds it —
+// an empty cache of cfg.CacheBytes, no fill in flight, an idle tag
+// port — reusing its tag store, pending table and scratch buffers.
+func (m *MemSys) Reset(cfg Config, mem Memory, c *stats.Counters) {
+	l1, pending, accBuf := m.l1, m.pending, m.accBuf
+	if l1 == nil {
+		l1, pending, accBuf = new(cache.Cache), new(pendingTable), make([]Access, 0, isa.WarpSize)
+	}
+	l1.Reset(cfg.CacheBytes)
+	pending.reset(cfg.MaxMSHRs)
+	*m = MemSys{cfg: cfg, l1: l1, mem: mem, c: c, pending: pending, accBuf: accBuf[:0]}
+}
+
+// Detach drops the pipeline's references to its run's memory system
+// and counters, so a recycled pipeline keeps nothing of a finished run
+// alive. Reset readies it again.
+func (m *MemSys) Detach() { m.mem, m.c = nil, nil }
 
 // Charge retargets the pipeline's event counters to c: the SM points it
 // at the issuing stream's counter set before each memory instruction, so

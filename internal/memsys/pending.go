@@ -1,12 +1,19 @@
 package memsys
 
+import (
+	"math"
+	"slices"
+)
+
 // pendingTable tracks in-flight line fills (line -> data-ready cycle)
 // without per-operation heap traffic. It replaces the map[uint32]int64
 // the pipeline used to mutate on every miss: a Go map assignment can
 // allocate (bucket growth) on the cycle loop's hottest path, whereas
-// this open-addressed table allocates only when its backing arrays
-// double — and never, once pre-sized, in the MSHR-bounded configuration
-// (capacity is fixed by the MSHR bound, entries never exceed it).
+// this open-addressed table allocates only when it doubles past the
+// largest size its arrays have held — and never, once pre-sized, in the
+// MSHR-bounded configuration (capacity is fixed by the MSHR bound,
+// entries never exceed it). A recycled SM frame keeps its table, so
+// the arrays' high-water mark carries across runs.
 //
 // Fills that have arrived are dead weight: every later lookup treats
 // them as absent. retire drops them in bulk, so the table holds the
@@ -35,21 +42,31 @@ type pendingEntry struct {
 // minPendingSlots is the smallest table; must be a power of two.
 const minPendingSlots = 64
 
-// newPendingTable sizes the table for up to bound resident entries
-// (bound <= 0 means unbounded: start small and grow by doubling).
-func newPendingTable(bound int) *pendingTable {
+// reset empties the table and sizes it for up to bound resident
+// entries (bound <= 0 means unbounded: start small and grow by
+// doubling), keeping its arrays' capacity. A recycled table therefore
+// takes a new table's sizes, and slot layouts, at every step of a run,
+// and allocates only past its high-water mark.
+func (p *pendingTable) reset(bound int) {
 	slots := minPendingSlots
 	// Keep occupancy at or below 50% so probe chains stay short and a
 	// bounded table never needs to grow.
 	for slots < 2*bound {
 		slots *= 2
 	}
-	return &pendingTable{
-		keys: make([]uint32, slots),
-		vals: make([]int64, slots),
-		used: make([]bool, slots),
-		live: make([]pendingEntry, 0, slots/2),
-	}
+	p.resize(slots)
+}
+
+// resize empties the table and gives it slots slots (a power of two)
+// and a survivor buffer with room for half of them, reusing the
+// arrays' capacity.
+func (p *pendingTable) resize(slots int) {
+	p.keys = slices.Grow(p.keys[:0], slots)[:slots]
+	p.vals = slices.Grow(p.vals[:0], slots)[:slots]
+	p.used = slices.Grow(p.used[:0], slots)[:slots]
+	clear(p.used)
+	p.live = slices.Grow(p.live[:0], slots/2)
+	p.n = 0
 }
 
 // home returns the key's preferred slot (Fibonacci hashing; the table
@@ -145,21 +162,29 @@ func (p *pendingTable) evictEarliest() (key uint32, val int64) {
 	return key, val
 }
 
-// retire drops every entry whose value is at or before horizon, in
-// place, and rehashes the survivors so their probe chains stay intact.
-func (p *pendingTable) retire(horizon int64) {
+// collect gathers, in slot order, every entry whose value is after
+// horizon into the survivor buffer. The table holds at most half its
+// slots, so the buffer never grows.
+func (p *pendingTable) collect(horizon int64) []pendingEntry {
 	p.live = p.live[:0]
 	for i, u := range p.used {
 		if u && p.vals[i] > horizon {
 			p.live = append(p.live, pendingEntry{p.keys[i], p.vals[i]})
 		}
 	}
-	if len(p.live) == p.n {
+	return p.live
+}
+
+// retire drops every entry whose value is at or before horizon, in
+// place, and rehashes the survivors so their probe chains stay intact.
+func (p *pendingTable) retire(horizon int64) {
+	live := p.collect(horizon)
+	if len(live) == p.n {
 		return // nothing settled
 	}
 	clear(p.used)
 	p.n = 0
-	for _, e := range p.live {
+	for _, e := range live {
 		p.put(e.key, e.val)
 	}
 }
@@ -178,18 +203,14 @@ func (p *pendingTable) reserve(horizon int64) {
 	}
 }
 
-// grow doubles the table and rehashes every entry.
+// grow doubles the table and rehashes every entry, in slot order. The
+// entries wait in the survivor buffer, which put never touches, so a
+// table whose arrays have the room reslices them instead of
+// allocating.
 func (p *pendingTable) grow() {
-	old := *p
-	slots := 2 * len(old.keys)
-	p.keys = make([]uint32, slots)
-	p.vals = make([]int64, slots)
-	p.used = make([]bool, slots)
-	p.live = make([]pendingEntry, 0, slots/2)
-	p.n = 0
-	for i, u := range old.used {
-		if u {
-			p.put(old.keys[i], old.vals[i])
-		}
+	live := p.collect(math.MinInt64)
+	p.resize(2 * len(p.keys))
+	for _, e := range live {
+		p.put(e.key, e.val)
 	}
 }

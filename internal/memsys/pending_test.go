@@ -28,7 +28,8 @@ func (m refPending) evictEarliest() (uint32, int64) {
 func TestPendingTableDifferential(t *testing.T) {
 	for _, bound := range []int{0, 4, 32, 1024} {
 		rng := rand.New(rand.NewSource(int64(7 + bound)))
-		tab := newPendingTable(bound)
+		tab := new(pendingTable)
+		tab.reset(bound)
 		ref := refPending{}
 		// Keys drawn from a small universe so inserts, overwrites,
 		// deletes of present and absent keys, and probe-chain collisions
@@ -83,7 +84,8 @@ func TestPendingTableDifferential(t *testing.T) {
 // is the allocation-free guarantee of the cycle loop's hot path.
 func TestPendingTableBoundedNeverGrows(t *testing.T) {
 	const bound = 64
-	tab := newPendingTable(bound)
+	tab := new(pendingTable)
+	tab.reset(bound)
 	slots := len(tab.keys)
 	if slots < 2*bound {
 		t.Fatalf("table sized %d slots for bound %d, want >= %d", slots, bound, 2*bound)

@@ -56,11 +56,17 @@ func (m *MemSys) Snapshot() *State {
 // State. It copies out of st (never aliases it), so one State can seed
 // any number of forks, concurrently. The cache geometry must match; the
 // pipeline's own Config (latencies, MSHR bound, write policy) is
-// untouched, which is what lets a fork diverge on those parameters. A
-// fork whose MaxMSHRs bound is below the restored entry count first
-// drops the fills that have already arrived, so only fills still in
-// flight count against the new bound; if those still exceed it, the
-// bounded-eviction path in Load drains them one miss at a time.
+// untouched, which is what lets a fork diverge on those parameters.
+//
+// The pending table takes the snapshot's slot layout in the pipeline's
+// own arrays, with retire's survivor buffer sized to match, so the
+// forked cycle loop allocates nothing the parent's did not. A table too
+// small for the fork's MaxMSHRs bound grows here rather than on the
+// cycle loop. Restored fills that have already arrived stay in the
+// table: a lookup treats each one as absent when it reaches it, and a
+// bounded table retires them all before it evicts a fill still in
+// flight, so a smaller bound than the parent's counts only fills in
+// flight against it.
 func (m *MemSys) Restore(st *State) error {
 	if (st.Cache != nil) != m.CacheEnabled() {
 		return fmt.Errorf("memsys: cache presence changed across a snapshot")
@@ -70,10 +76,19 @@ func (m *MemSys) Restore(st *State) error {
 			return fmt.Errorf("memsys: %w", err)
 		}
 	}
-	m.pending.keys = append(m.pending.keys[:0], st.PendingKeys...)
-	m.pending.vals = append(m.pending.vals[:0], st.PendingVals...)
-	m.pending.used = append(m.pending.used[:0], st.PendingUsed...)
-	m.pending.n = st.PendingN
+	slots := len(st.PendingKeys)
+	if slots < minPendingSlots || slots&(slots-1) != 0 || len(st.PendingVals) != slots || len(st.PendingUsed) != slots {
+		return fmt.Errorf("memsys: malformed pending table of %d/%d/%d slots", slots, len(st.PendingVals), len(st.PendingUsed))
+	}
+	p := m.pending
+	p.resize(slots)
+	copy(p.keys, st.PendingKeys)
+	copy(p.vals, st.PendingVals)
+	copy(p.used, st.PendingUsed)
+	p.n = st.PendingN
+	for len(p.keys) < 2*m.cfg.MaxMSHRs {
+		p.grow()
+	}
 	m.tagFreeAt = st.TagFreeAt
 	m.mshrBlockedUntil = st.MSHRBlockedUntil
 	return nil

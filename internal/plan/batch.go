@@ -13,10 +13,14 @@ import (
 )
 
 // ResolveBatch canonicalizes a batch request's runs, wiring warm-prefix
-// groups for warm_cycles. Every error is a client error.
+// groups for warm_cycles. Every error is a client error; a batch of
+// more than api.MaxRuns runs is refused before any run is resolved.
 func ResolveBatch(req api.BatchRequest) ([]*Run, error) {
 	if len(req.Runs) == 0 {
 		return nil, fmt.Errorf("empty batch: \"runs\" must list at least one run")
+	}
+	if len(req.Runs) > api.MaxRuns {
+		return nil, fmt.Errorf("batch of %d runs exceeds the limit of %d", len(req.Runs), api.MaxRuns)
 	}
 	if req.WarmCycles < 0 {
 		return nil, fmt.Errorf("warm_cycles must be non-negative")

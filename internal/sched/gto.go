@@ -13,10 +13,6 @@ type gto struct {
 	last     int   // warp that issued most recently, -1 when none
 }
 
-func newGTO(capacity int) *gto {
-	return &gto{capacity: capacity, active: make([]int, 0, capacity), last: -1}
-}
-
 func (s *gto) Policy() Policy {
 	return GTO
 }

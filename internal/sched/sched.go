@@ -28,7 +28,10 @@
 //     so the comparison isolates the issue-ordering policy.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Policy names a scheduler implementation. The zero value selects
 // TwoLevel, the paper's policy.
@@ -121,8 +124,11 @@ type Scheduler interface {
 
 // New builds the named policy with the given active-set capacity. greedy
 // selects the hold-the-last-issuer variant of TwoLevel (it is implied by
-// GTO, which ignores the flag).
-func New(p Policy, capacity int, greedy bool) (Scheduler, error) {
+// GTO, which ignores the flag). When prev is a scheduler this package
+// built (nil for none), the new one takes over its active list, and
+// prev itself when the policies match, so a recycled SM frame keeps one
+// scheduler across runs; prev must not be used afterwards.
+func New(prev Scheduler, p Policy, capacity int, greedy bool) (Scheduler, error) {
 	pol, err := ParsePolicy(string(p))
 	if err != nil {
 		return nil, err
@@ -130,12 +136,28 @@ func New(p Policy, capacity int, greedy bool) (Scheduler, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("sched: active-set capacity %d < 1", capacity)
 	}
-	switch pol {
-	case GTO:
-		return newGTO(capacity), nil
-	default:
-		return newTwoLevel(capacity, greedy), nil
+	var active []int
+	tl, _ := prev.(*twoLevel)
+	g, _ := prev.(*gto)
+	switch {
+	case tl != nil:
+		active = tl.active
+	case g != nil:
+		active = g.active
 	}
+	active = slices.Grow(active[:0], capacity)
+	if pol == GTO {
+		if g == nil {
+			g = new(gto)
+		}
+		*g = gto{capacity: capacity, active: active, last: -1}
+		return g, nil
+	}
+	if tl == nil {
+		tl = new(twoLevel)
+	}
+	*tl = twoLevel{capacity: capacity, greedy: greedy, active: active}
+	return tl, nil
 }
 
 // refill is the promotion rule both policies share: each vacant slot

@@ -49,17 +49,17 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	if _, err := New("bogus", 8, false); err == nil {
+	if _, err := New(nil, "bogus", 8, false); err == nil {
 		t.Error("New with an unknown policy should fail")
 	}
-	if _, err := New(TwoLevel, 0, false); err == nil {
+	if _, err := New(nil, TwoLevel, 0, false); err == nil {
 		t.Error("New with zero capacity should fail")
 	}
 }
 
 func TestRefillOldestWakeupFirst(t *testing.T) {
 	for _, pol := range Policies() {
-		s, err := New(pol, 2, false)
+		s, err := New(nil, pol, 2, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestRefillOldestWakeupFirst(t *testing.T) {
 		}
 		// A warp whose wake is still in the future is not eligible.
 		pool2 := &fakePool{wake: []int64{500}, ready: []bool{true}}
-		s2, _ := New(pol, 2, false)
+		s2, _ := New(nil, pol, 2, false)
 		s2.Refill(pool2, 100)
 		if s2.Len() != 0 {
 			t.Errorf("%s: promoted a warp before its wake cycle", pol)
@@ -112,7 +112,7 @@ func issueOn(w int, order *[]int) func(int) Action {
 }
 
 func TestTwoLevelRoundRobinAdvances(t *testing.T) {
-	s, _ := New(TwoLevel, 4, false)
+	s, _ := New(nil, TwoLevel, 4, false)
 	fill(t, s, 4)
 
 	var order []int
@@ -128,7 +128,7 @@ func TestTwoLevelRoundRobinAdvances(t *testing.T) {
 }
 
 func TestTwoLevelGreedyHoldsIssuer(t *testing.T) {
-	s, _ := New(TwoLevel, 4, true)
+	s, _ := New(nil, TwoLevel, 4, true)
 	fill(t, s, 4)
 
 	var order []int
@@ -141,7 +141,7 @@ func TestTwoLevelGreedyHoldsIssuer(t *testing.T) {
 }
 
 func TestTwoLevelDescheduleMidWalk(t *testing.T) {
-	s, _ := New(TwoLevel, 4, false)
+	s, _ := New(nil, TwoLevel, 4, false)
 	fill(t, s, 4)
 
 	// Every candidate descheduled: the walk must visit all four exactly
@@ -163,7 +163,7 @@ func TestTwoLevelDescheduleMidWalk(t *testing.T) {
 }
 
 func TestTwoLevelIssuedGoneRemoves(t *testing.T) {
-	s, _ := New(TwoLevel, 4, false)
+	s, _ := New(nil, TwoLevel, 4, false)
 	fill(t, s, 4)
 
 	// Warp 1 issues a barrier/exit-class instruction: it leaves the set
@@ -185,7 +185,7 @@ func TestTwoLevelIssuedGoneRemoves(t *testing.T) {
 }
 
 func TestGTOGreedyThenOldest(t *testing.T) {
-	s, _ := New(GTO, 4, false)
+	s, _ := New(nil, GTO, 4, false)
 	fill(t, s, 4)
 
 	// First walk issues in activation (oldest) order: warp 0.
@@ -222,7 +222,7 @@ func TestGTOGreedyThenOldest(t *testing.T) {
 }
 
 func TestGTOIssuedGoneClearsGreedy(t *testing.T) {
-	s, _ := New(GTO, 4, false)
+	s, _ := New(nil, GTO, 4, false)
 	fill(t, s, 4)
 
 	s.Walk(issueOn(1, new([]int)))
@@ -241,5 +241,35 @@ func TestGTOIssuedGoneClearsGreedy(t *testing.T) {
 	s.Walk(issueOn(-1, &order))
 	if want := []int{0, 2, 3}; !reflect.DeepEqual(order, want) {
 		t.Errorf("post-exit walk order %v, want oldest-first %v", order, want)
+	}
+}
+
+// TestNewReusesPrev: a scheduler built on a used one starts exactly as
+// a new one does — empty active set, cursor at rest — whichever policy
+// either has, and takes prev itself when the policies match.
+func TestNewReusesPrev(t *testing.T) {
+	for _, from := range Policies() {
+		for _, to := range Policies() {
+			prev, _ := New(nil, from, 4, true)
+			fill(t, prev, 4)
+			prev.Walk(func(w int) Action {
+				if w == 2 {
+					return Issued
+				}
+				return Keep
+			})
+			got, err := New(prev, to, 6, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := New(nil, to, 6, false)
+			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+				t.Errorf("%s -> %s: state %+v, want a new scheduler's %+v", from, to, got.Snapshot(), want.Snapshot())
+			}
+			if (got == prev) != (from == to) {
+				t.Errorf("%s -> %s: reused prev = %v", from, to, got == prev)
+			}
+			fill(t, got, 6)
+		}
 	}
 }

@@ -11,10 +11,6 @@ type twoLevel struct {
 	rr       int // round-robin cursor into active
 }
 
-func newTwoLevel(capacity int, greedy bool) *twoLevel {
-	return &twoLevel{capacity: capacity, greedy: greedy, active: make([]int, 0, capacity)}
-}
-
 func (s *twoLevel) Policy() Policy {
 	return TwoLevel
 }

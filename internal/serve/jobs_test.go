@@ -415,3 +415,29 @@ func TestStoreReplayAcrossServers(t *testing.T) {
 		t.Errorf("replayed server simulated %d times, want 0", m.SimRuns)
 	}
 }
+
+// TestJobBatchItemBound: a batch job takes up to api.MaxRuns runs, and
+// a larger one is the submitter's 400 at once, not a job. The items'
+// execution is stubbed: the bound is on submit.
+func TestJobBatchItemBound(t *testing.T) {
+	opts := Options{execWrap: func(inner jobs.Exec) jobs.Exec {
+		return func(ctx context.Context, it jobs.Item, ic *jobs.ItemContext) (int, []byte, string) {
+			return http.StatusOK, []byte(`{}`), "miss"
+		}
+	}}
+	_, ts := newTestServer(t, opts)
+	j := submitJob(t, ts, `{"batch":`+batchOf(api.MaxRuns, `{"kernel":"vectoradd"}`)+`}`)
+	if j.Progress.Total != api.MaxRuns {
+		t.Fatalf("batch job of %d runs has %d items", api.MaxRuns, j.Progress.Total)
+	}
+	if done := pollJob(t, ts, j.ID); done.State != api.JobDone {
+		t.Fatalf("batch job of %d runs ended %s", api.MaxRuns, done.State)
+	}
+	over := strings.TrimSuffix(batchOf(api.MaxRuns, `{"kernel":"vectoradd"}`), "]}") + `,{"kernel":"nope"}]}`
+	resp, body := do(t, ts, http.MethodPost, "/v1/jobs", `{"batch":`+over+`}`)
+	var env api.ErrorBody
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Error == nil ||
+		env.Error.Code != api.CodeBadRequest || !strings.Contains(env.Error.Message, "limit") {
+		t.Fatalf("batch job of %d runs: %d: %s, want a bad_request envelope naming the limit", api.MaxRuns+1, resp.StatusCode, body)
+	}
+}

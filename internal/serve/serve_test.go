@@ -491,3 +491,30 @@ func TestSimulatePanicDoesNotWedgeKey(t *testing.T) {
 		t.Errorf("another key after the failure: %d: %s", resp.StatusCode, body)
 	}
 }
+
+// batchOf returns a batch request body of n runs of item.
+func batchOf(n int, item string) string {
+	return `{"runs":[` + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + `]}`
+}
+
+// TestBatchItemBound: POST /v1/batch takes up to api.MaxRuns runs, and
+// a larger batch is the submitter's 400 before any run is resolved (its
+// last run names no kernel, which would otherwise be the error).
+func TestBatchItemBound(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp, body := do(t, ts, http.MethodPost, "/v1/batch", batchOf(api.MaxRuns, `{"kernel":"vectoradd"}`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch of %d runs: %d: %.200s", api.MaxRuns, resp.StatusCode, body)
+	}
+	var br api.BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil || len(br.Results) != api.MaxRuns {
+		t.Fatalf("batch of %d runs: %d results, %v", api.MaxRuns, len(br.Results), err)
+	}
+	over := strings.TrimSuffix(batchOf(api.MaxRuns, `{"kernel":"vectoradd"}`), "]}") + `,{"kernel":"nope"}]}`
+	resp, body = do(t, ts, http.MethodPost, "/v1/batch", over)
+	var env api.ErrorBody
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Error == nil ||
+		env.Error.Code != api.CodeBadRequest || !strings.Contains(env.Error.Message, "limit") {
+		t.Fatalf("batch of %d runs: %d: %s, want a bad_request envelope naming the limit", api.MaxRuns+1, resp.StatusCode, body)
+	}
+}

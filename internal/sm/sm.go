@@ -112,6 +112,9 @@ type SM struct {
 	// injected a shared system. Snapshot needs it: a shared memory
 	// system's state belongs to the chip, not to one SM.
 	dramModel *dram.DRAM
+	// fr holds the state sched, disp, mem and dramModel point into; nil
+	// once the SM is released.
+	fr *frame
 	// streams holds one counter set per co-resident kernel (stream), in
 	// Spec.Streams order; a single-kernel run has one. They are the SM's
 	// only books: every event is charged to exactly one stream, and
@@ -173,14 +176,18 @@ type Spec struct {
 	Probe *probe.Probe
 }
 
-// NewSM builds an SM from spec.
+// NewSM builds an SM from spec, on a frame of per-run state taken
+// from the process-wide free list (see frame). Call Release once the
+// run's results have been read, to hand the frame on to the next SM.
 func NewSM(spec Spec) (*SM, error) {
 	streams := spec.Streams
+	var one [1]StreamSpec // the one-stream spelling, kept off the heap
 	if spec.Source != nil {
 		if len(streams) > 0 {
 			return nil, fmt.Errorf("sm: Spec.Source and Spec.Streams are mutually exclusive")
 		}
-		streams = []StreamSpec{{Source: spec.Source, ResidentCTAs: spec.ResidentCTAs}}
+		one[0] = StreamSpec{Source: spec.Source, ResidentCTAs: spec.ResidentCTAs}
+		streams = one[:]
 	}
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("sm: Spec.Source is nil")
@@ -199,40 +206,80 @@ func NewSM(spec Spec) (*SM, error) {
 			bankModel = banks.NewAggressive(cfg.Design)
 		}
 	}
-	mem := spec.Memory
-	var owned *dram.DRAM
-	if mem == nil {
-		owned = dram.New(params.DRAM)
-		mem = owned
-	}
 	s := &SM{
 		params:    params,
 		cfg:       cfg,
 		bankModel: bankModel,
-		dramModel: owned,
 		prof:      spec.Probe,
+		fr:        frames.Get().(*frame),
 	}
-	var err error
-	if s.sched, err = sched.New(params.Scheduler, params.ActiveWarps, params.GreedyScheduler); err != nil {
+	if err := s.reset(streams, spec.Memory); err != nil {
+		s.Release()
 		return nil, fmt.Errorf("sm: %w", err)
 	}
-	s.streams = make([]stats.Counters, len(streams))
-	specs := make([]dispatch.StreamSpec, len(streams))
-	names := make([]string, len(streams))
-	for i, st := range streams {
-		specs[i] = dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs, Counters: &s.streams[i]}
-		names[i] = st.Name
-	}
-	if s.disp, err = dispatch.New(specs, cfg.Design, params.AggressiveScatter); err != nil {
-		return nil, fmt.Errorf("sm: %w", err)
-	}
-	if spec.Probe != nil {
-		spec.Probe.SetStreams(names)
-	}
-	s.visit = s.visitWarp
-	s.mem = memsys.New(memConfig(cfg, params), mem, &s.streams[0])
 	return s, nil
 }
+
+// reset readies the SM's frame for a run of streams issuing to mem (a
+// private DRAM channel of the frame when mem is nil) and binds the SM
+// to its components.
+func (s *SM) reset(streams []StreamSpec, mem Memory) error {
+	fr, cfg, params := s.fr, s.cfg, s.params
+	var err error
+	if fr.sched, err = sched.New(fr.sched, params.Scheduler, params.ActiveWarps, params.GreedyScheduler); err != nil {
+		return err
+	}
+	s.sched = fr.sched
+	s.streams = make([]stats.Counters, len(streams))
+	var buf [4]dispatch.StreamSpec // Reset keeps no reference to specs
+	specs := buf[:0]
+	for i, st := range streams {
+		specs = append(specs, dispatch.StreamSpec{Source: st.Source, ResidentCTAs: st.ResidentCTAs, Counters: &s.streams[i]})
+	}
+	if err := fr.disp.Reset(specs, cfg.Design, params.AggressiveScatter); err != nil {
+		return err
+	}
+	s.disp = &fr.disp
+	if s.prof != nil {
+		names := make([]string, len(streams))
+		for i, st := range streams {
+			names[i] = st.Name
+		}
+		s.prof.SetStreams(names)
+	}
+	if mem == nil {
+		fr.dram.Reset(params.DRAM)
+		s.dramModel = &fr.dram
+		mem = s.dramModel
+	}
+	fr.mem.Reset(memConfig(cfg, params), mem, &s.streams[0])
+	s.mem = &fr.mem
+	s.visit = s.visitWarp
+	return nil
+}
+
+// Release hands the SM's frame back to the free list for the next NewSM
+// or Fork. Call it once the run's results have been read: Finish's
+// counters, StreamCounters and a probe's books stay valid, but the SM
+// is spent. Step, Run, RunTo, Snapshot and SetParams then fail with
+// ErrReleased, Start does nothing and Finish panics, so a stale
+// reference can never step another run's state. Releasing twice is a
+// no-op, and an SM that is never released is collected with its frame.
+func (s *SM) Release() {
+	fr := s.fr
+	if fr == nil {
+		return
+	}
+	s.fr, s.sched, s.disp, s.mem, s.dramModel = nil, nil, nil, nil, nil
+	s.started = false
+	fr.disp.Detach()
+	fr.mem.Detach()
+	frames.Put(fr)
+}
+
+// ErrReleased is the error a released SM's Step, Run, RunTo, Snapshot
+// and SetParams return.
+var ErrReleased = errors.New("sm: SM used after Release")
 
 // counterRefs returns pointers to the per-stream counter sets: the
 // probe's live view of the SM's books.
@@ -277,7 +324,7 @@ func (s *SM) Start() { s.StartAt(0) }
 // simulator staggers SM start times, as the hardware work distributor's
 // sequential CTA launch does).
 func (s *SM) StartAt(cycle int64) {
-	if s.started {
+	if s.started || s.fr == nil {
 		return
 	}
 	s.started = true
@@ -300,6 +347,9 @@ func (s *SM) Cycle() int64 { return s.cycle }
 // local clock is nondecreasing across calls and strictly increases at
 // least every second call.
 func (s *SM) Step() error {
+	if s.fr == nil {
+		return ErrReleased
+	}
 	if s.cycle < s.slotFreeAt {
 		s.cycle = s.slotFreeAt
 	}
@@ -331,6 +381,9 @@ func (s *SM) Step() error {
 // threads together), and DirtyLinesEnd are SM-wide. A stream's own
 // Cycles is the cycle its last warp exited.
 func (s *SM) Finish() *stats.Counters {
+	if s.fr == nil {
+		panic(ErrReleased)
+	}
 	cycles := s.cycle
 	if t := s.mem.TagFreeAt(); t > cycles {
 		cycles = t

@@ -19,6 +19,9 @@ import (
 // Snapshot may allocate freely (it runs once per warm prefix); the
 // cycle loop of a fork restored from the State stays allocation-free.
 func (s *SM) Snapshot() (*snapshot.State, error) {
+	if s.fr == nil {
+		return nil, ErrReleased
+	}
 	if !s.started {
 		return nil, fmt.Errorf("sm: cannot snapshot before Start")
 	}
@@ -78,24 +81,33 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.restore(st); err != nil {
+		s.Release()
+		return nil, fmt.Errorf("sm: fork: %w", err)
+	}
+	return s, nil
+}
+
+// restore overwrites a freshly built SM's state with st's.
+func (s *SM) restore(st *snapshot.State) error {
 	s.streams[0] = st.Counters
 	s.cycle = st.Cycle
 	s.slotFreeAt = st.SlotFreeAt
 	s.started = st.Started
 	if err := s.sched.Restore(st.Sched); err != nil {
-		return nil, fmt.Errorf("sm: fork: %w", err)
+		return err
 	}
 	if err := s.disp.Restore(st.Disp); err != nil {
-		return nil, fmt.Errorf("sm: fork: %w", err)
+		return err
 	}
 	if err := s.mem.Restore(st.Mem); err != nil {
-		return nil, fmt.Errorf("sm: fork: %w", err)
+		return err
 	}
 	s.dramModel.Restore(st.DRAM)
 	if s.prof != nil {
 		s.prof.Rebind(s.counterRefs())
 	}
-	return s, nil
+	return nil
 }
 
 // SetParams switches the divergable timing parameters mid-run — the
@@ -103,6 +115,9 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 // differential tests (warm, switch, continue ≡ warm, snapshot, fork).
 // Prefix-defining fields must not change; see Fork.
 func (s *SM) SetParams(p Params) error {
+	if s.fr == nil {
+		return ErrReleased
+	}
 	if p.ActiveWarps < 1 {
 		p.ActiveWarps = s.params.ActiveWarps
 	}

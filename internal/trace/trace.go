@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/banks"
 	"repro/internal/config"
@@ -43,6 +44,22 @@ type Trace struct {
 	// Warps holds the per-warp instruction streams, indexed
 	// [cta*WarpsPerCTA + warp].
 	Warps [][]isa.WarpInst
+
+	// mu guards split, a one-entry memo of the warp WarpCode split
+	// last: the dispatcher asks for a warp's code and then for its
+	// footprints in the same launch, and the footprint builder takes
+	// the split code instead of splitting (and re-hashing every address
+	// vector) again. SMs that share the recording may interleave their
+	// launches; a miss only splits again.
+	mu    sync.Mutex
+	split splitWarp
+}
+
+// splitWarp is a warp's index in Trace.Warps and its split code.
+type splitWarp struct {
+	ok   bool
+	warp int
+	code isa.WarpCode
 }
 
 // Grid implements Source.
@@ -54,7 +71,14 @@ func (t *Trace) WarpTrace(cta, warp int) []isa.WarpInst {
 }
 
 // WarpCode implements sm.TraceSource: the warp in split form.
-func (t *Trace) WarpCode(cta, warp int) isa.WarpCode { return isa.Split(t.WarpTrace(cta, warp)) }
+func (t *Trace) WarpCode(cta, warp int) isa.WarpCode {
+	i := cta*t.WarpsPerCTA + warp
+	code := isa.Split(t.Warps[i])
+	t.mu.Lock()
+	t.split = splitWarp{ok: true, warp: i, code: code}
+	t.mu.Unlock()
+	return code
+}
 
 // WarpOutcomes implements sm.TraceSource: the warp's bank-conflict
 // outcomes under one bank-model variant, or nil for a design outside
@@ -69,7 +93,14 @@ func (t *Trace) WarpOutcomes(cta, warp int, design config.Design, aggressive boo
 // WarpFootprints implements sm.TraceSource: the global-memory
 // footprints of the warp's global-memory instructions.
 func (t *Trace) WarpFootprints(cta, warp int) *memsys.Footprints {
-	return memsys.NewFootprints(t.WarpCode(cta, warp))
+	i := cta*t.WarpsPerCTA + warp
+	t.mu.Lock()
+	last := t.split
+	t.mu.Unlock()
+	if !last.ok || last.warp != i {
+		last.code = isa.Split(t.Warps[i])
+	}
+	return memsys.NewFootprints(last.code)
 }
 
 // Instructions returns the total dynamic warp-instruction count.
