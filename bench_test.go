@@ -51,7 +51,7 @@ func BenchmarkCycleLoop(b *testing.B) {
 //
 //	go test -run '^$' -bench '^BenchmarkCycleLoopMemoryBound$' -benchmem .
 func BenchmarkCycleLoopMemoryBound(b *testing.B) {
-	for _, pol := range sched.Policies() {
+	for _, pol := range []sched.Policy{sched.TwoLevel, sched.GTO} {
 		b.Run(string(pol), func(b *testing.B) {
 			b.ReportAllocs()
 			spec := steadySpec(b, "bfs", 0)

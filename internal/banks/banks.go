@@ -90,9 +90,6 @@ func NewAggressive(d config.Design) *Model {
 	return &Model{design: d, aggressive: true}
 }
 
-// Design returns the design the model evaluates.
-func (m *Model) Design() config.Design { return m.design }
-
 // Variants is the number of bank-model variants: each config.Design,
 // simple or with aggressive scatter/gather.
 const Variants = 2 * 3

@@ -33,8 +33,6 @@ type Cache struct {
 	age   []uint32 // LRU timestamps, parallel to tags
 	dirty []bool   // write-back mode only
 	tick  uint32
-
-	hits, misses int64
 }
 
 // New builds a cache of the given capacity. A zero or negative capacity
@@ -79,25 +77,6 @@ func (c *Cache) Reset(capacityBytes int) {
 // CapacityBytes returns the cache capacity.
 func (c *Cache) CapacityBytes() int { return c.sets * c.ways * c.lineBytes }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
-// Hits returns the cumulative hit count.
-func (c *Cache) Hits() int64 { return c.hits }
-
-// Misses returns the cumulative miss count.
-func (c *Cache) Misses() int64 { return c.misses }
-
-// TagBytes returns an estimate of the tag storage this cache requires,
-// assuming 4-byte tag+state entries per line (the paper reports 1.125 KB
-// for a 64 KB cache and up to 7.125 KB for a fully cache-configured 384 KB
-// unified memory; the constant below reproduces those totals: 18 bits of
-// tag + state per 128-byte line).
-func (c *Cache) TagBytes() int {
-	lines := c.sets * c.ways
-	return lines * 18 / 8
-}
-
 // setMultiplier returns ceil(2^64 / sets) (0 for one set, where it
 // wraps).
 func setMultiplier(sets int) uint64 { return ^uint64(0)/uint64(sets) + 1 }
@@ -117,7 +96,6 @@ func (c *Cache) set(line uint32) int {
 // victim is never dirty). It reports whether the probe hit.
 func (c *Cache) Read(line uint32) bool {
 	if c.sets == 0 {
-		c.misses++
 		return false
 	}
 	base := c.set(line) * c.ways
@@ -126,14 +104,12 @@ func (c *Cache) Read(line uint32) bool {
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == line {
 			c.age[i] = c.tick
-			c.hits++
 			return true
 		}
 		if c.age[i] < oldest {
 			victim, oldest = i, c.age[i]
 		}
 	}
-	c.misses++
 	c.tags[victim] = line
 	c.age[victim] = c.tick
 	return false
@@ -157,21 +133,6 @@ func (c *Cache) Write(line uint32) bool {
 	return false
 }
 
-// Contains reports whether the line is resident, without updating LRU
-// state or counters.
-func (c *Cache) Contains(line uint32) bool {
-	if c.sets == 0 {
-		return false
-	}
-	base := c.set(line) * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == line {
-			return true
-		}
-	}
-	return false
-}
-
 // AccessAllocate probes for a line with allocate-on-miss semantics (the
 // write-back design variant): hits refresh LRU; misses install the line,
 // possibly evicting a victim. markDirty marks the line modified. It
@@ -179,7 +140,6 @@ func (c *Cache) Contains(line uint32) bool {
 // its line address (writeback traffic the caller must account).
 func (c *Cache) AccessAllocate(line uint32, markDirty bool) (hit bool, victimDirty bool, victim uint32) {
 	if c.sets == 0 {
-		c.misses++
 		return false, false, 0
 	}
 	base := c.set(line) * c.ways
@@ -191,14 +151,12 @@ func (c *Cache) AccessAllocate(line uint32, markDirty bool) (hit bool, victimDir
 			if markDirty {
 				c.dirty[i] = true
 			}
-			c.hits++
 			return true, false, 0
 		}
 		if c.age[i] < oldest {
 			vi, oldest = i, c.age[i]
 		}
 	}
-	c.misses++
 	victimDirty = c.dirty[vi] && c.tags[vi] != invalidTag
 	victim = c.tags[vi]
 	c.tags[vi] = line
@@ -218,18 +176,6 @@ func (c *Cache) DirtyLines() int {
 		}
 	}
 	return n
-}
-
-// Flush invalidates all lines (used when the unified memory is
-// repartitioned between kernels; write-through means no data movement is
-// needed, only tag invalidation).
-func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	for i := range c.dirty {
-		c.dirty[i] = false
-	}
 }
 
 // String describes the geometry.

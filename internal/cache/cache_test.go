@@ -2,17 +2,22 @@ package cache
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// resident reports whether line is in the tag store, leaving LRU state
+// untouched.
+func resident(c *Cache, line uint32) bool { return slices.Contains(c.tags, line) }
 
 func TestGeometry(t *testing.T) {
 	c := New(64 << 10)
 	if c.CapacityBytes() != 64<<10 {
 		t.Errorf("CapacityBytes() = %d", c.CapacityBytes())
 	}
-	if c.Sets() != 128 { // 512 lines / 4 ways
-		t.Errorf("Sets() = %d, want 128", c.Sets())
+	if c.sets != 128 { // 512 lines / 4 ways
+		t.Errorf("%d sets, want 128", c.sets)
 	}
 }
 
@@ -32,9 +37,6 @@ func TestReadMissThenHit(t *testing.T) {
 	if !c.Read(5) {
 		t.Error("second access should hit")
 	}
-	if c.Hits() != 1 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
-	}
 }
 
 func TestLRUReplacement(t *testing.T) {
@@ -46,10 +48,10 @@ func TestLRUReplacement(t *testing.T) {
 	}
 	c.Read(0) // refresh line 0
 	c.Read(16)
-	if c.Contains(4) {
+	if resident(c, 4) {
 		t.Error("line 4 should have been the LRU victim")
 	}
-	if !c.Contains(0) {
+	if !resident(c, 0) {
 		t.Error("refreshed line 0 should survive")
 	}
 }
@@ -59,7 +61,7 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 	if c.Write(9) {
 		t.Error("write to absent line must not report presence")
 	}
-	if c.Contains(9) {
+	if resident(c, 9) {
 		t.Error("write must not allocate")
 	}
 	c.Read(9)
@@ -71,22 +73,9 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 func TestZeroCapacity(t *testing.T) {
 	c := New(0)
 	for i := uint32(0); i < 10; i++ {
-		if c.Read(i%2) || c.Write(i%2) || c.Contains(i%2) {
+		if c.Read(i%2) || c.Write(i%2) || resident(c, i%2) {
 			t.Fatal("zero-capacity cache must always miss")
 		}
-	}
-	if c.Misses() != 10 {
-		t.Errorf("Misses() = %d, want 10", c.Misses())
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := New(4 << 10)
-	c.Read(1)
-	c.Read(2)
-	c.Flush()
-	if c.Contains(1) || c.Contains(2) {
-		t.Error("flush should invalidate all lines")
 	}
 }
 
@@ -100,13 +89,16 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 		for i := range lines {
 			lines[i] = uint32(i)
 		}
+		misses := 0
 		for pass := 0; pass < 2; pass++ {
 			rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
 			for _, l := range lines {
-				c.Read(l)
+				if !c.Read(l) {
+					misses++
+				}
 			}
 		}
-		return c.Misses() == 48
+		return misses == 48
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -115,14 +107,17 @@ func TestWorkingSetFitsAfterWarmup(t *testing.T) {
 
 func TestHitRateImprovesWithCapacity(t *testing.T) {
 	// Cyclic sweep over 128 lines: 8 KB thrashes, 32 KB holds everything.
-	run := func(capacity int) int64 {
+	run := func(capacity int) int {
 		c := New(capacity)
+		hits := 0
 		for pass := 0; pass < 4; pass++ {
 			for l := uint32(0); l < 128; l++ {
-				c.Read(l)
+				if c.Read(l) {
+					hits++
+				}
 			}
 		}
-		return c.Hits()
+		return hits
 	}
 	small, large := run(8<<10), run(32<<10)
 	if small >= large {
@@ -190,15 +185,6 @@ func TestAccessAllocateCleanEvictionIsFree(t *testing.T) {
 	_, vd, _ := c.AccessAllocate(16, false)
 	if vd {
 		t.Error("clean victim must not report writeback")
-	}
-}
-
-func TestFlushClearsDirty(t *testing.T) {
-	c := New(2 << 10)
-	c.AccessAllocate(3, true)
-	c.Flush()
-	if c.DirtyLines() != 0 {
-		t.Error("flush should clear dirty state")
 	}
 }
 

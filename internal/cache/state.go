@@ -3,7 +3,7 @@ package cache
 import "fmt"
 
 // State is a frozen image of the tag store: tags, LRU timestamps, dirty
-// bits, the LRU tick, and the hit/miss tallies. Snapshot deep-copies the
+// bits, and the LRU tick. Snapshot deep-copies the
 // arrays — the live cache overwrites them in place on every access, so a
 // shared slice would let a parent run corrupt its forks.
 type State struct {
@@ -15,21 +15,17 @@ type State struct {
 	Dirty []bool
 	// Tick is the LRU timestamp counter.
 	Tick uint32
-	// Hits and Misses are the cumulative probe tallies.
-	Hits, Misses int64
 }
 
 // Snapshot captures the cache state as an immutable State.
 func (c *Cache) Snapshot() *State {
 	return &State{
-		Sets:   c.sets,
-		Ways:   c.ways,
-		Tags:   append([]uint32(nil), c.tags...),
-		Age:    append([]uint32(nil), c.age...),
-		Dirty:  append([]bool(nil), c.dirty...),
-		Tick:   c.tick,
-		Hits:   c.hits,
-		Misses: c.misses,
+		Sets:  c.sets,
+		Ways:  c.ways,
+		Tags:  append([]uint32(nil), c.tags...),
+		Age:   append([]uint32(nil), c.age...),
+		Dirty: append([]bool(nil), c.dirty...),
+		Tick:  c.tick,
 	}
 }
 
@@ -45,7 +41,5 @@ func (c *Cache) Restore(st *State) error {
 	copy(c.age, st.Age)
 	copy(c.dirty, st.Dirty)
 	c.tick = st.Tick
-	c.hits = st.Hits
-	c.misses = st.Misses
 	return nil
 }

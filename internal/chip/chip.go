@@ -41,12 +41,6 @@ type Config struct {
 	LaunchStagger int64
 }
 
-// DefaultConfig returns the paper's 32-SM chip. Most callers scale NumSMs
-// down: simulation cost grows linearly with it.
-func DefaultConfig() Config {
-	return Config{NumSMs: 32}
-}
-
 // Result is the outcome of a chip run.
 type Result struct {
 	// PerSM holds each SM's counters.
@@ -239,6 +233,3 @@ func (c *Chip) Run() (*Result, error) {
 	}
 	return res, nil
 }
-
-// NumSMs returns the SM count.
-func (c *Chip) NumSMs() int { return c.cfg.NumSMs }

@@ -172,14 +172,6 @@ type KernelRequirements struct {
 // registers).
 func (k KernelRequirements) BytesPerThread() int { return k.RegsPerThread * 4 }
 
-// SharedBytesPerThread returns the per-thread shared-memory footprint.
-func (k KernelRequirements) SharedBytesPerThread() float64 {
-	if k.ThreadsPerCTA == 0 {
-		return 0
-	}
-	return float64(k.SharedBytesPerCTA) / float64(k.ThreadsPerCTA)
-}
-
 // AllocateMulti implements the Section 4.5 automatic partitioning of a
 // unified memory of totalBytes shared by a set of co-resident kernels
 // (one kernel is the ordinary case):

@@ -209,11 +209,4 @@ func TestKernelRequirementsHelpers(t *testing.T) {
 	if req.BytesPerThread() != 40 {
 		t.Errorf("BytesPerThread() = %d", req.BytesPerThread())
 	}
-	if got := req.SharedBytesPerThread(); got != 8 {
-		t.Errorf("SharedBytesPerThread() = %v", got)
-	}
-	var zero KernelRequirements
-	if zero.SharedBytesPerThread() != 0 {
-		t.Error("zero CTA size should report 0 shared bytes per thread")
-	}
 }

@@ -405,15 +405,6 @@ func (r *Runner) Table5() ([]ConflictRow, error) {
 	return out, nil
 }
 
-// Figure11Point is one (blocking factor, thread count) needle measurement.
-type Figure11Point struct {
-	BF         int
-	Threads    int
-	SharedKB   int
-	Perf       float64
-	Infeasible bool
-}
-
 // Figure11BlockingFactors are the needle variants of the tuning study.
 var Figure11BlockingFactors = []int{16, 32, 64}
 

@@ -228,24 +228,15 @@ const noWake = int64(1) << 62
 // readyMask must cover every possible warp slot.
 var _ [64 - config.MaxWarpsPerSM]struct{}
 
-// New builds a dispatcher hosting the given streams concurrently.
-// CTA slots are interleaved round-robin across streams (stream 0's
-// first slot, stream 1's first slot, ..., stream 0's second slot, ...),
-// so slot — and therefore warp — indices alternate between streams and
-// index-based tie-breaks (MinReady) stay fair. Launched warps replay
-// the outcome tables of the given bank-model variant.
-func New(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher, error) {
-	d := new(Dispatcher)
-	if err := d.Reset(specs, design, aggressive); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Reset readies the dispatcher for a new run exactly as New builds it,
-// reusing its stream, warp, slot and CTA arrays when they are large
-// enough. After a failed Reset the dispatcher must be Reset again
-// before use.
+// Reset readies the dispatcher (a new one is the zero Dispatcher) to
+// host the given streams concurrently, reusing its stream, warp, slot
+// and CTA arrays when they are large enough. CTA slots are interleaved
+// round-robin across streams (stream 0's first slot, stream 1's first
+// slot, ..., stream 0's second slot, ...), so slot — and therefore warp
+// — indices alternate between streams and index-based tie-breaks
+// (MinReady) stay fair. Launched warps replay the outcome tables of the
+// given bank-model variant. After a failed Reset the dispatcher must be
+// Reset again before use.
 func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive bool) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("dispatch: need at least one stream")
@@ -368,9 +359,6 @@ func (d *Dispatcher) launch(slot int, cycle int64) {
 
 // Done reports whether every warp of the grid has exited.
 func (d *Dispatcher) Done() bool { return d.liveWarps == 0 }
-
-// LiveWarps returns the number of warps not yet exited.
-func (d *Dispatcher) LiveWarps() int { return d.liveWarps }
 
 // NumWarps returns the number of warp slots.
 func (d *Dispatcher) NumWarps() int { return len(d.warps) }

@@ -53,11 +53,17 @@ func readyAt(d *Dispatcher, w int) (int64, bool) {
 	return d.slots[w].WakeAt, d.Warp(w).Status == Ready
 }
 
+// newDispatcher builds a dispatcher hosting specs.
+func newDispatcher(specs []StreamSpec, design config.Design, aggressive bool) (*Dispatcher, error) {
+	d := new(Dispatcher)
+	return d, d.Reset(specs, design, aggressive)
+}
+
 func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSource, *stats.Counters) {
 	t.Helper()
 	src := newFakeSource(ctas, warpsPer)
 	c := &stats.Counters{}
-	d, err := New([]StreamSpec{{Source: src, ResidentCTAs: resident, Counters: c}}, config.Partitioned, false)
+	d, err := newDispatcher([]StreamSpec{{Source: src, ResidentCTAs: resident, Counters: c}}, config.Partitioned, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +72,14 @@ func newDisp(t *testing.T, ctas, warpsPer, resident int) (*Dispatcher, *fakeSour
 
 func TestNewValidation(t *testing.T) {
 	c := &stats.Counters{}
-	if _, err := New([]StreamSpec{{Source: newFakeSource(1, 2), ResidentCTAs: 0, Counters: c}}, config.Partitioned, false); err == nil {
+	if _, err := newDispatcher([]StreamSpec{{Source: newFakeSource(1, 2), ResidentCTAs: 0, Counters: c}}, config.Partitioned, false); err == nil {
 		t.Error("resident CTAs < 1 should fail")
 	}
-	if _, err := New([]StreamSpec{{Source: newFakeSource(1, 0), ResidentCTAs: 2, Counters: c}}, config.Partitioned, false); err == nil {
+	if _, err := newDispatcher([]StreamSpec{{Source: newFakeSource(1, 0), ResidentCTAs: 2, Counters: c}}, config.Partitioned, false); err == nil {
 		t.Error("zero warps per CTA should fail")
 	}
 	over := config.MaxWarpsPerSM + 1
-	if _, err := New([]StreamSpec{{Source: newFakeSource(1, over), ResidentCTAs: 1, Counters: c}}, config.Partitioned, false); err == nil {
+	if _, err := newDispatcher([]StreamSpec{{Source: newFakeSource(1, over), ResidentCTAs: 1, Counters: c}}, config.Partitioned, false); err == nil {
 		t.Error("oversubscribing the SM warp limit should fail")
 	}
 }
@@ -85,8 +91,8 @@ func TestStartLaunchesResidentCTAs(t *testing.T) {
 	d, src, c := newDisp(t, 3, 2, 2)
 	d.Start(7)
 
-	if d.LiveWarps() != 4 || d.Done() {
-		t.Fatalf("LiveWarps = %d, Done = %v after Start; want 4, false", d.LiveWarps(), d.Done())
+	if d.liveWarps != 4 || d.Done() {
+		t.Fatalf("LiveWarps = %d, Done = %v after Start; want 4, false", d.liveWarps, d.Done())
 	}
 	if want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}; len(src.traced) != 4 {
 		t.Errorf("traced %v, want %v", src.traced, want)
@@ -117,7 +123,7 @@ func TestStartLaunchesResidentCTAs(t *testing.T) {
 func TestLaunchAttachesTables(t *testing.T) {
 	newUnified := func() (*Dispatcher, *fakeSource) {
 		src := newFakeSource(2, 2)
-		d, err := New([]StreamSpec{{Source: src, ResidentCTAs: 1, Counters: &stats.Counters{}}}, config.Unified, true)
+		d, err := newDispatcher([]StreamSpec{{Source: src, ResidentCTAs: 1, Counters: &stats.Counters{}}}, config.Unified, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,16 +179,16 @@ func TestExitRotatesNextCTA(t *testing.T) {
 	if wake, ok := readyAt(d, 0); !ok || wake != 60 {
 		t.Errorf("rotated warp 0 readyAt = %d, %v; want 60, true", wake, ok)
 	}
-	if d.LiveWarps() != 4 {
-		t.Errorf("LiveWarps = %d after rotation, want 4", d.LiveWarps())
+	if d.liveWarps != 4 {
+		t.Errorf("LiveWarps = %d after rotation, want 4", d.liveWarps)
 	}
 
 	// Drain everything: grid exhausted, no further launches.
 	for i := 0; i < 4; i++ {
 		d.Exit(i, 100)
 	}
-	if !d.Done() || d.LiveWarps() != 0 {
-		t.Errorf("Done = %v, LiveWarps = %d after draining the grid; want true, 0", d.Done(), d.LiveWarps())
+	if !d.Done() || d.liveWarps != 0 {
+		t.Errorf("Done = %v, LiveWarps = %d after draining the grid; want true, 0", d.Done(), d.liveWarps)
 	}
 	if c.CTAsRetired != 3 {
 		t.Errorf("CTAsRetired = %d, want 3", c.CTAsRetired)
@@ -247,8 +253,8 @@ func TestEarlyExitReleasesBarrier(t *testing.T) {
 			t.Errorf("warp %d readyAt = %d, %v; want 21, true", i, wake, ok)
 		}
 	}
-	if d.LiveWarps() != 2 {
-		t.Errorf("LiveWarps = %d, want 2", d.LiveWarps())
+	if d.liveWarps != 2 {
+		t.Errorf("LiveWarps = %d, want 2", d.liveWarps)
 	}
 }
 
@@ -295,7 +301,7 @@ func TestWakeBoundMatchesBruteForce(t *testing.T) {
 				}
 				return sp
 			}
-			d, err := New(specs(), config.Partitioned, false)
+			d, err := newDispatcher(specs(), config.Partitioned, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +353,7 @@ func TestWakeBoundMatchesBruteForce(t *testing.T) {
 					d.Exit(active[rng.Intn(len(active))], now) // may launch a CTA
 					what = "exit"
 				case streams == 1:
-					fork, err := New(specs(), config.Partitioned, false)
+					fork, err := newDispatcher(specs(), config.Partitioned, false)
 					if err != nil {
 						t.Fatal(err)
 					}

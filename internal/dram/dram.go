@@ -37,8 +37,6 @@ type DRAM struct {
 	cfg       Config
 	busFreeAt int64
 
-	readBytes  int64
-	writeBytes int64
 	reads      int64
 	writes     int64
 	stallCycle int64 // cumulative queueing delay observed by reads
@@ -119,7 +117,6 @@ func (d *DRAM) Read(now int64, addr uint32, bytes int) int64 {
 	}
 	lat := d.latencyFor(addr)
 	d.busFreeAt = start + d.transferCycles(bytes)
-	d.readBytes += int64(bytes)
 	d.reads++
 	return d.busFreeAt + lat
 }
@@ -136,18 +133,8 @@ func (d *DRAM) Write(now int64, addr uint32, bytes int) {
 		start = d.busFreeAt
 	}
 	d.busFreeAt = start + d.transferCycles(bytes)
-	d.writeBytes += int64(bytes)
 	d.writes++
 }
-
-// ReadBytes returns cumulative bytes read.
-func (d *DRAM) ReadBytes() int64 { return d.readBytes }
-
-// WriteBytes returns cumulative bytes written.
-func (d *DRAM) WriteBytes() int64 { return d.writeBytes }
-
-// TotalBytes returns cumulative traffic in both directions.
-func (d *DRAM) TotalBytes() int64 { return d.readBytes + d.writeBytes }
 
 // Accesses returns the number of read and write transactions issued.
 func (d *DRAM) Accesses() (reads, writes int64) { return d.reads, d.writes }
@@ -161,5 +148,5 @@ func (d *DRAM) BusFreeAt() int64 { return d.busFreeAt }
 
 // String summarizes traffic.
 func (d *DRAM) String() string {
-	return fmt.Sprintf("dram read=%dB write=%dB stall=%d", d.readBytes, d.writeBytes, d.stallCycle)
+	return fmt.Sprintf("dram reads=%d writes=%d stall=%d", d.reads, d.writes, d.stallCycle)
 }

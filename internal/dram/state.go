@@ -5,8 +5,6 @@ package dram
 // value copy Snapshot returns is already deep.
 type State struct {
 	BusFreeAt  int64
-	ReadBytes  int64
-	WriteBytes int64
 	Reads      int64
 	Writes     int64
 	StallCycle int64
@@ -20,8 +18,6 @@ type State struct {
 func (d *DRAM) Snapshot() State {
 	return State{
 		BusFreeAt:  d.busFreeAt,
-		ReadBytes:  d.readBytes,
-		WriteBytes: d.writeBytes,
 		Reads:      d.reads,
 		Writes:     d.writes,
 		StallCycle: d.stallCycle,
@@ -37,8 +33,6 @@ func (d *DRAM) Snapshot() State {
 // resumes the warm prefix's bus and row state under its own timing.
 func (d *DRAM) Restore(st State) {
 	d.busFreeAt = st.BusFreeAt
-	d.readBytes = st.ReadBytes
-	d.writeBytes = st.WriteBytes
 	d.reads = st.Reads
 	d.writes = st.Writes
 	d.stallCycle = st.StallCycle

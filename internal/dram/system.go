@@ -27,11 +27,9 @@ type System struct {
 	// of serializing. Without this, lockstep kernels reading shared data
 	// convoy artificially on the channels.
 	inflight map[uint32]int64 // line -> data-ready cycle
-	merged   int64
 
 	l2        *cache.Cache
 	l2Latency int64
-	l2Hits    int64
 }
 
 // SystemConfig parameterizes the chip DRAM.
@@ -127,13 +125,11 @@ func (s *System) Read(now int64, addr uint32, bytes int) int64 {
 	line := addr / 128
 	if ready, ok := s.inflight[line]; ok {
 		if ready > now {
-			s.merged++
 			return ready
 		}
 		delete(s.inflight, line)
 	}
 	if s.l2 != nil && s.l2.Read(line) {
-		s.l2Hits++
 		return now + s.l2Latency
 	}
 	s.readBytes += int64(bytes)
@@ -167,16 +163,6 @@ func (s *System) ReadBytes() int64 { return s.readBytes }
 
 // WriteBytes returns cumulative bytes written across channels.
 func (s *System) WriteBytes() int64 { return s.writeBytes }
-
-// Channels returns the channel count.
-func (s *System) Channels() int { return len(s.channels) }
-
-// Merged returns how many reads were served by an in-flight fetch of the
-// same line issued by another SM.
-func (s *System) Merged() int64 { return s.merged }
-
-// L2Hits returns reads served by the optional chip-level L2.
-func (s *System) L2Hits() int64 { return s.l2Hits }
 
 // OutOfOrder returns how many requests arrived below the high-water
 // timestamp — a diagnostic for the chip simulator's global-time ordering

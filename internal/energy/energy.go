@@ -167,8 +167,7 @@ func (m Model) accessEnergy(cfg config.MemConfig, c *stats.Counters) Breakdown {
 	}
 
 	var b Breakdown
-	b.MRF = pJ * clusterBanksPerWarpOperand *
-		(float64(c.MRFReads)*rfR + float64(c.MRFWrites)*rfW)
+	b.MRF = pJ * clusterBanksPerWarpOperand * readWrite(c.MRFReads, rfR, c.MRFWrites, rfW)
 	b.ORF = pJ * m.P.ORFAccessPJ * float64(c.ORFReads+c.ORFWrites)
 	b.LRF = pJ * m.P.LRFAccessPJ * float64(c.LRFReads+c.LRFWrites)
 
@@ -179,16 +178,23 @@ func (m Model) accessEnergy(cfg config.MemConfig, c *stats.Counters) Breakdown {
 	if cfg.Design == config.Unified {
 		shFrac = 1.0
 	}
-	b.Shared = pJ * memOverhead * shFrac *
-		(float64(c.SharedReads)*shR + float64(c.SharedWrites)*shW)
+	b.Shared = pJ * memOverhead * shFrac * readWrite(c.SharedReads, shR, c.SharedWrites, shW)
 
 	// Cache data counters are line accesses (128 bytes = eight 16-byte
 	// bank accesses in either design's aggregate width).
 	const banksPerLine = config.CacheLineBytes / 16
-	b.Cache = pJ * memOverhead * banksPerLine *
-		(float64(c.CacheDataReads)*chR + float64(c.CacheDataWrites)*chW)
+	b.Cache = pJ * memOverhead * banksPerLine * readWrite(c.CacheDataReads, chR, c.CacheDataWrites, chW)
 	b.Tags = pJ * memOverhead * m.P.TagProbePJ * float64(c.CacheProbes)
 	return b
+}
+
+// readWrite returns reads*readPJ + writes*writePJ with each product
+// rounded before the sum. The explicit conversions forbid the compiler
+// to fuse a product into the addition (the Go spec lets it on targets
+// with fused multiply-add, such as arm64), so energies are bit-identical
+// on every architecture.
+func readWrite(reads int64, readPJ float64, writes int64, writePJ float64) float64 {
+	return float64(float64(reads)*readPJ) + float64(float64(writes)*writePJ)
 }
 
 // seconds converts a run's cycle count to seconds.
@@ -223,7 +229,8 @@ func (m Model) Evaluate(cfg config.MemConfig, c *stats.Counters, otherDynamic fl
 	}
 	t := m.seconds(c)
 	b.Other = otherDynamic * t
-	leakW := m.P.SMCoreLeakage + m.P.SRAMLeakagePerKB*float64(cfg.TotalBytes())/1024
+	// The conversion keeps the SRAM term unfused, as in readWrite.
+	leakW := m.P.SMCoreLeakage + float64(m.P.SRAMLeakagePerKB*float64(cfg.TotalBytes())/1024)
 	b.Leak = leakW * t
 	b.DRAM = m.P.DRAMEnergyPerBit * 8 * float64(c.DRAMBytes())
 	return b

@@ -104,12 +104,6 @@ func (o Op) IsGlobal() bool {
 // IsShared reports whether the op accesses the shared-memory scratchpad.
 func (o Op) IsShared() bool { return o == OpLDS || o == OpSTS }
 
-// IsLoad reports whether the op produces a register result from memory.
-func (o Op) IsLoad() bool { return o == OpLDG || o == OpLDS || o == OpTEX }
-
-// IsStore reports whether the op writes memory.
-func (o Op) IsStore() bool { return o == OpSTG || o == OpSTS }
-
 // IsLongLatency reports whether a dependent instruction should cause the
 // two-level warp scheduler to deschedule the warp while the result is
 // outstanding (global loads and texture fetches).
@@ -269,17 +263,6 @@ const FullMask uint32 = 0xFFFFFFFF
 // ActiveThreads returns the number of active threads in the instruction.
 func (wi *WarpInst) ActiveThreads() int {
 	return bits.OnesCount32(wi.Mask)
-}
-
-// NumSrcs returns the number of valid source operands.
-func (wi *WarpInst) NumSrcs() int {
-	n := 0
-	for _, s := range wi.Srcs {
-		if s.Valid() {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders the instruction for debugging.

@@ -24,19 +24,19 @@ func TestOpString(t *testing.T) {
 
 func TestOpPredicates(t *testing.T) {
 	tests := []struct {
-		op                                     Op
-		mem, global, shared, load, store, long bool
+		op                        Op
+		mem, global, shared, long bool
 	}{
-		{OpNop, false, false, false, false, false, false},
-		{OpALU, false, false, false, false, false, false},
-		{OpSFU, false, false, false, false, false, false},
-		{OpLDG, true, true, false, true, false, true},
-		{OpSTG, true, true, false, false, true, false},
-		{OpLDS, true, false, true, true, false, false},
-		{OpSTS, true, false, true, false, true, false},
-		{OpTEX, true, true, false, true, false, true},
-		{OpBAR, false, false, false, false, false, false},
-		{OpEXIT, false, false, false, false, false, false},
+		{OpNop, false, false, false, false},
+		{OpALU, false, false, false, false},
+		{OpSFU, false, false, false, false},
+		{OpLDG, true, true, false, true},
+		{OpSTG, true, true, false, false},
+		{OpLDS, true, false, true, false},
+		{OpSTS, true, false, true, false},
+		{OpTEX, true, true, false, true},
+		{OpBAR, false, false, false, false},
+		{OpEXIT, false, false, false, false},
 	}
 	for _, tc := range tests {
 		if got := tc.op.IsMemory(); got != tc.mem {
@@ -47,12 +47,6 @@ func TestOpPredicates(t *testing.T) {
 		}
 		if got := tc.op.IsShared(); got != tc.shared {
 			t.Errorf("%v.IsShared() = %v, want %v", tc.op, got, tc.shared)
-		}
-		if got := tc.op.IsLoad(); got != tc.load {
-			t.Errorf("%v.IsLoad() = %v, want %v", tc.op, got, tc.load)
-		}
-		if got := tc.op.IsStore(); got != tc.store {
-			t.Errorf("%v.IsStore() = %v, want %v", tc.op, got, tc.store)
 		}
 		if got := tc.op.IsLongLatency(); got != tc.long {
 			t.Errorf("%v.IsLongLatency() = %v, want %v", tc.op, got, tc.long)
@@ -90,21 +84,6 @@ func TestActiveThreadsMatchesBits(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNumSrcs(t *testing.T) {
-	wi := WarpInst{}
-	for i := range wi.Srcs {
-		wi.Srcs[i].Reg = NoReg
-	}
-	if got := wi.NumSrcs(); got != 0 {
-		t.Errorf("NumSrcs() = %d, want 0", got)
-	}
-	wi.Srcs[0] = Operand{Reg: 1, Space: SpaceMRF}
-	wi.Srcs[2] = Operand{Reg: 2, Space: SpaceLRF}
-	if got := wi.NumSrcs(); got != 2 {
-		t.Errorf("NumSrcs() = %d, want 2", got)
 	}
 }
 

@@ -38,13 +38,6 @@ func Broadcast(addr uint32) isa.AddrVec {
 	return v
 }
 
-// Strided2D returns addresses base + lane*colStride for a warp reading one
-// element per row of a row-major matrix: colStride equal to the row pitch
-// produces the worst-case one-line-per-thread pattern.
-func Strided2D(base, colStride uint32) isa.AddrVec {
-	return Coalesced(base, colStride)
-}
-
 // Random returns addresses drawn uniformly from [base, base+size), aligned
 // to align bytes. It models pointer-chasing and irregular gather patterns
 // (graph traversal, hash probing).
@@ -82,17 +75,6 @@ func ClusteredRandom(rng *rand.Rand, base, size uint32, groupLanes int) isa.Addr
 		for j := 0; j < groupLanes && l+j < isa.WarpSize; j++ {
 			v[l+j] = line + uint32(j)*4
 		}
-	}
-	return v
-}
-
-// Gather returns per-lane addresses base + idx[lane]*elem for an index
-// vector, as produced by data-dependent gathers. idx must have WarpSize
-// entries.
-func Gather(base, elem uint32, idx []uint32) isa.AddrVec {
-	var v isa.AddrVec
-	for l := range v {
-		v[l] = base + idx[l]*elem
 	}
 	return v
 }

@@ -59,7 +59,7 @@ type Builder struct {
 	cfg      Config
 	s        *scratch // pooled build state, returned by Finish
 	insts    []isa.WarpInst
-	arena    []isa.AddrVec // the finished trace's address arena
+	arena    []isa.AddrVec // the finished trace's address arena, read by tests
 	finished bool
 }
 
@@ -88,10 +88,6 @@ func NewBuilder(cfg Config) *Builder {
 	s := scratches.Get().(*scratch)
 	return &Builder{cfg: cfg, s: s, insts: s.insts}
 }
-
-// Len returns the number of instructions emitted so far (including
-// allocator-inserted spill code).
-func (b *Builder) Len() int { return len(b.insts) }
 
 // SetMask changes the active-thread mask for subsequently emitted
 // instructions, modeling SIMT control-flow divergence (threads that take
@@ -246,12 +242,6 @@ func (b *Builder) lower() ([]isa.WarpInst, []int32) {
 	place(trace, s)
 	return trace, slots
 }
-
-// Arena returns the arena holding the finished trace's distinct address
-// vectors, one per content (isa.Packer): a slot per irregular vector,
-// then the affine vectors' pairs, isa.PairsPerSlot to a slot. It is nil
-// before Finish and for a trace without memory instructions.
-func (b *Builder) Arena() []isa.AddrVec { return b.arena }
 
 // release empties the scratch and returns it to the pool.
 func (s *scratch) release() {

@@ -353,14 +353,6 @@ func TestAddrHelpers(t *testing.T) {
 	if cf[0] != 0 || cf[1] != 128 || cf[4] != 4 {
 		t.Errorf("Conflicting(4): %v %v %v", cf[0], cf[1], cf[4])
 	}
-	idx := make([]uint32, isa.WarpSize)
-	for i := range idx {
-		idx[i] = uint32(i * 2)
-	}
-	ga := Gather(1000, 4, idx)
-	if ga[3] != 1000+6*4 {
-		t.Errorf("Gather lane 3 = %d", ga[3])
-	}
 }
 
 // flatInst is an instruction with its addresses expanded to all 32
@@ -448,7 +440,7 @@ func TestFinishPacksAddressVectors(t *testing.T) {
 	for _, regs := range []int{0, 6} {
 		b := buildMixed(regs, 400, 0)
 		trace := b.Finish()
-		arena := b.Arena()
+		arena := b.arena
 		inArena := make(map[*isa.AddrVec]int, len(arena))
 		for k := range arena {
 			inArena[&arena[k]] = k

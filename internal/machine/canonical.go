@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/config"
 	"repro/internal/energy"
@@ -16,9 +17,8 @@ import (
 // descriptions that Resolve to the same simulator state Describe to the
 // same value, which is what makes Canonical and Key well defined.
 //
-// Describe covers exactly the surface Description can express; resolved
-// parameters outside it (sm.Params.GreedyScheduler) have no JSON field
-// today and therefore cannot differ between two descriptions.
+// Describe covers every field of sm.Params, so resolved parameters that
+// differ in any field describe differently.
 func Describe(cfg config.MemConfig, p sm.Params, e energy.Params) Description {
 	var d Description
 	d.Design = cfg.Design.String()
@@ -48,10 +48,30 @@ func Describe(cfg config.MemConfig, p sm.Params, e energy.Params) Description {
 	d.Timing.WriteBackCache = p.WriteBackCache
 	d.Energy.SMDynamicW = e.SMDynamicPower
 	d.Energy.SMCoreLeakageW = e.SMCoreLeakage
-	d.Energy.SRAMLeakageMWKB = e.SRAMLeakagePerKB * 1e3
-	d.Energy.DRAMPJPerBit = e.DRAMEnergyPerBit * 1e12
+	d.Energy.SRAMLeakageMWKB = unscale(e.SRAMLeakagePerKB, 1e3, 1e-3)
+	d.Energy.DRAMPJPerBit = unscale(e.DRAMEnergyPerBit, 1e12, 1e-12)
 	d.Energy.UnifiedWiringMul = e.UnifiedWiringOverhead
 	return d
+}
+
+// unscale renders p, which Resolve computes as v*toParam, in description
+// units: p*toDesc when Resolve maps that back to p exactly, else the
+// nearest value within a few ulps that it does. The two roundings would
+// otherwise move p by an ulp per round trip, and two descriptions of one
+// machine would get different keys.
+func unscale(p, toDesc, toParam float64) float64 {
+	v := p * toDesc
+	down, up := v, v
+	for i := 0; i < 4; i++ {
+		if down*toParam == p {
+			return down
+		}
+		if up*toParam == p {
+			return up
+		}
+		down, up = math.Nextafter(down, math.Inf(-1)), math.Nextafter(up, math.Inf(1))
+	}
+	return v
 }
 
 // Canonical resolves the description and renders it back fully filled:

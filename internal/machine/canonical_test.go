@@ -154,6 +154,8 @@ func TestCanonicalRejectsInvalid(t *testing.T) {
 	for _, js := range []string{
 		`{"design":"hexagonal"}`,
 		`{"rf_kb":-1,"shared_kb":64,"cache_kb":64}`,
+		`{"rf_kb":18014398509482240,"shared_kb":64,"cache_kb":64}`,
+		`{"timing":{"dram_row_bytes":4294967296}}`,
 		`{"timing":{"scheduler":"fifo"}}`,
 	} {
 		var d Description

@@ -7,6 +7,7 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/config"
@@ -107,6 +108,11 @@ func (d Description) Resolve() (config.MemConfig, sm.Params, energy.Params, erro
 		d.SharedKB = config.BaselineSharedBytes >> 10
 		d.CacheKB = config.BaselineCacheBytes >> 10
 	}
+	for _, kb := range []int{d.RFKB, d.SharedKB, d.CacheKB} {
+		if kb<<10>>10 != kb {
+			return cfg, sm.Params{}, energy.Params{}, fmt.Errorf("machine: capacity %d KB overflows", kb)
+		}
+	}
 	cfg.RFBytes = d.RFKB << 10
 	cfg.SharedBytes = d.SharedKB << 10
 	cfg.CacheBytes = d.CacheKB << 10
@@ -131,6 +137,9 @@ func (d Description) Resolve() (config.MemConfig, sm.Params, energy.Params, erro
 		p.DRAM.BytesPerCycle = d.Timing.DRAMBytesPerCycle
 	}
 	if d.Timing.DRAMRowBytes > 0 {
+		if uint64(d.Timing.DRAMRowBytes) > math.MaxUint32 {
+			return cfg, sm.Params{}, energy.Params{}, fmt.Errorf("machine: dram_row_bytes %d exceeds 4 GiB", d.Timing.DRAMRowBytes)
+		}
 		p.DRAM.RowBytes = uint32(d.Timing.DRAMRowBytes)
 		p.DRAM.RowMissPenalty = d.Timing.DRAMRowMissCycles
 	}
@@ -174,15 +183,6 @@ func Read(path string) (Description, error) {
 		return d, fmt.Errorf("machine: %s: %w", path, err)
 	}
 	return d, nil
-}
-
-// Load reads and resolves a machine file.
-func Load(path string) (config.MemConfig, sm.Params, energy.Params, error) {
-	d, err := Read(path)
-	if err != nil {
-		return config.MemConfig{}, sm.Params{}, energy.Params{}, err
-	}
-	return d.Resolve()
 }
 
 // Save writes a machine file (pretty-printed).

@@ -6,7 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/energy"
+	"repro/internal/sm"
 )
+
+// load reads and resolves a machine file.
+func load(path string) (config.MemConfig, sm.Params, energy.Params, error) {
+	d, err := Read(path)
+	if err != nil {
+		return config.MemConfig{}, sm.Params{}, energy.Params{}, err
+	}
+	return d.Resolve()
+}
 
 func TestDefaultResolvesToBaseline(t *testing.T) {
 	cfg, p, e, err := Default().Resolve()
@@ -34,7 +45,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := Save(path, d); err != nil {
 		t.Fatal(err)
 	}
-	cfg, p, e, err := Load(path)
+	cfg, p, e, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +65,7 @@ func TestPartialFileTakesDefaults(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"design":"partitioned","rf_kb":64,"shared_kb":32,"cache_kb":32}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg, p, e, err := Load(path)
+	cfg, p, e, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +87,7 @@ func TestOpenRowViaJSON(t *testing.T) {
 	if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, p, _, err := Load(path)
+	_, p, _, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,22 +97,22 @@ func TestOpenRowViaJSON(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, _, _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, _, _, err := load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
 	path := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(path, []byte("{not json"), 0o644)
-	if _, _, _, err := Load(path); err == nil {
+	if _, _, _, err := load(path); err == nil {
 		t.Error("bad JSON accepted")
 	}
 	path2 := filepath.Join(t.TempDir(), "baddesign.json")
 	os.WriteFile(path2, []byte(`{"design":"quantum","rf_kb":1}`), 0o644)
-	if _, _, _, err := Load(path2); err == nil {
+	if _, _, _, err := load(path2); err == nil {
 		t.Error("unknown design accepted")
 	}
 	path3 := filepath.Join(t.TempDir(), "badcfg.json")
 	os.WriteFile(path3, []byte(`{"design":"unified","rf_kb":-1,"shared_kb":0,"cache_kb":0}`), 0o644)
-	if _, _, _, err := Load(path3); err == nil {
+	if _, _, _, err := load(path3); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }

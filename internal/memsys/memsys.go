@@ -4,10 +4,8 @@
 // bound, sectored DRAM fills, and the texture path. It owns the Memory
 // interface the SM issues DRAM traffic to.
 //
-// Each global access returns a typed per-line result (Access: hit, miss,
-// or in-flight merge, the touched sector mask, and the data-ready cycle)
-// consumed by both the timing core (register-ready cycles) and the
-// observability probe (per-access classification). Timing state the rest
+// A global load returns the cycle its register result is ready and files
+// hits, misses and traffic in the run's counters. Timing state the rest
 // of the SM needs — the tag-port drain cycle for run finalization and the
 // all-MSHRs-in-flight window for stall attribution — is exposed through
 // accessors rather than shared fields, so the memory pipeline can be
@@ -53,28 +51,6 @@ type Config struct {
 	WriteBack bool
 }
 
-// AccessStatus classifies one line access.
-type AccessStatus uint8
-
-const (
-	// AccessHit: the tag probe hit a resident line.
-	AccessHit AccessStatus = iota
-	// AccessMerged: the access merged with an in-flight fill (MSHR hit).
-	AccessMerged
-	// AccessMiss: the line was fetched from DRAM.
-	AccessMiss
-)
-
-// Access is the typed outcome of one distinct-line access of a global
-// load: which line, which 32-byte sectors the warp touched, how the tag
-// probe resolved, and when the data is ready.
-type Access struct {
-	Line    uint32
-	Sectors uint8
-	Status  AccessStatus
-	Ready   int64
-}
-
 // MemSys is one SM's global-memory pipeline. It is not safe for
 // concurrent use; each simulated SM owns one.
 type MemSys struct {
@@ -90,8 +66,7 @@ type MemSys struct {
 	// classifier attributes memory waits inside it to MSHR pressure.
 	mshrBlockedUntil int64
 
-	fpBuf  [maxFootprintWords]uint32 // Footprint result storage
-	accBuf []Access                  // reused LoadFootprint result storage
+	fpBuf [maxFootprintWords]uint32 // Footprint result storage
 }
 
 // New builds a memory pipeline issuing to mem, filing events into c.
@@ -105,13 +80,13 @@ func New(cfg Config, mem Memory, c *stats.Counters) *MemSys {
 // an empty cache of cfg.CacheBytes, no fill in flight, an idle tag
 // port — reusing its tag store, pending table and scratch buffers.
 func (m *MemSys) Reset(cfg Config, mem Memory, c *stats.Counters) {
-	l1, pending, accBuf := m.l1, m.pending, m.accBuf
+	l1, pending := m.l1, m.pending
 	if l1 == nil {
-		l1, pending, accBuf = new(cache.Cache), new(pendingTable), make([]Access, 0, isa.WarpSize)
+		l1, pending = new(cache.Cache), new(pendingTable)
 	}
 	l1.Reset(cfg.CacheBytes)
 	pending.reset(cfg.MaxMSHRs)
-	*m = MemSys{cfg: cfg, l1: l1, mem: mem, c: c, pending: pending, accBuf: accBuf[:0]}
+	*m = MemSys{cfg: cfg, l1: l1, mem: mem, c: c, pending: pending}
 }
 
 // Detach drops the pipeline's references to its run's memory system
@@ -188,7 +163,7 @@ func (m *MemSys) Footprint(wi *isa.WarpInst) Footprint {
 }
 
 // Load performs the LDG wi issued at now; see LoadFootprint.
-func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
+func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) int64 {
 	return m.LoadFootprint(m.Footprint(wi), now, extra)
 }
 
@@ -196,14 +171,11 @@ func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) (int64, []Access) {
 // distinct line, one tag lookup (single tag port, serialized alongside
 // extra bank-conflict cycles; lookup i happens at the port's start plus
 // i), then a hit (cache latency), an in-flight merge, or a miss (sectored
-// DRAM fetch). It returns the cycle the register result is ready and the
-// per-line outcomes; the Access slice is the pipeline's own scratch
-// storage, valid until the next call.
-func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) (int64, []Access) {
-	m.accBuf = m.accBuf[:0]
+// DRAM fetch). It returns the cycle the register result is ready.
+func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) int64 {
 	if !m.CacheEnabled() {
 		// No coalescing buffer: per-thread minimum-size transactions.
-		return m.read(now, fp.Addr0(), uncachedGranule*fp.Distinct()), m.accBuf
+		return m.read(now, fp.Addr0(), uncachedGranule*fp.Distinct())
 	}
 	n := fp.Lines()
 
@@ -221,11 +193,9 @@ func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) (int64, []Access)
 		lookup := start + int64(i)
 		m.c.CacheProbes++
 		var ready int64
-		status := AccessMiss
 		if done, ok := m.pending.get(line); ok && done > lookup {
 			// Merge with an in-flight fill (MSHR hit).
 			ready = done
-			status = AccessMerged
 			m.c.CacheHits++
 			m.c.CacheDataReads++
 		} else {
@@ -270,7 +240,6 @@ func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) (int64, []Access)
 			}
 			if hit {
 				ready = lookup + m.cfg.CacheLatency
-				status = AccessHit
 				m.c.CacheHits++
 				m.c.CacheDataReads++
 			} else {
@@ -286,12 +255,11 @@ func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) (int64, []Access)
 				m.c.CacheDataWrites++ // fill
 			}
 		}
-		m.accBuf = append(m.accBuf, Access{Line: line, Sectors: sectors, Status: status, Ready: ready})
 		if ready > worst {
 			worst = ready
 		}
 	}
-	return worst, m.accBuf
+	return worst
 }
 
 // Store performs the STG wi issued at now; see StoreFootprint.
@@ -344,11 +312,6 @@ func (m *MemSys) StoreFootprint(fp Footprint, now, extra int64) {
 		}
 	}
 	m.write(start, fp.Addr0(), 4*fp.Active())
-}
-
-// Tex performs the TEX wi issued at now; see TexFootprint.
-func (m *MemSys) Tex(wi *isa.WarpInst, now int64) int64 {
-	return m.TexFootprint(m.Footprint(wi), now)
 }
 
 // TexFootprint performs a TEX with footprint fp issued at now: the

@@ -70,9 +70,9 @@ func TestMSHRMergeInFlight(t *testing.T) {
 	m, c := newTestMemSys(mem, 0, false, 64<<10)
 
 	// Cold miss: one sectored fill leaves line 0 in flight until 200.
-	ready, accs := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 0, 0)
-	if len(accs) != 1 || accs[0].Status != AccessMiss {
-		t.Fatalf("cold load: accs = %+v, want one miss", accs)
+	ready := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 0, 0)
+	if c.CacheMisses != 1 || len(mem.reads) != 1 {
+		t.Fatalf("cold load: %d misses, %d DRAM reads; want one of each", c.CacheMisses, len(mem.reads))
 	}
 	if ready != 200 {
 		t.Fatalf("cold load ready = %d, want 200", ready)
@@ -80,10 +80,7 @@ func TestMSHRMergeInFlight(t *testing.T) {
 
 	// A second load of the same line while the fill is outstanding merges
 	// with it (MSHR hit): same ready cycle, no new DRAM traffic.
-	ready2, accs2 := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 1, 0)
-	if len(accs2) != 1 || accs2[0].Status != AccessMerged {
-		t.Fatalf("merged load: accs = %+v, want one merge", accs2)
-	}
+	ready2 := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 1, 0)
 	if ready2 != 200 {
 		t.Errorf("merged load ready = %d, want the in-flight fill's 200", ready2)
 	}
@@ -95,9 +92,9 @@ func TestMSHRMergeInFlight(t *testing.T) {
 	}
 
 	// After the fill lands, the line is resident: a plain tag hit.
-	ready3, accs3 := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 300, 0)
-	if accs3[0].Status != AccessHit {
-		t.Errorf("post-fill load status = %v, want AccessHit", accs3[0].Status)
+	ready3 := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 300, 0)
+	if c.CacheHits != 2 || len(mem.reads) != 1 {
+		t.Errorf("post-fill load: %d hits, %d DRAM reads; want 2, 1", c.CacheHits, len(mem.reads))
 	}
 	if want := int64(300 + 20); ready3 != want {
 		t.Errorf("hit ready = %d, want %d (lookup + cache latency)", ready3, want)
@@ -106,7 +103,7 @@ func TestMSHRMergeInFlight(t *testing.T) {
 
 func TestMSHRBoundEvictsAndStalls(t *testing.T) {
 	mem := &fixedMem{latency: 100}
-	m, _ := newTestMemSys(mem, 1, false, 64<<10)
+	m, c := newTestMemSys(mem, 1, false, 64<<10)
 
 	// Fill the single MSHR with line 0 (in flight until 100).
 	m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 0, 0)
@@ -117,9 +114,9 @@ func TestMSHRBoundEvictsAndStalls(t *testing.T) {
 	// A miss to a new line finds every MSHR busy: its lookup stalls until
 	// the earliest outstanding fill (cycle 100) retires, then pays its own
 	// DRAM trip. The stall window is exported for the stall classifier.
-	ready, accs := m.Load(ldg(func(l int) uint32 { return 4096 + uint32(l)*4 }), 1, 0)
-	if accs[0].Status != AccessMiss {
-		t.Fatalf("second load status = %v, want AccessMiss", accs[0].Status)
+	ready := m.Load(ldg(func(l int) uint32 { return 4096 + uint32(l)*4 }), 1, 0)
+	if c.CacheMisses != 2 {
+		t.Fatalf("second load: %d misses in all, want 2", c.CacheMisses)
 	}
 	if want := int64(200); ready != want {
 		t.Errorf("MSHR-blocked miss ready = %d, want %d (retire at 100 + 100 latency)", ready, want)
@@ -174,12 +171,9 @@ func TestSectorMaskCoalescing(t *testing.T) {
 
 	// A unit-stride warp load covers exactly one 128-byte line: one access
 	// with all four 32-byte sectors touched, fetching the full line.
-	_, accs := m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 0, 0)
-	if len(accs) != 1 {
-		t.Fatalf("coalesced load produced %d line accesses, want 1", len(accs))
-	}
-	if accs[0].Sectors != 0x0F {
-		t.Errorf("coalesced sector mask = %#x, want 0x0f", accs[0].Sectors)
+	m.Load(ldg(func(l int) uint32 { return uint32(l) * 4 }), 0, 0)
+	if c.CacheProbes != 1 || len(mem.reads) != 1 {
+		t.Fatalf("coalesced load made %d line accesses and %d fills, want 1 and 1", c.CacheProbes, len(mem.reads))
 	}
 	if c.DRAMReadBytes != 128 {
 		t.Errorf("coalesced fill read %d bytes, want 128", c.DRAMReadBytes)
@@ -189,13 +183,13 @@ func TestSectorMaskCoalescing(t *testing.T) {
 	// accesses, each fetching a single sector.
 	mem2 := &fixedMem{latency: 100}
 	m2, c2 := newTestMemSys(mem2, 0, false, 64<<10)
-	_, accs2 := m2.Load(ldg(func(l int) uint32 { return uint32(l) * 128 }), 0, 0)
-	if len(accs2) != 32 {
-		t.Fatalf("gather produced %d line accesses, want 32", len(accs2))
+	m2.Load(ldg(func(l int) uint32 { return uint32(l) * 128 }), 0, 0)
+	if c2.CacheProbes != 32 || len(mem2.reads) != 32 {
+		t.Fatalf("gather made %d line accesses and %d fills, want 32 and 32", c2.CacheProbes, len(mem2.reads))
 	}
-	for i, a := range accs2 {
-		if a.Sectors != 0x01 {
-			t.Fatalf("gather access %d sector mask = %#x, want 0x01", i, a.Sectors)
+	for i, r := range mem2.reads {
+		if r.bytes != SectorBytes {
+			t.Fatalf("gather fill %d read %d bytes, want one %d-byte sector", i, r.bytes, SectorBytes)
 		}
 	}
 	if c2.DRAMReadBytes != 32*SectorBytes {
@@ -261,7 +255,7 @@ func TestLoadReadyMonotoneInNow(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				base := rng.Uint32N(1 << 14)
 				stride := []uint32{4, 128, 0}[rng.Uint32N(3)]
-				ready, _ := m.Load(ldg(func(l int) uint32 { return base + uint32(l)*stride }), now, 0)
+				ready := m.Load(ldg(func(l int) uint32 { return base + uint32(l)*stride }), now, 0)
 				readys = append(readys, ready)
 				now += int64(rng.Uint32N(50))
 			}

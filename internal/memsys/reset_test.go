@@ -9,13 +9,12 @@ import (
 )
 
 // missBurst issues n loads of distinct lines from line first, one per
-// cycle from now, and returns their outcomes.
-func missBurst(m *MemSys, first uint32, n int, now int64) []Access {
-	var out []Access
+// cycle from now, and returns their ready cycles.
+func missBurst(m *MemSys, first uint32, n int, now int64) []int64 {
+	var out []int64
 	for i := 0; i < n; i++ {
 		base := (first + uint32(i)) * config.CacheLineBytes
-		_, accs := m.Load(ldg(func(l int) uint32 { return base + uint32(l)*4 }), now+int64(i), 0)
-		out = append(out, accs...)
+		out = append(out, m.Load(ldg(func(l int) uint32 { return base + uint32(l)*4 }), now+int64(i), 0))
 	}
 	return out
 }
@@ -36,7 +35,7 @@ func TestResetMatchesNew(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			first, now := uint32(round*50), int64(round*400)
 			if got, want := missBurst(recycled, first, 120, now), missBurst(fresh, first, 120, now); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%+v round %d: recycled accesses differ from a new pipeline's", cfg, round)
+				t.Fatalf("%+v round %d: recycled ready cycles differ from a new pipeline's", cfg, round)
 			}
 			if got, want := len(recycled.pending.keys), len(fresh.pending.keys); got != want {
 				t.Fatalf("%+v round %d: recycled pending table has %d slots, a new one %d", cfg, round, got, want)

@@ -15,8 +15,8 @@ import (
 // its open-addressed arrays in place (backward-shift deletion slides
 // entries between slots), so a shallow copy would alias a fork's MSHR
 // bookkeeping to the parent's — in-flight fills retired by one run would
-// vanish from, or reappear in, the other. The scratch buffers (fpBuf,
-// accBuf) hold no cross-call state and are not captured.
+// vanish from, or reappear in, the other. The footprint scratch (fpBuf)
+// holds no cross-call state and is not captured.
 type State struct {
 	// PendingKeys, PendingVals, PendingUsed, and PendingN are a verbatim
 	// copy of the pending table's open-addressed arrays. Preserving the

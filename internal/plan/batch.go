@@ -74,7 +74,6 @@ func (g *warmGroup) prefix(timeout time.Duration) (*core.Warm, error) {
 		params := sm.DefaultParams()
 		params.Scheduler = g.seed.Params.Scheduler
 		params.ActiveWarps = g.seed.Params.ActiveWarps
-		params.GreedyScheduler = g.seed.Params.GreedyScheduler
 		params.AggressiveScatter = g.seed.Params.AggressiveScatter
 		r := core.NewRunner()
 		r.Params = params
@@ -103,7 +102,6 @@ type canonicalWarmGroup struct {
 	Seed        uint64 `json:"seed"`
 	Scheduler   string `json:"scheduler"`
 	ActiveWarps int    `json:"active_warps"`
-	Greedy      bool   `json:"greedy"`
 	Scatter     bool   `json:"scatter"`
 	Cycles      int64  `json:"cycles"`
 }
@@ -124,7 +122,6 @@ func warmGroupKey(r *Run, cycles int64) string {
 		Seed:        st.Seed,
 		Scheduler:   string(r.Params.Scheduler),
 		ActiveWarps: r.Params.ActiveWarps,
-		Greedy:      r.Params.GreedyScheduler,
 		Scatter:     r.Params.AggressiveScatter,
 		Cycles:      cycles,
 	})

@@ -21,7 +21,6 @@ import (
 	"io"
 
 	"repro/internal/config"
-	"repro/internal/memsys"
 	"repro/internal/stats"
 )
 
@@ -118,12 +117,6 @@ type Probe struct {
 	bankAccess   [config.NumBanks]int64
 	bankConflict [config.NumBanks]int64
 
-	// Global-load access classification, from the memory pipeline's typed
-	// per-line results: tag hits, in-flight merges (MSHR hits), misses,
-	// and the total touched sectors of the missed fills.
-	accHits, accMerged, accMisses int64
-	missSectors                   int64
-
 	cur       Interval
 	intervals []Interval
 
@@ -162,16 +155,6 @@ func New(intervalCycles int64, ndjson io.Writer) *Probe {
 // keep insertion order. Annotate must be called before the run begins.
 func (p *Probe) Annotate(key, value string) {
 	p.meta = append(p.meta, metaKV{key, value})
-}
-
-// Meta returns the annotation value for key, or "".
-func (p *Probe) Meta(key string) string {
-	for _, kv := range p.meta {
-		if kv.key == key {
-			return kv.value
-		}
-	}
-	return ""
 }
 
 // Begin starts observation at the run's first cycle. counters are the
@@ -233,31 +216,6 @@ func (p *Probe) Stall(from, to int64, reason StallReason, stream int) {
 // footprint to them). The arrays index by physical bank number.
 func (p *Probe) Heat() (access, conflict *[config.NumBanks]int64) {
 	return &p.bankAccess, &p.bankConflict
-}
-
-// MemAccess records one typed global-load line access from the memory
-// pipeline (memsys.MemSys.Load). Like the other hot hooks it performs no
-// allocation; the classification totals are exposed by LoadAccesses and
-// do not alter the NDJSON stream or formatted profiles.
-func (p *Probe) MemAccess(a *memsys.Access) {
-	switch a.Status {
-	case memsys.AccessHit:
-		p.accHits++
-	case memsys.AccessMerged:
-		p.accMerged++
-	case memsys.AccessMiss:
-		p.accMisses++
-		for m := a.Sectors; m != 0; m &= m - 1 {
-			p.missSectors++
-		}
-	}
-}
-
-// LoadAccesses returns the global-load line-access classification: tag
-// hits, in-flight merges (MSHR hits), misses, and the total number of
-// 32-byte sectors the missed fills fetched.
-func (p *Probe) LoadAccesses() (hits, merged, misses, missSectors int64) {
-	return p.accHits, p.accMerged, p.accMisses, p.missSectors
 }
 
 // End closes observation at finalCycle (the run's reported cycle count),

@@ -33,9 +33,6 @@ type State struct {
 	BankAccess   [config.NumBanks]int64
 	BankConflict [config.NumBanks]int64
 
-	AccHits, AccMerged, AccMisses int64
-	MissSectors                   int64
-
 	Cur       Interval
 	Intervals []Interval
 
@@ -59,10 +56,6 @@ func (p *Probe) Snapshot() *State {
 		Stalls:       p.stalls,
 		BankAccess:   p.bankAccess,
 		BankConflict: p.bankConflict,
-		AccHits:      p.accHits,
-		AccMerged:    p.accMerged,
-		AccMisses:    p.accMisses,
-		MissSectors:  p.missSectors,
 		Cur:          p.cur,
 		Intervals:    append([]Interval(nil), p.intervals...),
 		SnapProbes:   p.snapProbes,
@@ -97,10 +90,6 @@ func Restore(st *State, out io.Writer) *Probe {
 		stalls:       st.Stalls,
 		bankAccess:   st.BankAccess,
 		bankConflict: st.BankConflict,
-		accHits:      st.AccHits,
-		accMerged:    st.AccMerged,
-		accMisses:    st.AccMisses,
-		missSectors:  st.MissSectors,
 		cur:          st.Cur,
 		intervals:    append(make([]Interval, 0, len(st.Intervals)+256), st.Intervals...),
 		snapProbes:   st.SnapProbes,

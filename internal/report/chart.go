@@ -33,16 +33,6 @@ func NewChart(title, xLabel, yLabel string) *Chart {
 	return &Chart{title: title, xLabel: xLabel, yLabel: yLabel, width: 64, height: 16}
 }
 
-// SetSize overrides the plot area dimensions in characters.
-func (c *Chart) SetSize(width, height int) {
-	if width >= 16 {
-		c.width = width
-	}
-	if height >= 4 {
-		c.height = height
-	}
-}
-
 // AddSeries appends a named series. xs and ys must have equal length;
 // non-finite points are dropped.
 func (c *Chart) AddSeries(name string, xs, ys []float64) {

@@ -13,10 +13,6 @@ type gto struct {
 	last     int   // warp that issued most recently, -1 when none
 }
 
-func (s *gto) Policy() Policy {
-	return GTO
-}
-
 func (s *gto) Refill(pool Pool, now int64) {
 	s.active = refill(s.active, s.capacity, pool, now)
 }

@@ -18,8 +18,7 @@
 // promotion. Two policies are provided:
 //
 //   - TwoLevel: the paper's two-level scheduler. Ready warps are promoted
-//     into a fixed-size active set; the active set is walked round-robin
-//     (or greedy, holding the last issuer, when built with greedy=true);
+//     into a fixed-size active set; the active set is walked round-robin;
 //     warps that hit a long-latency dependence are descheduled back to
 //     the inactive set.
 //   - GTO: greedy-then-oldest. The last-issued warp retries first; on
@@ -43,9 +42,6 @@ const (
 	// GTO is the greedy-then-oldest alternative.
 	GTO Policy = "gto"
 )
-
-// Policies returns the selectable policy names, default first.
-func Policies() []Policy { return []Policy{TwoLevel, GTO} }
 
 // ParsePolicy validates a policy name; the empty string selects TwoLevel.
 func ParsePolicy(s string) (Policy, error) {
@@ -99,8 +95,6 @@ const (
 // active set and a policy cursor; they never inspect warp state directly.
 // A Scheduler is not safe for concurrent use; each SM owns one.
 type Scheduler interface {
-	// Policy returns the implementation's name.
-	Policy() Policy
 	// Refill promotes eligible warps (Pool.MinReady, wake <= now) into
 	// vacant active-set slots: stream-fair first, then oldest wake,
 	// lowest slot index breaking ties.
@@ -122,13 +116,12 @@ type Scheduler interface {
 	Restore(State) error
 }
 
-// New builds the named policy with the given active-set capacity. greedy
-// selects the hold-the-last-issuer variant of TwoLevel (it is implied by
-// GTO, which ignores the flag). When prev is a scheduler this package
-// built (nil for none), the new one takes over its active list, and
-// prev itself when the policies match, so a recycled SM frame keeps one
-// scheduler across runs; prev must not be used afterwards.
-func New(prev Scheduler, p Policy, capacity int, greedy bool) (Scheduler, error) {
+// New builds the named policy with the given active-set capacity. When
+// prev is a scheduler this package built (nil for none), the new one
+// takes over its active list, and prev itself when the policies match,
+// so a recycled SM frame keeps one scheduler across runs; prev must not
+// be used afterwards.
+func New(prev Scheduler, p Policy, capacity int) (Scheduler, error) {
 	pol, err := ParsePolicy(string(p))
 	if err != nil {
 		return nil, err
@@ -156,7 +149,7 @@ func New(prev Scheduler, p Policy, capacity int, greedy bool) (Scheduler, error)
 	if tl == nil {
 		tl = new(twoLevel)
 	}
-	*tl = twoLevel{capacity: capacity, greedy: greedy, active: active}
+	*tl = twoLevel{capacity: capacity, active: active}
 	return tl, nil
 }
 

@@ -32,6 +32,9 @@ func (p *fakePool) Activate(w int) {
 	p.activated = append(p.activated, w)
 }
 
+// policies are the selectable policies, default first.
+var policies = []Policy{TwoLevel, GTO}
+
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -49,17 +52,17 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	if _, err := New(nil, "bogus", 8, false); err == nil {
+	if _, err := New(nil, "bogus", 8); err == nil {
 		t.Error("New with an unknown policy should fail")
 	}
-	if _, err := New(nil, TwoLevel, 0, false); err == nil {
+	if _, err := New(nil, TwoLevel, 0); err == nil {
 		t.Error("New with zero capacity should fail")
 	}
 }
 
 func TestRefillOldestWakeupFirst(t *testing.T) {
-	for _, pol := range Policies() {
-		s, err := New(nil, pol, 2, false)
+	for _, pol := range policies {
+		s, err := New(nil, pol, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +81,7 @@ func TestRefillOldestWakeupFirst(t *testing.T) {
 		}
 		// A warp whose wake is still in the future is not eligible.
 		pool2 := &fakePool{wake: []int64{500}, ready: []bool{true}}
-		s2, _ := New(nil, pol, 2, false)
+		s2, _ := New(nil, pol, 2)
 		s2.Refill(pool2, 100)
 		if s2.Len() != 0 {
 			t.Errorf("%s: promoted a warp before its wake cycle", pol)
@@ -112,7 +115,7 @@ func issueOn(w int, order *[]int) func(int) Action {
 }
 
 func TestTwoLevelRoundRobinAdvances(t *testing.T) {
-	s, _ := New(nil, TwoLevel, 4, false)
+	s, _ := New(nil, TwoLevel, 4)
 	fill(t, s, 4)
 
 	var order []int
@@ -127,21 +130,8 @@ func TestTwoLevelRoundRobinAdvances(t *testing.T) {
 	}
 }
 
-func TestTwoLevelGreedyHoldsIssuer(t *testing.T) {
-	s, _ := New(nil, TwoLevel, 4, true)
-	fill(t, s, 4)
-
-	var order []int
-	s.Walk(issueOn(2, &order))
-	order = nil
-	s.Walk(issueOn(2, &order))
-	if order[0] != 2 {
-		t.Errorf("greedy cursor left the issuer: next walk order %v, want warp 2 first", order)
-	}
-}
-
 func TestTwoLevelDescheduleMidWalk(t *testing.T) {
-	s, _ := New(nil, TwoLevel, 4, false)
+	s, _ := New(nil, TwoLevel, 4)
 	fill(t, s, 4)
 
 	// Every candidate descheduled: the walk must visit all four exactly
@@ -163,7 +153,7 @@ func TestTwoLevelDescheduleMidWalk(t *testing.T) {
 }
 
 func TestTwoLevelIssuedGoneRemoves(t *testing.T) {
-	s, _ := New(nil, TwoLevel, 4, false)
+	s, _ := New(nil, TwoLevel, 4)
 	fill(t, s, 4)
 
 	// Warp 1 issues a barrier/exit-class instruction: it leaves the set
@@ -185,7 +175,7 @@ func TestTwoLevelIssuedGoneRemoves(t *testing.T) {
 }
 
 func TestGTOGreedyThenOldest(t *testing.T) {
-	s, _ := New(nil, GTO, 4, false)
+	s, _ := New(nil, GTO, 4)
 	fill(t, s, 4)
 
 	// First walk issues in activation (oldest) order: warp 0.
@@ -222,7 +212,7 @@ func TestGTOGreedyThenOldest(t *testing.T) {
 }
 
 func TestGTOIssuedGoneClearsGreedy(t *testing.T) {
-	s, _ := New(nil, GTO, 4, false)
+	s, _ := New(nil, GTO, 4)
 	fill(t, s, 4)
 
 	s.Walk(issueOn(1, new([]int)))
@@ -248,9 +238,9 @@ func TestGTOIssuedGoneClearsGreedy(t *testing.T) {
 // a new one does — empty active set, cursor at rest — whichever policy
 // either has, and takes prev itself when the policies match.
 func TestNewReusesPrev(t *testing.T) {
-	for _, from := range Policies() {
-		for _, to := range Policies() {
-			prev, _ := New(nil, from, 4, true)
+	for _, from := range policies {
+		for _, to := range policies {
+			prev, _ := New(nil, from, 4)
 			fill(t, prev, 4)
 			prev.Walk(func(w int) Action {
 				if w == 2 {
@@ -258,11 +248,11 @@ func TestNewReusesPrev(t *testing.T) {
 				}
 				return Keep
 			})
-			got, err := New(prev, to, 6, false)
+			got, err := New(prev, to, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := New(nil, to, 6, false)
+			want, _ := New(nil, to, 6)
 			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
 				t.Errorf("%s -> %s: state %+v, want a new scheduler's %+v", from, to, got.Snapshot(), want.Snapshot())
 			}

@@ -51,8 +51,8 @@ func TestWarmResumeEqualsResumeExact(t *testing.T) {
 	}
 
 	render := func(r *core.Result) string {
-		tb := report.NewTable("sweep point", "kernel", "cycles", "IPC", "energy")
-		tb.AddRowf(r.Spec.Kernel.Name, r.Counters.Cycles, r.IPC(), r.Energy.Total())
+		tb := report.NewRunTable("sweep point", "kernel")
+		tb.AddRow(report.RunRow(r.Spec.Kernel.Name, r.Occupancy.Threads, r.Counters.Cycles, r.IPC(), r.Counters.DRAMBytes(), r.Energy.Total())...)
 		return tb.String()
 	}
 	if got, want := render(forked), render(exact); got != want {

@@ -41,9 +41,9 @@ func TestForkEqualsFreshAllDesigns(t *testing.T) {
 	}
 }
 
-// TestForkEqualsFreshSchedulers covers the GTO policy and the greedy
-// two-level variant: scheduler cursor state (last-issued warp) must
-// survive the snapshot.
+// TestForkEqualsFreshSchedulers covers both policies: the scheduler's
+// cursor (round-robin position, last-issued warp) must survive the
+// snapshot.
 func TestForkEqualsFreshSchedulers(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -182,7 +182,6 @@ func TestForkRejectsPrefixDefiningDivergence(t *testing.T) {
 	}{
 		{"config", func(s *sm.Spec) { s.Config.CacheBytes *= 2 }},
 		{"scatter", func(s *sm.Spec) { s.Params.AggressiveScatter = true }},
-		{"greedy", func(s *sm.Spec) { s.Params.GreedyScheduler = true }},
 		{"scheduler", func(s *sm.Spec) { s.Params.Scheduler = sched.GTO }},
 		{"active-warps", func(s *sm.Spec) { s.Params.ActiveWarps = 16 }},
 	}

@@ -11,8 +11,8 @@
 // cover all three memory designs, both cache write policies, probed
 // NDJSON streams across the boundary, mid-barrier and MSHR-full
 // snapshot points, fuzzed (K, mutation) pairs, and concurrent fork
-// fan-out; other packages reuse the helpers to pin their own
-// fork-dependent behavior (sweeps, the simulation service).
+// fan-out. Only those tests use the harness, so the whole package is
+// test files.
 package simtest
 
 import (
@@ -134,7 +134,7 @@ func (c Case) Fresh() (*stats.Counters, error) {
 		return nil, err
 	}
 	if c.Mutate != nil && !s.Done() {
-		p := s.Params()
+		p := spec.Params
 		c.Mutate(&p)
 		if err := s.SetParams(p); err != nil {
 			return nil, err

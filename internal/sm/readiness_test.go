@@ -117,7 +117,7 @@ func (c *readinessChecker) run(s *SM, until int64, what string) {
 // must restore the parent's terms, keep them exact to the end, and
 // finish with the parent's counters.
 func TestReadinessTermsMatchBruteForce(t *testing.T) {
-	for _, pol := range sched.Policies() {
+	for _, pol := range []sched.Policy{sched.TwoLevel, sched.GTO} {
 		for _, names := range [][]string{{"needle"}, {"bfs"}, {"needle", "bfs"}} {
 			what := string(pol) + " " + names[0]
 			if len(names) > 1 {

@@ -70,11 +70,6 @@ type Params struct {
 	// Section 4.3/4.4 design choice). Dirty victims cost a line writeback
 	// to DRAM plus a data-array read.
 	WriteBackCache bool
-	// GreedyScheduler holds the two-level scheduler's cursor on the warp
-	// that issued last (greedy-then-round-robin), improving intra-warp
-	// locality at some fairness cost. The GTO policy is inherently
-	// greedy and ignores this flag.
-	GreedyScheduler bool
 	// MaxMSHRs bounds outstanding cache misses; a load that needs a new
 	// miss entry while all are in flight stalls until one retires.
 	// Zero means unbounded (the paper's model).
@@ -226,7 +221,7 @@ func NewSM(spec Spec) (*SM, error) {
 func (s *SM) reset(streams []StreamSpec, mem Memory) error {
 	fr, cfg, params := s.fr, s.cfg, s.params
 	var err error
-	if fr.sched, err = sched.New(fr.sched, params.Scheduler, params.ActiveWarps, params.GreedyScheduler); err != nil {
+	if fr.sched, err = sched.New(fr.sched, params.Scheduler, params.ActiveWarps); err != nil {
 		return err
 	}
 	s.sched = fr.sched
@@ -623,13 +618,7 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, slot *dispatch.Slot, wi *isa.Inst
 	case isa.OpSTS:
 		c.SharedWrites += int64(out.MemAccesses)
 	case isa.OpLDG:
-		var accs []memsys.Access
-		complete, accs = s.mem.LoadFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle, extra)
-		if s.prof != nil {
-			for i := range accs {
-				s.prof.MemAccess(&accs[i])
-			}
-		}
+		complete = s.mem.LoadFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle, extra)
 	case isa.OpSTG:
 		s.mem.StoreFootprint(w.Footprints.At(w.Code.Prog.Global(w.PC)), s.cycle, extra)
 	case isa.OpTEX:
@@ -652,8 +641,3 @@ func (s *SM) issue(wIdx int, w *dispatch.Warp, slot *dispatch.Slot, wi *isa.Inst
 	slot.Dep = w.DepReady()
 	return sched.Issued
 }
-
-// DirtyCacheLines returns the number of modified lines resident in the
-// cache at the end of a run — the flush a write-back design would need on
-// repartitioning (always zero for write-through).
-func (s *SM) DirtyCacheLines() int { return s.mem.DirtyLines() }

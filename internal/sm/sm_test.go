@@ -614,36 +614,6 @@ func TestMaskedInstructionThreadCount(t *testing.T) {
 	}
 }
 
-func TestGreedySchedulerIssuesRuns(t *testing.T) {
-	// Independent ALU streams: GTO and RR must both finish all work; GTO
-	// must not starve any warp (all CTAs retire).
-	gen := func(_, _ int) []isa.WarpInst {
-		return build(func(b *kgen.Builder) {
-			for i := 0; i < 40; i++ {
-				b.ALU(uint8(i%8), uint8((i+3)%8))
-			}
-		})
-	}
-	p := DefaultParams()
-	p.GreedyScheduler = true
-	s, _ := newSM(config.Baseline(), p, funcSource(4, 4, gen), 2)
-	c, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.CTAsRetired != 4 {
-		t.Errorf("GTO starved CTAs: retired %d of 4", c.CTAsRetired)
-	}
-	rr, _ := newSM(config.Baseline(), DefaultParams(), funcSource(4, 4, gen), 2)
-	cr, err := rr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.WarpInsts != cr.WarpInsts {
-		t.Errorf("instruction counts diverge: %d vs %d", c.WarpInsts, cr.WarpInsts)
-	}
-}
-
 func TestMSHRLimitThrottlesMisses(t *testing.T) {
 	// A miss flood with 2 MSHRs must run slower than with unbounded
 	// MSHRs, and still complete correctly.

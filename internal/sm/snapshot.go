@@ -34,7 +34,6 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 	return &snapshot.State{
 		Config:     s.cfg,
 		Aggressive: s.params.AggressiveScatter,
-		Greedy:     s.params.GreedyScheduler,
 		Cycle:      s.cycle,
 		SlotFreeAt: s.slotFreeAt,
 		Started:    s.started,
@@ -50,7 +49,7 @@ func (s *SM) Snapshot() (*snapshot.State, error) {
 // Fork builds a new SM that resumes from st under spec's parameters —
 // the divergence point of a sweep. spec must agree with the snapshot on
 // every prefix-defining field (configuration, grid source, scheduler
-// policy and active-set size, greedy flag, scatter variant, and
+// policy and active-set size, scatter variant, and
 // probed-ness); the divergable timing parameters — op latencies,
 // DeschedulePast, MaxMSHRs, the DRAM configuration, and the cache write
 // policy — may differ, with "switch at cycle K" semantics: a fork with
@@ -70,9 +69,6 @@ func Fork(spec Spec, st *snapshot.State) (*SM, error) {
 	}
 	if spec.Params.AggressiveScatter != st.Aggressive {
 		return nil, fmt.Errorf("sm: AggressiveScatter is prefix-defining and cannot diverge across a fork")
-	}
-	if spec.Params.GreedyScheduler != st.Greedy {
-		return nil, fmt.Errorf("sm: GreedyScheduler is prefix-defining and cannot diverge across a fork")
 	}
 	if (spec.Probe != nil) != (st.Probe != nil) {
 		return nil, fmt.Errorf("sm: probed-ness cannot change across a fork (probes observe from cycle 0)")
@@ -132,9 +128,6 @@ func (s *SM) SetParams(p Params) error {
 	if p.AggressiveScatter != s.params.AggressiveScatter {
 		return fmt.Errorf("sm: AggressiveScatter is prefix-defining and cannot change mid-run")
 	}
-	if p.GreedyScheduler != s.params.GreedyScheduler {
-		return fmt.Errorf("sm: GreedyScheduler is prefix-defining and cannot change mid-run")
-	}
 	if p.DRAM != s.params.DRAM && s.dramModel == nil {
 		return fmt.Errorf("sm: cannot retime injected shared memory")
 	}
@@ -147,9 +140,6 @@ func (s *SM) SetParams(p Params) error {
 	s.params = p
 	return nil
 }
-
-// Params returns the SM's current timing parameters.
-func (s *SM) Params() Params { return s.params }
 
 // RunTo steps the SM until its clock reaches at least cycle or the grid
 // completes, whichever comes first — the warm-prefix half of a

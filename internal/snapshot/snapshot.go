@@ -38,7 +38,7 @@
 // parent's exact prefix and continues under its own timing. Parameters
 // that shaped the prefix — the memory configuration, kernel, seed,
 // register budget, resident CTAs, scheduler policy, active-set size,
-// greedy flag, and scatter variant — are prefix-defining: sm.Fork
+// and scatter variant — are prefix-defining: sm.Fork
 // refuses a fork that disagrees on them, because the captured state
 // would be meaningless under different values. Everything else (op
 // latencies, the descheduling threshold, the MSHR bound, the DRAM
@@ -65,10 +65,8 @@ type State struct {
 	// Config is the local-memory configuration the state was captured
 	// under (prefix-defining: forks must match it exactly).
 	Config config.MemConfig
-	// Aggressive and Greedy pin the prefix-defining bank-model scatter
-	// variant and two-level greedy flag.
+	// Aggressive pins the prefix-defining bank-model scatter variant.
 	Aggressive bool
-	Greedy     bool
 
 	// Cycle, SlotFreeAt, and Started are the timing core's clocks.
 	Cycle      int64

@@ -96,9 +96,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validKey reports whether key is a lowercase hex SHA-256 digest — the
 // only key shape the store accepts, which also makes paths safe by
 // construction.
@@ -179,13 +176,6 @@ func (s *Store) Put(key string, body []byte) error {
 		s.bytes.Add(int64(len(body)))
 	}
 	return nil
-}
-
-// Len returns the number of stored entries.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
 }
 
 // Stats returns the store's counters. Like every metrics read it is

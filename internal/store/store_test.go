@@ -66,8 +66,8 @@ func TestReopenRebuildIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Len() != 3 {
-		t.Fatalf("reopened Len = %d, want 3", st2.Len())
+	if st2.Stats().Entries != 3 {
+		t.Fatalf("reopened Entries = %d, want 3", st2.Stats().Entries)
 	}
 	for k, want := range bodies {
 		got, ok := st2.Get(k)
@@ -91,8 +91,8 @@ func TestOpenIgnoresForeignFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 0 {
-		t.Errorf("Len = %d, want 0 (foreign files must not index)", st.Len())
+	if st.Stats().Entries != 0 {
+		t.Errorf("Entries = %d, want 0 (foreign files must not index)", st.Stats().Entries)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestGetDropsCorruptEntry(t *testing.T) {
 	if _, ok := st.Get(k); ok {
 		t.Fatal("Get of a removed entry reported a hit")
 	}
-	if st.Len() != 0 {
-		t.Errorf("Len = %d after heal, want 0", st.Len())
+	if st.Stats().Entries != 0 {
+		t.Errorf("Entries = %d after heal, want 0", st.Stats().Entries)
 	}
 	if st.Stats().Errors == 0 {
 		t.Error("read failure not counted in Errors")

@@ -188,7 +188,6 @@ var traceCache = struct {
 	mu      sync.RWMutex
 	grids   map[traceKey]*gridEntry
 	bytes   atomic.Int64
-	limit   atomic.Int64
 	lookups atomic.Int64
 	builds  atomic.Int64
 	flushes atomic.Int64
@@ -222,16 +221,12 @@ func (s TraceCacheStats) HitRatio() float64 {
 // are read individually without a lock: the snapshot is approximate
 // under concurrency, like every metrics read.
 func TraceCacheSnapshot() TraceCacheStats {
-	limit := traceCache.limit.Load()
-	if limit == 0 {
-		limit = DefaultTraceCacheLimit
-	}
 	return TraceCacheStats{
 		Lookups: traceCache.lookups.Load(),
 		Builds:  traceCache.builds.Load(),
 		Flushes: traceCache.flushes.Load(),
 		Bytes:   traceCache.bytes.Load(),
-		Limit:   limit,
+		Limit:   traceCacheLimit,
 	}
 }
 
@@ -239,15 +234,10 @@ func TraceCacheSnapshot() TraceCacheStats {
 // trace cache; the full 15-experiment suite stays well inside it.
 const DefaultTraceCacheLimit = int64(1) << 31 // 2 GiB
 
-// SetTraceCacheLimit sets the cache's approximate byte budget; reaching
-// it flushes the whole cache (entries rebuild on demand). n <= 0
-// restores DefaultTraceCacheLimit. It returns the previous limit.
-func SetTraceCacheLimit(n int64) int64 {
-	if n <= 0 {
-		n = DefaultTraceCacheLimit
-	}
-	return traceCache.limit.Swap(n)
-}
+// traceCacheLimit is the budget charge enforces; reaching it flushes the
+// whole cache (entries rebuild on demand). It is a variable only so that
+// tests can force flushes.
+var traceCacheLimit = DefaultTraceCacheLimit
 
 // ResetTraceCache empties the trace cache (for tests and long-lived
 // processes that want to release memory). Simulations in flight keep
@@ -259,9 +249,6 @@ func ResetTraceCache() {
 	traceCache.flushes.Add(1)
 	traceCache.mu.Unlock()
 }
-
-// TraceCacheBytes returns the cache's approximate resident byte count.
-func TraceCacheBytes() int64 { return traceCache.bytes.Load() }
 
 // grid returns (creating if needed) the cache entry for key.
 func grid(key traceKey) *gridEntry {
@@ -285,11 +272,7 @@ func grid(key traceKey) *gridEntry {
 // budget is exceeded. The flush drops the whole map — simple, safe
 // (entries rebuild deterministically), and rare enough not to matter.
 func charge(n int64) {
-	limit := traceCache.limit.Load()
-	if limit == 0 {
-		limit = DefaultTraceCacheLimit
-	}
-	if traceCache.bytes.Add(n) > limit {
+	if traceCache.bytes.Add(n) > traceCacheLimit {
 		ResetTraceCache()
 	}
 }

@@ -195,18 +195,22 @@ func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 // and rebuilt traces still match what in-flight holders kept.
 func TestTraceCacheLimitFlush(t *testing.T) {
 	ResetTraceCache()
-	prev := SetTraceCacheLimit(1) // flush on every charge
-	defer SetTraceCacheLimit(prev)
+	traceCacheLimit = 1 // flush on every charge
+	defer func() { traceCacheLimit = DefaultTraceCacheLimit }()
+	flushes := TraceCacheSnapshot().Flushes
 	src := freshSource(t, "needle")
 	first := src.WarpTrace(0, 0)
 	second := src.WarpTrace(0, 0)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("rebuild after flush changed the trace")
 	}
-	SetTraceCacheLimit(prev)
+	if n := TraceCacheSnapshot().Flushes - flushes; n < 2 {
+		t.Errorf("%d flushes for two builds over the limit, want at least 2", n)
+	}
+	traceCacheLimit = DefaultTraceCacheLimit
 	ResetTraceCache()
-	if TraceCacheBytes() != 0 {
-		t.Fatalf("TraceCacheBytes = %d after reset, want 0", TraceCacheBytes())
+	if b := TraceCacheSnapshot().Bytes; b != 0 {
+		t.Fatalf("%d bytes cached after reset, want 0", b)
 	}
 }
 
@@ -333,7 +337,7 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 				affineTotal += len(affine)
 			}
 		}
-		if got := TraceCacheBytes(); got != want {
+		if got := TraceCacheSnapshot().Bytes; got != want {
 			t.Errorf("%s: charged %d bytes, the grid's traces hold %d", name, got, want)
 		}
 		if want != tables {
@@ -358,7 +362,7 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 				tables += src.WarpFootprints(c, w).Bytes()
 			}
 		}
-		if got := TraceCacheBytes(); got != tables {
+		if got := TraceCacheSnapshot().Bytes; got != tables {
 			t.Errorf("%s: charged %d bytes, the grid's tables report %d", name, got, tables)
 		}
 	}
