@@ -214,6 +214,9 @@ func TestForkedCycleLoopAllocFree(t *testing.T) {
 // kernel and requires zero heap allocations across the entire second
 // run's cycle loop.
 func TestCycleLoopSteadyStateAllocFree(t *testing.T) {
+	// One P leaves no idle P to wake a new OS thread (runtime.newm via
+	// wakep) inside the window, which the window would count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, name := range []string{"needle", "bfs"} {
 		warm := newSteadySM(t, name, allocMSHRs)
 		if _, err := warm.Run(); err != nil {

@@ -17,9 +17,10 @@
 // pins for the paper experiments.
 //
 // Campaigns are the repository's one comparison engine: cmd/compare runs
-// campaign files, and internal/harness renders the paper's Figures 7, 9
-// and 10, Table 6 and the §4.2 ablation from campaigns it builds under
-// the caller's Runner.
+// campaign files, and internal/harness renders every paper experiment
+// that simulates machines (validation excepted) from campaigns it builds
+// under the caller's Runner, or from flat cell lists through RunCells,
+// the executor behind Execute.
 package campaign
 
 import (

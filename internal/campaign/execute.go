@@ -19,8 +19,8 @@ import (
 // byte-identical.
 type Outcome struct {
 	// Infeasible marks a cell whose configuration cannot fit even one
-	// CTA (a 422 on the service side). Infeasible cells carry no other
-	// data.
+	// CTA, or whose §4.5 allocation fails (a 422 on the service side).
+	// Infeasible cells carry no other data.
 	Infeasible bool
 	// Config is the resolved configuration the cell executed under.
 	Config api.ConfigInfo
@@ -30,6 +30,9 @@ type Outcome struct {
 	Cycles         int64
 	DRAMBytes      int64
 	ConflictCycles int64
+	// ConflictHist is the per-instruction bank-conflict histogram
+	// (stats.Counters.ConflictHist), the input of Table 5.
+	ConflictHist [stats.ConflictBuckets]int64
 	// IPC is thread instructions per cycle; EnergyJ total joules.
 	IPC     float64
 	EnergyJ float64
@@ -46,6 +49,7 @@ func outcomeOf(cfg api.ConfigInfo, threads int, cnt *stats.Counters, energyJ flo
 		Cycles:         cnt.Cycles,
 		DRAMBytes:      cnt.DRAMBytes(),
 		ConflictCycles: cnt.ConflictCycles,
+		ConflictHist:   cnt.ConflictHist,
 		IPC:            cnt.ThreadIPC(),
 		EnergyJ:        energyJ,
 	}
@@ -60,9 +64,28 @@ type Result struct {
 	Outcomes [][]Outcome
 }
 
-// Execute runs every cell locally on the caller's Runner r, fanned out
-// across the parallel engine. Each cell resolves through internal/plan,
-// the path the service takes for the same RunRequest. Two rules keep r's
+// Execute runs every cell locally on the caller's Runner r (RunCells)
+// and shapes the outcomes into the (machine x workload) matrix.
+func (c *Campaign) Execute(r *core.Runner) (*Result, error) {
+	flat, err := RunCells(r, c.Runs, c.cellLabel)
+	if err != nil {
+		return nil, err
+	}
+	return c.result(flat), nil
+}
+
+// cellLabel names compiled cell i in error messages ("bfs under uni").
+func (c *Campaign) cellLabel(i int) string {
+	return fmt.Sprintf("%s under %s", c.Workloads[i%len(c.Workloads)].Label,
+		c.Spec.Machines[i/len(c.Workloads)].Name)
+}
+
+// RunCells is the one local cell executor: every campaign and every
+// paper experiment that compares machines runs its cells through it.
+// Each request resolves through internal/plan, the path the service
+// takes for the same RunRequest, and each distinct plan.Run.Key
+// simulates once per call, fanned out across the parallel engine;
+// cells that spell the same run share its Outcome. Two rules keep r's
 // memoized work in use:
 //
 //   - A cell whose resolved timing and energy parameters equal r's,
@@ -71,25 +94,41 @@ type Result struct {
 //   - A cell that is its Runner's own calibration baseline reads
 //     Runner.Baseline instead of simulating again.
 //
-// Results are deterministic and independent of the worker count and of
-// what r has cached. A cell whose configuration cannot fit the kernel
-// settles as an infeasible Outcome; any other failure aborts the
-// campaign.
-func (c *Campaign) Execute(r *core.Runner) (*Result, error) {
+// Outcomes are deterministic and independent of the worker count and
+// of what r has cached. A cell whose configuration cannot fit the
+// kernel, or whose §4.5 allocation fails, settles as an infeasible
+// Outcome; any other failure aborts the call, naming the cell by
+// label(i).
+func RunCells(r *core.Runner, runs []api.RunRequest, label func(i int) string) ([]Outcome, error) {
+	out := make([]Outcome, len(runs))
+	resolved := make([]*plan.Run, len(runs))
+	slot := make(map[string]int) // key -> its index in distinct
+	var distinct []int           // the first cell of each key
+	for i, req := range runs {
+		run, err := plan.Resolve(req)
+		if core.IsInfeasible(err) {
+			out[i].Infeasible = true
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label(i), err)
+		}
+		resolved[i] = run
+		if _, seen := slot[run.Key]; !seen {
+			slot[run.Key] = len(distinct)
+			distinct = append(distinct, i)
+		}
+	}
 	var runners plan.Runners
 	own := plan.RunnerKey(r.Params, r.Energy.P)
-	flat, err := parallel.Map(len(c.Runs), func(i int) (Outcome, error) {
-		label := c.Workloads[i%len(c.Workloads)].Label
-		machineName := c.Spec.Machines[i/len(c.Workloads)].Name
-		run, err := plan.Resolve(c.Runs[i])
-		if err != nil {
-			return Outcome{}, fmt.Errorf("%s under %s: %w", label, machineName, err)
-		}
+	ran, err := parallel.Map(len(distinct), func(n int) (Outcome, error) {
+		run := resolved[distinct[n]]
 		cr := r
 		if run.RunnerKey() != own {
 			cr = runners.Runner(run)
 		}
 		var res *core.Result
+		var err error
 		if k := calibration(run, cr); k != nil {
 			res, err = cr.Baseline(k)
 		} else {
@@ -99,14 +138,19 @@ func (c *Campaign) Execute(r *core.Runner) (*Result, error) {
 			return Outcome{Infeasible: true}, nil
 		}
 		if err != nil {
-			return Outcome{}, fmt.Errorf("%s under %s: %w", label, machineName, err)
+			return Outcome{}, fmt.Errorf("%s: %w", label(distinct[n]), err)
 		}
 		return outcomeOf(run.ConfigInfo(), res.Occupancy.Threads, res.Counters, res.Energy.Total()), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return c.result(flat), nil
+	for i, run := range resolved {
+		if run != nil {
+			out[i] = ran[slot[run.Key]]
+		}
+	}
+	return out, nil
 }
 
 // calibration returns the kernel whose Runner.Baseline run the cell is
@@ -141,9 +185,7 @@ func (c *Campaign) ResultFromBatch(br *api.BatchResponse) (*Result, error) {
 		case it.Error != nil && it.Error.Code == api.CodeInfeasible:
 			flat[i] = Outcome{Infeasible: true}
 		case it.Error != nil:
-			return nil, fmt.Errorf("campaign %s: %s under %s: %v", c.Spec.Name,
-				c.Workloads[i%len(c.Workloads)].Label,
-				c.Spec.Machines[i/len(c.Workloads)].Name, it.Error)
+			return nil, fmt.Errorf("campaign %s: %s: %v", c.Spec.Name, c.cellLabel(i), it.Error)
 		default:
 			r := it.Result
 			flat[i] = outcomeOf(r.Config, r.Occupancy.Threads, r.Counters, r.Energy.Total)

@@ -9,6 +9,7 @@ import (
 	"repro/api"
 	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/plan"
 	"repro/internal/workloads"
 )
 
@@ -53,14 +54,16 @@ func TestExecuteDeterministicAcrossWorkers(t *testing.T) {
 
 // TestExecuteInfeasibleCell checks that a machine too small for a
 // workload settles as an infeasible cell, not an error — and renders as
-// such.
+// such — whether the kernel fails to fit a fixed machine at run time or
+// its §4.5 allocation fails at resolve time.
 func TestExecuteInfeasibleCell(t *testing.T) {
 	spec := minSpec()
-	spec.Workloads = []string{"sto"}
+	spec.Workloads = []string{"sto", "dgemm"}
 	spec.Machines[1] = api.CompareMachine{Name: "tiny"}
 	spec.Machines[1].Machine.RFKB = 4
 	spec.Machines[1].Machine.SharedKB = 1
 	spec.Machines[1].Machine.CacheKB = 1
+	spec.Machines = append(spec.Machines, api.CompareMachine{Name: "uni-32", AllocTotalKB: 32})
 	c, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +73,15 @@ func TestExecuteInfeasibleCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Outcomes[1][0].Infeasible {
-		t.Fatalf("4KB register file should not fit sto: %+v", res.Outcomes[1][0])
+		t.Errorf("4KB register file should not fit sto: %+v", res.Outcomes[1][0])
 	}
-	if res.Outcomes[0][0].Infeasible {
-		t.Fatal("baseline should be feasible")
+	if !res.Outcomes[2][1].Infeasible {
+		t.Errorf("a 32KB allocation should not fit dgemm: %+v", res.Outcomes[2][1])
+	}
+	for w, o := range res.Outcomes[0] {
+		if o.Infeasible {
+			t.Errorf("baseline should be feasible for %s", c.Workloads[w].Label)
+		}
 	}
 	out := renderAll(res)
 	if !strings.Contains(out, "infeasible") {
@@ -239,6 +247,40 @@ func TestExecuteReusesRunnerBaselines(t *testing.T) {
 	}
 	if got := workloads.TraceCacheSnapshot().Lookups - before.Lookups; got != want {
 		t.Errorf("campaign made %d trace-cache lookups, want %d (one grid per unified cell, none for baseline cells)", got, want)
+	}
+
+	// Two spellings of one run, regs_per_thread above the kernel's
+	// demand and omitted, share one key: RunCells simulates it once and
+	// both cells read the same Outcome.
+	needle, err := workloads.ByName("needle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spellings := []api.RunRequest{
+		{Kernel: "needle", AllocTotalKB: 256},
+		{Kernel: "needle", AllocTotalKB: 256, RegsPerThread: needle.RegsNeeded + 8},
+	}
+	var keys [2]string
+	for i, req := range spellings {
+		run, err := plan.Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = run.Key
+	}
+	if keys[0] != keys[1] {
+		t.Fatalf("spellings resolve to different keys %s and %s", keys[0], keys[1])
+	}
+	before = workloads.TraceCacheSnapshot()
+	outs, err := RunCells(r, spellings, func(i int) string { return spellings[i].Kernel })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("spellings of one run differ:\n%+v\n%+v", outs[0], outs[1])
+	}
+	if got, want := workloads.TraceCacheSnapshot().Lookups-before.Lookups, int64(needle.GridCTAs*needle.WarpsPerCTA()); got != want {
+		t.Errorf("two spellings made %d trace-cache lookups, want %d (one grid)", got, want)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package core ties the substrates together: it runs a workload kernel
-// under a local-memory configuration on the SM timing simulator, attaches
-// occupancy and energy analyses, and hosts the paper's capacity-sweep,
-// characterization and validation drivers (experiments.go,
-// extensions.go). Comparisons of one machine against another (Figures 7,
-// 9 and 10, Table 6, the ablations) run as internal/campaign campaigns
-// on a Runner.
+// under a local-memory configuration on the SM timing simulator and
+// attaches occupancy and energy analyses, directly or forked from a
+// warm snapshot (fork.go). It also hosts the experiments that compare
+// no machines: Figure 8, Table 4 (experiments.go), the §5.1
+// methodology validation and per-kernel repartitioning (extensions.go).
+// Every experiment that compares machines, capacity sweeps included,
+// runs as internal/campaign cells on a Runner.
 //
 // This is the library's primary entry point:
 //
@@ -26,9 +27,10 @@
 // event count.
 //
 // Ratio-only metrics carry meaning only when divided by the same metric
-// of another run: Result.Performance is reciprocal runtime, and the paper
-// normalizes every performance figure to the kernel's run under the
-// baseline partitioned configuration (Runner.Baseline).
+// of another run: performance is reciprocal Counters.Cycles, and the
+// paper normalizes every performance figure to a reference run, usually
+// the kernel's run under the baseline partitioned configuration
+// (Runner.Baseline).
 //
 // Runs that cannot achieve residency fail with a *FitError (and nil
 // kernels with ErrKernelNil); use errors.As / errors.Is, or
@@ -84,18 +86,9 @@ type Result struct {
 	Streams []StreamResult
 }
 
-// Performance returns the run's performance metric (reciprocal runtime;
-// only ratios of this value are meaningful — see the package comment).
-func (r *Result) Performance() float64 {
-	if r.Counters.Cycles == 0 {
-		return 0
-	}
-	return 1 / float64(r.Counters.Cycles)
-}
-
 // IPC returns thread instructions retired per cycle — an absolute
-// throughput metric (peak is the SM's 32 lanes), unlike the ratio-only
-// Performance. Counters.IPC is the warp-granular variant.
+// throughput metric (peak is the SM's 32 lanes), unlike ratio-only
+// performance. Counters.IPC is the warp-granular variant.
 func (r *Result) IPC() float64 {
 	return r.Counters.ThreadIPC()
 }
@@ -118,7 +111,7 @@ func WithProbe(p *probe.Probe) RunOption {
 // Runner executes runs and caches the per-benchmark baseline needed for
 // energy calibration and for normalizing results the way the paper does.
 //
-// A Runner is safe for concurrent use: the experiment drivers fan their
+// A Runner is safe for concurrent use: campaign cells fan their
 // independent (kernel, config) runs out through internal/parallel, and the
 // only shared mutable state — the baseline cache — is computed at most
 // once per kernel and seed regardless of how many goroutines ask for
@@ -362,22 +355,10 @@ func (r *Runner) calibratedOther(st StreamSpec, cfg config.MemConfig, c *stats.C
 }
 
 // UnboundedShared returns a shared-memory capacity large enough that the
-// kernel's residency is never shared-memory limited, used by the Figure 2
-// and Figure 4 isolation studies ("unbounded shared memory").
+// kernel's residency is never shared-memory limited: the "unbounded
+// shared memory" of the Section 3.3 isolation studies (Table 1, Figures
+// 2 and 4) and of plan.ExpandSweep's default machine.
 func UnboundedShared(k *workloads.Kernel) int {
 	ctas := config.MaxThreadsPerSM / k.ThreadsPerCTA
 	return ctas * k.SharedBytesPerCTA
-}
-
-// IsolationConfig builds the partitioned configuration the paper's
-// Section 3.3 limit studies use: explicit RF and cache capacities, shared
-// memory unbounded, and a resident-thread cap.
-func IsolationConfig(k *workloads.Kernel, rfBytes, cacheBytes, threads int) config.MemConfig {
-	return config.MemConfig{
-		Design:      config.Partitioned,
-		RFBytes:     rfBytes,
-		SharedBytes: UnboundedShared(k),
-		CacheBytes:  cacheBytes,
-		MaxThreads:  threads,
-	}
 }

@@ -99,7 +99,7 @@ func TestParallelMatchesSerialCounters(t *testing.T) {
 	parallel.SetWorkers(8)
 	defer parallel.SetWorkers(0)
 	parRunner := core.NewRunner()
-	if _, err := parRunner.Table1([]*workloads.Kernel{k}); err != nil {
+	if _, err := table1Rows(parRunner, []*workloads.Kernel{k}); err != nil {
 		t.Fatal(err)
 	}
 	par, err := parRunner.Baseline(k)

@@ -2,11 +2,14 @@
 // rendered text table. It is the shared engine behind cmd/paper, smserve's
 // /v1/experiment and the repository benchmark. Each experiment runs on the
 // caller's core.Runner and formats its output with the same rows and
-// series the paper reports: the capacity sweeps, Table 1/5, validation
-// and multitenant through their internal/core drivers, and the
+// series the paper reports. Every experiment that simulates machines,
+// except the chip validation, runs its cells through internal/campaign
+// under the Runner's parameters and renders from campaign.Outcome: the
 // comparisons against a baseline machine (figure7, figure9, figure10,
-// table6, ablation) as internal/campaign campaigns built under the
-// Runner's parameters.
+// table5, table6, ablation, multitenant) as campaigns, and Table 1's
+// DRAM columns and the capacity sweeps (figure2, figure3, figure4,
+// figure11) as flat cell lists (sweeps.go). Figure 8, Table 4 and the
+// validation come from internal/core.
 package harness
 
 import (
@@ -20,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -68,77 +72,6 @@ func Run(r *core.Runner, name string) (*report.Table, error) {
 		name, strings.Join(Experiments, ", "))
 }
 
-// Table1 renders the workload characterization.
-func Table1(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Table1(workloads.All())
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable(
-		"Table 1: workload characterization (dyn insts normalized to spill-free; DRAM normalized to 256KB cache)",
-		"workload", "category", "regs", "dyn@18", "dyn@24", "dyn@32", "dyn@40", "dyn@64",
-		"RF-full-occ", "shm B/thr", "dram@0", "dram@64K", "dram@256K")
-	for _, row := range rows {
-		t.AddRow(
-			row.Name, row.Category.String(), fmt.Sprint(row.RegsPerThread),
-			report.Ratio(row.DynInstRatio[0]), report.Ratio(row.DynInstRatio[1]),
-			report.Ratio(row.DynInstRatio[2]), report.Ratio(row.DynInstRatio[3]),
-			report.Ratio(row.DynInstRatio[4]),
-			fmt.Sprintf("%dK", row.RFFullOccupancyKB),
-			fmt.Sprintf("%.1f", row.SharedBytesPerThread),
-			report.Ratio(row.DRAMNorm[0]), report.Ratio(row.DRAMNorm[1]),
-			report.Ratio(row.DRAMNorm[2]))
-	}
-	return t, nil
-}
-
-// SweepTable renders capacity-sweep figures: one row per (benchmark,
-// point), with infeasible points marked.
-func SweepTable(title string, sweeps []core.FigureSweep, lineLabel string) *report.Table {
-	t := report.NewTable(title, "benchmark", lineLabel, "threads", "capacity", "norm perf")
-	for _, sw := range sweeps {
-		for _, p := range sw.Points {
-			perf := report.Ratio(p.Perf)
-			if p.Infeasible {
-				perf = "infeasible"
-			}
-			t.AddRow(sw.Benchmark, fmt.Sprint(p.Regs), fmt.Sprint(p.Threads),
-				fmt.Sprintf("%dK", p.CapacityKB), perf)
-		}
-	}
-	return t
-}
-
-// Figure2 renders performance versus register file capacity.
-func Figure2(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure2()
-	if err != nil {
-		return nil, err
-	}
-	return SweepTable("Figure 2: performance vs register file capacity (normalized to 64 regs, 1024 threads)",
-		sweeps, "regs/thread"), nil
-}
-
-// Figure3 renders performance versus shared-memory capacity.
-func Figure3(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure3()
-	if err != nil {
-		return nil, err
-	}
-	return SweepTable("Figure 3: performance vs shared memory capacity (normalized to 1024 threads)",
-		sweeps, "-"), nil
-}
-
-// Figure4 renders performance versus cache capacity.
-func Figure4(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure4()
-	if err != nil {
-		return nil, err
-	}
-	return SweepTable("Figure 4: performance vs cache capacity (normalized to 512KB cache, 1024 threads)",
-		sweeps, "-"), nil
-}
-
 // Table4 renders SRAM bank access energies.
 func Table4() *report.Table {
 	t := report.NewTable("Table 4: energy per 16-byte SRAM bank access (32nm)",
@@ -150,29 +83,12 @@ func Table4() *report.Table {
 	return t
 }
 
-// Table5 renders the bank-conflict breakdown.
-func Table5(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Table5()
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable("Table 5: warp instructions by max accesses to a single bank (Figure 7 benchmarks)",
-		"design", "<=1", "2", "3", "4", ">4")
-	for _, row := range rows {
-		t.AddRow(row.Machine,
-			report.Percent(row.Fractions[0]), report.Percent(row.Fractions[1]),
-			report.Percent(row.Fractions[2]), report.Percent(row.Fractions[3]),
-			report.Percent(row.Fractions[4]))
-	}
-	return t, nil
-}
-
-// The comparison experiments (figure7, figure9, figure10, table6 and
-// ablation) run as compare campaigns on r. Every machine takes its
-// timing and energy from r, and the campaign's seed is r's, so they
-// render under the caller's parameters (-sched gto, smserve's
-// /v1/experiment); cells that match r run on it and reuse its baseline
-// runs (campaign.Execute).
+// The comparison experiments (figure7, figure9, figure10, table5,
+// table6, ablation and multitenant) run as compare campaigns on r.
+// Every machine takes its timing and energy from r, and the campaign's
+// seed is r's, so they render under the caller's parameters (-sched
+// gto, smserve's /v1/experiment); cells that match r run on it and
+// reuse its baseline runs (campaign.RunCells).
 
 // paperMachine is the partitioned baseline machine under r's timing and
 // energy parameters.
@@ -228,6 +144,49 @@ func comparison(r *core.Runner, spec api.CompareRequest) (*report.Table, error) 
 // Figure7 renders the no-benefit comparison.
 func Figure7(r *core.Runner) (*report.Table, error) {
 	return comparison(r, figure7Spec(r))
+}
+
+// table5Fractions folds Figure 7's cells into the Table 5 rows of the
+// partitioned and unified designs: the per-instruction
+// maximum-bank-accesses histogram over the no-benefit set, weighting
+// benchmarks equally as the paper averages.
+func table5Fractions(r *core.Runner) ([2][stats.ConflictBuckets]float64, error) {
+	var out [2][stats.ConflictBuckets]float64
+	res, err := execute(r, figure7Spec(r))
+	if err != nil {
+		return out, err
+	}
+	for m := range out {
+		var agg stats.Counters
+		for w, o := range res.Outcomes[m] {
+			if o.Infeasible {
+				return out, fmt.Errorf("table5: %s is infeasible under %s",
+					res.Campaign.Workloads[w].Label, res.Campaign.Spec.Machines[m].Name)
+			}
+			kernel := stats.Counters{ConflictHist: o.ConflictHist}
+			for b, frac := range kernel.ConflictFractions() {
+				agg.ConflictHist[b] += int64(frac * 1e6)
+			}
+		}
+		out[m] = agg.ConflictFractions()
+	}
+	return out, nil
+}
+
+// Table5 renders the bank-conflict breakdown.
+func Table5(r *core.Runner) (*report.Table, error) {
+	fracs, err := table5Fractions(r)
+	if err != nil {
+		return nil, err
+	}
+	t := report.NewTable("Table 5: warp instructions by max accesses to a single bank (Figure 7 benchmarks)",
+		"design", "<=1", "2", "3", "4", ">4")
+	for m, design := range []config.Design{config.Partitioned, config.Unified} {
+		f := fracs[m]
+		t.AddRow(design.String(), report.Percent(f[0]), report.Percent(f[1]),
+			report.Percent(f[2]), report.Percent(f[3]), report.Percent(f[4]))
+	}
+	return t, nil
 }
 
 // Figure8 renders the chosen unified partitionings.
@@ -313,26 +272,6 @@ func Table6(r *core.Runner) (*report.Table, error) {
 	return t, nil
 }
 
-// Figure11 renders the needle blocking-factor study.
-func Figure11(r *core.Runner) (*report.Table, error) {
-	sweeps, err := r.Figure11()
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable("Figure 11: needle performance vs shared memory capacity by blocking factor",
-		"variant", "threads", "shared", "norm perf")
-	for _, sw := range sweeps {
-		for _, p := range sw.Points {
-			perf := report.Ratio(p.Perf)
-			if p.Infeasible {
-				perf = "infeasible"
-			}
-			t.AddRow(sw.Benchmark, fmt.Sprint(p.Threads), fmt.Sprintf("%dK", p.CapacityKB), perf)
-		}
-	}
-	return t, nil
-}
-
 // ValidationBenchmarks are the kernels used for the Section 5.1
 // methodology check (a spread of memory behaviours; the full registry
 // would take minutes on a multi-SM chip).
@@ -406,119 +345,55 @@ func Ablation(r *core.Runner) (*report.Table, error) {
 // adjacent registry pair and quad runs as one multi-tenant mix under
 // the three designs, with the partitioned baseline as the 1.00
 // reference. Unified and Fermi capacities partition the baseline's
-// 384 KB jointly for the whole mix.
+// 384 KB jointly for the whole mix; a mix a design cannot make
+// co-resident reads "infeasible".
 func Multitenant(r *core.Runner) (*report.Table, error) {
-	rows, err := r.Multitenant(core.MultitenantMixes(workloads.All()))
+	base := paperMachine(r)
+	uni, fermi := unified384, fermi384
+	uni.Machine, fermi.Machine = base, base
+	res, err := execute(r, api.CompareRequest{
+		Name:      "multitenant",
+		Machines:  []api.CompareMachine{{Name: "partitioned", Machine: base}, uni, fermi},
+		Workloads: multitenantMixes(workloads.All()),
+	})
 	if err != nil {
 		return nil, err
 	}
 	t := report.NewTable(
 		"Multi-tenant co-tenancy: partitioned vs unified (384KB) vs Fermi-like (384KB), joint runs",
 		"mix", "ways", "part cycles", "uni perf (x)", "uni energy (x)", "fermi perf (x)", "fermi energy (x)")
-	cell := func(v float64, infeasible bool) string {
-		if infeasible {
-			return "infeasible"
+	for w, wl := range res.Campaign.Workloads {
+		part := res.Outcomes[0][w]
+		row := []string{wl.Label, fmt.Sprint(len(wl.Streams)), fmt.Sprint(part.Cycles)}
+		if part.Infeasible {
+			row[2] = "infeasible"
 		}
-		return report.Ratio(v)
-	}
-	for _, row := range rows {
-		part := fmt.Sprint(row.PartCycles)
-		if row.PartInfeasible {
-			part = "infeasible"
+		for _, o := range []campaign.Outcome{res.Outcomes[1][w], res.Outcomes[2][w]} {
+			if part.Infeasible || o.Infeasible {
+				row = append(row, "infeasible", "infeasible")
+				continue
+			}
+			row = append(row, report.Ratio(float64(part.Cycles)/float64(o.Cycles)), report.Ratio(o.EnergyJ/part.EnergyJ))
 		}
-		inf := row.PartInfeasible
-		t.AddRow(row.Mix, fmt.Sprint(row.Ways), part,
-			cell(row.UnifiedPerf, inf || row.UnifiedInfeasible),
-			cell(row.UnifiedEnergy, inf || row.UnifiedInfeasible),
-			cell(row.FermiPerf, inf || row.FermiInfeasible),
-			cell(row.FermiEnergy, inf || row.FermiInfeasible))
+		t.AddRow(row...)
 	}
 	return t, nil
 }
 
-// ChartableExperiments lists experiments Chart can render as plots.
-var ChartableExperiments = []string{"figure2", "figure3", "figure4", "figure11"}
-
-// Chart renders a capacity-sweep experiment as ASCII charts (one per
-// benchmark for the multi-benchmark figures).
-func Chart(r *core.Runner, name string) (string, error) {
-	var sweeps []core.FigureSweep
-	var err error
-	var xLabel string
-	perBenchmarkSeries := false
-	switch name {
-	case "figure2":
-		sweeps, err = r.Figure2()
-		xLabel = "RF capacity (KB)"
-	case "figure3":
-		sweeps, err = r.Figure3()
-		xLabel = "shared memory (KB)"
-		perBenchmarkSeries = true
-	case "figure4":
-		sweeps, err = r.Figure4()
-		xLabel = "cache capacity (KB)"
-	case "figure11":
-		sweeps, err = r.Figure11()
-		xLabel = "shared memory (KB)"
-		perBenchmarkSeries = true
-	default:
-		return "", fmt.Errorf("harness: experiment %q is not chartable (have %s)",
-			name, strings.Join(ChartableExperiments, ", "))
-	}
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	if perBenchmarkSeries {
-		// One chart, one series per benchmark/variant.
-		ch := report.NewChart(name+": normalized performance", xLabel, "perf")
-		for _, sw := range sweeps {
-			var xs, ys []float64
-			for _, p := range sw.Points {
-				if p.Infeasible {
-					continue
-				}
-				xs = append(xs, float64(p.CapacityKB))
-				ys = append(ys, p.Perf)
+// multitenantMixes are the co-tenancy mixes over a kernel list, as
+// "+"-joined campaign workloads: every adjacent pair (2-way), then every
+// adjacent quad (4-way), in registry order. Over the full 26-kernel
+// registry that is 13 pairs and 6 quads.
+func multitenantMixes(ks []*workloads.Kernel) []string {
+	var mixes []string
+	for _, ways := range []int{2, 4} {
+		for i := 0; i+ways <= len(ks); i += ways {
+			names := make([]string, ways)
+			for j, k := range ks[i : i+ways] {
+				names[j] = k.Name
 			}
-			ch.AddSeries(sw.Benchmark, xs, ys)
+			mixes = append(mixes, strings.Join(names, "+"))
 		}
-		b.WriteString(ch.String())
-		return b.String(), nil
 	}
-	// One chart per benchmark, one series per line (regs or threads).
-	for _, sw := range sweeps {
-		ch := report.NewChart(fmt.Sprintf("%s: %s", name, sw.Benchmark), xLabel, "perf")
-		series := map[int]struct{ xs, ys []float64 }{}
-		var keys []int
-		lineOf := func(p core.SweepPoint) int {
-			if name == "figure2" {
-				return p.Regs
-			}
-			return p.Threads
-		}
-		for _, p := range sw.Points {
-			if p.Infeasible {
-				continue
-			}
-			k := lineOf(p)
-			s := series[k]
-			s.xs = append(s.xs, float64(p.CapacityKB))
-			s.ys = append(s.ys, p.Perf)
-			if len(s.xs) == 1 {
-				keys = append(keys, k)
-			}
-			series[k] = s
-		}
-		for _, k := range keys {
-			label := fmt.Sprintf("%d regs", k)
-			if name != "figure2" {
-				label = fmt.Sprintf("%d threads", k)
-			}
-			ch.AddSeries(label, series[k].xs, series[k].ys)
-		}
-		b.WriteString(ch.String())
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	return mixes
 }

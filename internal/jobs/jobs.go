@@ -58,7 +58,8 @@ var (
 // Item is one unit of work in a job. Items are positional: results
 // assemble in Plan.Items order.
 type Item struct {
-	// Key is the item's canonical result key (the store's SHA-256).
+	// Key is the item's canonical result key (the store's SHA-256);
+	// empty for an item that settles without a run.
 	Key string
 	// Payload is opaque to the engine and interpreted by Exec (the
 	// service stores its resolved run here).

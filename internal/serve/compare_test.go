@@ -93,6 +93,48 @@ func TestJobCompare(t *testing.T) {
 	}
 }
 
+// TestJobCompareAllocationInfeasible: a cell whose §4.5 allocation
+// cannot fit one CTA settles as an infeasible item, so the job finishes
+// and renders the same tables as a local Execute, which settles the
+// cell the same way.
+func TestJobCompareAllocationInfeasible(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := `{"name":"tiny","machines":[{"name":"base"},{"name":"uni-32","alloc_total_kb":32}],"workloads":["dgemm","vectoradd"]}`
+	c, err := campaign.Parse([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := submitJob(t, ts, `{"compare":`+body+`}`)
+	if done := pollJob(t, ts, j.ID); done.State != api.JobDone {
+		t.Fatalf("terminal view = %+v", done)
+	}
+	resp, jobBody := do(t, ts, http.MethodGet, "/v1/jobs/"+j.ID+"/result", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job result: %d: %s", resp.StatusCode, jobBody)
+	}
+	var br api.BatchResponse
+	if err := json.Unmarshal(jobBody, &br); err != nil {
+		t.Fatal(err)
+	}
+	remote, err := c.ResultFromBatch(&br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !remote.Outcomes[1][0].Infeasible {
+		t.Errorf("dgemm under uni-32 = %+v, want infeasible", remote.Outcomes[1][0])
+	}
+	local, err := c.Execute(core.NewRunner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, lt := remote.Tables(), local.Tables()
+	for i := range rt {
+		if rt[i].String() != lt[i].String() {
+			t.Errorf("table %d differs:\n--- remote ---\n%s--- local ---\n%s", i, rt[i], lt[i])
+		}
+	}
+}
+
 // TestJobCompareValidation pins the 400 contract for bad campaigns.
 func TestJobCompareValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{})

@@ -20,6 +20,7 @@ import (
 
 	"repro/api"
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/plan"
 )
@@ -155,19 +156,32 @@ func (s *Server) jobResolve(request []byte) (jobs.Plan, error) {
 	case req.Compare != nil:
 		// A compare job is its campaign's compiled run matrix pushed
 		// through the batch path, so its result bytes are byte-identical
-		// to POST /v1/batch of those runs.
+		// to POST /v1/batch of those runs. A cell whose §4.5 allocation
+		// fails settles as an infeasible item, as campaign.RunCells
+		// settles it locally, where /v1/batch refuses the whole batch.
 		c, err := campaign.New(*req.Compare)
 		if err != nil {
 			return jobs.Plan{}, errBadRequest("compare: %v", err)
 		}
-		rrs, err := plan.ResolveBatch(api.BatchRequest{Runs: c.Runs})
-		if err != nil {
-			return jobs.Plan{}, errBadRequest("%s", err.Error())
+		if len(c.Runs) > api.MaxRuns {
+			return jobs.Plan{}, errBadRequest("compare: %d cells exceed the limit of %d runs", len(c.Runs), api.MaxRuns)
+		}
+		items := make([]jobs.Item, len(c.Runs))
+		for i, run := range c.Runs {
+			rr, err := plan.Resolve(run)
+			switch {
+			case core.IsInfeasible(err):
+				items[i] = jobs.Item{Payload: errInfeasible(err.Error())}
+			case err != nil:
+				return jobs.Plan{}, errBadRequest("runs[%d]: %v", i, err)
+			default:
+				items[i] = jobs.Item{Key: rr.Key, Payload: rr}
+			}
 		}
 		return jobs.Plan{
 			Type:     "compare",
 			Note:     c.Note(),
-			Items:    runItems(rrs),
+			Items:    items,
 			Assemble: assembleBatch,
 		}, nil
 	default:
@@ -215,6 +229,8 @@ func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext
 		return s.compute(ctx, p, false)
 	case *resolvedExperiment:
 		return s.computeExperiment(p)
+	case *api.Error:
+		return p.HTTPStatus, errorBytes(p), "miss"
 	default:
 		return http.StatusInternalServerError, errorBytes(errInternal("unknown job item payload %T", it.Payload)), "miss"
 	}
