@@ -108,20 +108,30 @@ func Variant(design config.Design, aggressive bool) int {
 	return i
 }
 
-// Outcomes evaluates every instruction of a trace under one bank-model
-// variant. An Outcome is a pure function of the instruction and the
-// variant, so the result can be memoized and replayed across runs (every
-// trace source does exactly that).
+// Outcomes evaluates every instruction of a flat trace under one
+// bank-model variant. An Outcome is a pure function of the instruction
+// and the variant, so the result can be memoized and replayed across
+// runs (every trace source does exactly that, through AppendOutcomes).
 func Outcomes(design config.Design, aggressive bool, insts []isa.WarpInst) []Outcome {
-	m := New(design)
-	if aggressive {
-		m = NewAggressive(design)
-	}
+	m := &Model{design: design, aggressive: aggressive}
 	out := make([]Outcome, len(insts))
 	for i := range insts {
 		out[i] = m.Evaluate(&insts[i])
 	}
 	return out
+}
+
+// AppendOutcomes appends the outcome of every instruction of a warp in
+// split form under one bank-model variant to dst, decoding one
+// instruction at a time, and returns the extended slice.
+func AppendOutcomes(dst []Outcome, design config.Design, aggressive bool, code isa.WarpCode) []Outcome {
+	m := &Model{design: design, aggressive: aggressive}
+	var wi isa.WarpInst
+	for i := range code.Len() {
+		code.Decode(i, &wi)
+		dst = append(dst, m.Evaluate(&wi))
+	}
+	return dst
 }
 
 // unified reports whether register and memory accesses share banks.

@@ -19,7 +19,7 @@ import (
 func funcSource(ctas, warps int, gen func(cta, warp int) []isa.WarpInst) *trace.Trace {
 	t := &trace.Trace{CTAs: ctas, WarpsPerCTA: warps}
 	for i := range ctas * warps {
-		t.Warps = append(t.Warps, gen(i/warps, i%warps))
+		t.Warps = append(t.Warps, isa.Split(gen(i/warps, i%warps)))
 	}
 	return t
 }
@@ -241,7 +241,7 @@ func (m *memoSource) WarpFootprints(cta, warp int) *memsys.Footprints {
 	return m.Source.WarpFootprints(cta, warp)
 }
 
-// wideGrid is a source's grid extended to ctas CTAs, in flat form.
+// wideGrid is a source's grid extended to ctas CTAs.
 type wideGrid struct {
 	*workloads.Source
 	ctas int

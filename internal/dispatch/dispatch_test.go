@@ -30,10 +30,10 @@ type variantCall struct {
 func newFakeSource(ctas, warpsPer int) *fakeSource {
 	t := &trace.Trace{CTAs: ctas, WarpsPerCTA: warpsPer}
 	for range ctas * warpsPer {
-		t.Warps = append(t.Warps, []isa.WarpInst{
+		t.Warps = append(t.Warps, isa.Split([]isa.WarpInst{
 			{Op: isa.OpALU, Mask: isa.FullMask},
 			{Op: isa.OpEXIT, Mask: isa.FullMask},
-		})
+		}))
 	}
 	return &fakeSource{Trace: t}
 }

@@ -216,7 +216,7 @@ func Resolve(req api.RunRequest) (*Run, error) {
 		return nil, err
 	}
 	r.Key = Key(ck)
-	r.runnerKey = RunnerKey(params, eparams)
+	r.runnerKey = runnerKey(r.canon)
 	return r, nil
 }
 
@@ -226,8 +226,13 @@ func Resolve(req api.RunRequest) (*Run, error) {
 // calibrations. Spellings of the same parameters share a key (the zero
 // scheduler policy and "twolevel", for example).
 func RunnerKey(p sm.Params, e energy.Params) string {
-	d := machine.Describe(config.MemConfig{}, p, e)
-	d.Design = ""
+	return runnerKey(machine.Describe(config.MemConfig{}, p, e))
+}
+
+// runnerKey renders a machine description with its configuration half
+// zeroed: the RunnerKey of its timing and energy parameters.
+func runnerKey(d machine.Description) string {
+	d.Design, d.RFKB, d.SharedKB, d.CacheKB, d.MaxThreads = "", 0, 0, 0, 0
 	b, _ := json.Marshal(d) // a Description always marshals
 	return string(b)
 }

@@ -41,3 +41,37 @@ func TestPinnedKeys(t *testing.T) {
 		t.Errorf("warm batch item: key = %s, want %s", rs[0].Key, want)
 	}
 }
+
+// TestRunnerKeyOfResolve: a resolved run's runner key is RunnerKey of
+// its timing and energy parameters, whatever its capacities, so runs
+// that differ only in configuration share one Runner, and spellings of
+// the same scheduler share one too.
+func TestRunnerKeyOfResolve(t *testing.T) {
+	plain := api.RunRequest{Kernel: "needle"}
+	sized := api.RunRequest{Kernel: "bfs", AllocTotalKB: 384}
+	sized.Machine.Design, sized.Machine.MaxThreads = "unified", 1024
+	fermi := api.RunRequest{Kernel: "dgemm", FermiTotalKB: 384}
+	twolevel := plain
+	twolevel.Machine.Timing.Scheduler = "twolevel"
+	gto := plain
+	gto.Machine.Timing.Scheduler = "gto"
+	keys := make(map[string]string)
+	for name, req := range map[string]api.RunRequest{"plain": plain, "sized": sized, "fermi": fermi, "twolevel": twolevel, "gto": gto} {
+		r, err := Resolve(req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := r.RunnerKey(), RunnerKey(r.Params, r.Energy); got != want {
+			t.Errorf("%s: runner key %s, want %s", name, got, want)
+		}
+		keys[name] = r.RunnerKey()
+	}
+	for _, name := range []string{"sized", "fermi", "twolevel"} {
+		if keys[name] != keys["plain"] {
+			t.Errorf("%s: runner key %s differs from the plain run's %s", name, keys[name], keys["plain"])
+		}
+	}
+	if keys["gto"] == keys["plain"] {
+		t.Error("a gto run shares the twolevel runner key")
+	}
+}

@@ -15,7 +15,7 @@ import (
 func funcSource(ctas, warps int, gen func(cta, warp int) []isa.WarpInst) *trace.Trace {
 	t := &trace.Trace{CTAs: ctas, WarpsPerCTA: warps}
 	for i := range ctas * warps {
-		t.Warps = append(t.Warps, gen(i/warps, i%warps))
+		t.Warps = append(t.Warps, isa.Split(gen(i/warps, i%warps)))
 	}
 	return t
 }

@@ -78,15 +78,17 @@ func Analyze(t *Trace) *Profile {
 	type lineAccess struct{ line uint32 }
 	var stream []lineAccess
 
+	var wi isa.WarpInst
 	active := len(t.Warps)
 	for active > 0 {
 		active = 0
-		for w, warp := range t.Warps {
-			if idx[w] >= len(warp) {
+		for w, code := range t.Warps {
+			i := idx[w]
+			if i >= code.Len() {
 				continue
 			}
 			active++
-			wi := &warp[idx[w]]
+			code.Decode(i, &wi)
 			idx[w]++
 
 			p.Instructions++
@@ -103,8 +105,7 @@ func Analyze(t *Trace) *Profile {
 			if wi.Dst.Valid() {
 				regs[wi.Dst.Reg] = true
 			}
-			hot := wi.Hot()
-			ra := hot.RegAccesses()
+			ra := code.Prog.RegAccesses(i)
 			p.MRFReads += ra.Reads(isa.SpaceMRF)
 			p.ORFReads += ra.Reads(isa.SpaceORF)
 			p.LRFReads += ra.Reads(isa.SpaceLRF)

@@ -6,9 +6,11 @@
 // interchange point for this repository: any Source (the synthetic
 // workloads, or traces converted from an external tracer) can be recorded
 // to a compact binary file, reloaded later, and replayed through the SM
-// simulator byte-for-byte. It also computes the static profile of a trace
-// (instruction mix, operand placement, memory footprint and reuse), which
-// cmd/tracestat renders.
+// simulator byte-for-byte. A trace, recorded or read, holds each warp in
+// the split form the simulator replays (isa.WarpCode), so a replay
+// converts nothing per launch. The package also computes the static
+// profile of a trace (instruction mix, operand placement, memory
+// footprint and reuse), which cmd/tracestat renders.
 package trace
 
 import (
@@ -17,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/banks"
 	"repro/internal/config"
@@ -28,56 +29,32 @@ import (
 // magic identifies the file format; the trailing digit is the version.
 var magic = [8]byte{'G', 'P', 'U', 'T', 'R', 'C', '0', '1'}
 
-// Source is a kernel grid in flat form, what Record reads;
+// Source is a kernel grid in split form, what Record reads;
 // workloads.Source and Trace satisfy it.
 type Source interface {
 	Grid() (ctas, warpsPerCTA int)
-	WarpTrace(cta, warp int) []isa.WarpInst
+	WarpCode(cta, warp int) isa.WarpCode
 }
 
-// Trace is a fully materialized kernel grid. It is also a simulator
-// trace source (sm.TraceSource) that computes a warp's tables on each
-// request; the dispatcher asks once per warp launch.
+// Trace is a fully materialized kernel grid in split form. It is also a
+// simulator trace source (sm.TraceSource): it serves each warp's stored
+// code, and computes the warp's outcome and footprint tables on each
+// request; the dispatcher asks once per warp launch. A Trace is
+// immutable, so SMs may share one.
 type Trace struct {
 	CTAs        int
 	WarpsPerCTA int
-	// Warps holds the per-warp instruction streams, indexed
-	// [cta*WarpsPerCTA + warp].
-	Warps [][]isa.WarpInst
-
-	// mu guards split, a one-entry memo of the warp WarpCode split
-	// last: the dispatcher asks for a warp's code and then for its
-	// footprints in the same launch, and the footprint builder takes
-	// the split code instead of splitting (and re-hashing every address
-	// vector) again. SMs that share the recording may interleave their
-	// launches; a miss only splits again.
-	mu    sync.Mutex
-	split splitWarp
-}
-
-// splitWarp is a warp's index in Trace.Warps and its split code.
-type splitWarp struct {
-	ok   bool
-	warp int
-	code isa.WarpCode
+	// Warps holds the per-warp code, indexed [cta*WarpsPerCTA + warp].
+	// Warps with equal instruction streams may share one program.
+	Warps []isa.WarpCode
 }
 
 // Grid implements Source.
 func (t *Trace) Grid() (int, int) { return t.CTAs, t.WarpsPerCTA }
 
-// WarpTrace implements Source.
-func (t *Trace) WarpTrace(cta, warp int) []isa.WarpInst {
-	return t.Warps[cta*t.WarpsPerCTA+warp]
-}
-
-// WarpCode implements sm.TraceSource: the warp in split form.
+// WarpCode implements Source and sm.TraceSource: the warp's stored code.
 func (t *Trace) WarpCode(cta, warp int) isa.WarpCode {
-	i := cta*t.WarpsPerCTA + warp
-	code := isa.Split(t.Warps[i])
-	t.mu.Lock()
-	t.split = splitWarp{ok: true, warp: i, code: code}
-	t.mu.Unlock()
-	return code
+	return t.Warps[cta*t.WarpsPerCTA+warp]
 }
 
 // WarpOutcomes implements sm.TraceSource: the warp's bank-conflict
@@ -87,38 +64,34 @@ func (t *Trace) WarpOutcomes(cta, warp int, design config.Design, aggressive boo
 	if banks.Variant(design, aggressive) < 0 {
 		return nil
 	}
-	return banks.Outcomes(design, aggressive, t.WarpTrace(cta, warp))
+	code := t.WarpCode(cta, warp)
+	return banks.AppendOutcomes(make([]banks.Outcome, 0, code.Len()), design, aggressive, code)
 }
 
 // WarpFootprints implements sm.TraceSource: the global-memory
 // footprints of the warp's global-memory instructions.
 func (t *Trace) WarpFootprints(cta, warp int) *memsys.Footprints {
-	i := cta*t.WarpsPerCTA + warp
-	t.mu.Lock()
-	last := t.split
-	t.mu.Unlock()
-	if !last.ok || last.warp != i {
-		last.code = isa.Split(t.Warps[i])
-	}
-	return memsys.NewFootprints(last.code)
+	return memsys.NewFootprints(t.WarpCode(cta, warp))
 }
 
 // Instructions returns the total dynamic warp-instruction count.
 func (t *Trace) Instructions() int64 {
 	var n int64
-	for _, w := range t.Warps {
-		n += int64(len(w))
+	for _, c := range t.Warps {
+		n += int64(c.Len())
 	}
 	return n
 }
 
-// Record materializes every warp of a source into a Trace.
+// Record collects every warp of a source into a Trace. It keeps the
+// source's code as served, which the workloads trace cache shares
+// immutably, so recording copies no instruction.
 func Record(src Source) *Trace {
 	ctas, warps := src.Grid()
-	t := &Trace{CTAs: ctas, WarpsPerCTA: warps, Warps: make([][]isa.WarpInst, ctas*warps)}
+	t := &Trace{CTAs: ctas, WarpsPerCTA: warps, Warps: make([]isa.WarpCode, ctas*warps)}
 	for c := 0; c < ctas; c++ {
 		for w := 0; w < warps; w++ {
-			t.Warps[c*warps+w] = src.WarpTrace(c, w)
+			t.Warps[c*warps+w] = src.WarpCode(c, w)
 		}
 	}
 	return t
@@ -134,12 +107,14 @@ func Write(w io.Writer, t *Trace) error {
 	if err := binary.Write(bw, binary.LittleEndian, hdr[:]); err != nil {
 		return err
 	}
-	for _, warp := range t.Warps {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(warp))); err != nil {
+	var wi isa.WarpInst
+	for _, code := range t.Warps {
+		if err := binary.Write(bw, binary.LittleEndian, uint32(code.Len())); err != nil {
 			return err
 		}
-		for i := range warp {
-			if err := writeInst(bw, &warp[i]); err != nil {
+		for i := range code.Len() {
+			code.Decode(i, &wi)
+			if err := writeInst(bw, &wi); err != nil {
 				return err
 			}
 		}
@@ -181,7 +156,7 @@ func writeInst(w io.Writer, wi *isa.WarpInst) error {
 	if !wi.HasAddrs() {
 		return nil
 	}
-	// The file holds every lane, whichever form the trace keeps.
+	// The file holds every lane, whichever form the code packs them in.
 	av := wi.Addrs()
 	return binary.Write(w, binary.LittleEndian, av[:])
 }
@@ -218,13 +193,16 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: implausible grid %dx%d", t.CTAs, t.WarpsPerCTA)
 	}
 	n := t.CTAs * t.WarpsPerCTA
-	t.Warps = make([][]isa.WarpInst, 0, min(n, readPrealloc))
-	// Each warp is read into scratch reused across warps, then copied
-	// out exact-size with its address vectors packed, the resident
-	// shape of a trace kgen builds.
-	var insts []isa.WarpInst
+	t.Warps = make([]isa.WarpCode, 0, min(n, readPrealloc))
+	// Each warp is read into scratch reused across warps. Its vectors
+	// are packed into an exact-size operand table and its program is
+	// interned across the file, the resident shape of a trace the
+	// workloads cache builds: a file's equal warps share one program.
+	var insts []isa.Inst
 	var slots []int32
 	var pack isa.Packer
+	var progs isa.ProgramSet
+	var in isa.Inst
 	var av isa.AddrVec
 	for i := 0; i < n; i++ {
 		var count uint32
@@ -236,8 +214,7 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		insts, slots = insts[:0], slots[:0]
 		for j := uint32(0); j < count; j++ {
-			var wi isa.WarpInst
-			hasAddrs, err := readInst(br, &wi, &av)
+			hasAddrs, err := readInst(br, &in, &av)
 			if err != nil {
 				return nil, fmt.Errorf("trace: warp %d inst %d: %w", i, j, err)
 			}
@@ -245,15 +222,14 @@ func Read(r io.Reader) (*Trace, error) {
 			if hasAddrs {
 				slot = pack.Add(&av)
 			}
-			insts, slots = append(insts, wi), append(slots, slot)
+			insts, slots = append(insts, in), append(slots, slot)
 		}
 		if err := checkWarp(insts); err != nil {
 			return nil, fmt.Errorf("trace: warp %d: %w", i, err)
 		}
-		warp := make([]isa.WarpInst, len(insts))
-		copy(warp, insts)
-		pack.Pack(warp, slots)
-		t.Warps = append(t.Warps, warp)
+		ops := pack.PackRefs(insts, slots)
+		prog, _ := progs.Intern(insts)
+		t.Warps = append(t.Warps, isa.WarpCode{Prog: prog, Ops: &ops})
 	}
 	return t, nil
 }
@@ -261,7 +237,7 @@ func Read(r io.Reader) (*Trace, error) {
 // checkWarp rejects a warp the SM cannot execute: an empty one, one
 // that does not end in EXIT (the SM would issue past its end), or one
 // naming a register outside the architectural register file.
-func checkWarp(warp []isa.WarpInst) error {
+func checkWarp(warp []isa.Inst) error {
 	if len(warp) == 0 {
 		return errors.New("empty instruction stream")
 	}
@@ -269,8 +245,8 @@ func checkWarp(warp []isa.WarpInst) error {
 		return fmt.Errorf("ends in %v, not EXIT", op)
 	}
 	for j := range warp {
-		wi := &warp[j]
-		for _, reg := range [...]uint8{wi.Dst.Reg, wi.Srcs[0].Reg, wi.Srcs[1].Reg, wi.Srcs[2].Reg} {
+		in := &warp[j]
+		for _, reg := range [...]uint8{in.Dst.Reg, in.Srcs[0].Reg, in.Srcs[1].Reg, in.Srcs[2].Reg} {
 			if reg >= isa.MaxRegs && reg != isa.NoReg {
 				return fmt.Errorf("inst %d: register %d outside the %d-register file", j, reg, isa.MaxRegs)
 			}
@@ -279,22 +255,23 @@ func checkWarp(warp []isa.WarpInst) error {
 	return nil
 }
 
-// readInst decodes one instruction into wi and, when the instruction
-// has addresses, its vector into av; it reports whether it did.
-func readInst(r io.Reader, wi *isa.WarpInst, av *isa.AddrVec) (bool, error) {
+// readInst decodes one instruction's hot record into in and, when the
+// instruction has addresses, its vector into av; it reports whether it
+// did.
+func readInst(r io.Reader, in *isa.Inst, av *isa.AddrVec) (bool, error) {
 	var buf [10]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return false, err
 	}
-	wi.Op = isa.Op(buf[0])
+	in.Op = isa.Op(buf[0])
 	flags := buf[1]
-	wi.DstMRFWrite = flags&flagMRFWrite != 0
-	wi.Spill = flags&flagSpill != 0
-	wi.Dst = isa.Operand{Reg: buf[2], Space: isa.RegSpace(buf[3])}
-	wi.Srcs[0] = isa.Operand{Reg: buf[4], Space: isa.RegSpace(buf[5])}
-	wi.Srcs[1] = isa.Operand{Reg: buf[6], Space: isa.RegSpace(buf[7])}
-	wi.Srcs[2] = isa.Operand{Reg: buf[8], Space: isa.RegSpace(buf[9])}
-	if err := binary.Read(r, binary.LittleEndian, &wi.Mask); err != nil {
+	in.DstMRFWrite = flags&flagMRFWrite != 0
+	in.Spill = flags&flagSpill != 0
+	in.Dst = isa.Operand{Reg: buf[2], Space: isa.RegSpace(buf[3])}
+	in.Srcs[0] = isa.Operand{Reg: buf[4], Space: isa.RegSpace(buf[5])}
+	in.Srcs[1] = isa.Operand{Reg: buf[6], Space: isa.RegSpace(buf[7])}
+	in.Srcs[2] = isa.Operand{Reg: buf[8], Space: isa.RegSpace(buf[9])}
+	if err := binary.Read(r, binary.LittleEndian, &in.Mask); err != nil {
 		return false, err
 	}
 	if flags&flagAddrs == 0 {

@@ -333,17 +333,8 @@ func (s *Source) WarpOutcomes(cta, warp int, design config.Design, aggressive bo
 	e := s.entry(cta, warp)
 	slot := &e.outcomes[v]
 	slot.once.Do(func() {
-		m := banks.New(design)
-		if aggressive {
-			m = banks.NewAggressive(design)
-		}
 		bp := outcomeScratch.Get().(*[]banks.Outcome)
-		out := (*bp)[:0]
-		var wi isa.WarpInst
-		for i := range e.code.Len() {
-			e.code.Decode(i, &wi)
-			out = append(out, m.Evaluate(&wi))
-		}
+		out := banks.AppendOutcomes((*bp)[:0], design, aggressive, e.code)
 		table, added := e.family.outcomeTable(v, out)
 		*bp = out
 		outcomeScratch.Put(bp)

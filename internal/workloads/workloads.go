@@ -153,8 +153,9 @@ func (s *Source) Grid() (int, int) { return s.K.GridCTAs, s.K.WarpsPerCTA() }
 
 // WarpTrace returns one warp's trace in flat form, decoded from the
 // memoized split form (WarpCode) into a fresh slice the caller owns.
-// The simulator replays WarpCode; this serves callers that want flat
-// instructions, such as trace.Record.
+// The simulator and trace.Record read WarpCode; this serves the
+// repository benchmark's trace and bank-model drives, which time flat
+// instructions.
 func (s *Source) WarpTrace(cta, warp int) []isa.WarpInst {
 	c := s.WarpCode(cta, warp)
 	return c.AppendFlat(make([]isa.WarpInst, 0, c.Len()))

@@ -26,8 +26,9 @@ var surfaceAllowlist = map[string]string{
 	"core.Warm.Snapshot":           "the alloc gates check the warm prefix's pending-table size",
 	"dispatch.Dispatcher.NumWarps": "sm's readiness test walks every warp slot",
 	"dispatch.Idle":                "sm's readiness test tells unoccupied slots from live warps",
+	"isa.Split":                    "FuzzSplit and memsys's footprint tests build split code from flat instructions, as sm, chip, dispatch and trace tests build literal grids",
 	"isa.WarpInst.SetAddrs":        "trace, banks, memsys and kgen tests build instructions from unpacked vectors",
-	"kgen.Builder.Finish":          "flat traces for sm, chip, trace and workloads tests, until split code replaces them",
+	"kgen.Builder.Finish":          "flat traces for sm, chip and workloads tests, until split code replaces them",
 	"kgen.Conflicting":             "banks and sm tests build the N-way bank-conflict pattern",
 	"probe.Decode":                 "harness tests pin NDJSON byte-identity by decoding the stream",
 	"probe.Restore":                "simtest forks probed snapshots",
