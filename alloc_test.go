@@ -186,8 +186,8 @@ func TestForkedCycleLoopAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		parent.Release()
-		if c.maxMSHRs == 0 && len(snap.Mem.PendingKeys) <= 64 {
-			t.Fatalf("%s: the snapshot's pending table has %d slots, want more than a fresh table's 64", c.name, len(snap.Mem.PendingKeys))
+		if c.maxMSHRs == 0 && snap.PendingSlots() <= 64 {
+			t.Fatalf("%s: the snapshot's pending table has %d slots, want more than a fresh table's 64", c.name, snap.PendingSlots())
 		}
 		fork, err := sm.Fork(spec, snap)
 		if err != nil {
@@ -269,7 +269,7 @@ func TestRecycledRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slots := len(warm.Snapshot().Mem.PendingKeys); slots <= 64 {
+	if slots := warm.Snapshot().PendingSlots(); slots <= 64 {
 		t.Fatalf("bfs warm prefix holds a %d-slot pending table, want more than a fresh table's 64", slots)
 	}
 	for _, c := range []struct {

@@ -211,7 +211,7 @@ type BatchRequest struct {
 	// prefix-defining field (kernel, configuration, registers, seed,
 	// scheduler policy and active-set size, scatter variant) share ONE
 	// simulation warmed to this cycle under the default divergable
-	// timing, copy-on-write forked per item (internal/snapshot). The
+	// timing, snapshotted and forked per item (sm.Snapshot). The
 	// semantics are "switch timing parameters at cycle WarmCycles", so
 	// results differ from cycle-0 runs and are cached under keys that
 	// include the warm cycle. Probed items always take the exact

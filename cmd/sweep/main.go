@@ -6,9 +6,9 @@
 // 2-4 to arbitrary benchmarks and ranges. Parameter sweeps (-resource
 // mshr | dramlat | drambw) vary a timing parameter instead; because
 // timing parameters do not alter the warm-up history, these sweeps warm
-// one simulation prefix to the -warm cycle and fork it copy-on-write
-// into every sweep point, paying the warm-up cost once (see
-// internal/snapshot). Sweep points run in parallel across -j workers;
+// one simulation prefix to the -warm cycle, snapshot it and fork the
+// snapshot into every sweep point, paying the warm-up cost once (see
+// sm.Snapshot). Sweep points run in parallel across -j workers;
 // rows print in order regardless of worker count.
 //
 // The flags build one api.SweepRequest. Locally it expands, resolves,

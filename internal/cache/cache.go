@@ -74,6 +74,18 @@ func (c *Cache) Reset(capacityBytes int) {
 	clear(c.dirty)
 }
 
+// CopyFrom makes c a copy of src: its geometry, tags, LRU timestamps,
+// dirty bits and LRU tick. It reuses c's arrays when they are large
+// enough and never aliases src's, which the live cache overwrites on
+// every access.
+func (c *Cache) CopyFrom(src *Cache) {
+	tags, age, dirty := c.tags, c.age, c.dirty
+	*c = *src
+	c.tags = append(tags[:0], src.tags...)
+	c.age = append(age[:0], src.age...)
+	c.dirty = append(dirty[:0], src.dirty...)
+}
+
 // CapacityBytes returns the cache capacity.
 func (c *Cache) CapacityBytes() int { return c.sets * c.ways * c.lineBytes }
 

@@ -243,68 +243,3 @@ func AllocateMulti(reqs []KernelRequirements, totalBytes, threadCap int) (MemCon
 	cfg.CacheBytes -= cfg.CacheBytes % (CacheLineBytes * CacheWays)
 	return cfg, nil
 }
-
-// FermiSplits returns the two shared/cache splits offered by the Fermi-like
-// limited design for a given non-register capacity: (3/4, 1/4) and
-// (1/4, 3/4), mirroring Fermi's 48/16 KB choice scaled to capacity.
-func FermiSplits(nonRFBytes int) [2]MemConfig {
-	large := nonRFBytes * 3 / 4
-	small := nonRFBytes - large
-	return [2]MemConfig{
-		{Design: FermiLike, RFBytes: BaselineRFBytes, SharedBytes: large, CacheBytes: small},
-		{Design: FermiLike, RFBytes: BaselineRFBytes, SharedBytes: small, CacheBytes: large},
-	}
-}
-
-// ChooseFermiMulti picks the Fermi-like shared/cache split that admits
-// the most joint resident threads for a set of co-resident kernels (one
-// kernel is the ordinary case), breaking ties toward the larger cache —
-// a kernel that uses no shared memory always gets it. Residency uses the
-// same round-robin CTA admission as AllocateMulti, under the split's
-// fixed register-file and shared-memory capacities.
-func ChooseFermiMulti(reqs []KernelRequirements, nonRFBytes, threadCap int) MemConfig {
-	splits := FermiSplits(nonRFBytes)
-	best := splits[1]
-	if residentThreads(reqs, splits[0], threadCap) > residentThreads(reqs, splits[1], threadCap) {
-		best = splits[0]
-	}
-	best.MaxThreads = threadCap
-	return best
-}
-
-// residentThreads counts joint resident threads for co-resident kernels
-// under a fixed configuration, using round-robin CTA admission (the full
-// treatment with diagnostics lives in internal/occupancy).
-func residentThreads(reqs []KernelRequirements, cfg MemConfig, threadCap int) int {
-	limit := cfg.ThreadLimit()
-	if threadCap > 0 && threadCap < limit {
-		limit = threadCap
-	}
-	blocked := make([]bool, len(reqs))
-	threads, rfUsed, shUsed := 0, 0, 0
-	for i, req := range reqs {
-		if req.ThreadsPerCTA <= 0 {
-			blocked[i] = true
-		}
-	}
-	for progress := true; progress; {
-		progress = false
-		for i, req := range reqs {
-			if blocked[i] {
-				continue
-			}
-			rfPerCTA := req.BytesPerThread() * req.ThreadsPerCTA
-			if threads+req.ThreadsPerCTA > limit ||
-				rfUsed+rfPerCTA > cfg.RFBytes ||
-				shUsed+req.SharedBytesPerCTA > cfg.SharedBytes {
-				blocked[i] = true
-				continue
-			}
-			threads += req.ThreadsPerCTA
-			rfUsed += rfPerCTA
-			shUsed += req.SharedBytesPerCTA
-			progress = true
-		}
-	}
-	return threads
-}

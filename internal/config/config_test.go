@@ -171,39 +171,6 @@ func TestAllocateNeverOverflows(t *testing.T) {
 	}
 }
 
-func TestFermiSplits(t *testing.T) {
-	splits := FermiSplits(128 << 10)
-	if splits[0].SharedBytes != 96<<10 || splits[0].CacheBytes != 32<<10 {
-		t.Errorf("split 0 = %v", splits[0])
-	}
-	if splits[1].SharedBytes != 32<<10 || splits[1].CacheBytes != 96<<10 {
-		t.Errorf("split 1 = %v", splits[1])
-	}
-	for _, s := range splits {
-		if s.Design != FermiLike || s.RFBytes != BaselineRFBytes {
-			t.Errorf("split has wrong design/RF: %v", s)
-		}
-	}
-}
-
-func TestChooseFermiPrefersCacheWhenNoShared(t *testing.T) {
-	req := KernelRequirements{RegsPerThread: 9, ThreadsPerCTA: 256}
-	cfg := ChooseFermiMulti([]KernelRequirements{req}, 128<<10, 0)
-	if cfg.CacheBytes != 96<<10 {
-		t.Errorf("no-shared kernel should get the large cache, got %v", cfg)
-	}
-}
-
-func TestChooseFermiPrefersSharedWhenLimited(t *testing.T) {
-	// 24 KB/CTA of shared memory: the 32 KB split fits 1 CTA, the 96 KB
-	// split fits 4 CTAs -> choose large shared memory.
-	req := KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256, SharedBytesPerCTA: 24 << 10}
-	cfg := ChooseFermiMulti([]KernelRequirements{req}, 128<<10, 0)
-	if cfg.SharedBytes != 96<<10 {
-		t.Errorf("shared-hungry kernel should get the large shared memory, got %v", cfg)
-	}
-}
-
 func TestKernelRequirementsHelpers(t *testing.T) {
 	req := KernelRequirements{RegsPerThread: 10, SharedBytesPerCTA: 2048, ThreadsPerCTA: 256}
 	if req.BytesPerThread() != 40 {

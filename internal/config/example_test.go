@@ -25,15 +25,3 @@ func ExampleAllocateMulti() {
 	// unified rf=228K shm=66K $=89K
 	// threads: 1024
 }
-
-// ExampleChooseFermiMulti shows the limited-flexibility design picking between
-// its two preset shared/cache splits.
-func ExampleChooseFermiMulti() {
-	needsShared := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256, SharedBytesPerCTA: 24 << 10}
-	needsCache := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256}
-	fmt.Println(config.ChooseFermiMulti([]config.KernelRequirements{needsShared}, 128<<10, 0))
-	fmt.Println(config.ChooseFermiMulti([]config.KernelRequirements{needsCache}, 128<<10, 0))
-	// Output:
-	// fermi-like rf=256K shm=96K $=32K
-	// fermi-like rf=256K shm=32K $=96K
-}

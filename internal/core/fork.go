@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/occupancy"
 	"repro/internal/sm"
-	"repro/internal/snapshot"
 	"repro/internal/workloads"
 )
 
 // Warm is a reusable warmed simulation prefix: one spec run to (at
 // least) a target cycle under the warming Runner's parameters, frozen
-// as a copy-on-write snapshot. A sweep builds one Warm and resumes it
+// as an sm.Snapshot. A sweep builds one Warm and resumes it
 // once per divergent parameter point, paying the warm-up cost once.
 //
 // A Warm is immutable after construction and safe for concurrent
@@ -29,7 +28,7 @@ type Warm struct {
 	Cycle int64
 
 	run  *prepared
-	snap *snapshot.State
+	snap *sm.Snapshot
 	// done records that the grid completed before the warm target: the
 	// prefix consumed the whole run, so there is nothing left for a
 	// param switch to affect.
@@ -127,8 +126,8 @@ func (w *Warm) ResumeExact(ctx context.Context, dst *Runner, params sm.Params) (
 }
 
 // Snapshot exposes the frozen state for callers that fork at the sm
-// layer (tests, the simulation service). Treat it as read-only.
-func (w *Warm) Snapshot() *snapshot.State { return w.snap }
+// layer.
+func (w *Warm) Snapshot() *sm.Snapshot { return w.snap }
 
 // Source exposes the trace source the prefix ran from, for sm-layer
 // forks.

@@ -87,7 +87,11 @@ type Warp struct {
 	// from an arbitration conflict, for the observability layer's stall
 	// attribution. Timing never reads it. (It shares Status's word.)
 	ArbStall bool
-	CTASlot  int
+	// stream is the slot's owning stream index; the mapping is
+	// structural (slots never change streams), so Reset sets it and
+	// launches keep it. (It shares Status's word, as ArbStall does.)
+	stream  uint8
+	CTASlot int
 	// Code is the warp's trace: Code.Prog's records are what the timing
 	// core walks, and Code decodes an instruction with its addresses.
 	Code isa.WarpCode
@@ -139,21 +143,14 @@ type Slot struct {
 	WakeAt int64
 }
 
-// slot is an entry of the dispatcher's dense per-slot array.
-type slot struct {
-	Slot
-	// stream is the slot's owning stream index; the mapping is
-	// structural (slots never change streams).
-	stream int
-}
-
-// ctaSlot tracks one resident CTA.
+// ctaSlot tracks one resident CTA. Its warps are the stream's
+// warpsPer consecutive warp slots from first.
 type ctaSlot struct {
 	id        int // grid CTA index, -1 if empty
 	stream    int // owning stream (kernel) index
 	liveWarps int
 	barWaits  int
-	warps     []int // warp slot indices
+	first     int
 }
 
 // StreamSpec describes one co-resident kernel (stream) of a dispatcher:
@@ -171,7 +168,6 @@ type StreamSpec struct {
 
 // streamState is one stream's launch bookkeeping.
 type streamState struct {
-	src       TraceSource
 	nextCTA   int // next grid CTA of this stream to launch
 	totalCTAs int
 	warpsPer  int
@@ -182,8 +178,13 @@ type streamState struct {
 	doneAt int64
 	// mask selects the warp slots owned by this stream's CTA slots.
 	mask uint64
-	// c receives this stream's launch and retirement events.
-	c *stats.Counters
+}
+
+// binding ties a stream to its run: the source its CTAs launch from and
+// the counter set its launch and retirement events are filed into.
+type binding struct {
+	src TraceSource
+	c   *stats.Counters
 }
 
 // Dispatcher launches the grid's CTAs into resident slots, rotates new
@@ -198,12 +199,12 @@ type Dispatcher struct {
 	aggressive bool
 
 	streams []streamState
+	// binds holds each stream's binding, index-aligned with streams.
+	binds []binding
 
 	warps []Warp
-	slots []slot
+	slots []Slot
 	ctas  []ctaSlot
-	// ctaWarps backs every CTA slot's warp index list.
-	ctaWarps []int
 
 	liveWarps int
 	// readyMask has bit w set iff warp slot w is in the Ready state, so
@@ -241,10 +242,11 @@ func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive 
 	if len(specs) == 0 {
 		return fmt.Errorf("dispatch: need at least one stream")
 	}
-	streams, warps, slots, ctas, ctaWarps := d.streams, d.warps, d.slots, d.ctas, d.ctaWarps
+	streams, binds, warps, slots, ctas := d.streams, d.binds, d.warps, d.slots, d.ctas
 	*d = Dispatcher{design: design, aggressive: aggressive, readyLow: noWake, lowExact: true}
 	d.streams = slices.Grow(streams[:0], len(specs))[:len(specs)]
 	clear(d.streams)
+	d.binds = slices.Grow(binds[:0], len(specs))[:len(specs)]
 	totalWarps, totalCTAs, maxResident := 0, 0, 0
 	for i, sp := range specs {
 		if sp.Source == nil || sp.Counters == nil {
@@ -258,11 +260,10 @@ func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive 
 			return fmt.Errorf("dispatch: stream %d has no warps per CTA", i)
 		}
 		st := &d.streams[i]
-		st.src = sp.Source
 		st.totalCTAs = gridCTAs
 		st.warpsPer = warpsPer
 		st.doneAt = -1
-		st.c = sp.Counters
+		d.binds[i] = binding{src: sp.Source, c: sp.Counters}
 		totalWarps += sp.ResidentCTAs * warpsPer
 		totalCTAs += sp.ResidentCTAs
 		if sp.ResidentCTAs > maxResident {
@@ -277,7 +278,6 @@ func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive 
 	clear(d.warps)
 	d.slots = slices.Grow(slots[:0], totalWarps)[:totalWarps]
 	clear(d.slots)
-	d.ctaWarps = slices.Grow(ctaWarps[:0], totalWarps)[:totalWarps]
 	d.ctas = slices.Grow(ctas[:0], totalCTAs)
 	base := 0
 	for round := 0; round < maxResident; round++ {
@@ -285,15 +285,12 @@ func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive 
 			if round >= sp.ResidentCTAs {
 				continue
 			}
-			warpsPer := d.streams[s].warpsPer
-			slot := ctaSlot{id: -1, stream: s, warps: d.ctaWarps[base : base+warpsPer : base+warpsPer]}
-			for w := 0; w < warpsPer; w++ {
-				slot.warps[w] = base + w
-				d.slots[base+w].stream = s
-				d.streams[s].mask |= 1 << uint(base+w)
+			for w := base; w < base+d.streams[s].warpsPer; w++ {
+				d.warps[w].stream = uint8(s)
+				d.streams[s].mask |= 1 << uint(w)
 			}
-			base += warpsPer
-			d.ctas = append(d.ctas, slot)
+			d.ctas = append(d.ctas, ctaSlot{id: -1, stream: s, first: base})
+			base += d.streams[s].warpsPer
 		}
 	}
 	return nil
@@ -304,7 +301,39 @@ func (d *Dispatcher) Reset(specs []StreamSpec, design config.Design, aggressive 
 // finished run alive. Reset readies it again.
 func (d *Dispatcher) Detach() {
 	clear(d.warps)
-	clear(d.streams)
+	clear(d.binds)
+}
+
+// CopyFrom makes d a copy of src's run state: every warp and its
+// scheduling state, the CTA slots, the streams' launch cursors and the
+// ready set. The warps share src's trace tables, which are immutable.
+// d keeps its own bindings (trace sources and counter sets) and reuses
+// its arrays when they are large enough, so it copies out of src and
+// never aliases it: a zero Dispatcher takes a frozen copy with no
+// bindings, and one Reset for a run of src's shape resumes src's run
+// (sm.Fork checks the shape with SameShape).
+func (d *Dispatcher) CopyFrom(src *Dispatcher) {
+	streams, binds, warps, slots, ctas := d.streams, d.binds, d.warps, d.slots, d.ctas
+	*d = *src
+	d.streams = append(streams[:0], src.streams...)
+	d.binds = binds
+	d.warps = append(warps[:0], src.warps...)
+	d.slots = append(slots[:0], src.slots...)
+	d.ctas = append(ctas[:0], src.ctas...)
+}
+
+// SameShape reports whether d and o host grids of the same sizes in the
+// same warp and CTA slot layout, which a copy between them needs.
+func (d *Dispatcher) SameShape(o *Dispatcher) bool {
+	if len(d.warps) != len(o.warps) || len(d.ctas) != len(o.ctas) || len(d.streams) != len(o.streams) {
+		return false
+	}
+	for i := range d.streams {
+		if d.streams[i].totalCTAs != o.streams[i].totalCTAs || d.streams[i].warpsPer != o.streams[i].warpsPer {
+			return false
+		}
+	}
+	return true
 }
 
 // Start launches the initial resident CTAs at the given cycle and records
@@ -318,7 +347,7 @@ func (d *Dispatcher) Start(cycle int64) {
 	}
 	for i := range d.ctas {
 		if c := &d.ctas[i]; c.id >= 0 {
-			d.streams[c.stream].c.MaxResidentThreads += len(c.warps) * isa.WarpSize
+			d.binds[c.stream].c.MaxResidentThreads += d.streams[c.stream].warpsPer * isa.WarpSize
 		}
 	}
 	// A stream with an empty grid is complete before it begins.
@@ -334,27 +363,29 @@ func (d *Dispatcher) Start(cycle int64) {
 // warps wake at the given cycle.
 func (d *Dispatcher) launch(slot int, cycle int64) {
 	c := &d.ctas[slot]
-	st := &d.streams[c.stream]
+	st, b := &d.streams[c.stream], &d.binds[c.stream]
 	c.id = st.nextCTA
 	st.nextCTA++
 	c.liveWarps = st.warpsPer
 	c.barWaits = 0
-	for i, wIdx := range c.warps {
+	for i := 0; i < st.warpsPer; i++ {
+		wIdx := c.first + i
 		w := &d.warps[wIdx]
 		*w = Warp{
 			Status:     Ready,
+			stream:     uint8(c.stream),
 			CTASlot:    slot,
-			Code:       st.src.WarpCode(c.id, i),
-			Outcomes:   st.src.WarpOutcomes(c.id, i, d.design, d.aggressive),
-			Footprints: st.src.WarpFootprints(c.id, i),
+			Code:       b.src.WarpCode(c.id, i),
+			Outcomes:   b.src.WarpOutcomes(c.id, i, d.design, d.aggressive),
+			Footprints: b.src.WarpFootprints(c.id, i),
 		}
-		d.slots[wIdx].Slot = Slot{WakeAt: cycle}
+		d.slots[wIdx] = Slot{WakeAt: cycle}
 		d.liveWarps++
 		st.liveWarps++
 		d.readyMask |= 1 << uint(wIdx)
 	}
 	d.lowerWake(cycle)
-	st.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
+	b.c.ThreadsRun += int64(st.warpsPer) * isa.WarpSize
 }
 
 // Done reports whether every warp of the grid has exited.
@@ -368,7 +399,7 @@ func (d *Dispatcher) Warp(i int) *Warp { return &d.warps[i] }
 
 // Slot returns warp slot i's scheduling state for direct access; the
 // timing core writes its issue terms whenever the warp issues.
-func (d *Dispatcher) Slot(i int) *Slot { return &d.slots[i].Slot }
+func (d *Dispatcher) Slot(i int) *Slot { return &d.slots[i] }
 
 // WakeBy reports whether a Ready warp may be eligible for promotion by
 // now. When it is false, MinReady fails for every stream, so the
@@ -444,7 +475,7 @@ func (d *Dispatcher) Barrier(wIdx int, now int64) {
 
 // release wakes every barrier-blocked warp of the CTA.
 func (d *Dispatcher) release(c *ctaSlot, now int64) {
-	for _, idx := range c.warps {
+	for idx := c.first; idx < c.first+d.streams[c.stream].warpsPer; idx++ {
 		ww := &d.warps[idx]
 		if ww.Status == Barrier {
 			ww.Status = Ready
@@ -471,7 +502,7 @@ func (d *Dispatcher) Exit(wIdx int, now int64) {
 	st.liveWarps--
 	c.liveWarps--
 	if c.liveWarps == 0 {
-		st.c.CTAsRetired++
+		d.binds[c.stream].c.CTAsRetired++
 		slot := w.CTASlot
 		c.id = -1
 		if st.nextCTA < st.totalCTAs {
@@ -492,7 +523,7 @@ func (d *Dispatcher) NumStreams() int { return len(d.streams) }
 
 // Stream returns the stream index owning warp slot w (the sched.Pool
 // view). The mapping is structural and never changes.
-func (d *Dispatcher) Stream(w int) int { return d.slots[w].stream }
+func (d *Dispatcher) Stream(w int) int { return int(d.warps[w].stream) }
 
 // MinReady returns the stream's Ready warp with the oldest wake cycle
 // at or before now, lowest slot index breaking ties, and its wake — the

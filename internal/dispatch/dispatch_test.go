@@ -118,8 +118,8 @@ func TestStartLaunchesResidentCTAs(t *testing.T) {
 
 // TestLaunchAttachesTables: each launched warp carries the source's
 // outcome table for the dispatcher's bank-model variant and its
-// footprint table, and a dispatcher restored from a snapshot keeps the
-// snapshot's tables.
+// footprint table, and a dispatcher copied from another keeps the
+// copied tables.
 func TestLaunchAttachesTables(t *testing.T) {
 	newUnified := func() (*Dispatcher, *fakeSource) {
 		src := newFakeSource(2, 2)
@@ -149,12 +149,10 @@ func TestLaunchAttachesTables(t *testing.T) {
 		}
 	}
 	fork, _ := newUnified()
-	if err := fork.Restore(d.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
+	fork.CopyFrom(d)
 	for i := 0; i < d.NumWarps(); i++ {
 		if w, p := fork.Warp(i), d.Warp(i); &w.Outcomes[0] != &p.Outcomes[0] || w.Footprints != p.Footprints {
-			t.Errorf("warp %d: Restore replaced the snapshot's tables", i)
+			t.Errorf("warp %d: CopyFrom replaced the copied tables", i)
 		}
 	}
 }
@@ -285,7 +283,7 @@ func bruteMinFutureWake(d *Dispatcher, now int64) int64 {
 }
 
 // TestWakeBoundMatchesBruteForce drives random launch, Park, Activate,
-// Barrier, Exit and Restore sequences, on one stream and on a two-stream
+// Barrier, Exit and CopyFrom sequences, on one stream and on a two-stream
 // mix, and after every step requires MinReady and MinFutureWake to agree
 // with a scan over all warps — the wake bound may only skip scans that
 // could not have found anything.
@@ -357,9 +355,7 @@ func TestWakeBoundMatchesBruteForce(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := fork.Restore(d.Snapshot()); err != nil {
-						t.Fatal(err)
-					}
+					fork.CopyFrom(d)
 					d = fork
 					what = "restore"
 				}

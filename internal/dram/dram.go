@@ -75,6 +75,22 @@ func (d *DRAM) Reset(cfg Config) {
 	*d = DRAM{cfg: cfg.Normalized()}
 }
 
+// CopyFrom copies src's bus clock, open-row tracker and traffic tallies
+// into d. d keeps its own configuration, so a fork built with a
+// divergent Config resumes src's bus and row state under its own timing.
+func (d *DRAM) CopyFrom(src *DRAM) {
+	cfg := d.cfg
+	*d = *src
+	d.cfg = cfg
+}
+
+// SetConfig replaces the channel configuration mid-run (the param
+// switch a fork's divergent Config is equivalent to), normalizing zero
+// fields the same way New does. Bus and row state carry over.
+func (d *DRAM) SetConfig(cfg Config) {
+	d.cfg = cfg.Normalized()
+}
+
 // latencyFor returns the access latency, applying the open-row model when
 // configured: the flat LatencyCycles is interpreted as the row-miss
 // latency, and row hits save RowMissPenalty cycles.

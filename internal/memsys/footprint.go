@@ -57,14 +57,14 @@ func (f Footprint) Active() int { return int(f[0] >> 8) }
 // (uncached accesses, write-through stores) are booked at.
 func (f Footprint) Addr0() uint32 { return f[1] }
 
-// appendFootprint appends the footprint of the global-memory instruction
+// AppendFootprint appends the footprint of the global-memory instruction
 // wi to dst and returns the extended slice; the footprint is the part
 // past the input's length. It scans the address vector once: each lane
 // finds its line newest-first (adjacent lanes usually share the line
 // recorded last, so the common duplicate is O(1)), and a per-line bitmap
 // of byte offsets counts distinct addresses, which are exactly the
 // distinct (line, offset) pairs.
-func appendFootprint(dst []uint32, wi *isa.WarpInst) []uint32 {
+func AppendFootprint(dst []uint32, wi *isa.WarpInst) []uint32 {
 	base, stride, vec := wi.AddrForm()
 	if vec == nil {
 		if isa.Monotone(base, stride) {
@@ -102,7 +102,7 @@ func appendFootprint(dst []uint32, wi *isa.WarpInst) []uint32 {
 	return dst
 }
 
-// appendRunFootprint is appendFootprint for affine addresses that do not
+// appendRunFootprint is AppendFootprint for affine addresses that do not
 // wrap (isa.Monotone). Their lines are ordered by lane, so a lane's line
 // is new unless it is the newest one, and their addresses are distinct
 // unless the stride is zero, when every lane reads one address.
@@ -167,7 +167,7 @@ func NewFootprints(code isa.WarpCode) *Footprints {
 		g++
 		if in.HasAddrs() {
 			code.Decode(i, &wi)
-			buf = appendFootprint(buf, &wi)
+			buf = AppendFootprint(buf, &wi)
 		}
 	}
 	buf[g] = uint32(len(buf) - n)

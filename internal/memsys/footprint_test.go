@@ -73,7 +73,7 @@ func referenceFootprints(flat []isa.WarpInst) []Footprint {
 	ref := make([]Footprint, len(flat))
 	for i := range flat {
 		if flat[i].Op.IsGlobal() && flat[i].HasAddrs() {
-			ref[i] = appendFootprint(nil, &flat[i])
+			ref[i] = AppendFootprint(nil, &flat[i])
 		}
 	}
 	return ref
@@ -125,14 +125,13 @@ func TestFootprintMatchesNaive(t *testing.T) {
 	code := isa.Split(insts)
 	table := NewFootprints(code)
 	checkTable(t, table, code, insts)
-	m := New(Config{}, nil, nil)
 	for i := range insts {
 		wi := &insts[i]
 		if !wi.Op.IsGlobal() {
 			continue
 		}
 		got := table.At(code.Prog.Global(i))
-		if scratch := m.Footprint(wi); !reflect.DeepEqual(got, scratch) {
+		if scratch := Footprint(AppendFootprint(nil, wi)); !reflect.DeepEqual(got, scratch) {
 			t.Fatalf("inst %d: table %v, computed %v", i, got, scratch)
 		}
 		lines, sectors, distinct, active := naiveFootprint(wi)
@@ -233,20 +232,20 @@ func FuzzFootprints(f *testing.F) {
 // of the address space, 32 distinct lines, and an empty mask.
 func TestFootprintExtremes(t *testing.T) {
 	top := ldg(func(l int) uint32 { return ^uint32(0) - uint32(l) })
-	fp := Footprint(appendFootprint(nil, top))
+	fp := Footprint(AppendFootprint(nil, top))
 	if l, s := fp.Line(0); fp.Lines() != 1 || l != ^uint32(0)/config.CacheLineBytes || s != 0x8 {
 		t.Errorf("top-of-memory load: %d lines, first (%#x, %#x)", fp.Lines(), l, s)
 	}
 	if fp.Distinct() != 32 || fp.Active() != 32 {
 		t.Errorf("top-of-memory load: %d distinct, %d active, want 32, 32", fp.Distinct(), fp.Active())
 	}
-	gather := appendFootprint(nil, ldg(func(l int) uint32 { return uint32(l) * 4096 }))
+	gather := AppendFootprint(nil, ldg(func(l int) uint32 { return uint32(l) * 4096 }))
 	if Footprint(gather).Lines() != 32 {
 		t.Errorf("32-line gather: %d lines", Footprint(gather).Lines())
 	}
 	none := ldg(func(l int) uint32 { return 7 })
 	none.Mask = 0
-	if e := Footprint(appendFootprint(nil, none)); e.Lines() != 0 || e.Distinct() != 0 || e.Active() != 0 || e.Addr0() != 7 {
+	if e := Footprint(AppendFootprint(nil, none)); e.Lines() != 0 || e.Distinct() != 0 || e.Active() != 0 || e.Addr0() != 7 {
 		t.Errorf("empty mask: %d lines, %d distinct, %d active, addr0 %d", e.Lines(), e.Distinct(), e.Active(), e.Addr0())
 	}
 }

@@ -14,6 +14,7 @@
 package memsys
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/cache"
@@ -65,8 +66,6 @@ type MemSys struct {
 	// cache miss entries are in flight (MaxMSHRs reached); the stall
 	// classifier attributes memory waits inside it to MSHR pressure.
 	mshrBlockedUntil int64
-
-	fpBuf [maxFootprintWords]uint32 // Footprint result storage
 }
 
 // New builds a memory pipeline issuing to mem, filing events into c.
@@ -78,7 +77,7 @@ func New(cfg Config, mem Memory, c *stats.Counters) *MemSys {
 
 // Reset readies the pipeline for a new run exactly as New builds it —
 // an empty cache of cfg.CacheBytes, no fill in flight, an idle tag
-// port — reusing its tag store, pending table and scratch buffers.
+// port — reusing its tag store and pending table.
 func (m *MemSys) Reset(cfg Config, mem Memory, c *stats.Counters) {
 	l1, pending := m.l1, m.pending
 	if l1 == nil {
@@ -93,6 +92,46 @@ func (m *MemSys) Reset(cfg Config, mem Memory, c *stats.Counters) {
 // and counters, so a recycled pipeline keeps nothing of a finished run
 // alive. Reset readies it again.
 func (m *MemSys) Detach() { m.mem, m.c = nil, nil }
+
+// CopyFrom makes m a copy of src's run state: the cache tag store, the
+// pending-line (MSHR) table in its exact slot layout, and the tag-port
+// and MSHR-saturation clocks. m keeps its own configuration (latencies,
+// MSHR bound, write policy), memory system and counters, which is what
+// lets a fork diverge on them, and its arrays when they are large
+// enough; it never aliases src's, which put, del and eviction mutate
+// in place. A pipeline Reset for a run is ready to resume src's: its
+// pending table grows here if it is too small for m's MSHR bound, and
+// retire's survivor buffer is sized to match, so the cycle loop
+// allocates nothing src's did not. A zero MemSys takes a frozen copy
+// with no survivor buffer.
+//
+// Copied fills that have already arrived stay in the table: a lookup
+// treats each one as absent when it reaches it, and a bounded table
+// retires them all before it evicts a fill still in flight, so a
+// smaller bound than src's counts only fills in flight against it.
+func (m *MemSys) CopyFrom(src *MemSys) {
+	if m.l1 == nil {
+		m.l1, m.pending = new(cache.Cache), new(pendingTable)
+	}
+	m.l1.CopyFrom(src.l1)
+	m.pending.copyFrom(src.pending)
+	for len(m.pending.keys) < 2*m.cfg.MaxMSHRs {
+		m.pending.grow()
+	}
+	m.tagFreeAt, m.mshrBlockedUntil = src.tagFreeAt, src.mshrBlockedUntil
+}
+
+// SetTiming replaces the pipeline's timing parameters mid-run (the
+// param switch a fork's divergent timing is equivalent to). The cache
+// capacity is structural — the tag store is live state — and must not
+// change.
+func (m *MemSys) SetTiming(cfg Config) error {
+	if cfg.CacheBytes != m.cfg.CacheBytes {
+		return fmt.Errorf("memsys: cache capacity changed from %d to %d mid-run", m.cfg.CacheBytes, cfg.CacheBytes)
+	}
+	m.cfg = cfg
+	return nil
+}
 
 // Charge retargets the pipeline's event counters to c: the SM points it
 // at the issuing stream's counter set before each memory instruction, so
@@ -116,13 +155,17 @@ func (m *MemSys) MSHRBlockedUntil() int64 { return m.mshrBlockedUntil }
 // (data-ready cycle after now).
 func (m *MemSys) InFlight(now int64) int {
 	n := 0
-	for i, u := range m.pending.used {
-		if u && m.pending.vals[i] > now {
+	for i, k := range m.pending.keys {
+		if k != 0 && m.pending.vals[i] > now {
 			n++
 		}
 	}
 	return n
 }
+
+// PendingSlots returns the size of the pending-line table, which
+// tracks peak in-flight fills.
+func (m *MemSys) PendingSlots() int { return len(m.pending.keys) }
 
 // DirtyLines returns the number of modified lines resident in the cache
 // (always zero for the write-through design).
@@ -155,16 +198,12 @@ const SectorBytes = 32
 // accesses use only a fraction of each 128-byte line a cache would fetch.
 const uncachedGranule = 16
 
-// Footprint computes wi's footprint into the pipeline's scratch storage,
-// valid until the next call: the path for instructions whose trace
-// source memoizes none.
-func (m *MemSys) Footprint(wi *isa.WarpInst) Footprint {
-	return appendFootprint(m.fpBuf[:0], wi)
-}
-
-// Load performs the LDG wi issued at now; see LoadFootprint.
+// Load performs the LDG wi issued at now, computing its footprint on
+// the stack: the path for instructions whose trace source memoizes
+// none. See LoadFootprint.
 func (m *MemSys) Load(wi *isa.WarpInst, now, extra int64) int64 {
-	return m.LoadFootprint(m.Footprint(wi), now, extra)
+	var buf [maxFootprintWords]uint32
+	return m.LoadFootprint(AppendFootprint(buf[:0], wi), now, extra)
 }
 
 // LoadFootprint performs an LDG with footprint fp issued at now: per
@@ -262,9 +301,11 @@ func (m *MemSys) LoadFootprint(fp Footprint, now, extra int64) int64 {
 	return worst
 }
 
-// Store performs the STG wi issued at now; see StoreFootprint.
+// Store performs the STG wi issued at now, computing its footprint as
+// Load does. See StoreFootprint.
 func (m *MemSys) Store(wi *isa.WarpInst, now, extra int64) {
-	m.StoreFootprint(m.Footprint(wi), now, extra)
+	var buf [maxFootprintWords]uint32
+	m.StoreFootprint(AppendFootprint(buf[:0], wi), now, extra)
 }
 
 // StoreFootprint performs an STG with footprint fp issued at now:

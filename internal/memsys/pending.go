@@ -23,10 +23,13 @@ import (
 // Semantics match the map exactly; the eviction scan reproduces the
 // map loop's deterministic minimum-(ready, line) selection. A
 // randomized differential test (pending_test.go) pins the equivalence.
+//
+// A slot holds its key plus one, so a zero slot is empty and clearing
+// the keys empties the table; keys must be below 1<<32-1 (line numbers
+// are).
 type pendingTable struct {
 	keys []uint32
 	vals []int64
-	used []bool
 	n    int
 	// live is retire's survivor buffer, with room for every entry the
 	// table can hold at its current size, so retire never allocates.
@@ -63,10 +66,22 @@ func (p *pendingTable) reset(bound int) {
 func (p *pendingTable) resize(slots int) {
 	p.keys = slices.Grow(p.keys[:0], slots)[:slots]
 	p.vals = slices.Grow(p.vals[:0], slots)[:slots]
-	p.used = slices.Grow(p.used[:0], slots)[:slots]
-	clear(p.used)
+	clear(p.keys)
 	p.live = slices.Grow(p.live[:0], slots/2)
 	p.n = 0
+}
+
+// copyFrom makes p a copy of src's entries in src's slot layout, so a
+// copy's probe chains are the original's, reusing p's arrays. A table
+// that has been reset for a run gets a survivor buffer to match; a zero
+// one, which never runs, gets none.
+func (p *pendingTable) copyFrom(src *pendingTable) {
+	p.keys = append(p.keys[:0], src.keys...)
+	p.vals = append(p.vals[:0], src.vals...)
+	p.n = src.n
+	if p.live != nil {
+		p.live = slices.Grow(p.live[:0], len(p.keys)/2)
+	}
 }
 
 // home returns the key's preferred slot (Fibonacci hashing; the table
@@ -81,8 +96,8 @@ func (p *pendingTable) len() int { return p.n }
 // get returns the entry for key, if present.
 func (p *pendingTable) get(key uint32) (int64, bool) {
 	mask := len(p.keys) - 1
-	for i := p.home(key); p.used[i]; i = (i + 1) & mask {
-		if p.keys[i] == key {
+	for i := p.home(key); p.keys[i] != 0; i = (i + 1) & mask {
+		if p.keys[i] == key+1 {
 			return p.vals[i], true
 		}
 	}
@@ -96,14 +111,14 @@ func (p *pendingTable) put(key uint32, val int64) {
 	}
 	mask := len(p.keys) - 1
 	i := p.home(key)
-	for p.used[i] {
-		if p.keys[i] == key {
+	for p.keys[i] != 0 {
+		if p.keys[i] == key+1 {
 			p.vals[i] = val
 			return
 		}
 		i = (i + 1) & mask
 	}
-	p.keys[i], p.vals[i], p.used[i] = key, val, true
+	p.keys[i], p.vals[i] = key+1, val
 	p.n++
 }
 
@@ -114,10 +129,10 @@ func (p *pendingTable) del(key uint32) {
 	mask := len(p.keys) - 1
 	i := p.home(key)
 	for {
-		if !p.used[i] {
+		if p.keys[i] == 0 {
 			return // absent
 		}
-		if p.keys[i] == key {
+		if p.keys[i] == key+1 {
 			break
 		}
 		i = (i + 1) & mask
@@ -125,18 +140,18 @@ func (p *pendingTable) del(key uint32) {
 	p.n--
 	j := i
 	for {
-		p.used[i] = false
+		p.keys[i] = 0
 		for {
 			j = (j + 1) & mask
-			if !p.used[j] {
+			if p.keys[j] == 0 {
 				return
 			}
 			// The entry at j may move into the hole at i only if its
 			// home slot does not lie cyclically within (i, j] — moving
 			// it otherwise would break its own probe chain.
-			h := p.home(p.keys[j])
+			h := p.home(p.keys[j] - 1)
 			if (j-h)&mask >= (j-i)&mask {
-				p.keys[i], p.vals[i], p.used[i] = p.keys[j], p.vals[j], true
+				p.keys[i], p.vals[i] = p.keys[j], p.vals[j]
 				break
 			}
 		}
@@ -150,12 +165,12 @@ func (p *pendingTable) del(key uint32) {
 // be called on an empty table.
 func (p *pendingTable) evictEarliest() (key uint32, val int64) {
 	val = int64(1) << 62
-	for i, u := range p.used {
-		if !u {
+	for i, k := range p.keys {
+		if k == 0 {
 			continue
 		}
-		if p.vals[i] < val || (p.vals[i] == val && p.keys[i] < key) {
-			key, val = p.keys[i], p.vals[i]
+		if p.vals[i] < val || (p.vals[i] == val && k-1 < key) {
+			key, val = k-1, p.vals[i]
 		}
 	}
 	p.del(key)
@@ -167,9 +182,9 @@ func (p *pendingTable) evictEarliest() (key uint32, val int64) {
 // slots, so the buffer never grows.
 func (p *pendingTable) collect(horizon int64) []pendingEntry {
 	p.live = p.live[:0]
-	for i, u := range p.used {
-		if u && p.vals[i] > horizon {
-			p.live = append(p.live, pendingEntry{p.keys[i], p.vals[i]})
+	for i, k := range p.keys {
+		if k != 0 && p.vals[i] > horizon {
+			p.live = append(p.live, pendingEntry{k - 1, p.vals[i]})
 		}
 	}
 	return p.live
@@ -182,7 +197,7 @@ func (p *pendingTable) retire(horizon int64) {
 	if len(live) == p.n {
 		return // nothing settled
 	}
-	clear(p.used)
+	clear(p.keys)
 	p.n = 0
 	for _, e := range live {
 		p.put(e.key, e.val)

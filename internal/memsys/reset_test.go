@@ -47,33 +47,50 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestRestoreSizesRetireBuffer: a new pipeline restored from a pending
-// table larger than its own takes the snapshot's layout and a retire
-// buffer to match, so its first retire does not allocate.
+// TestRestoreSizesRetireBuffer: a new pipeline that copies a pending
+// table larger than its own takes the table's layout and a retire
+// buffer to match, so its first retire does not allocate; a zero
+// pipeline's frozen copy takes the same state and no retire buffer.
 func TestRestoreSizesRetireBuffer(t *testing.T) {
 	mem := &fixedMem{latency: 5000}
 	parent, _ := newTestMemSys(mem, 0, false, 64<<10)
 	missBurst(parent, 0, 200, 0)
-	st := parent.Snapshot()
-	if len(st.PendingKeys) <= minPendingSlots {
-		t.Fatalf("snapshot pending table has %d slots, want more than %d", len(st.PendingKeys), minPendingSlots)
+	if slots := len(parent.pending.keys); slots <= minPendingSlots {
+		t.Fatalf("parent pending table has %d slots, want more than %d", slots, minPendingSlots)
+	}
+	var frozen MemSys
+	frozen.CopyFrom(parent)
+	if frozen.pending.live != nil {
+		t.Errorf("a frozen copy holds a %d-entry retire buffer, want none", cap(frozen.pending.live))
 	}
 	fork, _ := newTestMemSys(mem, 0, false, 64<<10)
-	if err := fork.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fork.Snapshot(), st) {
-		t.Fatal("restored pipeline's state differs from the snapshot")
+	fork.CopyFrom(&frozen)
+	for _, m := range []*MemSys{&frozen, fork} {
+		if !sameRunState(m, parent) {
+			t.Fatal("copied pipeline's state differs from the parent's")
+		}
 	}
 	// retire never allocates while its buffer has room for every entry
 	// the table can hold. Half the fills have arrived by cycle 5100, so
 	// the first retire keeps 99 survivors: more than a new table's
 	// 32-entry buffer holds.
 	if got, want := cap(fork.pending.live), len(fork.pending.keys)/2; got < want {
-		t.Errorf("restored retire buffer holds %d entries, want %d", got, want)
+		t.Errorf("copied retire buffer holds %d entries, want %d", got, want)
 	}
 	fork.pending.retire(5100)
 	if fork.pending.len() != 99 {
 		t.Errorf("retire kept %d fills, want the 99 still in flight", fork.pending.len())
 	}
+	if !sameRunState(&frozen, parent) {
+		t.Error("the fork's retire changed the frozen copy it was taken from")
+	}
+}
+
+// sameRunState reports whether two pipelines hold the same run state:
+// the pending table in the same layout, the clocks and the tag store.
+func sameRunState(a, b *MemSys) bool {
+	pa, pb := a.pending, b.pending
+	return reflect.DeepEqual(pa.keys, pb.keys) && reflect.DeepEqual(pa.vals, pb.vals) && pa.n == pb.n &&
+		a.tagFreeAt == b.tagFreeAt && a.mshrBlockedUntil == b.mshrBlockedUntil &&
+		reflect.DeepEqual(a.l1, b.l1)
 }

@@ -21,3 +21,15 @@ func ExampleComputeShared() {
 	// Output:
 	// 7 CTAs, 224 threads, limited by shared
 }
+
+// ExampleChooseFermiMulti shows the limited-flexibility design picking between
+// its two preset shared/cache splits.
+func ExampleChooseFermiMulti() {
+	needsShared := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256, SharedBytesPerCTA: 24 << 10}
+	needsCache := config.KernelRequirements{RegsPerThread: 16, ThreadsPerCTA: 256}
+	fmt.Println(occupancy.ChooseFermiMulti([]config.KernelRequirements{needsShared}, 128<<10, 0))
+	fmt.Println(occupancy.ChooseFermiMulti([]config.KernelRequirements{needsCache}, 128<<10, 0))
+	// Output:
+	// fermi-like rf=256K shm=96K $=32K
+	// fermi-like rf=256K shm=32K $=96K
+}

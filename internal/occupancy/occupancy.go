@@ -124,6 +124,38 @@ func ComputeShared(reqs []config.KernelRequirements, cfg config.MemConfig, regsA
 	return out
 }
 
+// FermiSplits returns the two shared/cache splits offered by the Fermi-like
+// limited design for a given non-register capacity: (3/4, 1/4) and
+// (1/4, 3/4), mirroring Fermi's 48/16 KB choice scaled to capacity.
+func FermiSplits(nonRFBytes int) [2]config.MemConfig {
+	large := nonRFBytes * 3 / 4
+	small := nonRFBytes - large
+	return [2]config.MemConfig{
+		{Design: config.FermiLike, RFBytes: config.BaselineRFBytes, SharedBytes: large, CacheBytes: small},
+		{Design: config.FermiLike, RFBytes: config.BaselineRFBytes, SharedBytes: small, CacheBytes: large},
+	}
+}
+
+// ChooseFermiMulti picks the Fermi-like shared/cache split that admits
+// the most joint resident threads for a set of co-resident kernels (one
+// kernel is the ordinary case), breaking ties toward the larger cache —
+// a kernel that uses no shared memory always gets it. Residency is
+// ComputeShared's on each split under the thread cap.
+func ChooseFermiMulti(reqs []config.KernelRequirements, nonRFBytes, threadCap int) config.MemConfig {
+	splits := FermiSplits(nonRFBytes)
+	threads := [2]int{}
+	for i := range splits {
+		splits[i].MaxThreads = threadCap
+		for _, r := range ComputeShared(reqs, splits[i], nil) {
+			threads[i] += r.Threads
+		}
+	}
+	if threads[0] > threads[1] {
+		return splits[0]
+	}
+	return splits[1]
+}
+
 // FullOccupancyRFBytes returns the register file capacity needed to run the
 // architectural thread limit without spills (Table 1, column 8).
 func FullOccupancyRFBytes(regsPerThread int) int {

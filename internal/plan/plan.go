@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/machine"
+	"repro/internal/occupancy"
 	"repro/internal/probe"
 	"repro/internal/sm"
 	"repro/internal/workloads"
@@ -131,7 +132,7 @@ func (r *Run) ConfigInfo() api.ConfigInfo {
 // plain request is a one-entry stream list: each stream's kernel,
 // register clamp, and seed resolve the same way, and
 // alloc_total_kb/fermi_total_kb partition jointly for the whole list
-// (config.AllocateMulti / config.ChooseFermiMulti).
+// (config.AllocateMulti / occupancy.ChooseFermiMulti).
 func Resolve(req api.RunRequest) (*Run, error) {
 	streamReqs := req.Streams
 	where := func(i int) string { return fmt.Sprintf("streams[%d]: ", i) }
@@ -183,7 +184,7 @@ func Resolve(req api.RunRequest) (*Run, error) {
 			return nil, fmt.Errorf("fermi_total_kb must exceed the fixed %dKB register file",
 				config.BaselineRFBytes>>10)
 		}
-		cfg = config.ChooseFermiMulti(reqs, req.FermiTotalKB<<10-config.BaselineRFBytes, req.Machine.MaxThreads)
+		cfg = occupancy.ChooseFermiMulti(reqs, req.FermiTotalKB<<10-config.BaselineRFBytes, req.Machine.MaxThreads)
 	}
 	r := &Run{
 		Streams: streams,

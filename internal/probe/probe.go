@@ -19,6 +19,7 @@ package probe
 
 import (
 	"io"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/stats"
@@ -150,6 +151,26 @@ func New(intervalCycles int64, ndjson io.Writer) *Probe {
 	}
 }
 
+// CopyFrom makes p a copy of src's observation state: accumulators, the
+// open sampling window, the completed intervals, metadata, stream
+// tallies and the counter snapshots that turn run counters into
+// per-interval deltas. It clones src's slices, so neither probe sees
+// the other's later records. p keeps its own NDJSON writer and encode
+// buffer and is bound to no counters until Begin. A probe copied from a
+// run at cycle K and attached to a fork continues the run's stream on
+// its own writer: the records it emits from K onward are byte for byte
+// what the run would have written, and it never re-emits the meta
+// record or intervals src's writer already has.
+func (p *Probe) CopyFrom(src *Probe) {
+	out, encBuf, werr, intervals := p.out, p.encBuf, p.werr, p.intervals
+	*p = *src
+	p.out, p.encBuf, p.werr, p.counters = out, encBuf, werr, nil
+	p.meta = slices.Clone(src.meta)
+	p.intervals = append(intervals[:0], src.intervals...)
+	p.streamNames = slices.Clone(src.streamNames)
+	p.streamTallies = slices.Clone(src.streamTallies)
+}
+
 // Annotate attaches a key/value pair (kernel name, configuration, ...)
 // to the profile's metadata, emitted in the NDJSON meta record. Pairs
 // keep insertion order. Annotate must be called before the run begins.
@@ -160,13 +181,15 @@ func (p *Probe) Annotate(key, value string) {
 // Begin starts observation at the run's first cycle. counters are the
 // live per-stream counter sets of the SM under observation; the probe
 // reads their sum at interval boundaries to derive cache and DRAM phase
-// deltas. The SM calls Begin from Start.
+// deltas. The SM calls Begin from Start. A probe that has begun (one a
+// fork copied from a snapshot) only rebinds to counters: its interval
+// deltas must read the forked run's books, not the parent's.
 func (p *Probe) Begin(counters []*stats.Counters, cycle int64) {
+	p.counters = counters
 	if p.began {
 		return
 	}
 	p.began = true
-	p.counters = counters
 	p.startCycle = cycle
 	p.next = cycle
 	p.cur = Interval{Start: cycle, End: cycle + p.interval}

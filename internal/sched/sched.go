@@ -108,12 +108,6 @@ type Scheduler interface {
 	Active() []int
 	// Len returns the active-set occupancy.
 	Len() int
-	// Snapshot captures the scheduling state (active list and policy
-	// cursor) as an immutable State for the SM snapshot machinery.
-	Snapshot() State
-	// Restore replaces the scheduling state with a previously captured
-	// State. It fails on a policy or capacity mismatch.
-	Restore(State) error
 }
 
 // New builds the named policy with the given active-set capacity. When
@@ -129,15 +123,7 @@ func New(prev Scheduler, p Policy, capacity int) (Scheduler, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("sched: active-set capacity %d < 1", capacity)
 	}
-	var active []int
-	tl, _ := prev.(*twoLevel)
-	g, _ := prev.(*gto)
-	switch {
-	case tl != nil:
-		active = tl.active
-	case g != nil:
-		active = g.active
-	}
+	tl, g, active := reuse(prev)
 	active = slices.Grow(active[:0], capacity)
 	if pol == GTO {
 		if g == nil {
@@ -151,6 +137,48 @@ func New(prev Scheduler, p Policy, capacity int) (Scheduler, error) {
 	}
 	*tl = twoLevel{capacity: capacity, active: active}
 	return tl, nil
+}
+
+// Copy returns a copy of src's scheduling state: its policy, capacity,
+// active list and cursor. Like New it reuses dst (nil for none), and
+// dst's active list, so a recycled SM frame keeps one scheduler; dst
+// must not be used afterwards. The copy never aliases src, so it stays
+// valid however src runs on. Both must be schedulers this package
+// built.
+func Copy(dst, src Scheduler) Scheduler {
+	tl, g, active := reuse(dst)
+	switch src := src.(type) {
+	case *gto:
+		if g == nil {
+			g = new(gto)
+		}
+		*g = *src
+		g.active = append(active[:0], src.active...)
+		return g
+	case *twoLevel:
+		if tl == nil {
+			tl = new(twoLevel)
+		}
+		*tl = *src
+		tl.active = append(active[:0], src.active...)
+		return tl
+	}
+	panic(fmt.Sprintf("sched: cannot copy a %T", src))
+}
+
+// reuse returns the storage of prev, a scheduler this package built or
+// nil: its policy struct (at most one of tl and g is non-nil) and its
+// active list.
+func reuse(prev Scheduler) (tl *twoLevel, g *gto, active []int) {
+	tl, _ = prev.(*twoLevel)
+	g, _ = prev.(*gto)
+	switch {
+	case tl != nil:
+		active = tl.active
+	case g != nil:
+		active = g.active
+	}
+	return tl, g, active
 }
 
 // refill is the promotion rule both policies share: each vacant slot

@@ -253,8 +253,8 @@ func TestNewReusesPrev(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, _ := New(nil, to, 6)
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
-				t.Errorf("%s -> %s: state %+v, want a new scheduler's %+v", from, to, got.Snapshot(), want.Snapshot())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s -> %s: state %+v, want a new scheduler's %+v", from, to, got, want)
 			}
 			if (got == prev) != (from == to) {
 				t.Errorf("%s -> %s: reused prev = %v", from, to, got == prev)

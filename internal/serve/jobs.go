@@ -228,7 +228,7 @@ func (s *Server) jobExec(ctx context.Context, it jobs.Item, ic *jobs.ItemContext
 		}
 		return s.compute(ctx, p, false)
 	case *resolvedExperiment:
-		return s.computeExperiment(p)
+		return s.computeExperiment(ctx, p, false)
 	case *api.Error:
 		return p.HTTPStatus, errorBytes(p), "miss"
 	default:

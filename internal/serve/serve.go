@@ -335,30 +335,39 @@ func (s *Server) simulate(ctx context.Context, rr *plan.Run) (int, []byte) {
 	return http.StatusOK, marshalBody(resp)
 }
 
-// compute runs the cache -> store -> coalesce -> simulate pipeline for
-// one resolved run. It assumes admission is already settled. counted
-// says the caller already recorded this lookup in the cache stats
-// (handleRun's pre-admission check), so the recheck stays quiet. The
-// cacheState return is "hit", "stored", "coalesced", or "miss".
+// compute settles one resolved run through the result pipeline (see
+// cached). It assumes admission is already settled; counted says the
+// caller already recorded this lookup in the cache stats.
 func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool) (status int, body []byte, cacheState string) {
+	return s.cached(ctx, rr.Key, counted, func() (int, []byte) { return s.sim(ctx, rr) })
+}
+
+// cached runs the cache -> store -> coalesce -> produce pipeline for the
+// result under key, the one path runs and experiments share. It assumes
+// admission is already settled. counted says the caller already
+// recorded this lookup in the cache stats (a handler's pre-admission
+// check), so the recheck stays quiet. A waiter coalesced onto another
+// request's computation gives up when ctx is done. The cacheState
+// return is "hit", "stored", "coalesced", or "miss".
+func (s *Server) cached(ctx context.Context, key string, counted bool, produce func() (int, []byte)) (status int, body []byte, cacheState string) {
 	lookup := s.cache.get
 	if counted {
 		lookup = s.cache.peek
 	}
-	if body, ok := lookup(rr.Key); ok {
+	if body, ok := lookup(key); ok {
 		return http.StatusOK, body, "hit"
 	}
 	// The persistent store sits under the LRU: a body completed by a
 	// previous process (or evicted from the LRU) replays byte-identically
 	// and re-enters the LRU. This is the job resume path.
 	if s.store != nil {
-		if body, ok := s.store.Get(rr.Key); ok {
-			s.cache.put(rr.Key, body)
+		if body, ok := s.store.Get(key); ok {
+			s.cache.put(key, body)
 			return http.StatusOK, body, "stored"
 		}
 	}
 	s.flightMu.Lock()
-	if c, ok := s.flight[rr.Key]; ok {
+	if c, ok := s.flight[key]; ok {
 		s.flightMu.Unlock()
 		select {
 		case <-c.done:
@@ -369,14 +378,14 @@ func (s *Server) compute(ctx context.Context, rr *plan.Run, counted bool) (statu
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
-	s.flight[rr.Key] = c
+	s.flight[key] = c
 	s.flightMu.Unlock()
-	s.settle(rr.Key, c, func() (int, []byte) {
-		status, body := s.sim(ctx, rr)
+	s.settle(key, c, func() (int, []byte) {
+		status, body := produce()
 		if status == http.StatusOK {
-			s.cache.put(rr.Key, body)
+			s.cache.put(key, body)
 			if s.store != nil {
-				_ = s.store.Put(rr.Key, body)
+				_ = s.store.Put(key, body)
 			}
 		}
 		return status, body
@@ -559,30 +568,11 @@ func (s *Server) resolveExperiment(req api.ExperimentRequest) (*resolvedExperime
 	}, nil
 }
 
-// computeExperiment runs the cache -> store -> coalesce -> render
-// pipeline for one experiment. Admission must already be settled.
-func (s *Server) computeExperiment(er *resolvedExperiment) (status int, body []byte, cacheState string) {
-	if body, ok := s.cache.get(er.key); ok {
-		return http.StatusOK, body, "hit"
-	}
-	if s.store != nil {
-		if body, ok := s.store.Get(er.key); ok {
-			s.cache.put(er.key, body)
-			return http.StatusOK, body, "stored"
-		}
-	}
-	s.flightMu.Lock()
-	if c, ok := s.flight[er.key]; ok {
-		s.flightMu.Unlock()
-		<-c.done
-		s.metrics.coalesced.Add(1)
-		return c.status, c.body, "coalesced"
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[er.key] = c
-	s.flightMu.Unlock()
-
-	s.settle(er.key, c, func() (int, []byte) {
+// computeExperiment settles one experiment through the result pipeline
+// (see cached), rendering its tables on a miss. It assumes admission is
+// already settled; counted is as for compute.
+func (s *Server) computeExperiment(ctx context.Context, er *resolvedExperiment, counted bool) (status int, body []byte, cacheState string) {
+	return s.cached(ctx, er.key, counted, func() (int, []byte) {
 		// Experiments reuse the run path's Runner memoization keyed by
 		// the default machine with the chosen scheduler.
 		d := machine.Default()
@@ -599,20 +589,14 @@ func (s *Server) computeExperiment(er *resolvedExperiment) (status int, body []b
 			return http.StatusInternalServerError, errorBytes(errInternal("%s", err.Error()))
 		}
 		s.metrics.simRuns.Add(1)
-		body := marshalBody(api.ExperimentResponse{
+		return http.StatusOK, marshalBody(api.ExperimentResponse{
 			Name:      er.name,
 			Scheduler: string(er.pol),
 			Text:      t.String(),
 			CSV:       t.CSV(),
 			Markdown:  t.Markdown(),
 		})
-		s.cache.put(er.key, body)
-		if s.store != nil {
-			_ = s.store.Put(er.key, body)
-		}
-		return http.StatusOK, body
 	})
-	return c.status, c.body, "miss"
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -636,7 +620,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	status, body, state := s.computeExperiment(er)
+	status, body, state := s.computeExperiment(r.Context(), er, true)
 	writeBody(w, status, body, state)
 }
 

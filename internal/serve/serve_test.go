@@ -329,6 +329,25 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
+// TestExperimentMissCountsOnce: a cold /v1/experiment is one LRU miss
+// in /metrics. The handler's pre-admission lookup counts it; the
+// pipeline's recheck after admission does not count it again.
+func TestExperimentMissCountsOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	before := snapshot(t, ts)
+	resp, body := do(t, ts, http.MethodPost, "/v1/experiment", `{"name":"table4"}`)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("cold table4: %d X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	after := snapshot(t, ts)
+	if got := after.CacheMisses - before.CacheMisses; got != 1 {
+		t.Errorf("one cold experiment moved cache_misses by %d, want 1", got)
+	}
+	if got := after.CacheHits - before.CacheHits; got != 0 {
+		t.Errorf("one cold experiment moved cache_hits by %d, want 0", got)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cases := []struct {

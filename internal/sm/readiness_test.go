@@ -158,7 +158,7 @@ func TestReadinessTermsMatchBruteForce(t *testing.T) {
 			}
 			for i := 0; i < s.disp.NumWarps(); i++ {
 				if *fork.disp.Slot(i) != *s.disp.Slot(i) {
-					t.Fatalf("%s: fork restored warp %d's slot as %+v, parent holds %+v", what, i, *fork.disp.Slot(i), *s.disp.Slot(i))
+					t.Fatalf("%s: fork copied warp %d's slot as %+v, parent holds %+v", what, i, *fork.disp.Slot(i), *s.disp.Slot(i))
 				}
 			}
 			fc := &readinessChecker{t: t, issue: append([]int64(nil), c.issue...), pc: make([]int, len(c.pc)), status: make([]dispatch.Status, len(c.pc))}

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/banks"
 	"repro/internal/config"
@@ -467,49 +468,52 @@ func (s *SM) stallReason() (probe.StallReason, int) {
 }
 
 // Run executes the grid to completion and returns the event counters.
-func (s *SM) Run() (*stats.Counters, error) {
-	s.Start()
-	for !s.Done() {
-		if err := s.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return s.Finish(), nil
-}
+func (s *SM) Run() (*stats.Counters, error) { return s.RunContext(context.Background()) }
 
-// ctxCheckInterval is the number of Step calls RunContext executes
+// ctxCheckInterval is the number of Step calls the cycle loop executes
 // between context polls. Polling is two predictable branches per
-// interval, so the context-aware loop stays indistinguishable from Run
-// on the profiles while still bounding cancellation latency to a few
-// microseconds of simulated work.
+// interval, so the context-aware loop stays indistinguishable from an
+// unpolled one on the profiles while still bounding cancellation
+// latency to a few microseconds of simulated work.
 const ctxCheckInterval = 1 << 13
 
 // RunContext is Run with cooperative cancellation: the cycle loop polls
 // ctx every few thousand steps and aborts with ctx.Err() once the
-// context is done. A context that can never be cancelled (for example
-// context.Background()) selects the exact Run path. A completed run's
-// counters are identical to Run's — cancellation only decides whether
-// the run finishes, never what it computes.
+// context is done; a context that can never be cancelled (for example
+// context.Background()) is never polled. A completed run's counters are
+// identical to Run's — cancellation only decides whether the run
+// finishes, never what it computes.
 func (s *SM) RunContext(ctx context.Context) (*stats.Counters, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return s.Run()
+	if err := s.run(ctx, math.MaxInt64); err != nil {
+		return nil, err
 	}
+	return s.Finish(), nil
+}
+
+// run is the one cycle loop behind Run, RunContext, RunTo and
+// RunToContext: it starts the SM if needed and steps it until the grid
+// completes or the clock reaches until, polling ctx every
+// ctxCheckInterval steps.
+func (s *SM) run(ctx context.Context, until int64) error {
+	poll := ctx != nil && ctx.Done() != nil
 	s.Start()
 	budget := ctxCheckInterval
-	for !s.Done() {
+	for !s.Done() && s.cycle < until {
 		if err := s.Step(); err != nil {
-			return nil, err
+			return err
 		}
 		if budget--; budget == 0 {
 			budget = ctxCheckInterval
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			default:
+			if poll {
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				default:
+				}
 			}
 		}
 	}
-	return s.Finish(), nil
+	return nil
 }
 
 // tryIssue attempts to issue one warp instruction from the active set in

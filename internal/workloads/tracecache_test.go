@@ -148,7 +148,6 @@ func TestTraceCacheConcurrent(t *testing.T) {
 // from the instruction itself.
 func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 	ResetTraceCache()
-	m := memsys.New(memsys.Config{}, nil, nil)
 	for _, k := range All() {
 		src := &Source{K: k}
 		insts := src.WarpTrace(0, 0)
@@ -173,7 +172,7 @@ func TestWarpOutcomesMatchEvaluate(t *testing.T) {
 			if !insts[i].Op.IsGlobal() {
 				continue
 			}
-			got, want := fps.At(prog.Global(i)), m.Footprint(&insts[i])
+			got, want := fps.At(prog.Global(i)), memsys.Footprint(memsys.AppendFootprint(nil, &insts[i]))
 			if got.Lines() != want.Lines() || got.Distinct() != want.Distinct() ||
 				got.Active() != want.Active() || got.Addr0() != want.Addr0() {
 				t.Fatalf("%s inst %d: memoized %d lines/%d distinct/%d active/addr0 %#x, computed %d/%d/%d/%#x",
@@ -377,14 +376,13 @@ func TestTraceCacheChargesDistinctVectors(t *testing.T) {
 // offset and the arena's words.
 func TestFootprintsIndexedByGlobal(t *testing.T) {
 	ResetTraceCache()
-	m := memsys.New(memsys.Config{}, nil, nil)
 	// reference is one footprint per instruction: empty unless it is a
 	// global-memory access with addresses.
 	reference := func(flat []isa.WarpInst) []memsys.Footprint {
 		ref := make([]memsys.Footprint, len(flat))
 		for i := range flat {
 			if flat[i].Op.IsGlobal() && flat[i].HasAddrs() {
-				ref[i] = slices.Clone(m.Footprint(&flat[i]))
+				ref[i] = memsys.AppendFootprint(nil, &flat[i])
 			}
 		}
 		return ref

@@ -24,6 +24,7 @@ import (
 // Keys are written as the gate prints them: pkg.Name, pkg.Type.Method.
 var surfaceAllowlist = map[string]string{
 	"core.Warm.Snapshot":           "the alloc gates check the warm prefix's pending-table size",
+	"sm.Snapshot.PendingSlots":     "the alloc gates check that a warm prefix's pending table outgrew a fresh one",
 	"dispatch.Dispatcher.NumWarps": "sm's readiness test walks every warp slot",
 	"dispatch.Idle":                "sm's readiness test tells unoccupied slots from live warps",
 	"isa.Split":                    "FuzzSplit and memsys's footprint tests build split code from flat instructions, as sm, chip, dispatch and trace tests build literal grids",
@@ -31,7 +32,6 @@ var surfaceAllowlist = map[string]string{
 	"kgen.Builder.Finish":          "flat traces for sm, chip and workloads tests, until split code replaces them",
 	"kgen.Conflicting":             "banks and sm tests build the N-way bank-conflict pattern",
 	"probe.Decode":                 "harness tests pin NDJSON byte-identity by decoding the stream",
-	"probe.Restore":                "simtest forks probed snapshots",
 	"sm.SM.BarrierWarps":           "simtest places snapshots at mid-barrier points",
 	"sm.SM.InFlightFills":          "simtest places snapshots at MSHR-full points",
 }
